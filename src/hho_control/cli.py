@@ -33,10 +33,6 @@ CSV_HEADER = ("level,h,n_cells,err_u_l2,rate_u,err_y_energy,rate_y,"
               "err_phi_energy,rate_phi,err_y_l2_recon,rate_y_recon,"
               "err_phi_l2_recon,rate_phi_recon,iters")
 
-_RATE_OF = {"err_u_l2": "rate_u", "err_y_energy": "rate_y",
-            "err_phi_energy": "rate_phi", "err_y_l2_recon": "rate_y_recon",
-            "err_phi_l2_recon": "rate_phi_recon"}
-
 
 @dataclass
 class ExperimentConfig:
@@ -102,16 +98,8 @@ class ExperimentConfig:
                                                bounds=self.bounds)
 
 
-def _parse_bool(text):
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"invalid boolean {text!r}")
-
-
-def validate_config(text):
-    """Parse a flat `key = value` document into an ExperimentConfig."""
+def _parse_document(text):
+    """Fields of a flat `key = value` document, values as written."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -126,7 +114,11 @@ def validate_config(text):
         if key in raw:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         raw[key] = value
+    return raw
 
+
+def _config_from_fields(raw):
+    """Validate `key -> value` strings into an ExperimentConfig."""
     known = {"scheme", "degree", "mesh_family", "levels", "preset", "lambda",
              "bounds", "exact_y", "exact_phi", "output_dir", "rng_seed",
              "lloyd_iters", "pgd_max_iters", "pgd_tol", "pgd_theta"}
@@ -167,9 +159,12 @@ def validate_config(text):
         if not bounds[0] < bounds[1]:
             raise ConfigError("bounds must satisfy u_a < u_b")
 
-    pgd = PgdConfig(max_iters=geti("pgd_max_iters", 500),
-                    tol=getf("pgd_tol", 1e-10),
-                    step=getf("pgd_theta", 0.5))
+    try:
+        pgd = PgdConfig(max_iters=geti("pgd_max_iters", 500),
+                        tol=getf("pgd_tol", 1e-10),
+                        step=getf("pgd_theta", 0.5))
+    except ValueError as exc:
+        raise ConfigError(f"invalid pgd setting: {exc}") from None
     return ExperimentConfig(
         scheme=raw["scheme"], degree=geti("degree", 0),
         mesh_family=raw.get("mesh_family", "cartesian"), levels=levels,
@@ -177,6 +172,11 @@ def validate_config(text):
         bounds=bounds, exact_y=raw.get("exact_y"), exact_phi=raw.get("exact_phi"),
         pgd=pgd, output_dir=raw.get("output_dir", "out"),
         rng_seed=geti("rng_seed", 42), lloyd_iters=geti("lloyd_iters", 10))
+
+
+def validate_config(text):
+    """Parse a flat `key = value` document into an ExperimentConfig."""
+    return _config_from_fields(_parse_document(text))
 
 
 def _build_mesh(cfg, level):
@@ -221,46 +221,32 @@ def run_level(cfg, prob, level):
 
 
 def _fmt(x):
-    if x is None:
-        return ""
-    if x != x or x in (float("inf"), float("-inf")):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".16g")
+    return "" if x is None else format(x, ".16g")
 
 
-def _csv_rows(records, rates):
-    rows = [CSV_HEADER]
+def _table(records, rates):
+    """Header and one row of cells per level, shared by every report format."""
+    rows = [CSV_HEADER.split(",")]
     for i, r in enumerate(records):
         cells = [str(r.level), _fmt(r.h), str(r.n_cells)]
         for q in QUANTITIES:
             cells.append(_fmt(getattr(r, q)))
             cells.append(_fmt(rates[q][i - 1]) if i > 0 else "")
         cells.append("" if r.iters is None else str(r.iters))
-        rows.append(",".join(cells))
+        rows.append(cells)
     return rows
 
 
 def _markdown_table(records, rates):
-    head = ["level", "h", "n_cells"]
-    for q in QUANTITIES:
-        head += [q, _RATE_OF[q]]
-    head.append("iters")
-    lines = ["| " + " | ".join(head) + " |",
-             "|" + "---|" * len(head)]
-    for i, r in enumerate(records):
-        cells = [str(r.level), _fmt(r.h), str(r.n_cells)]
-        for q in QUANTITIES:
-            cells.append(_fmt(getattr(r, q)))
-            cells.append(_fmt(rates[q][i - 1]) if i > 0 else "")
-        cells.append("" if r.iters is None else str(r.iters))
-        lines.append("| " + " | ".join(cells) + " |")
-    return lines
+    head, *body = _table(records, rates)
+    return (["| " + " | ".join(head) + " |", "|" + "---|" * len(head)]
+            + ["| " + " | ".join(cells) + " |" for cells in body])
 
 
 def write_report(report, out_dir, incomplete=False):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rows = _csv_rows(report.records, report.rates)
+    rows = [",".join(cells) for cells in _table(report.records, report.rates)]
     if incomplete:
         rows.append("# INCOMPLETE")
     (out / "report.csv").write_text("\n".join(rows) + "\n")
@@ -298,56 +284,34 @@ def run_experiment(cfg):
 # ---------------------------------------------------------------------------
 
 def _add_run_parser(sub):
+    # Each flag's dest is the config field it sets and its value stays a
+    # string, so flags and a --config document share one validation.
     p = sub.add_parser("run", help="run a convergence study")
-    p.add_argument("--config", help="path to a key = value config document")
+    p.add_argument("--config", help="path to a key = value config document; "
+                   "flags given as well override its fields")
     p.add_argument("--scheme", choices=SCHEMES)
-    p.add_argument("--degree", type=int)
-    p.add_argument("--mesh", choices=MESH_FAMILIES, default=None)
+    p.add_argument("--degree")
+    p.add_argument("--mesh", dest="mesh_family", choices=MESH_FAMILIES)
     p.add_argument("--levels", help="comma-separated resolutions, e.g. 4,8,16,32")
-    p.add_argument("--preset", default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--preset")
+    p.add_argument("--lambda")
     p.add_argument("--bounds", help="u_a,u_b for constrained schemes")
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--lloyd", type=int, default=None)
-    p.add_argument("--pgd-tol", type=float, default=None)
-    p.add_argument("--pgd-theta", type=float, default=None)
-    p.add_argument("--pgd-max-iters", type=int, default=None)
+    p.add_argument("--out", dest="output_dir", help="output directory")
+    p.add_argument("--seed", dest="rng_seed")
+    p.add_argument("--lloyd", dest="lloyd_iters")
+    p.add_argument("--pgd-tol")
+    p.add_argument("--pgd-theta")
+    p.add_argument("--pgd-max-iters")
 
 
 def _config_from_args(args):
-    if args.config:
-        text = Path(args.config).read_text()
-        cfg = validate_config(text)
-        # command-line values override the document
-        if args.out:
-            cfg.output_dir = args.out
-        return cfg
-    if args.scheme is None or args.degree is None:
-        raise ConfigError("either --config or --scheme/--degree are required")
-    levels = [4, 8, 16, 32]
-    if args.levels:
-        levels = [int(tok) for tok in args.levels.split(",") if tok.strip()]
-    bounds = None
-    if args.bounds:
-        toks = args.bounds.split(",")
-        if len(toks) != 2:
-            raise ConfigError("--bounds expects 'u_a,u_b'")
-        bounds = (float(toks[0]), float(toks[1]))
-    pgd = PgdConfig(
-        max_iters=args.pgd_max_iters if args.pgd_max_iters else 500,
-        tol=args.pgd_tol if args.pgd_tol else 1e-10,
-        step=args.pgd_theta if args.pgd_theta else 0.5)
-    return ExperimentConfig(
-        scheme=args.scheme, degree=args.degree,
-        mesh_family=args.mesh or "cartesian", levels=levels,
-        preset=args.preset or "", lam=args.lam, bounds=bounds, pgd=pgd,
-        output_dir=args.out or "out",
-        rng_seed=args.seed if args.seed is not None else 42,
-        lloyd_iters=args.lloyd if args.lloyd is not None else 10)
+    raw = _parse_document(Path(args.config).read_text()) if args.config else {}
+    raw.update((key, value) for key, value in vars(args).items()
+               if value is not None and key not in ("command", "config"))
+    return _config_from_fields(raw)
 
 
-def main(argv=None):
+def _parser():
     parser = argparse.ArgumentParser(
         prog="hho-control",
         description="convergence studies for HHO optimal-control schemes")
@@ -361,8 +325,11 @@ def main(argv=None):
     pm.add_argument("--seed", type=int, default=42)
     pm.add_argument("--lloyd", type=int, default=10)
     pm.add_argument("--out", required=True)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         if args.command == "presets":
             for pid in presets_mod.preset_ids():

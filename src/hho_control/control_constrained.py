@@ -2,10 +2,16 @@
 
 Each iteration solves the state and adjoint equations with the current
 control (one sparse factorization of a_h is reused throughout), then projects
--phi_T / lambda onto the admissible box with under-relaxation.  The lambda-
-strong convexity of the reduced cost makes the damped map contractive, so the
-iterates converge linearly to the unique solution of the discrete variational
-inequality.
+-phi_T / lambda onto the admissible box with under-relaxation.  Where the
+bounds are inactive the damped map is u -> u - theta (u + (S*S u + c) /
+lambda), with S the control-to-state operator, so it contracts only when
+theta (1 + ||S*S|| / lambda) < 2: for theta = 1/2, when lambda > ||S*S|| / 3,
+about 8.6e-4 on the unit square (||S*S|| = (2 pi^2)^{-2}).  Active bounds
+clamp part of the control and the loop then converges for smaller lambda
+too, as for the presets; with inactive bounds and small lambda the iterates
+diverge and the solver raises PgdIterationError.  When the map contracts the
+iterates converge linearly to the unique solution of the discrete
+variational inequality.
 """
 
 from __future__ import annotations
@@ -13,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .hho_core import HhoVector, cell_load_vector
+from .hho_core import HhoVector, OptimalitySystem, cell_load_vector
 from .control_unconstrained import ControlProblem  # noqa: F401  (re-export)
 
 
@@ -49,15 +54,12 @@ class PgdConfig:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.step != "fixed-point" and not 0.0 < float(self.step) <= 1.0:
+            raise ValueError("step must lie in (0, 1] or be 'fixed-point'")
 
     @property
     def theta(self):
-        if self.step == "fixed-point":
-            return 1.0
-        theta = float(self.step)
-        if not 0.0 < theta <= 1.0:
-            raise ValueError("step must lie in (0, 1] or be 'fixed-point'")
-        return theta
+        return 1.0 if self.step == "fixed-point" else float(self.step)
 
 
 class PgdIterationError(Exception):
@@ -70,6 +72,8 @@ class PgdIterationError(Exception):
 
 class CellConstantControl:
     """Piecewise constant control values, one per cell."""
+
+    has_kinks = False
 
     def __init__(self, space, values):
         self.space = space
@@ -84,7 +88,11 @@ class ClampedAdjointControl:
 
     Stored as quadrature-point samples; evaluation anywhere uses the clamp
     formula on the adjoint cell polynomial, which is what the samples are.
+    The clamp kinks along the active-set boundary (``has_kinks``), which the
+    control error integrates with a refined rule.
     """
+
+    has_kinks = True
 
     def __init__(self, space, phi, lam, box, samples):
         self.space = space
@@ -110,32 +118,24 @@ class ConstrainedSolution:
     history: list | None = None
 
 
-class _PdeLoop:
-    """State/adjoint solver pair sharing one factorization of a_h."""
+def _state_adjoint_solver(space, prob):
+    """Map a control load to (state, adjoint), sharing one factorization.
 
-    def __init__(self, space, prob):
-        self.space = space
-        act = space.active_dofs
-        A = space.stiffness_matrix()
-        self.A_aa = A[act][:, act].tocsc()
-        self.factor = spla.splu(self.A_aa)
-        self.M = space.cell_mass_matrix()
-        self.F_f = cell_load_vector(space, prob.f)
-        self.F_yd = cell_load_vector(space, prob.y_d)
-        self.act = act
+    The state carries the problem's boundary data; the adjoint is zero on
+    the boundary.
+    """
+    system = OptimalitySystem([space], [[space.stiffness_matrix()]])
+    g = space.boundary_values(prob.state_boundary)
+    M = space.cell_mass_matrix()
+    F_f = cell_load_vector(space, prob.f)
+    F_yd = cell_load_vector(space, prob.y_d)
 
-    def solve_state(self, control_load):
-        rhs = (self.F_f + control_load)[self.act]
-        return self._expand(self.factor.solve(rhs))
+    def solve(control_load):
+        (y,) = system.solve([F_f + control_load], [g])
+        (phi,) = system.solve([M @ y.values - F_yd])
+        return y, phi
 
-    def solve_adjoint(self, y):
-        rhs = (self.M @ y.values - self.F_yd)[self.act]
-        return self._expand(self.factor.solve(rhs))
-
-    def _expand(self, active_values):
-        x = np.zeros(self.space.n_dofs)
-        x[self.act] = active_values
-        return HhoVector(self.space, x)
+    return solve
 
 
 def solve_wc1(space, prob, cfg=None, keep_history=False):
@@ -148,7 +148,7 @@ def solve_wc1(space, prob, cfg=None, keep_history=False):
     box = AdmissibleBox(*prob.bounds)
     theta = cfg.theta
     lam = prob.lam
-    loop = _PdeLoop(space, prob)
+    solve_pde = _state_adjoint_solver(space, prob)
     ops = space.local_ops()
     areas = np.array([op.measure for op in ops])
     int_cells = [op.int_cell for op in ops]
@@ -160,8 +160,7 @@ def solve_wc1(space, prob, cfg=None, keep_history=False):
         load = np.zeros(space.n_dofs)
         for op, iv in zip(ops, int_cells):
             load[space.cell_dofs(op.cell_id)] = u[op.cell_id] * iv
-        y = loop.solve_state(load)
-        phi = loop.solve_adjoint(y)
+        y, phi = solve_pde(load)
         mean_phi = np.array([iv @ phi.cell_block(op.cell_id)
                              for op, iv in zip(ops, int_cells)]) / areas
         u_next = project_box((1.0 - theta) * u
@@ -180,8 +179,7 @@ def solve_wc1(space, prob, cfg=None, keep_history=False):
     load = np.zeros(space.n_dofs)
     for op, iv in zip(ops, int_cells):
         load[space.cell_dofs(op.cell_id)] = u[op.cell_id] * iv
-    y = loop.solve_state(load)
-    phi = loop.solve_adjoint(y)
+    y, phi = solve_pde(load)
     return ConstrainedSolution("wc1", y, phi, CellConstantControl(space, u),
                                it, increment, history=history)
 
@@ -201,7 +199,7 @@ def solve_wc2(space, prob, cfg=None, keep_history=False):
     box = AdmissibleBox(*prob.bounds)
     theta = cfg.theta
     lam = prob.lam
-    loop = _PdeLoop(space, prob)
+    solve_pde = _state_adjoint_solver(space, prob)
     ops = space.local_ops()
 
     u = [project_box(np.zeros(len(op.qweights)), box) for op in ops]
@@ -211,8 +209,7 @@ def solve_wc2(space, prob, cfg=None, keep_history=False):
         load = np.zeros(space.n_dofs)
         for op, uq in zip(ops, u):
             load[space.cell_dofs(op.cell_id)] = op.cell_vals.T @ (op.qweights * uq)
-        y = loop.solve_state(load)
-        phi = loop.solve_adjoint(y)
+        y, phi = solve_pde(load)
         inc_sq = np.empty(len(ops))
         u_next = []
         for op, uq in zip(ops, u):
@@ -235,8 +232,7 @@ def solve_wc2(space, prob, cfg=None, keep_history=False):
     load = np.zeros(space.n_dofs)
     for op, uq in zip(ops, u):
         load[space.cell_dofs(op.cell_id)] = op.cell_vals.T @ (op.qweights * uq)
-    y = loop.solve_state(load)
-    phi = loop.solve_adjoint(y)
+    y, phi = solve_pde(load)
     control = ClampedAdjointControl(space, phi, lam, box, u)
     return ConstrainedSolution("wc2", y, phi, control, it, increment,
                                history=history)
@@ -263,8 +259,9 @@ def vi_residual_wc1(space, solution, prob):
 
 def reduced_cost(space, prob, control_load, control_norm_sq):
     """j_h(u) = 0.5 ||y_T(u) - y_d||^2 + (lam/2) ||u||^2 for a given load."""
-    loop = _PdeLoop(space, prob)
-    y = loop.solve_state(control_load)
+    system = OptimalitySystem([space], [[space.stiffness_matrix()]])
+    (y,) = system.solve([cell_load_vector(space, prob.f) + control_load],
+                        [space.boundary_values(prob.state_boundary)])
     misfit = np.empty(space.mesh.n_cells)
     for op in space.local_ops():
         vals = op.cell_vals @ y.cell_block(op.cell_id) - prob.y_d(op.qpoints())

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .hho_core import (HhoSpace, HhoVector, SolverError, cell_load_vector,
-                       recon_load_vector, reconstruct_all)
+from .hho_core import (HhoSpace, HhoVector, OptimalitySystem,
+                       cell_load_vector, recon_load_vector, reconstruct_all,
+                       scatter_blocks)
 
 
 class UnsupportedDegreeError(ValueError):
@@ -56,6 +56,8 @@ class ControlProblem:
 class CellPolyControl:
     """Piecewise polynomial control in the cell or reconstruction basis."""
 
+    has_kinks = False
+
     def __init__(self, space, coeffs, basis):
         self.space = space
         self.coeffs = np.asarray(coeffs)
@@ -79,85 +81,58 @@ class OptimalitySolution:
     residuals: dict = field(default_factory=dict)
 
 
-def _relative(num, den):
-    return float(num / den) if den > 0 else float(num)
+def _check_equal_order(space, prob, scheme):
+    if prob.bounds is not None:
+        raise ValueError("unconstrained scheme called with bounds")
+    if space.cell_degree != space.face_degree or not space.dirichlet:
+        raise ValueError(f"{scheme} requires the equal-order zero-trace space")
 
 
-def _block_solve(blocks, rhs):
-    mat = sp.bmat(blocks, format="csc")
-    try:
-        return spla.splu(mat).solve(rhs)
-    except RuntimeError as exc:  # singular factorization
-        raise SolverError(f"optimality system factorization failed: {exc}")
+def _solve_two_field(space, prob, scheme, recon=False):
+    """Two-field system with the control eliminated as u = -phi / lambda.
 
-
-def _expand(space, active_values, fixed_values=None):
-    x = np.zeros(space.n_dofs)
-    x[space.active_dofs] = active_values
-    if fixed_values is not None:
-        x[space.fixed_dofs] = fixed_values
-    return HhoVector(space, x)
-
-
-def _solve_cell_mass_system(space, prob, scheme):
-    """Two-field system with the control eliminated through the cell mass.
-
-    Realizes u = -phi_T / lambda:  [A, (1/lam) M; -M, A] (y; phi) = (F_f; -F_yd)
-    on the active DOFs, with optional Dirichlet lifting of the state.
+    [A, C / lam; -C, A] (y; phi) = (F_f; -F_yd) with the state lifted by the
+    boundary data.  C is the cell mass matrix and the loads are tested
+    against cell polynomials; with ``recon`` C is the reconstruction mass
+    matrix B = G^T M_{k+1} G and the loads are tested against
+    reconstructions.
     """
     lam = prob.lam
+    if recon:
+        C, load = space.recon_mass_matrix(), recon_load_vector
+    else:
+        C, load = space.cell_mass_matrix(), cell_load_vector
     A = space.stiffness_matrix()
-    M = space.cell_mass_matrix()
-    F_f = cell_load_vector(space, prob.f)
-    F_yd = cell_load_vector(space, prob.y_d)
-    act, fix = space.active_dofs, space.fixed_dofs
-    g = space.boundary_values(prob.state_boundary)
+    system = OptimalitySystem([space, space], [[A, C / lam], [-C, A]])
+    y, phi = system.solve(
+        [load(space, prob.f), -load(space, prob.y_d)],
+        [space.boundary_values(prob.state_boundary), None])
+    residuals = dict(zip(("state", "adjoint"), system.residuals))
+    residuals["control"] = 0.0  # eliminated exactly
 
-    A_aa = A[act][:, act]
-    M_aa = M[act][:, act]
-    rhs1 = F_f[act]
-    rhs2 = -F_yd[act]
-    if len(fix):
-        rhs1 = rhs1 - A[act][:, fix] @ g
-        rhs2 = rhs2 + M[act][:, fix] @ g
-
-    sol = _block_solve([[A_aa, M_aa / lam], [-M_aa, A_aa]],
-                       np.concatenate([rhs1, rhs2]))
-    n = len(act)
-    y = _expand(space, sol[:n], g)
-    phi = _expand(space, sol[n:], np.zeros(len(fix)))
-
-    r_state = A_aa @ sol[:n] + (M_aa @ sol[n:]) / lam - rhs1
-    r_adj = A_aa @ sol[n:] - M_aa @ sol[:n] - rhs2
-    residuals = {
-        "state": _relative(np.linalg.norm(r_state), np.linalg.norm(rhs1)),
-        "adjoint": _relative(np.linalg.norm(r_adj), np.linalg.norm(F_yd) + 1.0),
-        "control": 0.0,  # eliminated exactly
-    }
-
-    nc = space.mesh.n_cells
-    u_coeffs = -phi.values[:space.n_cell_dofs].reshape(nc, space.cell_dim) / lam
-    control = CellPolyControl(space, u_coeffs, "cell")
-    return OptimalitySolution(scheme, y, phi, control, residuals=residuals)
+    if recon:
+        u_hat = HhoVector(space, -phi.values / lam)
+        control = CellPolyControl(space, reconstruct_all(space, u_hat), "recon")
+    else:
+        u_hat = None
+        nc = space.mesh.n_cells
+        control = CellPolyControl(
+            space, -phi.values[:space.n_cell_dofs].reshape(nc, space.cell_dim)
+            / lam, "cell")
+    return OptimalitySolution(scheme, y, phi, control, control_hat=u_hat,
+                              residuals=residuals)
 
 
 def solve_uc1(space, prob):
     """Cell-polynomial control of degree k; state and adjoint in the k-space."""
-    if prob.bounds is not None:
-        raise ValueError("unconstrained scheme called with bounds")
-    if space.cell_degree != space.face_degree or not space.dirichlet:
-        raise ValueError("uc1 requires the equal-order zero-trace space")
-    return _solve_cell_mass_system(space, prob, "uc1")
+    _check_equal_order(space, prob, "uc1")
+    return _solve_two_field(space, prob, "uc1")
 
 
 def solve_uc2(space, prob):
     """Variational discretization; algebraically identical to the uc1 system."""
-    if prob.bounds is not None:
-        raise ValueError("unconstrained scheme called with bounds")
-    if space.cell_degree != space.face_degree or not space.dirichlet:
-        raise ValueError("uc2 requires the equal-order zero-trace space")
-    sol = _solve_cell_mass_system(space, prob, "uc2")
-    return sol
+    _check_equal_order(space, prob, "uc2")
+    return _solve_two_field(space, prob, "uc2")
 
 
 def solve_uc31(space, prob):
@@ -167,57 +142,25 @@ def solve_uc31(space, prob):
     of the zero-trace unknowns lie inside the control space, so the blocks
     reduce to the reconstruction mass matrix B = G^T M_{k+1} G.
     """
-    if prob.bounds is not None:
-        raise ValueError("unconstrained scheme called with bounds")
+    _check_equal_order(space, prob, "uc31")
     if space.face_degree not in (0, 1):
         raise UnsupportedDegreeError(
             f"full reconstruction supports k in {{0, 1}}, got k={space.face_degree}")
-    if space.cell_degree != space.face_degree or not space.dirichlet:
-        raise ValueError("uc31 requires the equal-order zero-trace space")
-    lam = prob.lam
-    A = space.stiffness_matrix()
-    B = space.recon_mass_matrix()
-    F_f = recon_load_vector(space, prob.f)
-    F_yd = recon_load_vector(space, prob.y_d)
-    act, fix = space.active_dofs, space.fixed_dofs
-
-    A_aa = A[act][:, act]
-    B_aa = B[act][:, act]
-    rhs1, rhs2 = F_f[act], -F_yd[act]
-    sol = _block_solve([[A_aa, B_aa / lam], [-B_aa, A_aa]],
-                       np.concatenate([rhs1, rhs2]))
-    n = len(act)
-    y = _expand(space, sol[:n], np.zeros(len(fix)))
-    phi = _expand(space, sol[n:], np.zeros(len(fix)))
-
-    r_state = A_aa @ sol[:n] + (B_aa @ sol[n:]) / lam - rhs1
-    r_adj = A_aa @ sol[n:] - B_aa @ sol[:n] - rhs2
-    residuals = {
-        "state": _relative(np.linalg.norm(r_state), np.linalg.norm(rhs1)),
-        "adjoint": _relative(np.linalg.norm(r_adj), np.linalg.norm(F_yd) + 1.0),
-        "control": 0.0,
-    }
-
-    u_hat = HhoVector(space, -phi.values / lam)
-    control = CellPolyControl(space, reconstruct_all(space, u_hat), "recon")
-    return OptimalitySolution("uc31", y, phi, control, control_hat=u_hat,
-                              residuals=residuals)
+    return _solve_two_field(space, prob, "uc31", recon=True)
 
 
 def _cross_coupling(space, control_space):
     """Matrix of (R_c u, w_T): state cell tests against control reconstructions."""
-    rows, cols, vals = [], [], []
     c_ops = control_space.local_ops()
-    for op in space.local_ops():
-        cop = c_ops[op.cell_id]
-        Vr_c = cop.recon_basis().eval(op.qpoints())
-        block = op.cell_vals.T @ (op.qweights[:, None] * Vr_c) @ cop.G
-        rows.append(np.repeat(space.cell_dofs(op.cell_id), block.shape[1]))
-        cols.append(np.tile(cop.dofs, block.shape[0]))
-        vals.append(block.ravel())
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_dofs, control_space.n_dofs)).tocsr()
+
+    def triplets():
+        for op in space.local_ops():
+            cop = c_ops[op.cell_id]
+            Vr_c = cop.recon_basis().eval(op.qpoints())
+            block = op.cell_vals.T @ (op.qweights[:, None] * Vr_c) @ cop.G
+            yield space.cell_dofs(op.cell_id), cop.dofs, block
+
+    return scatter_blocks((space.n_dofs, control_space.n_dofs), triplets())
 
 
 def solve_uc32(space, prob, control_space=None):
@@ -226,8 +169,7 @@ def solve_uc32(space, prob, control_space=None):
     The control block (R u, R v) is singular on the kernel of the global
     reconstruction (only R u_hat is determined), so the three-field system
     carries a 1e-12-scaled pinning of the control DOFs to select a
-    representative; the optimality residuals reported are those of the
-    unperturbed equations.
+    representative; the residuals reported are those of the pinned system.
     """
     if prob.bounds is not None:
         raise ValueError("unconstrained scheme called with bounds")
@@ -237,54 +179,29 @@ def solve_uc32(space, prob, control_space=None):
             f"partial reconstruction requires k >= 2, got k={k}")
     if space.cell_degree != k + 1 or not space.dirichlet:
         raise ValueError("uc32 requires the mixed-order zero-trace space")
-    return _solve_partial_reconstruction(space, prob, control_space, "uc32")
-
-
-def _solve_partial_reconstruction(space, prob, control_space, scheme):
-    lam = prob.lam
     if control_space is None:
-        control_space = HhoSpace(space.mesh, space.face_degree, dirichlet=False)
-    if control_space.face_degree != space.face_degree or control_space.dirichlet:
+        control_space = HhoSpace(space.mesh, k, dirichlet=False)
+    if control_space.face_degree != k or control_space.dirichlet:
         raise ValueError("control space must be the unconstrained k-space")
 
+    lam = prob.lam
     A = space.stiffness_matrix()
     M = space.cell_mass_matrix()
     K = _cross_coupling(space, control_space)
     B = control_space.recon_mass_matrix()
-    F_f = cell_load_vector(space, prob.f)
-    F_yd = cell_load_vector(space, prob.y_d)
-    act, fix = space.active_dofs, space.fixed_dofs
-
-    A_aa = A[act][:, act]
-    M_aa = M[act][:, act]
-    K_a = K[act]
-    nu = control_space.n_dofs
     eps = 1e-12 * lam * B.diagonal().max()
-    C_block = (lam * B + eps * sp.identity(nu, format="csr")).tocsr()
+    C = (lam * B + eps * sp.identity(control_space.n_dofs, format="csr")).tocsr()
 
-    rhs = np.concatenate([F_f[act], -F_yd[act], np.zeros(nu)])
-    sol = _block_solve(
-        [[A_aa, None, -K_a],
-         [-M_aa, A_aa, None],
-         [None, K_a.T, C_block]], rhs)
-    n = len(act)
-    ya, pa, uh = sol[:n], sol[n:2 * n], sol[2 * n:]
-    y = _expand(space, ya, np.zeros(len(fix)))
-    phi = _expand(space, pa, np.zeros(len(fix)))
-    u_hat = HhoVector(control_space, uh)
-
-    r_state = A_aa @ ya - K_a @ uh - F_f[act]
-    r_adj = A_aa @ pa - M_aa @ ya + F_yd[act]
-    r_ctrl = lam * (B @ uh) + K.T @ phi.values
-    residuals = {
-        "state": _relative(np.linalg.norm(r_state), np.linalg.norm(F_f[act]) + 1.0),
-        "adjoint": _relative(np.linalg.norm(r_adj), np.linalg.norm(F_yd) + 1.0),
-        "control": _relative(np.linalg.norm(r_ctrl),
-                             lam * np.linalg.norm(B @ uh) + 1.0),
-    }
+    system = OptimalitySystem([space, space, control_space],
+                              [[A, None, -K], [-M, A, None], [None, K.T, C]])
+    y, phi, u_hat = system.solve(
+        [cell_load_vector(space, prob.f), -cell_load_vector(space, prob.y_d),
+         np.zeros(control_space.n_dofs)],
+        [space.boundary_values(prob.state_boundary), None, None])
+    residuals = dict(zip(("state", "adjoint", "control"), system.residuals))
     control = CellPolyControl(control_space,
                               reconstruct_all(control_space, u_hat), "recon")
-    return OptimalitySolution(scheme, y, phi, control, control_hat=u_hat,
+    return OptimalitySolution("uc32", y, phi, control, control_hat=u_hat,
                               residuals=residuals)
 
 
@@ -297,4 +214,4 @@ def solve_variational_mixed(space, prob, scheme="vd-mixed"):
     """
     if not space.dirichlet:
         raise ValueError("variational discretization requires a zero-trace space")
-    return _solve_cell_mass_system(space, prob, scheme)
+    return _solve_two_field(space, prob, scheme)

@@ -44,23 +44,22 @@ def l2_error_reconstruction(space, vec, v_exact):
     return math.sqrt(_sorted_sum(contribs))
 
 
-def l2_error_control(solution, u_exact, kink_aware=None):
+def l2_error_control(solution, u_exact):
     """L2 error of the scheme's control against the exact control.
 
-    For the variational-discretization clamp (wc2) the cells crossed by the
-    active-set boundary are integrated with a rule of four times the standard
-    exactness to limit the quadrature crime near the free boundary.
+    For a control whose ``has_kinks`` is set (the variational-discretization
+    clamp of wc2) the cells crossed by the active-set boundary are integrated
+    with a rule of four times the standard exactness to limit the quadrature
+    crime near the free boundary.
     """
     control = solution.control
     space = control.space
-    if kink_aware is None:
-        kink_aware = type(control).__name__ == "ClampedAdjointControl"
     contribs = np.empty(space.mesh.n_cells)
     for op in space.local_ops():
         pts, w = op.qpoints(), op.qweights
         ue = u_exact(pts)
         uh = control.eval(op, pts)
-        if kink_aware:
+        if control.has_kinks:
             # the active-set interface kinks the clamp: refine crossed cells
             box = control.box
             phi_vals = op.cell_vals @ control.phi.cell_block(op.cell_id)

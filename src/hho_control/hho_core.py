@@ -1,11 +1,16 @@
-"""HHO spaces, local operators, global assembly and the Poisson solve.
+"""HHO spaces, local operators, global assembly and the block solve.
 
 The local gradient reconstruction maps the cell/face unknowns of a cell to a
 polynomial one degree above the face degree through a Neumann problem closed
 by a cell-mean constraint; the face stabilization penalizes the projected
-trace residual with an h_T^{-1} weight.  Local stiffness contributions are
-scattered into a global sparse matrix; cell unknowns can be eliminated
-cell-by-cell (static condensation) leaving a face-only Schur complement.
+trace residual with an h_T^{-1} weight.  Per-cell matrices are scattered into
+global sparse matrices by one triplet helper.  ``OptimalitySystem`` is the one
+solve path of the package: it takes one or more fields over HHO spaces and a
+grid of global blocks, slices off the Dirichlet DOFs, factors once, lifts the
+fixed values into the right-hand side at each solve and checks the residual.
+It serves the Poisson solve, the two- and three-field optimality systems of
+the unconstrained schemes and the repeated state/adjoint solves of the
+constrained ones.
 """
 
 from __future__ import annotations
@@ -20,7 +25,10 @@ from .poly import (CellBasis, FaceBasis, cell_quadrature, face_quadrature,
 
 
 class SolverError(Exception):
-    """Linear solve failed; carries the achieved residual."""
+    """Linear solve failed; carries the achieved relative residual.
+
+    The residual is infinite when the factorization itself failed.
+    """
 
     def __init__(self, message, residual=None):
         self.residual = residual
@@ -99,20 +107,27 @@ class HhoSpace:
     def stiffness_matrix(self):
         """Global a_h matrix over all DOFs (boundary rows included)."""
         if self._stiffness is None:
-            self._stiffness = _assemble(self, lambda op: op.A)
+            self._stiffness = scatter_blocks(
+                (self.n_dofs, self.n_dofs),
+                ((op.dofs, op.dofs, op.A) for op in self.local_ops()))
         return self._stiffness
 
     def cell_mass_matrix(self):
         """Block-diagonal mass matrix of the cell blocks."""
         if self._cell_mass is None:
-            self._cell_mass = _assemble_cellblocks(self, lambda op: op.M_cell)
+            self._cell_mass = scatter_blocks(
+                (self.n_dofs, self.n_dofs),
+                ((self.cell_dofs(op.cell_id), self.cell_dofs(op.cell_id),
+                  op.M_cell) for op in self.local_ops()))
         return self._cell_mass
 
     def recon_mass_matrix(self):
         """Matrix of (R v, R w) over all DOFs."""
         if self._recon_mass is None:
-            self._recon_mass = _assemble(
-                self, lambda op: op.G.T @ op.M_recon @ op.G)
+            self._recon_mass = scatter_blocks(
+                (self.n_dofs, self.n_dofs),
+                ((op.dofs, op.dofs, op.G.T @ op.M_recon @ op.G)
+                 for op in self.local_ops()))
         return self._recon_mass
 
     def boundary_values(self, g):
@@ -157,9 +172,6 @@ class HhoVector:
 
     def __sub__(self, other):
         return HhoVector(self.space, self.values - other.values)
-
-    def __rmul__(self, a):
-        return HhoVector(self.space, a * self.values)
 
 
 class LocalOperators:
@@ -434,15 +446,6 @@ def build_local_operators(space, cell_id, _cache=None):
 # Projections and reduction over the whole mesh
 # ---------------------------------------------------------------------------
 
-def l2_project_cell(op, f):
-    """Cell-block L2 projection coefficients of f on one cell."""
-    return op.project_cell(f)
-
-
-def l2_project_face(op, j, f):
-    return op.project_face(j, f)
-
-
 def reduce_function(space, f, include_boundary=False):
     """Global reduction of f: cellwise and facewise L2 projections.
 
@@ -511,32 +514,16 @@ def recon_load_vector(space, f):
     return vec
 
 
-def _assemble(space, local_matrix):
+def scatter_blocks(shape, triplets):
+    """CSR matrix summing per-cell ``(row_dofs, col_dofs, block)`` triplets."""
     rows, cols, vals = [], [], []
-    for op in space.local_ops():
-        mat = local_matrix(op)
-        d = op.dofs
-        rows.append(np.repeat(d, len(d)))
-        cols.append(np.tile(d, len(d)))
-        vals.append(mat.ravel())
-    a = sp.coo_matrix(
+    for r, c, block in triplets:
+        rows.append(np.repeat(r, len(c)))
+        cols.append(np.tile(c, len(r)))
+        vals.append(block.ravel())
+    return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_dofs, space.n_dofs))
-    return a.tocsr()
-
-
-def _assemble_cellblocks(space, local_matrix):
-    rows, cols, vals = [], [], []
-    for op in space.local_ops():
-        mat = local_matrix(op)
-        d = space.cell_dofs(op.cell_id)
-        rows.append(np.repeat(d, len(d)))
-        cols.append(np.tile(d, len(d)))
-        vals.append(mat.ravel())
-    a = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.n_dofs, space.n_dofs))
-    return a.tocsr()
+        shape=shape).tocsr()
 
 
 def write_coo(matrix, path):
@@ -547,132 +534,85 @@ def write_coo(matrix, path):
             fh.write(f"{r} {c} {v:.17g}\n")
 
 
-class GlobalSystem:
-    """Assembled a_h system over active DOFs with optional condensation."""
+class OptimalitySystem:
+    """Block system over HHO fields, factored once and solved many times.
 
-    def __init__(self, space, load, boundary_data=None, condense=None):
-        self.space = space
-        if condense is None:
-            condense = space.face_degree >= 1
-        self.condensed = condense
-        A = space.stiffness_matrix()
-        self.matrix_full = A
-        if callable(load):
-            rhs_full = cell_load_vector(space, load)
-        else:
-            kind, payload = load
-            if kind == "cell":
-                rhs_full = cell_load_vector(space, payload)
-            elif kind == "recon":
-                rhs_full = recon_load_vector(space, payload)
-            elif kind == "vector":
-                rhs_full = np.asarray(payload, dtype=float)
-            else:
-                raise ValueError(f"unknown load kind {kind!r}")
-        self.rhs_full = rhs_full
-        act = space.active_dofs
-        fix = space.fixed_dofs
-        self.fixed_values = space.boundary_values(boundary_data)
-        self.matrix = A[act][:, act].tocsr()
-        self.rhs = rhs_full[act]
-        if len(fix):
-            self.rhs = self.rhs - A[act][:, fix] @ self.fixed_values
+    ``spaces`` lists the fields; ``blocks`` is a square grid of full-size
+    sparse matrices (None for a zero block), block (i, j) acting on field j in
+    the equations tested against field i.  The rows and columns of fixed
+    (Dirichlet) DOFs are sliced off before the single factorization; at each
+    solve the fixed columns times the given fixed values move into the
+    right-hand side (the lift), and every solve is checked against
+    ``||K x - b|| <= 1e-10 ||b||``.
+    """
 
-    def solve(self, method="direct", cg_tol=1e-12, cg_maxiter=10000):
-        space = self.space
-        x = np.zeros(space.n_dofs)
-        x[space.fixed_dofs] = self.fixed_values
-        if self.condensed:
-            xa = self._solve_condensed(method, cg_tol, cg_maxiter)
-        elif method == "cg":
-            xa, info = spla.cg(self.matrix, self.rhs, rtol=cg_tol,
-                               maxiter=cg_maxiter)
-            if info != 0:
-                raise SolverError(f"CG did not converge (info={info})")
-        else:
-            xa = spla.splu(self.matrix.tocsc()).solve(self.rhs)
-        x[space.active_dofs] = xa
-        vec = HhoVector(space, x)
-        res = self.residual(vec)
-        if not np.isfinite(res) or res > 1e-10:
-            raise SolverError(f"linear solve residual {res:.3e} exceeds 1e-10",
-                              residual=res)
-        return vec
+    RESIDUAL_TOL = 1e-10
 
-    def schur_complement(self):
-        """Condensation cache: face Schur matrix, reduced rhs and recovery data."""
-        space = self.space
-        nc = space.n_cell_dofs
-        rows, cols, vals = [], [], []
-        rhs_faces = np.zeros(space.n_dofs - nc)
-        full_rhs = self.rhs_full.copy()
-        if len(space.fixed_dofs):
-            lift = np.zeros(space.n_dofs)
-            lift[space.fixed_dofs] = self.fixed_values
-            full_rhs = full_rhs - self.matrix_full @ lift
-        recovery = []
-        dl = space.cell_dim
-        for op in space.local_ops():
-            A = op.A
-            Acc, Acf, Afc, Aff = A[:dl, :dl], A[:dl, dl:], A[dl:, :dl], A[dl:, dl:]
-            Acc_inv = np.linalg.inv(Acc)
-            fc = full_rhs[space.cell_dofs(op.cell_id)]
-            schur = Aff - Afc @ Acc_inv @ Acf
-            fdofs = op.dofs[dl:] - nc
-            rows.append(np.repeat(fdofs, len(fdofs)))
-            cols.append(np.tile(fdofs, len(fdofs)))
-            vals.append(schur.ravel())
-            rhs_faces[fdofs] += -Afc @ Acc_inv @ fc
-            recovery.append((op.cell_id, Acc_inv, Acf, fc, op.dofs[dl:]))
-        # face-tested loads (e.g. reconstruction loads) contribute directly
-        rhs_faces += full_rhs[nc:]
-        S = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(space.n_dofs - nc, space.n_dofs - nc)).tocsr()
-        act = np.nonzero(space.active_mask[nc:])[0]
-        return S[act][:, act].tocsr(), rhs_faces[act], recovery
+    def __init__(self, spaces, blocks):
+        self.spaces = list(spaces)
+        act = [s.active_dofs for s in self.spaces]
+        fix = [s.fixed_dofs for s in self.spaces]
+        self._lift = [[None if b is None else b[act[i]][:, fix[j]]
+                       for j, b in enumerate(row)]
+                      for i, row in enumerate(blocks)]
+        grid = [[None if b is None else b[act[i]][:, act[j]]
+                 for j, b in enumerate(row)] for i, row in enumerate(blocks)]
+        # bmat copies even a lone block through COO arrays, and sliced blocks
+        # kept alive through the factorization add to its peak; each raised
+        # the peak RSS of the one-field wc2 solve at 32 x 32 by 1-3 MB
+        self.matrix = (grid[0][0].tocsc() if len(grid) == 1
+                       else sp.bmat(grid, format="csc"))
+        del grid
+        self._split = np.cumsum([len(a) for a in act])[:-1]
+        self.residuals = None
+        try:
+            self._lu = spla.splu(self.matrix)
+        except RuntimeError as exc:  # exactly singular
+            raise SolverError(f"factorization failed: {exc}",
+                              residual=np.inf) from None
 
-    def _solve_condensed(self, method, cg_tol, cg_maxiter):
-        """Eliminate cell blocks cell-by-cell; solve the face Schur system."""
-        space = self.space
-        nc = space.n_cell_dofs
-        Saa, ra, recovery = self.schur_complement()
-        if method == "cg":
-            xf_a, info = spla.cg(Saa, ra, rtol=cg_tol, maxiter=cg_maxiter)
-            if info != 0:
-                raise SolverError(f"CG did not converge (info={info})")
-        else:
-            xf_a = spla.splu(Saa.tocsc()).solve(ra)
-        act = np.nonzero(space.active_mask[nc:])[0]
-        xf = np.zeros(space.n_dofs - nc)
-        xf[act] = xf_a
-        x = np.zeros(space.n_dofs)
-        x[nc:] = xf
-        for cid, Acc_inv, Acf, fc, fdofs in recovery:
-            x[space.cell_dofs(cid)] = Acc_inv @ (fc - Acf @ x[fdofs])
-        return x[space.active_dofs]
+    def solve(self, loads, fixed=None):
+        """Full-length solution vectors, one per field.
 
-    def residual(self, vec):
-        """Relative residual of the full system at a candidate solution."""
-        r = self.matrix_full @ vec.values - self.rhs_full
-        # rows of fixed DOFs are not equations of the reduced system
-        r = r[self.space.active_dofs]
-        scale = np.linalg.norm(self.rhs)
-        if scale == 0.0:
-            scale = 1.0
-        return float(np.linalg.norm(r) / scale)
+        ``loads`` holds one full-length load vector per field and ``fixed``
+        the values of each field's fixed DOFs (None, or a None entry, for
+        zero).  Sets ``residuals`` to each field's residual relative to the
+        whole right-hand side; raises SolverError above the tolerance.
+        """
+        fixed = fixed or [None] * len(self.spaces)
+        rhs = []
+        for space, load, lift in zip(self.spaces, loads, self._lift):
+            b = load[space.active_dofs]
+            for block, g in zip(lift, fixed):
+                if block is not None and g is not None:
+                    b = b - block @ g
+            rhs.append(b)
+        b = np.concatenate(rhs)
+        x = self._lu.solve(b)
+        r = self.matrix @ x - b
+        scale = np.linalg.norm(b)
+        unit = scale if scale > 0 else 1.0  # with b = 0 only x = 0 passes
+        self.residuals = [float(np.linalg.norm(part) / unit)
+                          for part in np.split(r, self._split)]
+        res = np.linalg.norm(r)
+        if not res <= self.RESIDUAL_TOL * scale:
+            raise SolverError(f"linear solve residual {res / unit:.3e} exceeds "
+                              f"{self.RESIDUAL_TOL:.0e}", residual=res / unit)
+        out = []
+        for space, part, g in zip(self.spaces, np.split(x, self._split), fixed):
+            vals = np.zeros(space.n_dofs)
+            vals[space.active_dofs] = part
+            if g is not None:
+                vals[space.fixed_dofs] = g
+            out.append(HhoVector(space, vals))
+        return out
 
 
-def assemble(space, load, boundary_data=None, condense=None):
-    """Build the global a_h system for a declared load functional."""
-    return GlobalSystem(space, load, boundary_data=boundary_data,
-                        condense=condense)
-
-
-def solve_poisson(space, f, boundary_data=None, condense=None, method="direct"):
+def solve_poisson(space, f, boundary_data=None):
     """Solve a_h(y, w) = (f, w_T) on a Dirichlet space."""
     if not space.dirichlet:
         raise ValueError("solve_poisson requires a Dirichlet space")
-    system = assemble(space, ("cell", f), boundary_data=boundary_data,
-                      condense=condense)
-    return system.solve(method=method)
+    system = OptimalitySystem([space], [[space.stiffness_matrix()]])
+    (y,) = system.solve([cell_load_vector(space, f)],
+                        [space.boundary_values(boundary_data)])
+    return y

@@ -236,10 +236,6 @@ class FaceBasis:
         return t[:, None] ** np.arange(self.dimension)[None, :]
 
 
-def make_face_basis(face, degree):
-    return FaceBasis(degree, face.endpoints[0], face.endpoints[1])
-
-
 def eval_basis(basis, points):
     """Value table (n_points x dimension) for a cell or face basis."""
     return basis.eval(points)

@@ -83,6 +83,18 @@ def dense_recon_mass(space):
     return B
 
 
+def dense_face_schur(space):
+    """Face Schur complement of the active stiffness, eliminated densely.
+
+    Cell DOFs come first in the layout and are never fixed, so the active
+    matrix splits into its cell and face blocks at ``n_cell_dofs``.
+    """
+    act = space.active_dofs
+    A = space.stiffness_matrix().toarray()[np.ix_(act, act)]
+    nc = space.n_cell_dofs
+    return A[nc:, nc:] - A[nc:, :nc] @ np.linalg.solve(A[:nc, :nc], A[:nc, nc:])
+
+
 def regular_polygon(n_sides, radius=1.0, center=(0.3, 0.4)):
     ang = 2 * np.pi * np.arange(n_sides) / n_sides
     return np.column_stack([center[0] + radius * np.cos(ang),

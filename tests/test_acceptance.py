@@ -16,10 +16,10 @@ from hho_control.cli import ExperimentConfig, run_experiment
 from hho_control.control_unconstrained import _cross_coupling
 from hho_control.errors import (energy_error, eoc, l2_error_control,
                                 l2_error_reconstruction)
-from hho_control.hho_core import assemble, cell_load_vector, recon_load_vector
+from hho_control.hho_core import cell_load_vector, recon_load_vector
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, dense_cell_mass,
-                     dense_recon_mass, dense_stiffness)
+                     dense_face_schur, dense_recon_mass, dense_stiffness)
 
 CART_LEVELS = {0: (4, 8, 16, 32), 1: (4, 8, 16, 32), 2: (4, 8, 16)}
 VOR_LEVELS = {0: (16, 64, 256, 1024), 1: (16, 64, 256, 1024), 2: (16, 64, 256)}
@@ -189,6 +189,29 @@ def test_criterion_7_wc2():
     _finish(7, "constrained variational discretization rates", failures)
 
 
+# Only the final pair of a ladder enters a rate.  uc31 at k = 1 superconverges
+# on the uniform lattice up to 32 x 32 (control rate 3.4), as in criterion 4.
+@pytest.mark.parametrize("scheme, k, levels, bounds, u_window, energy_window", [
+    ("uc31", 0, (16, 32), None, (1.7, 2.3), (0.8, 1.3)),
+    ("uc31", 1, (32, 64), None, (2.7, 3.3), (1.8, 2.3)),
+    ("uc32", 2, (4, 8), None, (3.6, 4.4), (2.7, 3.3)),
+    ("wc1", 0, (16, 32), (-250.0, -10.0), (0.8, 1.2), (0.8, 1.2)),
+    ("wc2", 1, (8, 16), (-250.0, -10.0), (2.6, 3.4), (1.7, 2.3)),
+])
+def test_nonzero_boundary_data_rates(scheme, k, levels, bounds, u_window,
+                                     energy_window):
+    """The uc1-default state has a nonzero trace that every scheme must lift."""
+    prob = problem_from_preset("uc1-default", bounds=bounds)
+    assert prob.state_boundary is not None
+    rows = _study(scheme, k, "cartesian", levels, prob)
+    failures = []
+    for key, (lo, hi) in (("u", u_window), ("y", energy_window),
+                          ("phi", energy_window)):
+        rate = _final_rate(rows, key)
+        _check(failures, lo <= rate <= hi, f"{key} rate {rate:.3f}")
+    assert not failures, f"{scheme} k={k}: {failures}"
+
+
 def test_criterion_8_operator_properties():
     failures = []
     for mesh_name in ("cartesian", "voronoi"):
@@ -217,11 +240,8 @@ def test_criterion_8_operator_properties():
                        and eigs[1] > 1e-9 * eigs[-1],
                        f"{mesh_name} k={k} cell {op.cell_id} kernel")
             fixed = HhoSpace(mesh, k, dirichlet=True)
-            system = assemble(fixed, ("cell", lambda p: np.ones(len(p))),
-                              condense=True)
-            S, _, _ = system.schur_complement()
             try:
-                np.linalg.cholesky(S.toarray())
+                np.linalg.cholesky(dense_face_schur(fixed))
             except np.linalg.LinAlgError:
                 _check(failures, False, f"{mesh_name} k={k} schur not SPD")
     _finish(8, "operator property suite (k = 0..3, both 16-cell meshes)",
@@ -249,37 +269,40 @@ def test_criterion_9_oracle_equivalence():
                np.abs(dense - sparse).max() <= 1e-12 * np.abs(dense).max(),
                f"a_h assembly k={k}")
 
-    # dense KKT solves per scheme on the 2x2 mesh
+    # dense KKT solves per scheme on the 2x2 mesh; uc1-default has nonzero
+    # boundary data, lifted here through the dense fixed-column blocks
     small = cached_cartesian(2)
-    for scheme, k in (("uc1", 0), ("uc2", 1), ("uc31", 1)):
-        preset = "uc31-default" if scheme == "uc31" else "uc1-default"
+    for scheme, k, preset in (("uc1", 0, "uc1-default"),
+                              ("uc2", 1, "uc1-default"),
+                              ("uc31", 1, "uc31-default"),
+                              ("uc31", 0, "uc1-default")):
         prob = problem_from_preset(preset)
         space = HhoSpace(small, k, dirichlet=True)
         act, fix = space.active_dofs, space.fixed_dofs
         if scheme == "uc31":
-            coupling = dense_recon_mass(space)[np.ix_(act, act)]
-            rhs1 = recon_load_vector(space, prob.f)[act]
-            rhs2 = -recon_load_vector(space, prob.y_d)[act]
+            C_full, load = dense_recon_mass(space), recon_load_vector
             sol = solve_uc31(space, prob)
         else:
-            coupling = dense_cell_mass(space)[np.ix_(act, act)]
-            g = space.boundary_values(prob.state_boundary)
-            A_full = dense_stiffness(space)
-            rhs1 = cell_load_vector(space, prob.f)[act] \
-                - A_full[np.ix_(act, fix)] @ g
-            rhs2 = -cell_load_vector(space, prob.y_d)[act]
+            C_full, load = dense_cell_mass(space), cell_load_vector
             sol = (solve_uc1 if scheme == "uc1" else solve_uc2)(space, prob)
-        A = dense_stiffness(space)[np.ix_(act, act)]
+        g = space.boundary_values(prob.state_boundary)
+        A_full = dense_stiffness(space)
+        rhs1 = load(space, prob.f)[act] - A_full[np.ix_(act, fix)] @ g
+        rhs2 = -load(space, prob.y_d)[act] + C_full[np.ix_(act, fix)] @ g
+        A = A_full[np.ix_(act, act)]
+        coupling = C_full[np.ix_(act, act)]
         K, rhs = _dense_two_field(A, coupling, rhs1, rhs2, prob.lam)
         ref = np.linalg.solve(K, rhs)
         got = np.concatenate([sol.y.values[act], sol.phi.values[act]])
         scale = max(1.0, np.abs(ref).max())
         _check(failures, np.abs(got - ref).max() <= 1e-10 * scale,
-               f"{scheme} dense KKT solve")
+               f"{scheme} k={k} {preset} dense KKT solve")
+        _check(failures, np.abs(sol.y.values[fix] - g).max() == 0.0,
+               f"{scheme} k={k} {preset} boundary values")
         resid = K @ got - rhs
         _check(failures,
                np.linalg.norm(resid) <= 1e-10 * max(1.0, np.linalg.norm(rhs)),
-               f"{scheme} KKT residual")
+               f"{scheme} k={k} {preset} KKT residual")
 
     # uc32 blocks entrywise at its smallest admissible degree
     prob32 = problem_from_preset("uc32-default")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from hho_control import cli
 from hho_control.cli import (CSV_HEADER, ConfigError, ExperimentConfig, main,
-                             run_experiment, validate_config)
+                             run_experiment, validate_config, write_report)
+from hho_control.errors import ConvergenceReport, ErrorRecord
 
 
 def make_config(**overrides):
@@ -154,3 +156,43 @@ def test_csv_real_formatting(tmp_path):
     h = row[1]
     assert h == format(np.sqrt(2.0) / 2.0, ".16g")
     assert "," not in h and "e" not in h.replace("e-", "").replace("e+", "")
+
+
+def run_flags(*argv):
+    return cli._config_from_args(cli._parser().parse_args(["run", *argv]))
+
+
+def test_cli_flags_override_config_document(tmp_path):
+    config = tmp_path / "study.cfg"
+    config.write_text("scheme = uc1\ndegree = 1\nlevels = 4,8\n"
+                      "preset = uc1-default\noutput_dir = doc-out\n")
+    cfg = run_flags("--config", str(config), "--degree", "0",
+                    "--levels", "2,4", "--seed", "7")
+    assert (cfg.scheme, cfg.degree, cfg.levels, cfg.preset, cfg.output_dir,
+            cfg.rng_seed) == ("uc1", 0, [2, 4], "uc1-default", "doc-out", 7)
+
+
+@pytest.mark.parametrize("flag", ["--pgd-theta", "--pgd-tol", "--pgd-max-iters"])
+def test_cli_zero_pgd_setting_rejected(flag):
+    with pytest.raises(ConfigError, match="pgd"):
+        run_flags("--scheme", "wc1", "--degree", "0", "--preset", "wc-default",
+                  flag, "0")
+
+
+def test_cli_bad_levels_is_config_error():
+    with pytest.raises(ConfigError, match="levels"):
+        run_flags("--scheme", "uc1", "--degree", "0", "--levels", "4,x")
+
+
+def test_nan_error_reported_as_nan(tmp_path):
+    nan = float("nan")
+    records = [ErrorRecord(level=n, h=1.0 / n, n_cells=n * n, err_u_l2=nan,
+                           err_y_energy=1.0 / n, err_phi_energy=1.0 / n,
+                           err_y_l2_recon=1.0 / n, err_phi_l2_recon=1.0 / n)
+               for n in (2, 4)]
+    write_report(ConvergenceReport(records), tmp_path)
+    rows = [r.split(",") for r in
+            (tmp_path / "report.csv").read_text().splitlines()[1:]]
+    assert [r[3] for r in rows] == ["nan", "nan"]
+    assert rows[1][4] == "nan"
+    assert rows[1][6] == "1"
