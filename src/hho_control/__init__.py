@@ -3,7 +3,7 @@
 from .mesh import (Mesh, MeshError, MeshFormatError, MeshGenerationError,
                    make_cartesian, make_voronoi, read_mesh, write_mesh)
 from .poly import (CellBasis, CellQuadrature, FaceBasis, FaceQuadrature,
-                   cell_quadrature, eval_basis, eval_grad, face_quadrature)
+                   cell_quadrature, face_quadrature)
 from .hho_core import (HhoSpace, HhoVector, LocalOperators, OptimalitySystem,
                        SolverError, build_local_operators, reduce_function,
                        solve_poisson)

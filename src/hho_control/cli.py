@@ -121,7 +121,7 @@ def _config_from_fields(raw):
     """Validate `key -> value` strings into an ExperimentConfig."""
     known = {"scheme", "degree", "mesh_family", "levels", "preset", "lambda",
              "bounds", "exact_y", "exact_phi", "output_dir", "rng_seed",
-             "lloyd_iters", "pgd_max_iters", "pgd_tol", "pgd_theta"}
+             "lloyd_iters", "pgd_max_iters", "pgd_tol"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
@@ -161,8 +161,7 @@ def _config_from_fields(raw):
 
     try:
         pgd = PgdConfig(max_iters=geti("pgd_max_iters", 500),
-                        tol=getf("pgd_tol", 1e-10),
-                        step=getf("pgd_theta", 0.5))
+                        tol=getf("pgd_tol", 1e-10))
     except ValueError as exc:
         raise ConfigError(f"invalid pgd setting: {exc}") from None
     return ExperimentConfig(
@@ -295,12 +294,12 @@ def _add_run_parser(sub):
     p.add_argument("--levels", help="comma-separated resolutions, e.g. 4,8,16,32")
     p.add_argument("--preset")
     p.add_argument("--lambda")
-    p.add_argument("--bounds", help="u_a,u_b for constrained schemes")
+    p.add_argument("--bounds", help="u_a,u_b for constrained schemes, "
+                   "e.g. --bounds -250,-10")
     p.add_argument("--out", dest="output_dir", help="output directory")
     p.add_argument("--seed", dest="rng_seed")
     p.add_argument("--lloyd", dest="lloyd_iters")
     p.add_argument("--pgd-tol")
-    p.add_argument("--pgd-theta")
     p.add_argument("--pgd-max-iters")
 
 
@@ -328,8 +327,21 @@ def _parser():
     return parser
 
 
+def _parse_args(argv=None):
+    """Parse the command line, reading a negative ``--bounds`` value too.
+
+    argparse takes a separate value such as ``-250,-10`` for an unknown
+    option, so it is attached to its flag (``--bounds=-250,-10``) first.
+    """
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 2, -1, -1):
+        if argv[i] == "--bounds" and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"--bounds={argv[i + 1]}"]
+    return _parser().parse_args(argv)
+
+
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         if args.command == "presets":
             for pid in presets_mod.preset_ids():

@@ -1,17 +1,24 @@
-"""Box-constrained schemes solved by a damped projected fixed-point loop.
+"""Box-constrained schemes solved by one damped projected fixed-point loop.
 
-Each iteration solves the state and adjoint equations with the current
-control (one sparse factorization of a_h is reused throughout), then projects
--phi_T / lambda onto the admissible box with under-relaxation.  Where the
-bounds are inactive the damped map is u -> u - theta (u + (S*S u + c) /
-lambda), with S the control-to-state operator, so it contracts only when
-theta (1 + ||S*S|| / lambda) < 2: for theta = 1/2, when lambda > ||S*S|| / 3,
-about 8.6e-4 on the unit square (||S*S|| = (2 pi^2)^{-2}).  Active bounds
-clamp part of the control and the loop then converges for smaller lambda
-too, as for the presets; with inactive bounds and small lambda the iterates
-diverge and the solver raises PgdIterationError.  When the map contracts the
-iterates converge linearly to the unique solution of the discrete
-variational inequality.
+wc1 (piecewise constant controls) and wc2 (variational discretization,
+Hinze, Comput. Optim. Appl. 30 (2005) 45-61) share the loop.  The control
+is carried by its values at every cell quadrature node.  Each iteration
+solves the state and adjoint equations with the current control (one sparse
+factorization of a_h is reused throughout), then moves the control halfway
+(theta = 1/2) towards the clamp P(-phi_T / lambda) of the adjoint cell
+polynomial at the nodes.  On the k = 0 space of wc1 the adjoint cell unknown
+is constant per cell, so every node of a cell carries the same value and the
+clamp is wc1's update P(-mean phi_T / lambda).
+
+Where the bounds are inactive the damped map is u -> u - theta (u + (S*S u
++ c) / lambda), with S the control-to-state operator, so it contracts only
+when theta (1 + ||S*S|| / lambda) < 2: for theta = 1/2, when lambda >
+||S*S|| / 3, about 8.6e-4 on the unit square (||S*S|| = (2 pi^2)^{-2}).
+Active bounds clamp part of the control and the loop then converges for
+smaller lambda too, as for the presets; with inactive bounds and small
+lambda the iterates diverge and the solver raises PgdIterationError.  When
+the map contracts the iterates converge linearly to the unique solution of
+the discrete variational inequality.
 """
 
 from __future__ import annotations
@@ -19,9 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hho_core import HhoVector, OptimalitySystem, cell_load_vector
 from .control_unconstrained import ControlProblem  # noqa: F401  (re-export)
+
+THETA = 0.5  # damping of the fixed-point map; see the contraction condition
 
 
 @dataclass(frozen=True)
@@ -43,23 +53,16 @@ def project_box(w, box):
 
 @dataclass
 class PgdConfig:
-    """Projected-gradient loop parameters; step is the damping factor theta."""
+    """Stopping rule of the projected fixed-point loop."""
 
     max_iters: int = 500
     tol: float = 1e-10
-    step: float | str = 0.5
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.step != "fixed-point" and not 0.0 < float(self.step) <= 1.0:
-            raise ValueError("step must lie in (0, 1] or be 'fixed-point'")
-
-    @property
-    def theta(self):
-        return 1.0 if self.step == "fixed-point" else float(self.step)
 
 
 class PgdIterationError(Exception):
@@ -118,69 +121,82 @@ class ConstrainedSolution:
     history: list | None = None
 
 
-def _state_adjoint_solver(space, prob):
-    """Map a control load to (state, adjoint), sharing one factorization.
+def _node_sampler(space):
+    """Cell-polynomial values at every cell quadrature node.
 
-    The state carries the problem's boundary data; the adjoint is zero on
-    the boundary.
+    Returns ``(Q, w, starts)``: the CSR matrix ``Q`` maps a full DOF vector
+    to the values of its cell polynomials at the nodes, cell after cell,
+    ``w`` holds the node weights and ``starts`` the first node of each cell.
     """
+    ops = space.local_ops()
+    counts = np.array([len(op.qweights) for op in ops])
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    n_nodes, dim = int(counts.sum()), space.cell_dim
+    # cell DOFs are contiguous, so each row's columns are its cell's block
+    first = np.repeat(space.cell_dof_start, counts).astype(np.int32)
+    cols = (first[:, None] + np.arange(dim, dtype=np.int32)).ravel()
+    indptr = np.arange(0, n_nodes * dim + 1, dim, dtype=np.int32)
+    vals = np.concatenate([op.cell_vals for op in ops]).ravel()
+    Q = sp.csr_matrix((vals, cols, indptr), shape=(n_nodes, space.n_dofs))
+    return Q, np.concatenate([op.qweights for op in ops]), starts
+
+
+def _damped_projection(space, prob, cfg, keep_history, scheme):
+    """Damped projected fixed-point loop over the cell quadrature nodes.
+
+    Returns ``(u, starts, y, phi, iterations, increment, history)``: the
+    control at the nodes, the first node of each cell, the state and adjoint
+    of that control, and every iterate when ``keep_history`` is set.
+    """
+    if prob.bounds is None:
+        raise ValueError("bounds required for constrained schemes")
+    cfg = cfg or PgdConfig()
+    box = AdmissibleBox(*prob.bounds)
+    # the state carries the boundary data, the adjoint is zero on it
     system = OptimalitySystem([space], [[space.stiffness_matrix()]])
     g = space.boundary_values(prob.state_boundary)
     M = space.cell_mass_matrix()
     F_f = cell_load_vector(space, prob.f)
     F_yd = cell_load_vector(space, prob.y_d)
+    Q, w, starts = _node_sampler(space)
 
-    def solve(control_load):
-        (y,) = system.solve([F_f + control_load], [g])
+    def solve_pde(u):
+        (y,) = system.solve([F_f + Q.T @ (w * u)], [g])
         (phi,) = system.solve([M @ y.values - F_yd])
         return y, phi
 
-    return solve
-
-
-def solve_wc1(space, prob, cfg=None, keep_history=False):
-    """Lowest-order scheme: piecewise constant control, k = 0 state/adjoint."""
-    if prob.bounds is None:
-        raise ValueError("bounds required for constrained schemes")
-    if space.cell_degree != 0 or space.face_degree != 0 or not space.dirichlet:
-        raise ValueError("wc1 requires the zero-trace k = 0 space")
-    cfg = cfg or PgdConfig()
-    box = AdmissibleBox(*prob.bounds)
-    theta = cfg.theta
-    lam = prob.lam
-    solve_pde = _state_adjoint_solver(space, prob)
-    ops = space.local_ops()
-    areas = np.array([op.measure for op in ops])
-    int_cells = [op.int_cell for op in ops]
-
-    u = project_box(np.zeros(space.mesh.n_cells), box)
-    history = [u.copy()] if keep_history else None
+    u = project_box(np.zeros(len(w)), box)
+    history = [u] if keep_history else None
     increment = np.inf
     for it in range(1, cfg.max_iters + 1):
-        load = np.zeros(space.n_dofs)
-        for op, iv in zip(ops, int_cells):
-            load[space.cell_dofs(op.cell_id)] = u[op.cell_id] * iv
-        y, phi = solve_pde(load)
-        mean_phi = np.array([iv @ phi.cell_block(op.cell_id)
-                             for op, iv in zip(ops, int_cells)]) / areas
-        u_next = project_box((1.0 - theta) * u
-                             + theta * project_box(-mean_phi / lam, box), box)
-        increment = float(np.sqrt(np.sum(np.sort(areas * (u_next - u) ** 2))))
+        _, phi = solve_pde(u)
+        target = project_box(-(Q @ phi.values) / prob.lam, box)
+        u_next = project_box((1.0 - THETA) * u + THETA * target, box)
+        inc_sq = np.add.reduceat(w * (u_next - u) ** 2, starts)
+        increment = float(np.sqrt(np.sum(np.sort(inc_sq))))
         u = u_next
         if keep_history:
-            history.append(u.copy())
+            history.append(u)
         if increment <= cfg.tol:
             break
     else:
         raise PgdIterationError(
-            f"wc1 did not converge in {cfg.max_iters} iterations "
+            f"{scheme} did not converge in {cfg.max_iters} iterations "
             f"(last increment {increment:.3e})", increment)
+    y, phi = solve_pde(u)
+    return u, starts, y, phi, it, increment, history
 
-    load = np.zeros(space.n_dofs)
-    for op, iv in zip(ops, int_cells):
-        load[space.cell_dofs(op.cell_id)] = u[op.cell_id] * iv
-    y, phi = solve_pde(load)
-    return ConstrainedSolution("wc1", y, phi, CellConstantControl(space, u),
+
+def solve_wc1(space, prob, cfg=None, keep_history=False):
+    """Lowest-order scheme: piecewise constant control, k = 0 state/adjoint."""
+    if space.cell_degree != 0 or space.face_degree != 0 or not space.dirichlet:
+        raise ValueError("wc1 requires the zero-trace k = 0 space")
+    u, starts, y, phi, it, increment, history = _damped_projection(
+        space, prob, cfg, keep_history, "wc1")
+    if history is not None:
+        history = [h[starts] for h in history]
+    return ConstrainedSolution("wc1", y, phi,
+                               CellConstantControl(space, u[starts]),
                                it, increment, history=history)
 
 
@@ -191,49 +207,15 @@ def solve_wc2(space, prob, cfg=None, keep_history=False):
     cell polynomial, carried as samples at the cell quadrature nodes, which is
     exact for every load the scheme needs.
     """
-    if prob.bounds is None:
-        raise ValueError("bounds required for constrained schemes")
     if space.cell_degree != 2 or space.face_degree != 1 or not space.dirichlet:
         raise ValueError("wc2 requires the zero-trace mixed space V^{1+}")
-    cfg = cfg or PgdConfig()
-    box = AdmissibleBox(*prob.bounds)
-    theta = cfg.theta
-    lam = prob.lam
-    solve_pde = _state_adjoint_solver(space, prob)
-    ops = space.local_ops()
-
-    u = [project_box(np.zeros(len(op.qweights)), box) for op in ops]
-    history = [[uq.copy() for uq in u]] if keep_history else None
-    increment = np.inf
-    for it in range(1, cfg.max_iters + 1):
-        load = np.zeros(space.n_dofs)
-        for op, uq in zip(ops, u):
-            load[space.cell_dofs(op.cell_id)] = op.cell_vals.T @ (op.qweights * uq)
-        y, phi = solve_pde(load)
-        inc_sq = np.empty(len(ops))
-        u_next = []
-        for op, uq in zip(ops, u):
-            phi_q = op.cell_vals @ phi.cell_block(op.cell_id)
-            cand = project_box((1.0 - theta) * uq
-                               + theta * project_box(-phi_q / lam, box), box)
-            inc_sq[op.cell_id] = op.qweights @ (cand - uq) ** 2
-            u_next.append(cand)
-        increment = float(np.sqrt(np.sum(np.sort(inc_sq))))
-        u = u_next
-        if keep_history:
-            history.append([uq.copy() for uq in u])
-        if increment <= cfg.tol:
-            break
-    else:
-        raise PgdIterationError(
-            f"wc2 did not converge in {cfg.max_iters} iterations "
-            f"(last increment {increment:.3e})", increment)
-
-    load = np.zeros(space.n_dofs)
-    for op, uq in zip(ops, u):
-        load[space.cell_dofs(op.cell_id)] = op.cell_vals.T @ (op.qweights * uq)
-    y, phi = solve_pde(load)
-    control = ClampedAdjointControl(space, phi, lam, box, u)
+    u, starts, y, phi, it, increment, history = _damped_projection(
+        space, prob, cfg, keep_history, "wc2")
+    if history is not None:
+        history = [np.split(h, starts[1:]) for h in history]
+    control = ClampedAdjointControl(space, phi, prob.lam,
+                                    AdmissibleBox(*prob.bounds),
+                                    np.split(u, starts[1:]))
     return ConstrainedSolution("wc2", y, phi, control, it, increment,
                                history=history)
 

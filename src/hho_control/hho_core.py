@@ -260,10 +260,6 @@ class LocalOperators:
         return self._k["K_cell"]
 
     @property
-    def K_recon(self):
-        return self._k["K_recon"]
-
-    @property
     def int_cell(self):
         """Vector of (phi_i, 1)_T over the cell basis."""
         return self._k["int_cell"]
@@ -280,9 +276,6 @@ class LocalOperators:
     def face_cell_trace(self, j):
         """Cell basis values at face-j quadrature points."""
         return self._k["Vl_f"][j]
-
-    def face_recon_trace(self, j):
-        return self._k["Vr_f"][j]
 
     def face_vals(self, j):
         """Face basis values at face-j quadrature points."""
@@ -431,11 +424,10 @@ def build_local_operators(space, cell_id, _cache=None):
         "Ql": cb.transform, "Qr": rb.transform,
         "qw": w, "qp": quad.points - cell.centroid,
         "Vl": Vl, "Vr": Vr,
-        "M_cell": M_cell, "M_recon": M_recon, "N_lr": N_lr,
-        "K_cell": K_cell, "K_recon": K_recon,
-        "int_cell": int_cell, "int_recon": int_recon,
+        "M_cell": M_cell, "M_recon": M_recon, "K_cell": K_cell,
+        "int_cell": int_cell,
         "G": G, "A": A, "S_faces": S_faces, "M_faces": M_faces,
-        "fqw": fqw, "fqp": fqp, "Vf": Vf, "Vl_f": Vl_f, "Vr_f": Vr_f,
+        "fqw": fqw, "fqp": fqp, "Vf": Vf, "Vl_f": Vl_f,
     }
     if _cache is not None:
         _cache[key] = kernels

@@ -120,6 +120,8 @@ class Mesh:
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
+        if not np.isfinite(vertices).all():
+            raise MeshError("vertex coordinates must be finite")
         self.vertices = vertices
         self.cells = []
         self.faces = []
@@ -150,6 +152,8 @@ class Mesh:
                 diameter=polygon_diameter(poly),
                 measure=area,
             )
+            if not np.isfinite([area, cell.diameter, *cell.centroid]).all():
+                raise MeshError(f"cell {ci} geometry overflows")
             m = len(ids)
             entry = []
             for k in range(m):
@@ -414,23 +418,26 @@ def read_mesh(text):
 
     n, line = take("vertex count")
     parts = line.split()
-    if len(parts) != 2 or parts[0] != "vertices" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "vertices" or not parts[1].isdecimal():
         raise MeshFormatError("expected 'vertices <count>'", n)
     n_vertices = int(parts[1])
-    vertices = np.empty((n_vertices, 2))
+    vertices = []  # not preallocated: the count is not yet backed by lines
     for i in range(n_vertices):
         n, line = take("vertex coordinates")
         parts = line.split()
         if len(parts) != 2:
             raise MeshFormatError("expected '<x> <y>'", n)
         try:
-            vertices[i] = [float(parts[0]), float(parts[1])]
+            xy = [float(parts[0]), float(parts[1])]
         except ValueError:
             raise MeshFormatError(f"invalid coordinate {parts!r}", n) from None
+        if not np.isfinite(xy).all():
+            raise MeshFormatError(f"non-finite coordinate {parts!r}", n)
+        vertices.append(xy)
 
     n, line = take("cell count")
     parts = line.split()
-    if len(parts) != 2 or parts[0] != "cells" or not parts[1].isdigit():
+    if len(parts) != 2 or parts[0] != "cells" or not parts[1].isdecimal():
         raise MeshFormatError("expected 'cells <count>'", n)
     n_cells = int(parts[1])
     cells = []
@@ -449,4 +456,4 @@ def read_mesh(text):
         cells.append(ids[1:])
     if pos != len(rows):
         raise MeshFormatError("trailing data after cell table", rows[pos][0])
-    return Mesh(vertices, cells)
+    return Mesh(np.reshape(vertices, (n_vertices, 2)), cells)

@@ -234,13 +234,3 @@ class FaceBasis:
     def eval(self, points):
         t = self.parameter(points)
         return t[:, None] ** np.arange(self.dimension)[None, :]
-
-
-def eval_basis(basis, points):
-    """Value table (n_points x dimension) for a cell or face basis."""
-    return basis.eval(points)
-
-
-def eval_grad(basis, points):
-    """Gradient table (n_points x dimension x 2) for a cell basis."""
-    return basis.grad(points)

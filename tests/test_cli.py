@@ -19,7 +19,6 @@ def test_minimal_config_defaults_filled():
     assert cfg.levels == [4, 8, 16, 32]
     assert cfg.rng_seed == 42
     assert cfg.pgd.tol == 1e-10
-    assert cfg.pgd.theta == 0.5
 
 
 def test_config_comments_and_lists():
@@ -172,11 +171,19 @@ def test_cli_flags_override_config_document(tmp_path):
             cfg.rng_seed) == ("uc1", 0, [2, 4], "uc1-default", "doc-out", 7)
 
 
-@pytest.mark.parametrize("flag", ["--pgd-theta", "--pgd-tol", "--pgd-max-iters"])
+@pytest.mark.parametrize("flag", ["--pgd-tol", "--pgd-max-iters"])
 def test_cli_zero_pgd_setting_rejected(flag):
     with pytest.raises(ConfigError, match="pgd"):
         run_flags("--scheme", "wc1", "--degree", "0", "--preset", "wc-default",
                   flag, "0")
+
+
+@pytest.mark.parametrize("form", [["--bounds", "-250,-10"],
+                                  ["--bounds=-250,-10"]])
+def test_cli_negative_bounds(form):
+    args = cli._parse_args(["run", "--scheme", "wc1", "--degree", "0",
+                            "--preset", "wc-default", *form])
+    assert cli._config_from_args(args).bounds == (-250.0, -10.0)
 
 
 def test_cli_bad_levels_is_config_error():

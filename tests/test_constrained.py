@@ -12,7 +12,8 @@ from hho_control.control_unconstrained import (ControlProblem,
 from hho_control.errors import eoc, l2_error_control
 from hho_control.hho_core import cell_load_vector
 from hho_control.presets import problem_from_preset
-from helpers import cached_cartesian, dense_cell_mass, dense_stiffness
+from helpers import (cached_cartesian, cached_voronoi, dense_cell_mass,
+                     dense_stiffness)
 
 ZERO = lambda p: np.zeros(len(np.atleast_2d(p)))
 BOX = AdmissibleBox(-250.0, -10.0)
@@ -38,7 +39,6 @@ def test_pgd_config_validation():
         PgdConfig(max_iters=0)
     with pytest.raises(ValueError):
         PgdConfig(tol=0.0)
-    assert PgdConfig(step="fixed-point").theta == 1.0
 
 
 def test_wc1_zero_data_feasible_zero():
@@ -163,16 +163,21 @@ def test_wc1_matches_active_set_enumeration_oracle():
     assert np.abs(sol.y.values[act] - best[:n]).max() < 1e-8
 
 
+def meshes():
+    """A Cartesian mesh and a Voronoi one, whose cells differ in node count."""
+    return cached_cartesian(4), cached_voronoi(16)
+
+
 def test_wc1_inactive_bounds_match_unconstrained():
-    mesh = cached_cartesian(4)
-    space = HhoSpace(mesh, 0, dirichlet=True)
     wide = problem_from_preset("wc-default", bounds=(-1e9, 1e9))
     free = ControlProblem(f=wide.f, y_d=wide.y_d, lam=wide.lam)
-    a = solve_wc1(space, wide)
-    b = solve_uc1(space, free)
     tol = 1e-8
-    assert np.abs(a.y.values - b.y.values).max() < tol
-    assert np.abs(a.phi.values - b.phi.values).max() < tol
+    for mesh in meshes():
+        space = HhoSpace(mesh, 0, dirichlet=True)
+        a = solve_wc1(space, wide)
+        b = solve_uc1(space, free)
+        assert np.abs(a.y.values - b.y.values).max() < tol
+        assert np.abs(a.phi.values - b.phi.values).max() < tol
 
 
 def test_wc2_zero_data():
@@ -184,24 +189,26 @@ def test_wc2_zero_data():
 
 
 def test_wc2_feasibility_every_iterate():
-    mesh = cached_cartesian(4)
-    space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
     prob = problem_from_preset("wc-default")
-    sol = solve_wc2(space, prob, keep_history=True)
     box = AdmissibleBox(*prob.bounds)
-    for snapshot in sol.history:
-        for uq in snapshot:
-            assert (uq >= box.u_a).all() and (uq <= box.u_b).all()
+    for mesh in meshes():
+        space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
+        sol = solve_wc2(space, prob, keep_history=True)
+        nodes = [len(op.qweights) for op in space.local_ops()]
+        for snapshot in sol.history:
+            assert [len(uq) for uq in snapshot] == nodes
+            for uq in snapshot:
+                assert (uq >= box.u_a).all() and (uq <= box.u_b).all()
 
 
 def test_wc2_inactive_bounds_match_variational_mixed():
-    mesh = cached_cartesian(4)
-    space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
     wide = problem_from_preset("wc-default", bounds=(-1e9, 1e9))
     free = ControlProblem(f=wide.f, y_d=wide.y_d, lam=wide.lam)
-    a = solve_wc2(space, wide)
-    b = solve_variational_mixed(space, free)
-    assert np.abs(a.y.values - b.y.values).max() < 1e-8
+    for mesh in meshes():
+        space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
+        a = solve_wc2(space, wide)
+        b = solve_variational_mixed(space, free)
+        assert np.abs(a.y.values - b.y.values).max() < 1e-8
 
 
 def test_wc2_single_cell_matches_pointwise_clamp_oracle():

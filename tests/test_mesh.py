@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hho_control import (MeshError, MeshFormatError, make_cartesian,
+from hho_control import (Mesh, MeshError, MeshFormatError, make_cartesian,
                          make_voronoi, read_mesh, write_mesh)
 from helpers import cached_voronoi
 
@@ -135,3 +135,15 @@ def test_bad_coordinate_reports_line():
     text = "poly-mesh 1\nvertices 1\n0 zero\ncells 0\n"
     with pytest.raises(MeshFormatError, match="line 3"):
         read_mesh(text)
+
+
+def test_nonfinite_coordinate_reports_line():
+    text = "poly-mesh 1\nvertices 3\n0 0\n1 nan\n0 1\ncells 1\n3 0 1 2\n"
+    with pytest.raises(MeshFormatError, match="line 4: non-finite"):
+        read_mesh(text)
+
+
+def test_mesh_rejects_nonfinite_vertices():
+    vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, np.inf], [0.0, 1.0]]
+    with pytest.raises(MeshError, match="finite"):
+        Mesh(vertices, [[0, 1, 2, 3]])

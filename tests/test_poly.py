@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hho_control import make_cartesian
-from hho_control.poly import (CellBasis, cell_quadrature, eval_basis,
-                              eval_grad, make_cell_basis, monomial_exponents,
-                              polygon_quadrature, segment_quadrature)
+from hho_control.poly import (CellBasis, cell_quadrature, make_cell_basis,
+                              monomial_exponents, polygon_quadrature,
+                              segment_quadrature)
 from helpers import (cached_voronoi, polygon_monomial_integral,
                      regular_polygon)
 
@@ -76,9 +76,9 @@ def test_two_point_gauss_degree_three_exact():
 def test_constant_basis_function():
     basis = CellBasis(2, center=[0.3, 0.4], scale=0.5)
     pts = np.random.default_rng(0).uniform(size=(7, 2))
-    vals = eval_basis(basis, pts)
+    vals = basis.eval(pts)
     assert np.allclose(vals[:, 0], 1.0)
-    grads = eval_grad(basis, pts)
+    grads = basis.grad(pts)
     assert np.abs(grads[:, 0, :]).max() == 0.0
 
 
