@@ -26,9 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .hho_core import HhoVector, OptimalitySystem, cell_load_vector
+from .hho_core import (HhoVector, OptimalitySystem, cell_load_vector,
+                       sorted_sum)
 from .control_unconstrained import ControlProblem  # noqa: F401  (re-export)
 
 THETA = 0.5  # damping of the fixed-point map; see the contraction condition
@@ -85,6 +85,10 @@ class CellConstantControl:
     def eval(self, op, points):
         return np.full(len(np.atleast_2d(points)), self.values[op.cell_id])
 
+    def at_nodes(self):
+        """Values at the nodes of the space's ``NodeTable``."""
+        return np.repeat(self.values, self.space.nodes().counts)
+
 
 class ClampedAdjointControl:
     """Variational-discretization control u(x) = P_box(-phi_T(x) / lambda).
@@ -109,6 +113,22 @@ class ClampedAdjointControl:
         phi_vals = b.eval(points) @ self.phi.cell_block(op.cell_id)
         return project_box(-phi_vals / self.lam, self.box)
 
+    def _unclamped(self):
+        return -self.space.nodes().values("Vl", self.phi.cell_blocks()) / self.lam
+
+    def at_nodes(self):
+        """Values at the nodes of the space's ``NodeTable``."""
+        return project_box(self._unclamped(), self.box)
+
+    def kinked_cells(self):
+        """Cells whose nodes straddle a bound: the active-set boundary crosses them."""
+        w, starts = self._unclamped(), self.space.nodes().starts
+        lo, hi = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
+        crosses = np.zeros(len(starts), dtype=bool)
+        for bound in (self.box.u_a, self.box.u_b):
+            crosses |= (lo < bound) & (bound < hi)
+        return np.nonzero(crosses)[0]
+
 
 @dataclass
 class ConstrainedSolution:
@@ -119,26 +139,6 @@ class ConstrainedSolution:
     iterations: int
     final_increment: float
     history: list | None = None
-
-
-def _node_sampler(space):
-    """Cell-polynomial values at every cell quadrature node.
-
-    Returns ``(Q, w, starts)``: the CSR matrix ``Q`` maps a full DOF vector
-    to the values of its cell polynomials at the nodes, cell after cell,
-    ``w`` holds the node weights and ``starts`` the first node of each cell.
-    """
-    ops = space.local_ops()
-    counts = np.array([len(op.qweights) for op in ops])
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    n_nodes, dim = int(counts.sum()), space.cell_dim
-    # cell DOFs are contiguous, so each row's columns are its cell's block
-    first = np.repeat(space.cell_dof_start, counts).astype(np.int32)
-    cols = (first[:, None] + np.arange(dim, dtype=np.int32)).ravel()
-    indptr = np.arange(0, n_nodes * dim + 1, dim, dtype=np.int32)
-    vals = np.concatenate([op.cell_vals for op in ops]).ravel()
-    Q = sp.csr_matrix((vals, cols, indptr), shape=(n_nodes, space.n_dofs))
-    return Q, np.concatenate([op.qweights for op in ops]), starts
 
 
 def _damped_projection(space, prob, cfg, keep_history, scheme):
@@ -158,7 +158,8 @@ def _damped_projection(space, prob, cfg, keep_history, scheme):
     M = space.cell_mass_matrix()
     F_f = cell_load_vector(space, prob.f)
     F_yd = cell_load_vector(space, prob.y_d)
-    Q, w, starts = _node_sampler(space)
+    nodes = space.nodes()
+    Q, w, starts = nodes.cell_vals, nodes.weights, nodes.starts
 
     def solve_pde(u):
         (y,) = system.solve([F_f + Q.T @ (w * u)], [g])
@@ -244,8 +245,7 @@ def reduced_cost(space, prob, control_load, control_norm_sq):
     system = OptimalitySystem([space], [[space.stiffness_matrix()]])
     (y,) = system.solve([cell_load_vector(space, prob.f) + control_load],
                         [space.boundary_values(prob.state_boundary)])
-    misfit = np.empty(space.mesh.n_cells)
-    for op in space.local_ops():
-        vals = op.cell_vals @ y.cell_block(op.cell_id) - prob.y_d(op.qpoints())
-        misfit[op.cell_id] = op.qweights @ vals ** 2
-    return 0.5 * float(np.sum(np.sort(misfit))) + 0.5 * prob.lam * control_norm_sq
+    t = space.nodes()
+    misfit = t.cell_integrals(
+        (t.values("Vl", y.cell_blocks()) - prob.y_d(t.points)) ** 2)
+    return 0.5 * sorted_sum(misfit) + 0.5 * prob.lam * control_norm_sq

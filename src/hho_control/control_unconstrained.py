@@ -67,6 +67,11 @@ class CellPolyControl:
         b = op.cell_basis() if self.basis == "cell" else op.recon_basis()
         return b.eval(points) @ self.coeffs[op.cell_id]
 
+    def at_nodes(self):
+        """Values at the nodes of the space's ``NodeTable``."""
+        return self.space.nodes().values(
+            "Vl" if self.basis == "cell" else "Vr", self.coeffs)
+
 
 @dataclass
 class OptimalitySolution:

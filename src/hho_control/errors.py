@@ -9,14 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import poly
-from .hho_core import h1h_seminorm_sq, reconstruct_all, reduce_function
-
-
-def _sorted_sum(contribs):
-    return float(np.sum(np.sort(np.asarray(contribs))))
+from .hho_core import (h1h_seminorm_sq, reconstruct_all, reduce_function,
+                       sorted_sum)
 
 
 def energy_error(space, vec, v_exact):
@@ -25,23 +20,22 @@ def energy_error(space, vec, v_exact):
     return math.sqrt(h1h_seminorm_sq(space, vec - ref))
 
 
+def _l2_distance(space, v_exact, approx):
+    """L2 distance to v_exact of the function with node values ``approx``."""
+    t = space.nodes()
+    return math.sqrt(sorted_sum(t.cell_integrals((v_exact(t.points) - approx) ** 2)))
+
+
 def l2_error_cells(space, vec, v_exact):
     """L2 distance between the exact function and the cell polynomials."""
-    contribs = np.empty(space.mesh.n_cells)
-    for op in space.local_ops():
-        d = v_exact(op.qpoints()) - op.cell_vals @ vec.cell_block(op.cell_id)
-        contribs[op.cell_id] = op.qweights @ d ** 2
-    return math.sqrt(_sorted_sum(contribs))
+    return _l2_distance(space, v_exact,
+                        space.nodes().values("Vl", vec.cell_blocks()))
 
 
 def l2_error_reconstruction(space, vec, v_exact):
     """L2 distance between the exact function and the reconstruction R v."""
-    recon = reconstruct_all(space, vec)
-    contribs = np.empty(space.mesh.n_cells)
-    for op in space.local_ops():
-        d = v_exact(op.qpoints()) - op.recon_vals @ recon[op.cell_id]
-        contribs[op.cell_id] = op.qweights @ d ** 2
-    return math.sqrt(_sorted_sum(contribs))
+    return _l2_distance(space, v_exact, space.nodes().values(
+        "Vr", reconstruct_all(space, vec)))
 
 
 def l2_error_control(solution, u_exact):
@@ -54,29 +48,17 @@ def l2_error_control(solution, u_exact):
     """
     control = solution.control
     space = control.space
-    contribs = np.empty(space.mesh.n_cells)
-    for op in space.local_ops():
-        pts, w = op.qpoints(), op.qweights
-        ue = u_exact(pts)
-        uh = control.eval(op, pts)
-        if control.has_kinks:
-            # the active-set interface kinks the clamp: refine crossed cells
-            box = control.box
-            phi_vals = op.cell_vals @ control.phi.cell_block(op.cell_id)
-            unclamped = -phi_vals / control.lam
-            crosses = (unclamped.min() < box.u_a < unclamped.max()) or \
-                      (unclamped.min() < box.u_b < unclamped.max())
-            if crosses:
-                cell = space.mesh.cells[op.cell_id]
-                fine = poly.polygon_quadrature(
-                    cell.polygon, 8 * (space.face_degree + 2),
-                    centroid=cell.centroid)
-                pts, w = fine.points, fine.weights
-                ue = u_exact(pts)
-                uh = control.eval(op, pts)
-        d = ue - uh
-        contribs[op.cell_id] = w @ d ** 2
-    return math.sqrt(_sorted_sum(contribs))
+    t = space.nodes()
+    contribs = t.cell_integrals((u_exact(t.points) - control.at_nodes()) ** 2)
+    if control.has_kinks:
+        ops = space.local_ops()
+        for i in control.kinked_cells():
+            cell = space.mesh.cells[i]
+            fine = poly.polygon_quadrature(
+                cell.polygon, 8 * (space.face_degree + 2), centroid=cell.centroid)
+            d = u_exact(fine.points) - control.eval(ops[i], fine.points)
+            contribs[i] = fine.weights @ d ** 2
+    return math.sqrt(sorted_sum(contribs))
 
 
 def eoc(errors, hs):

@@ -3,7 +3,12 @@
 The local gradient reconstruction maps the cell/face unknowns of a cell to a
 polynomial one degree above the face degree through a Neumann problem closed
 by a cell-mean constraint; the face stabilization penalizes the projected
-trace residual with an h_T^{-1} weight.  Per-cell matrices are scattered into
+trace residual with an h_T^{-1} weight.  The local operators of a space are
+built in one batched pass: congruent cells share one kernel, and the distinct
+kernels are built group by group (equal face count and quadrature size) with
+stacked products and solves.  A per-space ``NodeTable`` stacks the quadrature
+nodes of every cell and face, so loads, projections, norms and errors
+evaluate a function once on all nodes.  Per-cell matrices are scattered into
 global sparse matrices by one triplet helper.  ``OptimalitySystem`` is the one
 solve path of the package: it takes one or more fields over HHO spaces and a
 grid of global blocks, slices off the Dirichlet DOFs, factors once, lifts the
@@ -15,13 +20,14 @@ constrained ones.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import poly
-from .poly import (CellBasis, FaceBasis, cell_quadrature, face_quadrature,
-                   space_dimension)
+from .poly import CellBasis, space_dimension
 
 
 class SolverError(Exception):
@@ -59,6 +65,8 @@ class HhoSpace:
         self.n_cell_dofs = mesh.n_cells * self.cell_dim
         self.n_dofs = self.n_cell_dofs + mesh.n_faces * self.face_dim
         self._ops = None
+        self._groups = None
+        self._nodes = None
         self._stiffness = None
         self._cell_mass = None
         self._recon_mass = None
@@ -68,9 +76,8 @@ class HhoSpace:
         self.face_dof_start = self.n_cell_dofs + np.arange(mesh.n_faces) * fd
         active = np.ones(self.n_dofs, dtype=bool)
         if self.dirichlet:
-            for f in mesh.boundary_face_ids:
-                s = self.face_dof_start[f]
-                active[s:s + fd] = False
+            bf = np.fromiter(mesh.boundary_face_ids, dtype=np.intp)
+            active[(self.face_dof_start[bf, None] + np.arange(fd)).ravel()] = False
         self.active_mask = active
         self.active_dofs = np.nonzero(active)[0]
         self.fixed_dofs = np.nonzero(~active)[0]
@@ -98,50 +105,60 @@ class HhoSpace:
     # -- operators and assembled matrices (built lazily, cached) ------------
 
     def local_ops(self):
+        """Per-cell operators; congruent cells share one kernel."""
         if self._ops is None:
-            cache = {}
-            self._ops = [build_local_operators(self, i, _cache=cache)
-                         for i in range(self.mesh.n_cells)]
+            self._ops, self._groups = _build(self, range(self.mesh.n_cells))
         return self._ops
+
+    def kernel_groups(self):
+        """The stacked kernels behind ``local_ops``, one entry per group."""
+        self.local_ops()
+        return self._groups
+
+    def nodes(self):
+        """The space's ``NodeTable``, built on first use."""
+        if self._nodes is None:
+            self._nodes = NodeTable(self)
+        return self._nodes
+
+    def _assemble(self, shape, blocks):
+        """Sum of the per-cell blocks ``blocks(group) -> (rows, cols, stack)``."""
+        return scatter_blocks(shape, (blocks(g) for g in self.kernel_groups()))
 
     def stiffness_matrix(self):
         """Global a_h matrix over all DOFs (boundary rows included)."""
         if self._stiffness is None:
-            self._stiffness = scatter_blocks(
+            self._stiffness = self._assemble(
                 (self.n_dofs, self.n_dofs),
-                ((op.dofs, op.dofs, op.A) for op in self.local_ops()))
+                lambda g: (g.dofs, g.dofs, g.kernels["A"][g.rows]))
         return self._stiffness
 
     def cell_mass_matrix(self):
         """Block-diagonal mass matrix of the cell blocks."""
         if self._cell_mass is None:
-            self._cell_mass = scatter_blocks(
+            dl = self.cell_dim
+            self._cell_mass = self._assemble(
                 (self.n_dofs, self.n_dofs),
-                ((self.cell_dofs(op.cell_id), self.cell_dofs(op.cell_id),
-                  op.M_cell) for op in self.local_ops()))
+                lambda g: (g.dofs[:, :dl], g.dofs[:, :dl],
+                           g.kernels["M_cell"][g.rows]))
         return self._cell_mass
 
     def recon_mass_matrix(self):
         """Matrix of (R v, R w) over all DOFs."""
         if self._recon_mass is None:
-            self._recon_mass = scatter_blocks(
-                (self.n_dofs, self.n_dofs),
-                ((op.dofs, op.dofs, op.G.T @ op.M_recon @ op.G)
-                 for op in self.local_ops()))
+            def blocks(g):
+                G = g.kernels["G"]
+                return g.dofs, g.dofs, (_mT(G) @ g.kernels["M_recon"] @ G)[g.rows]
+            self._recon_mass = self._assemble((self.n_dofs, self.n_dofs), blocks)
         return self._recon_mass
 
     def boundary_values(self, g):
         """Fixed-DOF values for Dirichlet data g (zeros when g is None)."""
         vals = np.zeros(self.n_dofs)
         if g is not None:
-            ops = self.local_ops()
-            done = set()
-            for op in ops:
-                for j, fid in enumerate(op.face_ids):
-                    if fid in done or fid not in self.mesh.boundary_face_ids:
-                        continue
-                    done.add(fid)
-                    vals[self.face_dofs(fid)] = op.project_face(j, g)
+            faces = np.fromiter(self.mesh.boundary_face_ids, dtype=np.intp)
+            vals[self.face_dof_start[faces, None] + np.arange(self.face_dim)] = \
+                _face_projections(self, g, faces)
         return vals[self.fixed_dofs]
 
 
@@ -157,6 +174,11 @@ class HhoVector:
 
     def cell_block(self, i):
         return self.values[self.space.cell_dofs(i)]
+
+    def cell_blocks(self):
+        """Cell coefficients of every cell, a (n_cells, cell_dim) view."""
+        return self.values[:self.space.n_cell_dofs].reshape(
+            -1, self.space.cell_dim)
 
     def face_block(self, f):
         return self.values[self.space.face_dofs(f)]
@@ -178,15 +200,17 @@ class LocalOperators:
     """Per-cell reconstruction, stabilization and stiffness matrices.
 
     Congruent cells (same relative polygon, face traversal and degrees) share
-    all matrices through an internal kernel cache; only the centroid and the
-    global DOF indices are cell-specific.
+    one kernel: every matrix and table below is the same object for all of
+    them, a view into the arrays their group was built in (see
+    ``build_local_operators``).  Only the centroid, the face ids and the
+    global DOF indices are cell-specific.  Per-face entries (``S_faces``,
+    ``M_faces`` and the face tables) are stacked along a leading face axis.
     """
 
-    __slots__ = ("cell_id", "space", "centroid", "face_ids", "dofs", "_k")
+    __slots__ = ("cell_id", "centroid", "face_ids", "dofs", "_k")
 
-    def __init__(self, cell_id, space, centroid, face_ids, dofs, kernels):
+    def __init__(self, cell_id, centroid, face_ids, dofs, kernels):
         self.cell_id = cell_id
-        self.space = space
         self.centroid = centroid
         self.face_ids = face_ids
         self.dofs = dofs
@@ -206,11 +230,11 @@ class LocalOperators:
         return len(self.face_ids)
 
     def cell_basis(self):
-        return CellBasis(self.space.cell_degree, self.centroid, self.h,
+        return CellBasis(self._k["cell_degree"], self.centroid, self.h,
                          transform=self._k["Ql"])
 
     def recon_basis(self):
-        return CellBasis(self.space.face_degree + 1, self.centroid, self.h,
+        return CellBasis(self._k["recon_degree"], self.centroid, self.h,
                          transform=self._k["Qr"])
 
     # quadrature in global coordinates
@@ -317,126 +341,352 @@ class LocalOperators:
         return self.reconstruct(self.reduce(f))
 
 
-def build_local_operators(space, cell_id, _cache=None):
-    """Construct (or fetch from the congruence cache) a cell's operators."""
-    mesh = space.mesh
-    cell = mesh.cells[cell_id]
-    face_ids = [fid for fid, _ in mesh.cell_faces[cell_id]]
-    dofs = space.local_dofs(cell_id)
+def _mT(a):
+    return np.swapaxes(a, -1, -2)
 
-    key = None
-    if _cache is not None:
-        rel_poly = np.round(cell.polygon - cell.centroid, 12)
-        face_rel = []
-        for fid, sign in mesh.cell_faces[cell_id]:
-            face = mesh.faces[fid]
-            face_rel.append(np.round(face.endpoints - cell.centroid, 12))
-            face_rel.append(np.array([[sign, 0.0]]))
-        key = (space.cell_degree, space.face_degree,
-               rel_poly.tobytes(), np.vstack(face_rel).tobytes())
-        hit = _cache.get(key)
-        if hit is not None:
-            return LocalOperators(cell_id, space, cell.centroid, face_ids, dofs, hit)
 
-    k = space.face_degree
-    l = space.cell_degree
+class KernelGroup:
+    """Stacked kernels of cells with one face count and one quadrature size.
+
+    ``kernels`` maps each kernel entry to a stacked array with one row per
+    distinct (non-congruent) cell shape.  ``cells`` are the cells that use
+    the group, ascending; ``rows`` the kernel row of each, and ``dofs``,
+    ``face_ids`` and ``centroids`` their local DOFs, faces and centroids.
+    """
+
+    def __init__(self, kernels, cells, rows, dofs, face_ids, centroids):
+        self.kernels = kernels
+        self.cells = cells
+        self.rows = rows
+        self.dofs = dofs
+        self.face_ids = face_ids
+        self.centroids = centroids
+
+    @property
+    def n_nodes(self):
+        return self.kernels["qw"].shape[1]
+
+
+def _build_kernels(space, tris, centroids, h, measure, face_ends, normals):
+    """Kernels of cells with one face count and rule size, stacked by cell.
+
+    ``tris`` holds each cell's quadrature triangles ``(B, t, 3, 2)``,
+    ``face_ends`` the endpoints of its faces in loop order ``(B, m, 2, 2)``
+    (each in the face's own orientation) and ``normals`` its outward face
+    normals ``(B, m, 2)``.  Every product and solve acts on the whole stack.
+    """
+    k, l = space.face_degree, space.cell_degree
     r = k + 1
-    h = cell.diameter
     exactness = 2 * (k + 2)
+    B, m = normals.shape[:2]
 
-    quad = cell_quadrature(cell, max(exactness, 2 * l, 2 * r))
-    cb = poly.make_cell_basis(cell, l, quadrature=quad)
-    rb = poly.make_cell_basis(cell, r, quadrature=quad)
+    pts, w = poly.triangle_quadrature(tris[:, :, 0], tris[:, :, 1],
+                                      tris[:, :, 2], max(exactness, 2 * l, 2 * r))
+    pts, w = pts.reshape(B, -1, 2), w.reshape(B, -1)
 
-    w = quad.weights
-    Vl = cb.eval(quad.points)
-    Gl = cb.grad(quad.points)
-    Vr = rb.eval(quad.points)
-    Gr = rb.grad(quad.points)
+    def local(points):
+        return (points - centroids[:, None, :]) / h[:, None, None]
 
-    M_cell = Vl.T @ (w[:, None] * Vl)
-    M_recon = Vr.T @ (w[:, None] * Vr)
-    N_lr = Vl.T @ (w[:, None] * Vr)
-    K_cell = np.einsum("nid,n,njd->ij", Gl, w, Gl)
-    K_recon = np.einsum("nid,n,njd->ij", Gr, w, Gr)
-    int_cell = w @ Vl
-    int_recon = w @ Vr
+    def values(points, degree, T):
+        v = poly.monomial_values(local(points), degree)
+        return v if T is None else v @ _mT(T)
 
-    n_faces = len(face_ids)
-    dim_l, dim_r, dim_f = cb.dimension, rb.dimension, k + 1
-    n_loc = dim_l + n_faces * dim_f
+    def grads(points, degree, T):
+        g = poly.monomial_grads(local(points), degree, h)
+        return g if T is None else np.einsum("bij,bnjd->bnid", T, g)
+
+    # the cell and reconstruction bases are orthonormalized from degree 2
+    Ql, Qr = (poly.orthonormal_transform(values(pts, d, None), w) if d >= 2
+              else None for d in (l, r))
+    Vl, Gl = values(pts, l, Ql), grads(pts, l, Ql)
+    Vr, Gr = values(pts, r, Qr), grads(pts, r, Qr)
+
+    wc = w[:, :, None]
+    M_cell = _mT(Vl) @ (wc * Vl)
+    M_recon = _mT(Vr) @ (wc * Vr)
+    N_lr = _mT(Vl) @ (wc * Vr)
+    K_cell = np.einsum("bnid,bn,bnjd->bij", Gl, w, Gl)
+    K_recon = np.einsum("bnid,bn,bnjd->bij", Gr, w, Gr)
+    int_cell = (w[:, None, :] @ Vl)[:, 0]
+    int_recon = (w[:, None, :] @ Vr)[:, 0]
+
+    dim_l, dim_r, dim_f = Vl.shape[-1], Vr.shape[-1], k + 1
+    n_loc = dim_l + m * dim_f
+
+    # Faces, stacked (B, m, ...): quadrature, face basis, cell and
+    # reconstruction traces, and the normal derivative of the recon basis.
+    p0, p1 = face_ends[:, :, 0], face_ends[:, :, 1]
+    fpts, fw = poly.segment_rule(p0, p1, max(exactness, 2 * r))
+    nf = fw.shape[-1]
+    mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
+    inv_sq = 1.0 / (half[..., None, :] @ half[..., :, None])[..., 0]
+    t = ((fpts - mid[:, :, None, :]) @ half[..., :, None])[..., 0] * inv_sq
+    Vf = t[..., None] ** np.arange(dim_f)
+    flat = fpts.reshape(B, m * nf, 2)
+    Vl_f = values(flat, l, Ql).reshape(B, m, nf, dim_l)
+    Vr_f = values(flat, r, Qr).reshape(B, m, nf, dim_r)
+    dn = (grads(flat, r, Qr).reshape(B, m, nf, dim_r, 2)
+          @ normals[:, :, None, :, None])[..., 0]
+    fwc = fw[..., None]
+    M_faces = _mT(Vf) @ (fwc * Vf)
 
     # RHS of the reconstruction problem: (grad v_T, grad q)_T
     #   + sum_F (v_F - v_T, grad q . n)_F for q in the recon basis.
-    rhs = np.zeros((dim_r, n_loc))
-    rhs[:, :dim_l] = np.einsum("nid,n,njd->ji", Gl, w, Gr)
-
-    fqw, fqp, Vf, Vl_f, Vr_f, M_faces = [], [], [], [], [], []
-    for j, (fid, sign) in enumerate(mesh.cell_faces[cell_id]):
-        face = mesh.faces[fid]
-        fb = FaceBasis(k, face.endpoints[0], face.endpoints[1])
-        fq = face_quadrature(face, max(exactness, 2 * r))
-        valf = fb.eval(fq.points)
-        vall = cb.eval(fq.points)
-        valr = rb.eval(fq.points)
-        gradr = rb.grad(fq.points)
-        normal = sign * face.normal
-        dn = gradr @ normal
-        fqw.append(fq.weights)
-        fqp.append(fq.points - cell.centroid)
-        Vf.append(valf)
-        Vl_f.append(vall)
-        Vr_f.append(valr)
-        M_faces.append(valf.T @ (fq.weights[:, None] * valf))
-        fslice = slice(dim_l + j * dim_f, dim_l + (j + 1) * dim_f)
-        rhs[:, :dim_l] -= dn.T @ (fq.weights[:, None] * vall)
-        rhs[:, fslice] += dn.T @ (fq.weights[:, None] * valf)
+    rhs = np.zeros((B, dim_r, n_loc))
+    rhs[:, :, :dim_l] = np.einsum("bnid,bn,bnjd->bji", Gl, w, Gr)
+    cell_flux = _mT(dn) @ (fwc * Vl_f)
+    face_flux = _mT(dn) @ (fwc * Vf)
+    for j in range(m):
+        rhs[:, :, :dim_l] -= cell_flux[:, j]
+        rhs[:, :, dim_l + j * dim_f:dim_l + (j + 1) * dim_f] += face_flux[:, j]
 
     # Solve on the mean-free complement, then fix the constant so that
     # (R v, 1)_T = (v_T, 1)_T.  Basis function 0 is constant in both modes,
     # so K_recon has exactly the first row/column zero.
-    G = np.zeros((dim_r, n_loc))
-    G[1:, :] = np.linalg.solve(K_recon[1:, 1:], rhs[1:, :])
-    mean_rhs = np.zeros(n_loc)
-    mean_rhs[:dim_l] = int_cell
-    G[0, :] = (mean_rhs - int_recon[1:] @ G[1:, :]) / int_recon[0]
+    G = np.zeros((B, dim_r, n_loc))
+    G[:, 1:, :] = np.linalg.solve(K_recon[:, 1:, 1:], rhs[:, 1:, :])
+    mean_rhs = np.zeros((B, n_loc))
+    mean_rhs[:, :dim_l] = int_cell
+    G[:, 0, :] = ((mean_rhs - (int_recon[:, None, 1:] @ G[:, 1:, :])[:, 0])
+                  / int_recon[:, :1])
 
     # Stabilization S_F = Pi_F(v_T|_F - v_F + ((I - Pi_T^l) R v)|_F).
     P_lr = np.linalg.solve(M_cell, N_lr)          # Pi_T^l on recon coefficients
     E_cell = np.zeros((dim_l, n_loc))
     E_cell[:, :dim_l] = np.eye(dim_l)
-    S_faces = []
-    A_stab = np.zeros((n_loc, n_loc))
-    for j in range(n_faces):
-        wts = fqw[j][:, None]
-        proj = np.linalg.solve(M_faces[j], Vf[j].T)
-        trace_ops = Vl_f[j] @ E_cell + (Vr_f[j] - Vl_f[j] @ P_lr) @ G
-        S = proj @ (wts * trace_ops)
-        fslice = slice(dim_l + j * dim_f, dim_l + (j + 1) * dim_f)
-        S[:, fslice] -= np.eye(dim_f)
-        S_faces.append(S)
-        A_stab += S.T @ M_faces[j] @ S
-    A = G.T @ K_recon @ G + A_stab / h
-    A = 0.5 * (A + A.T)
+    proj = np.linalg.solve(M_faces, _mT(Vf))
+    trace_ops = (Vl_f @ E_cell
+                 + (Vr_f - Vl_f @ P_lr[:, None]) @ G[:, None])
+    S_faces = proj @ (fwc * trace_ops)
+    A_stab = np.zeros((B, n_loc, n_loc))
+    for j in range(m):
+        S_faces[:, j, :, dim_l + j * dim_f:dim_l + (j + 1) * dim_f] -= np.eye(dim_f)
+        S = S_faces[:, j]
+        A_stab += _mT(S) @ M_faces[:, j] @ S
+    A = _mT(G) @ K_recon @ G + A_stab / h[:, None, None]
+    A = 0.5 * (A + _mT(A))
 
-    kernels = {
-        "h": h, "measure": cell.measure,
-        "Ql": cb.transform, "Qr": rb.transform,
-        "qw": w, "qp": quad.points - cell.centroid,
+    return {
+        "cell_degree": l, "recon_degree": r,
+        "h": h, "measure": measure, "Ql": Ql, "Qr": Qr,
+        "qw": w, "qp": pts - centroids[:, None, :],
         "Vl": Vl, "Vr": Vr,
         "M_cell": M_cell, "M_recon": M_recon, "K_cell": K_cell,
         "int_cell": int_cell,
         "G": G, "A": A, "S_faces": S_faces, "M_faces": M_faces,
-        "fqw": fqw, "fqp": fqp, "Vf": Vf, "Vl_f": Vl_f,
+        "fqw": fw, "fqp": fpts - centroids[:, None, None, :],
+        "Vf": Vf, "Vl_f": Vl_f,
     }
-    if _cache is not None:
-        _cache[key] = kernels
-    return LocalOperators(cell_id, space, cell.centroid, face_ids, dofs, kernels)
+
+
+def _build(space, cell_ids):
+    """Operators of ``cell_ids`` (in that order) and their kernel groups."""
+    mesh = space.mesh
+    cell_ids = np.asarray(cell_ids, dtype=np.intp).reshape(-1)
+    cells = [mesh.cells[c] for c in cell_ids]
+    face_ends = np.array([f.endpoints for f in mesh.faces]).reshape(-1, 2, 2)
+    face_normals = np.array([f.normal for f in mesh.faces]).reshape(-1, 2)
+    n_vertices = np.array([len(c.vertex_ids) for c in cells], dtype=np.intp)
+    dl, fd = space.cell_dim, space.face_dim
+    ops = [None] * len(cell_ids)
+    groups = []
+    for m in np.unique(n_vertices):
+        at = np.nonzero(n_vertices == m)[0]       # positions in cell_ids
+        ids = cell_ids[at]
+        vids = np.array([cells[i].vertex_ids for i in at])
+        fids = np.array([[fid for fid, _ in mesh.cell_faces[c]] for c in ids])
+        signs = np.array([[s for _, s in mesh.cell_faces[c]] for c in ids])
+        c0 = np.array([cells[i].centroid for i in at])
+        dofs = np.concatenate(
+            (space.cell_dof_start[ids, None] + np.arange(dl),
+             (space.face_dof_start[fids][..., None] + np.arange(fd))
+             .reshape(len(ids), m * fd)), axis=1)
+
+        # congruence key: polygon and face traversal relative to the centroid
+        polys = mesh.vertices[vids]
+        rel_faces = np.round(face_ends[fids] - c0[:, None, None, :], 12)
+        orient = np.stack((signs, np.zeros_like(signs)), -1)[:, :, None, :]
+        keys = np.concatenate(
+            (np.round(polys - c0[:, None, :], 12).reshape(len(ids), -1),
+             np.concatenate((rel_faces, orient), axis=2).reshape(len(ids), -1)),
+            axis=1)
+        first = {}
+        kernel_of = np.array([first.setdefault(key.tobytes(), i)
+                              for i, key in enumerate(keys)])
+        reps = np.unique(kernel_of)               # first cell of each shape
+
+        # star-shaped cells use the centroid fan, the others are ear-clipped
+        tris, folded = poly.fan_triangles(polys[reps], c0[reps])
+        n_tris = np.where(folded, m - 2, m)
+        for nt in np.unique(n_tris):
+            sel = np.nonzero(n_tris == nt)[0]
+            r = reps[sel]
+            group_tris = np.array([
+                poly.polygon_triangles(polys[i], c0[i]) if fold else t
+                for i, fold, t in zip(r, folded[sel], tris[sel])])
+            rep_cells = [cells[at[i]] for i in r]
+            kernels = _build_kernels(
+                space, group_tris, c0[r],
+                np.array([c.diameter for c in rep_cells]),
+                np.array([c.measure for c in rep_cells]),
+                face_ends[fids[r]],
+                signs[r][..., None] * face_normals[fids[r]])
+            shared = [{name: a[b] if isinstance(a, np.ndarray) else a
+                       for name, a in kernels.items()} for b in range(len(r))]
+            row_of = np.full(len(ids), -1)
+            row_of[r] = np.arange(len(r))
+            rows = row_of[kernel_of]
+            mine = np.nonzero(rows >= 0)[0]
+            groups.append(KernelGroup(kernels, ids[mine], rows[mine], dofs[mine],
+                                      fids[mine], c0[mine]))
+            for i in mine:
+                ops[at[i]] = LocalOperators(int(ids[i]), cells[at[i]].centroid,
+                                            fids[i].tolist(), dofs[i],
+                                            shared[rows[i]])
+    return ops, groups
+
+
+def build_local_operators(space, cell_ids=None):
+    """Operators of the given cells (all cells by default), built in groups.
+
+    Cells are keyed by congruence (the polygon and face traversal relative
+    to the centroid, rounded to 1e-12); the first cell of each key gives the
+    kernel the others share.  The distinct kernels are grouped by face count
+    and quadrature size, and each group is built at once with stacked
+    products and batched solves.  Non-convex cells, whose centroid fan
+    folds, are ear-clipped and form their own groups.
+    """
+    if cell_ids is None:
+        cell_ids = range(space.mesh.n_cells)
+    return _build(space, cell_ids)[0]
+
+
+class NodeTable:
+    """Quadrature nodes of every cell of a space, stacked cell after cell.
+
+    ``points``, ``weights``, ``starts`` (the first node of each cell) and
+    ``counts`` describe the nodes.  ``cell_vals`` is the CSR matrix that maps
+    a full DOF vector to its cell polynomials at the nodes; each row holds
+    ``cell_dim`` contiguous int32 columns.  ``values``, ``moments`` and
+    ``cell_integrals`` apply a kernel's basis table group by group, with
+    stacked products that give each cell the same bits as a product of its
+    own kernel would.  ``face_cell`` and ``face_local`` name, for every face,
+    the first cell (in cell order) that holds it and the face's position in
+    that cell's loop: that cell's face rule integrates the face.
+    """
+
+    def __init__(self, space):
+        # no reference back to the space: a cycle would keep a finished
+        # level's tables alive until the garbage collector runs
+        self.groups = space.kernel_groups()
+        self._layout = space.cell_dof_start, space.cell_dim, space.n_dofs
+        nc = space.mesh.n_cells
+        self.counts = np.zeros(nc, dtype=np.intp)
+        self.centroids = np.empty((nc, 2))
+        self.group_of = np.empty(nc, dtype=np.intp)
+        self.row_of = np.empty(nc, dtype=np.intp)
+        for i, g in enumerate(self.groups):
+            self.counts[g.cells] = g.n_nodes
+            self.centroids[g.cells] = g.centroids
+            self.group_of[g.cells], self.row_of[g.cells] = i, g.rows
+        self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
+        n_nodes = int(self.counts.sum())
+        self.points = np.empty((n_nodes, 2))
+        self.weights = np.empty(n_nodes)
+        for g in self.groups:
+            at = self._nodes_of(g)
+            self.points[at] = g.kernels["qp"][g.rows] + g.centroids[:, None, :]
+            self.weights[at] = g.kernels["qw"][g.rows]
+
+        cell, local, face = [], [], []
+        for g in self.groups:
+            n, m = g.face_ids.shape
+            cell.append(np.repeat(g.cells, m))
+            local.append(np.tile(np.arange(m), n))
+            face.append(g.face_ids.ravel())
+        cell, local, face = map(np.concatenate, (cell, local, face))
+        order = np.lexsort((local, cell))
+        _, first = np.unique(face[order], return_index=True)
+        self.face_cell, self.face_local = cell[order][first], local[order][first]
+
+    def _nodes_of(self, g):
+        return self.starts[g.cells, None] + np.arange(g.n_nodes)
+
+    @functools.cached_property
+    def cell_vals(self):
+        cell_dof_start, dim, n_dofs = self._layout
+        n = len(self.weights)
+        data = np.empty((n, dim))
+        for g in self.groups:
+            data[self._nodes_of(g)] = g.kernels["Vl"][g.rows]
+        # cell DOFs are contiguous, so each row's columns are its cell's block
+        first = np.repeat(cell_dof_start, self.counts).astype(np.int32)
+        cols = (first[:, None] + np.arange(dim, dtype=np.int32)).ravel()
+        indptr = np.arange(0, n * dim + 1, dim, dtype=np.int32)
+        return sp.csr_matrix((data.ravel(), cols, indptr), shape=(n, n_dofs))
+
+    def values(self, table, coeffs):
+        """Node values of per-cell coefficients ``(n_cells, dim)``.
+
+        ``table`` names the basis: ``"Vl"`` (cell) or ``"Vr"`` (reconstruction).
+        """
+        out = np.empty(len(self.weights))
+        for g in self.groups:
+            out[self._nodes_of(g)] = (g.kernels[table][g.rows]
+                                      @ coeffs[g.cells][..., None])[..., 0]
+        return out
+
+    def moments(self, table, values):
+        """Per-cell moments ``(w * values, basis_i)_T``, ``(n_cells, dim)``."""
+        wv = self.weights * values
+        out = None
+        for g in self.groups:
+            V = g.kernels[table][g.rows]
+            if out is None:
+                out = np.empty((len(self.counts), V.shape[-1]))
+            out[g.cells] = (_mT(V) @ wv[self._nodes_of(g)][..., None])[..., 0]
+        return out
+
+    def cell_integrals(self, values):
+        """Quadrature of node values over each cell."""
+        out = np.empty(len(self.counts))
+        for g in self.groups:
+            at = self._nodes_of(g)
+            out[g.cells] = (self.weights[at][:, None, :]
+                            @ values[at][..., None])[:, 0, 0]
+        return out
+
+
+def sorted_sum(contribs):
+    """Sum of per-cell contributions in sorted order (reproducible)."""
+    return float(np.sum(np.sort(np.asarray(contribs))))
 
 
 # ---------------------------------------------------------------------------
 # Projections and reduction over the whole mesh
 # ---------------------------------------------------------------------------
+
+def _face_projections(space, f, faces):
+    """L2 projections of f onto P_k(F) of ``faces``, one row per face.
+
+    Each face is integrated with the rule of its first cell in cell order.
+    """
+    t = space.nodes()
+    cells, local = t.face_cell[faces], t.face_local[faces]
+    parts = []
+    for i, g in enumerate(t.groups):
+        sel = np.nonzero(t.group_of[cells] == i)[0]
+        parts.append((sel, g.kernels, t.row_of[cells[sel]], local[sel]))
+    pts = np.empty((len(faces),) + t.groups[0].kernels["fqw"].shape[2:] + (2,))
+    for sel, k, rows, j in parts:
+        pts[sel] = k["fqp"][rows, j] + t.centroids[cells[sel]][:, None, :]
+    fv = f(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+    out = np.empty((len(faces), space.face_dim))
+    for sel, k, rows, j in parts:
+        rhs = _mT(k["Vf"][rows, j]) @ (k["fqw"][rows, j] * fv[sel])[..., None]
+        out[sel] = np.linalg.solve(k["M_faces"][rows, j], rhs)[..., 0]
+    return out
+
 
 def reduce_function(space, f, include_boundary=False):
     """Global reduction of f: cellwise and facewise L2 projections.
@@ -446,42 +696,45 @@ def reduce_function(space, f, include_boundary=False):
     faithful trace projections, which error measurement against solutions
     carrying lifted boundary data needs.
     """
+    t = space.nodes()
     vec = np.zeros(space.n_dofs)
-    mesh = space.mesh
-    done = set()
-    for op in space.local_ops():
-        vec[space.cell_dofs(op.cell_id)] = op.project_cell(f)
-        for j, fid in enumerate(op.face_ids):
-            if fid in done:
-                continue
-            done.add(fid)
-            if (space.dirichlet and not include_boundary
-                    and fid in mesh.boundary_face_ids):
-                continue
-            vec[space.face_dofs(fid)] = op.project_face(j, f)
+    rhs = t.moments("Vl", f(t.points))
+    cells = vec[:space.n_cell_dofs].reshape(rhs.shape)
+    for g in t.groups:
+        cells[g.cells] = np.linalg.solve(g.kernels["M_cell"][g.rows],
+                                         rhs[g.cells][..., None])[..., 0]
+    faces = np.arange(space.mesh.n_faces)
+    if space.dirichlet and not include_boundary:
+        faces = faces[~np.isin(faces, list(space.mesh.boundary_face_ids))]
+    vec[space.face_dof_start[faces, None] + np.arange(space.face_dim)] = \
+        _face_projections(space, f, faces)
     return HhoVector(space, vec)
 
 
 def reconstruct_all(space, vec):
     """Reconstruction coefficients R v on every cell, (n_cells, recon_dim)."""
     out = np.empty((space.mesh.n_cells, space.recon_dim))
-    for op in space.local_ops():
-        out[op.cell_id] = op.G @ vec.local_block(op.cell_id)
+    for g in space.kernel_groups():
+        out[g.cells] = (g.kernels["G"][g.rows]
+                        @ vec.values[g.dofs][..., None])[..., 0]
     return out
 
 
 def h1h_seminorm_sq(space, vec):
     """Square of the discrete H1-like norm sum_T(|grad v_T|^2 + h_T^{-1}|v_T - v_F|^2)."""
-    total = 0.0
-    for op in space.local_ops():
-        c = vec.cell_block(op.cell_id)
-        total += c @ op.K_cell @ c
-        jump = 0.0
-        for j, fid in enumerate(op.face_ids):
-            d = op.face_cell_trace(j) @ c - op.face_vals(j) @ vec.face_block(fid)
-            jump += op.face_qweights(j) @ d ** 2
-        total += jump / op.h
-    return float(total)
+    c = vec.cell_blocks()
+    vf = vec.values[space.n_cell_dofs:].reshape(-1, space.face_dim)
+    contribs = np.empty(space.mesh.n_cells)
+    for g in space.kernel_groups():
+        k, rows, cg = g.kernels, g.rows, c[g.cells]
+        grad = ((cg[:, None, :] @ k["K_cell"][rows]) @ cg[..., None])[:, 0, 0]
+        jump = np.zeros(len(rows))
+        for j in range(g.face_ids.shape[1]):
+            d = (k["Vl_f"][rows, j] @ cg[..., None]
+                 - k["Vf"][rows, j] @ vf[g.face_ids[:, j]][..., None])
+            jump += (k["fqw"][rows, j][:, None, :] @ d ** 2)[:, 0, 0]
+        contribs[g.cells] = grad + jump / k["h"][rows]
+    return sorted_sum(contribs)
 
 
 # ---------------------------------------------------------------------------
@@ -490,28 +743,34 @@ def h1h_seminorm_sq(space, vec):
 
 def cell_load_vector(space, f):
     """Load tested against cell polynomials: (f, w_T)."""
+    t = space.nodes()
     vec = np.zeros(space.n_dofs)
-    for op in space.local_ops():
-        fv = f(op.qpoints())
-        vec[space.cell_dofs(op.cell_id)] = op.cell_vals.T @ (op.qweights * fv)
+    vec[:space.n_cell_dofs] = t.moments("Vl", f(t.points)).ravel()
     return vec
 
 
 def recon_load_vector(space, f):
     """Load tested against reconstructions: (f, R w)."""
+    t = space.nodes()
+    moments = t.moments("Vr", f(t.points))
     vec = np.zeros(space.n_dofs)
-    for op in space.local_ops():
-        fv = f(op.qpoints())
-        vec[op.dofs] += op.G.T @ (op.recon_vals.T @ (op.qweights * fv))
+    for g in t.groups:
+        np.add.at(vec, g.dofs, (_mT(g.kernels["G"][g.rows])
+                                @ moments[g.cells][..., None])[..., 0])
     return vec
 
 
 def scatter_blocks(shape, triplets):
-    """CSR matrix summing per-cell ``(row_dofs, col_dofs, block)`` triplets."""
+    """CSR matrix summing ``(row_dofs, col_dofs, block)`` triplets.
+
+    A triplet is one block with 1D index arrays, or a stack of blocks
+    ``(..., nr, nc)`` with index arrays ``(..., nr)`` and ``(..., nc)``.
+    """
     rows, cols, vals = [], [], []
     for r, c, block in triplets:
-        rows.append(np.repeat(r, len(c)))
-        cols.append(np.tile(c, len(r)))
+        r, c = np.asarray(r), np.asarray(c)
+        rows.append(np.broadcast_to(r[..., :, None], block.shape).ravel())
+        cols.append(np.broadcast_to(c[..., None, :], block.shape).ravel())
         vals.append(block.ravel())
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),

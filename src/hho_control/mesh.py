@@ -34,20 +34,27 @@ class MeshGenerationError(MeshError):
     """A generator produced a degenerate configuration."""
 
 
+def next_vertices(polys):
+    """Vertex loops ``(..., m, 2)`` shifted by one: row i holds vertex i + 1."""
+    return np.concatenate((polys[..., 1:, :], polys[..., :1, :]), axis=-2)
+
+
 def polygon_area(poly):
     """Signed area of a vertex loop (positive for CCW)."""
     x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
-    return 0.5 * float(np.sum(x * yn - xn * y))
+    nxt = next_vertices(poly)
+    xn, yn = nxt[:, 0], nxt[:, 1]
+    return 0.5 * float((x * yn - xn * y).sum())
 
 
 def polygon_centroid(poly):
     x, y = poly[:, 0], poly[:, 1]
-    xn, yn = np.roll(x, -1), np.roll(y, -1)
+    nxt = next_vertices(poly)
+    xn, yn = nxt[:, 0], nxt[:, 1]
     cross = x * yn - xn * y
-    area = 0.5 * float(np.sum(cross))
-    cx = float(np.sum((x + xn) * cross)) / (6.0 * area)
-    cy = float(np.sum((y + yn) * cross)) / (6.0 * area)
+    area = 0.5 * float(cross.sum())
+    cx = float(((x + xn) * cross).sum()) / (6.0 * area)
+    cy = float(((y + yn) * cross).sum()) / (6.0 * area)
     return np.array([cx, cy])
 
 

@@ -6,16 +6,21 @@ mass-orthonormalized through a Cholesky factorization of the Gram matrix.
 Face bases are monomials in the arclength coordinate mapped to [-1, 1].
 Polygon quadrature triangulates from the centroid (ear clipping as fallback
 for non-convex cells) and applies a collapsed-square Gauss rule per triangle.
+The 1D Gauss-Legendre and reference triangle rules are computed once per
+process, on first use, and shared read-only; the quadrature and monomial
+functions work on stacked arrays so that local kernels of many cells are
+built in one call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import polygon_area, polygon_centroid
+from .mesh import next_vertices, polygon_centroid
 
 
 class GeometryError(Exception):
@@ -45,26 +50,69 @@ class FaceQuadrature:
     exactness_degree: int
 
 
-def _gauss01(n):
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n):
+    """n-point Gauss-Legendre rule on [-1, 1], computed once per process."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _read_only(x), _read_only(w)
 
 
-def _triangle_rule(a, b, c, exactness):
-    # Collapsed-square (Duffy) rule: exact for total degree `exactness` once
-    # the (1-u) Jacobian factor is accounted for in the u-direction degree.
-    nu = max(1, math.ceil((exactness + 2) / 2))
-    nv = max(1, math.ceil((exactness + 1) / 2))
-    u, wu = _gauss01(nu)
-    v, wv = _gauss01(nv)
+@functools.lru_cache(maxsize=None)
+def _duffy_rule(nu, nv):
+    """Collapsed-square rule on the reference triangle, computed once.
+
+    Returns read-only ``(U, V, W)``: a triangle abc gets the points
+    a + U (b - a) + V (c - a) and the weights W * 2|abc|.  The (1 - u)
+    Jacobian of the collapse is folded into V and W.
+    """
+    (x, wx), (y, wy) = _gauss_legendre(nu), _gauss_legendre(nv)
+    u, wu = 0.5 * (x + 1.0), 0.5 * wx
+    v, wv = 0.5 * (y + 1.0), 0.5 * wy
     uu, vv = np.meshgrid(u, v, indexing="ij")
     ww = np.outer(wu, wv)
-    area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    pts = (a[None, :]
-           + uu.ravel()[:, None] * (b - a)[None, :]
-           + (vv * (1.0 - uu)).ravel()[:, None] * (c - a)[None, :])
-    wts = (ww * (1.0 - uu)).ravel() * area2
-    return pts, wts
+    return (_read_only(uu.ravel()), _read_only((vv * (1.0 - uu)).ravel()),
+            _read_only((ww * (1.0 - uu)).ravel()))
+
+
+def _twice_area(a, b, c):
+    """Signed double areas of triangles abc, vertices ``(..., 2)``."""
+    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
+            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+
+
+def triangle_quadrature(a, b, c, exactness):
+    """Rule exact for total degree ``exactness`` on triangles abc.
+
+    The vertices are ``(..., 2)`` arrays; the points come back as
+    ``(..., n, 2)`` and the weights as ``(..., n)``, one rule per triangle.
+    """
+    # the u-direction degree carries the extra (1 - u) Jacobian factor
+    nu = max(1, math.ceil((exactness + 2) / 2))
+    nv = max(1, math.ceil((exactness + 1) / 2))
+    U, V, W = _duffy_rule(nu, nv)
+    pts = (a[..., None, :]
+           + U[:, None] * (b - a)[..., None, :]
+           + V[:, None] * (c - a)[..., None, :])
+    return pts, W * _twice_area(a, b, c)[..., None]
+
+
+def fan_triangles(polys, centroids):
+    """Centroid-fan triangles of polygons and whether each fan folds.
+
+    ``polys`` is ``(..., m, 2)`` and ``centroids`` ``(..., 2)``; returns the
+    ``(..., m, 3, 2)`` triangles (centroid, vertex i, vertex i+1) and a mask
+    that is set where some triangle is not positively oriented, i.e. where
+    the polygon is not star-shaped about its centroid.
+    """
+    nxt = next_vertices(polys)
+    a = np.broadcast_to(centroids[..., None, :], polys.shape)
+    folded = (_twice_area(a, polys, nxt) <= 0.0).any(axis=-1)
+    return np.stack((a, polys, nxt), axis=-2), folded
 
 
 def _ear_clip(poly):
@@ -106,24 +154,25 @@ def _ear_clip(poly):
     return triangles
 
 
+def polygon_triangles(poly, centroid):
+    """Triangles ``(t, 3, 2)`` covering a simple CCW polygon.
+
+    The centroid fan when the polygon is star-shaped about its centroid,
+    otherwise an ear-clipping triangulation.
+    """
+    tris, folded = fan_triangles(poly, centroid)
+    if folded:
+        tris = poly[np.array(_ear_clip(poly))]
+    return tris
+
+
 def polygon_quadrature(poly, exactness, centroid=None):
     """Quadrature on a simple CCW polygon, exact for total degree `exactness`."""
     poly = np.asarray(poly, dtype=float)
-    if centroid is None:
-        centroid = polygon_centroid(poly)
-    m = len(poly)
-    fan = [(centroid, poly[i], poly[(i + 1) % m]) for i in range(m)]
-    areas = [(b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-             for a, b, c in fan]
-    if min(areas) <= 0.0:
-        # Non-convex polygon: the centroid fan folds; ear-clip instead.
-        fan = [(poly[i], poly[j], poly[k]) for i, j, k in _ear_clip(poly)]
-    pts, wts = [], []
-    for a, b, c in fan:
-        p, w = _triangle_rule(np.asarray(a), np.asarray(b), np.asarray(c), exactness)
-        pts.append(p)
-        wts.append(w)
-    return CellQuadrature(np.vstack(pts), np.concatenate(wts), exactness)
+    centroid = polygon_centroid(poly) if centroid is None else np.asarray(centroid)
+    tris = polygon_triangles(poly, centroid)
+    pts, wts = triangle_quadrature(tris[:, 0], tris[:, 1], tris[:, 2], exactness)
+    return CellQuadrature(pts.reshape(-1, 2), wts.ravel(), exactness)
 
 
 def cell_quadrature(cell, exactness):
@@ -131,19 +180,46 @@ def cell_quadrature(cell, exactness):
     return polygon_quadrature(cell.polygon, exactness, centroid=cell.centroid)
 
 
-def segment_quadrature(p0, p1, exactness):
-    n = max(1, math.ceil((exactness + 1) / 2))
-    x, w = np.polynomial.legendre.leggauss(n)
-    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+def segment_rule(p0, p1, exactness):
+    """Gauss-Legendre points ``(..., n, 2)`` and weights ``(..., n)`` on segments."""
+    x, w = _gauss_legendre(max(1, math.ceil((exactness + 1) / 2)))
     mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
-    length = float(np.hypot(*(p1 - p0)))
-    return FaceQuadrature(mid[None, :] + x[:, None] * half[None, :],
-                          0.5 * length * w, exactness)
+    length = np.hypot(p1[..., 0] - p0[..., 0], p1[..., 1] - p0[..., 1])
+    return (mid[..., None, :] + x[:, None] * half[..., None, :],
+            (0.5 * length)[..., None] * w)
+
+
+def segment_quadrature(p0, p1, exactness):
+    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    pts, wts = segment_rule(p0, p1, exactness)
+    return FaceQuadrature(pts, wts, exactness)
 
 
 def face_quadrature(face, exactness):
     """Gauss-Legendre rule on a mesh face."""
     return segment_quadrature(face.endpoints[0], face.endpoints[1], exactness)
+
+
+def monomial_values(loc, degree):
+    """Scaled monomials at local coordinates ``(..., n, 2)``: ``(..., n, dim)``."""
+    e = np.asarray(monomial_exponents(degree))
+    return loc[..., 0, None] ** e[:, 0] * loc[..., 1, None] ** e[:, 1]
+
+
+def monomial_grads(loc, degree, scale):
+    """Gradients ``(..., n, dim, 2)`` of the monomials of cells of size ``scale``.
+
+    ``scale`` broadcasts against the leading axes of ``loc``.
+    """
+    e = np.asarray(monomial_exponents(degree))
+    a, b = e[:, 0], e[:, 1]
+    x, y = loc[..., 0, None], loc[..., 1, None]
+    scale = np.asarray(scale)[..., None, None]
+    xa = x ** np.maximum(a - 1, 0)
+    yb = y ** np.maximum(b - 1, 0)
+    gx = a * xa * (y ** b) / scale
+    gy = b * (x ** a) * yb / scale
+    return np.stack([gx, gy], axis=-1)
 
 
 class CellBasis:
@@ -169,37 +245,33 @@ class CellBasis:
 
     def eval(self, points):
         """Value table, shape (n_points, dimension)."""
-        loc = self._local(points)
-        px = loc[:, 0][:, None] ** self.exponents[:, 0][None, :]
-        py = loc[:, 1][:, None] ** self.exponents[:, 1][None, :]
-        vals = px * py
+        vals = monomial_values(self._local(points), self.degree)
         if self.transform is not None:
             vals = vals @ self.transform.T
         return vals
 
     def grad(self, points):
         """Gradient table, shape (n_points, dimension, 2)."""
-        loc = self._local(points)
-        a = self.exponents[:, 0][None, :]
-        b = self.exponents[:, 1][None, :]
-        x = loc[:, 0][:, None]
-        y = loc[:, 1][:, None]
-        xa = x ** np.maximum(a - 1, 0)
-        yb = y ** np.maximum(b - 1, 0)
-        gx = a * xa * (y ** b) / self.scale
-        gy = b * (x ** a) * yb / self.scale
-        g = np.stack([gx, gy], axis=-1)
+        g = monomial_grads(self._local(points), self.degree, self.scale)
         if self.transform is not None:
             g = np.einsum("ij,njd->nid", self.transform, g)
         return g
 
 
+def orthonormal_transform(vals, weights):
+    """Inverse Cholesky factor of the Gram matrix of basis values at nodes.
+
+    ``vals`` is ``(..., n, dim)`` and ``weights`` ``(..., n)``.  The factor is
+    lower triangular, so function 0 stays constant.
+    """
+    gram = np.swapaxes(vals, -1, -2) @ (weights[..., None] * vals)
+    return np.linalg.inv(np.linalg.cholesky(gram))
+
+
 def orthonormalize(basis, quadrature):
     """Return a mass-orthonormalized copy of a raw CellBasis."""
-    vals = basis.eval(quadrature.points)
-    gram = vals.T @ (quadrature.weights[:, None] * vals)
-    chol = np.linalg.cholesky(gram)
-    transform = np.linalg.inv(chol)  # lower triangular: function 0 stays constant
+    transform = orthonormal_transform(basis.eval(quadrature.points),
+                                      quadrature.weights)
     return CellBasis(basis.degree, basis.center, basis.scale, transform=transform)
 
 

@@ -99,3 +99,28 @@ def regular_polygon(n_sides, radius=1.0, center=(0.3, 0.4)):
     ang = 2 * np.pi * np.arange(n_sides) / n_sides
     return np.column_stack([center[0] + radius * np.cos(ang),
                             center[1] + radius * np.sin(ang)])
+
+
+@functools.lru_cache(maxsize=None)
+def voronoi_with_l_cell(seeds=12):
+    """Voronoi cells of the unit square plus one non-convex L-shaped cell.
+
+    The L occupies [1, 2] x [0, 0.2] and [1, 1.2] x [0.2, 1] and closes along
+    the square's right wall through the wall's vertices, so the mesh stays
+    conforming.  Its centroid lies outside the L, so the centroid fan folds
+    and the cell is ear-clipped.  The mesh is read back from text.
+    """
+    from hho_control import read_mesh, write_mesh
+
+    mesh = make_voronoi(seeds)
+    n = mesh.n_vertices
+    wall = sorted((i for i in range(n) if mesh.vertices[i, 0] == 1.0),
+                  key=lambda i: mesh.vertices[i, 1])
+    corners = ["2 0", "2 0.2", "1.2 0.2", "1.2 1"]
+    loop = [wall[0], n, n + 1, n + 2, n + 3] + wall[:0:-1]
+    lines = write_mesh(mesh).splitlines()
+    at_cells = lines.index(f"cells {mesh.n_cells}")
+    lines = (["poly-mesh 1", f"vertices {n + len(corners)}"]
+             + lines[2:at_cells] + corners + [f"cells {mesh.n_cells + 1}"]
+             + lines[at_cells + 1:] + [" ".join(map(str, [len(loop), *loop]))])
+    return read_mesh("\n".join(lines) + "\n")

@@ -3,10 +3,12 @@ import pytest
 
 from hho_control import HhoSpace, make_cartesian, solve_poisson
 from hho_control.errors import energy_error, eoc, l2_error_reconstruction
-from hho_control.hho_core import (OptimalitySystem, cell_load_vector,
-                                  h1h_seminorm_sq, reduce_function)
+from hho_control.hho_core import (OptimalitySystem, build_local_operators,
+                                  cell_load_vector, h1h_seminorm_sq,
+                                  reduce_function)
 from helpers import (cached_cartesian, cached_voronoi, dense_face_schur,
-                     dense_stiffness, segment_monomial_integral)
+                     dense_stiffness, segment_monomial_integral,
+                     voronoi_with_l_cell)
 
 
 def recon_basis_functions(op):
@@ -326,3 +328,70 @@ def test_face_trace_energy_term_oracle():
                                   lambda p: np.ones(len(p)), 0)
         for f in cell.face_ids) / cell.diameter
     assert abs(h1h_seminorm_sq(space, vec) - expected) < 1e-13
+
+
+def _kernel_entries(op):
+    """Every matrix and table of a cell's operators, by name."""
+    entries = {name: getattr(op, name) for name in (
+        "G", "A", "S_faces", "M_faces", "M_cell", "M_recon", "K_cell",
+        "int_cell", "cell_vals", "recon_vals", "qweights")}
+    entries.update(qpoints=op.qpoints(), h=op.h, measure=op.measure,
+                   cell_transform=op.cell_basis().transform,
+                   recon_transform=op.recon_basis().transform)
+    for j in range(op.n_faces):
+        entries.update({f"face{j}_{name}": value for name, value in (
+            ("qweights", op.face_qweights(j)), ("qpoints", op.face_qpoints(j)),
+            ("vals", op.face_vals(j)), ("cell_trace", op.face_cell_trace(j)))})
+    return entries
+
+
+@pytest.mark.parametrize("k, cell_degree", [(0, 0), (1, 1), (1, 2), (2, 2)])
+def test_batched_build_matches_one_cell_builds(k, cell_degree):
+    # Voronoi cells plus one ear-clipped L-shaped cell: the space's grouped
+    # build must agree, entry by entry, with building each cell on its own.
+    mesh = voronoi_with_l_cell()
+    space = HhoSpace(mesh, k, cell_degree=cell_degree, dirichlet=True)
+    ops = space.local_ops()
+    assert [op.cell_id for op in ops] == list(range(mesh.n_cells))
+    for i, op in enumerate(ops):
+        (single,) = build_local_operators(space, [i])
+        assert single.face_ids == op.face_ids
+        assert np.array_equal(single.dofs, op.dofs)
+        want = _kernel_entries(single)
+        for name, got in _kernel_entries(op).items():
+            if want[name] is None:
+                assert got is None, name
+                continue
+            scale = max(1.0, np.abs(np.asarray(want[name])).max())
+            assert np.abs(np.asarray(got) - want[name]).max() <= 1e-13 * scale, \
+                (i, name)
+
+
+def test_l_shaped_cell_is_ear_clipped_and_exact():
+    mesh = voronoi_with_l_cell()
+    cell = mesh.cells[-1]
+    space = HhoSpace(mesh, 1)
+    op = space.local_ops()[-1]
+    # ear clipping gives m - 2 triangles where the centroid fan has m
+    (tri,) = build_local_operators(space, [0])
+    per_triangle = len(tri.qweights) // len(mesh.cells[0].vertex_ids)
+    assert len(op.qweights) == (len(cell.vertex_ids) - 2) * per_triangle
+    assert abs(op.qweights.sum() - 0.36) < 1e-14
+    rb = op.recon_basis()
+    for j in range(rb.dimension):
+        rec = op.reconstruct(op.reduce(lambda p, j=j: rb.eval(p)[:, j]))
+        assert np.abs(rec - np.eye(rb.dimension)[j]).max() < 1e-11
+
+
+def test_congruent_cells_share_one_kernel():
+    # A Cartesian grid has four congruence classes (which of the left and
+    # bottom faces the cell created); every cell of a class holds the same
+    # matrix objects.
+    space = HhoSpace(cached_cartesian(8), 1, dirichlet=True)
+    ops = space.local_ops()
+    assert len({id(op.G) for op in ops}) == 4
+    by_kernel = {}
+    for op in ops:
+        by_kernel.setdefault(id(op.G), op)
+        first = by_kernel[id(op.G)]
+        assert op.A is first.A and op.cell_vals is first.cell_vals

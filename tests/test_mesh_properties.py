@@ -1,4 +1,7 @@
-"""Property tests of the mesh text format (skipped without hypothesis)."""
+"""Property tests of the mesh text format and the Voronoi generator.
+
+Skipped without hypothesis.
+"""
 
 import numpy as np
 import pytest
@@ -6,8 +9,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hho_control import (MeshError, make_cartesian, make_voronoi,  # noqa: E402
-                         read_mesh, write_mesh)
+from hho_control import (MeshError, MeshGenerationError,  # noqa: E402
+                         make_cartesian, make_voronoi, read_mesh, write_mesh)
 
 # derandomized so that the suite sees the same examples on every run
 PROPERTY = dict(deadline=None, derandomize=True, database=None)
@@ -65,3 +68,17 @@ def test_fuzzed_document_parses_to_finite_mesh_or_mesh_error(text):
         assert cell.measure > 0
     for face in mesh.faces:
         assert np.isfinite([face.measure, *face.normal, *face.midpoint]).all()
+
+
+@settings(max_examples=40, **PROPERTY)
+@given(st.integers(1, 80), st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+def test_voronoi_generation_gives_mesh_or_generation_error(n, seed, lloyd):
+    try:
+        mesh = make_voronoi(n, rng_seed=seed, lloyd_iters=lloyd)
+    except MeshGenerationError:
+        return
+    assert mesh.n_cells == n
+    assert abs(mesh.total_measure() - 1.0) < 1e-9
+    assert all(cell.measure > 0 for cell in mesh.cells)
+    assert np.isfinite(mesh.vertices).all()
+    assert ((mesh.vertices >= 0.0) & (mesh.vertices <= 1.0)).all()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hho_control import make_cartesian
-from hho_control.poly import (CellBasis, cell_quadrature, make_cell_basis,
-                              monomial_exponents, polygon_quadrature,
-                              segment_quadrature)
+from hho_control.poly import (CellBasis, _gauss_legendre, cell_quadrature,
+                              make_cell_basis, monomial_exponents,
+                              polygon_quadrature, segment_quadrature)
 from helpers import (cached_voronoi, polygon_monomial_integral,
                      regular_polygon)
 
@@ -53,6 +53,27 @@ def test_nonconvex_polygon_ear_clipping_fallback():
     assert abs(q.weights.sum() - 3.0) < 1e-12
     exact = polygon_monomial_integral(poly, 2, 1)
     assert abs(q.weights @ (q.points[:, 0] ** 2 * q.points[:, 1]) - exact) < 1e-11
+
+
+def test_returned_rules_do_not_leak_into_the_rule_cache():
+    # Writing into a returned rule either raises or leaves the next call's
+    # rule bit-identical; the shared Gauss rules themselves are read-only.
+    def rules():
+        q = polygon_quadrature(regular_polygon(5, 0.4), 6)
+        s = segment_quadrature([0.2, 0.1], [0.5, 0.5], 5)
+        return [q.points, q.weights, s.points, s.weights]
+
+    original = [a.tobytes() for a in rules()]
+    for a in rules():
+        try:
+            a[...] = 7.0
+        except ValueError:
+            pass
+    assert [a.tobytes() for a in rules()] == original
+    x, w = _gauss_legendre(3)
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_segment_constant_gives_length():
