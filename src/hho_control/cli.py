@@ -8,6 +8,7 @@ TSV data.  Output is byte-deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,8 +58,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mesh family {self.mesh_family!r}")
         if not self.levels:
             raise ConfigError("levels must be nonempty")
-        if any(int(n) < 1 for n in self.levels):
-            raise ConfigError("levels must be positive integers")
+        if any(b <= a for a, b in zip([0, *self.levels], self.levels)):
+            raise ConfigError("levels must be strictly increasing positive integers")
+        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
+            raise ConfigError("lambda must be finite and positive")
         k = self.degree
         if self.scheme == "uc31" and k not in (0, 1):
             raise ConfigError("uc31 supports degree k in {0, 1} only")

@@ -61,8 +61,8 @@ class PgdConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be finite and positive")
 
 
 class PgdIterationError(Exception):
@@ -82,9 +82,6 @@ class CellConstantControl:
         self.space = space
         self.values = np.asarray(values, dtype=float)
 
-    def eval(self, op, points):
-        return np.full(len(np.atleast_2d(points)), self.values[op.cell_id])
-
     def at_nodes(self):
         """Values at the nodes of the space's ``NodeTable``."""
         return np.repeat(self.values, self.space.nodes().counts)
@@ -93,10 +90,10 @@ class CellConstantControl:
 class ClampedAdjointControl:
     """Variational-discretization control u(x) = P_box(-phi_T(x) / lambda).
 
-    Stored as quadrature-point samples; evaluation anywhere uses the clamp
-    formula on the adjoint cell polynomial, which is what the samples are.
-    The clamp kinks along the active-set boundary (``has_kinks``), which the
-    control error integrates with a refined rule.
+    Stored as quadrature-point samples; evaluation anywhere (``at_points``)
+    uses the clamp formula on the adjoint cell polynomial, which is what the
+    samples are.  The clamp kinks along the active-set boundary
+    (``has_kinks``), which the control error integrates with a refined rule.
     """
 
     has_kinks = True
@@ -106,12 +103,13 @@ class ClampedAdjointControl:
         self.phi = phi
         self.lam = lam
         self.box = box
-        self.samples = samples  # list of per-cell arrays at op.qpoints()
+        self.samples = samples  # per-cell arrays at the NodeTable nodes
 
-    def eval(self, op, points):
-        b = op.cell_basis()
-        phi_vals = b.eval(points) @ self.phi.cell_block(op.cell_id)
-        return project_box(-phi_vals / self.lam, self.box)
+    def at_points(self, cells, points):
+        """Values at stacked points ``(n, q, 2)``, one row per cell of ``cells``."""
+        basis = self.space.nodes().basis_at("Vl", cells, points)
+        phi = (basis @ self.phi.cell_blocks()[cells][..., None])[..., 0]
+        return project_box(-phi / self.lam, self.box)
 
     def _unclamped(self):
         return -self.space.nodes().values("Vl", self.phi.cell_blocks()) / self.lam
@@ -228,15 +226,15 @@ def vi_residual_wc1(space, solution, prob):
     are v = u_a and v = u_b; the discrete variational inequality holds when
     the minimum is nonnegative (up to the fixed-point tolerance).
     """
-    box = AdmissibleBox(*prob.bounds)
-    lam = prob.lam
     u = solution.control.values
+    phi = solution.phi.cell_blocks()
     worst = np.inf
-    for op in space.local_ops():
-        grad = op.int_cell @ solution.phi.cell_block(op.cell_id) \
-            + lam * u[op.cell_id] * op.measure
-        for v in (box.u_a, box.u_b):
-            worst = min(worst, grad * (v - u[op.cell_id]))
+    for g in space.kernel_groups():
+        k, rows, ug = g.kernels, g.rows, u[g.cells]
+        grad = ((k["int_cell"][rows][:, None, :] @ phi[g.cells][..., None])[:, 0, 0]
+                + prob.lam * ug * k["measure"][rows])
+        for v in prob.bounds:
+            worst = min(worst, float(np.min(grad * (v - ug))))
     return worst
 
 

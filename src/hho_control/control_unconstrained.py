@@ -47,8 +47,8 @@ class ControlProblem:
     state_boundary: callable | None = None
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("regularization weight must be positive")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("regularization weight must be finite and positive")
         if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
             raise ValueError("bounds must satisfy u_a < u_b")
 
@@ -62,10 +62,6 @@ class CellPolyControl:
         self.space = space
         self.coeffs = np.asarray(coeffs)
         self.basis = basis  # 'cell' | 'recon'
-
-    def eval(self, op, points):
-        b = op.cell_basis() if self.basis == "cell" else op.recon_basis()
-        return b.eval(points) @ self.coeffs[op.cell_id]
 
     def at_nodes(self):
         """Values at the nodes of the space's ``NodeTable``."""
@@ -155,15 +151,22 @@ def solve_uc31(space, prob):
 
 
 def _cross_coupling(space, control_space):
-    """Matrix of (R_c u, w_T): state cell tests against control reconstructions."""
-    c_ops = control_space.local_ops()
+    """Matrix of (R_c u, w_T): state cell tests against control reconstructions.
+
+    Kernel groups depend only on the mesh, so both spaces' groups hold the
+    same cells; each cell's block is Vl^T (w * Vr_c) G_c at the state nodes.
+    """
+    nodes = control_space.nodes()
+    dl = space.cell_dim
 
     def triplets():
-        for op in space.local_ops():
-            cop = c_ops[op.cell_id]
-            Vr_c = cop.recon_basis().eval(op.qpoints())
-            block = op.cell_vals.T @ (op.qweights[:, None] * Vr_c) @ cop.G
-            yield space.cell_dofs(op.cell_id), cop.dofs, block
+        for g, cg in zip(space.kernel_groups(), nodes.groups):
+            k, rows = g.kernels, g.rows
+            Vr_c = nodes.basis_at("Vr", g.cells,
+                                  k["qp"][rows] + g.centroids[:, None, :])
+            block = (np.swapaxes(k["Vl"][rows], 1, 2)
+                     @ (k["qw"][rows][..., None] * Vr_c) @ cg.kernels["G"][cg.rows])
+            yield g.dofs[:, :dl], cg.dofs, block
 
     return scatter_blocks((space.n_dofs, control_space.n_dofs), triplets())
 
@@ -186,8 +189,10 @@ def solve_uc32(space, prob, control_space=None):
         raise ValueError("uc32 requires the mixed-order zero-trace space")
     if control_space is None:
         control_space = HhoSpace(space.mesh, k, dirichlet=False)
-    if control_space.face_degree != k or control_space.dirichlet:
-        raise ValueError("control space must be the unconstrained k-space")
+    if (control_space.mesh is not space.mesh or control_space.face_degree != k
+            or control_space.dirichlet):
+        raise ValueError("control space must be the unconstrained k-space "
+                         "on the state mesh")
 
     lam = prob.lam
     A = space.stiffness_matrix()

@@ -4,17 +4,18 @@ The local gradient reconstruction maps the cell/face unknowns of a cell to a
 polynomial one degree above the face degree through a Neumann problem closed
 by a cell-mean constraint; the face stabilization penalizes the projected
 trace residual with an h_T^{-1} weight.  The local operators of a space are
-built in one batched pass: congruent cells share one kernel, and the distinct
-kernels are built group by group (equal face count and quadrature size) with
-stacked products and solves.  A per-space ``NodeTable`` stacks the quadrature
-nodes of every cell and face, so loads, projections, norms and errors
-evaluate a function once on all nodes.  Per-cell matrices are scattered into
-global sparse matrices by one triplet helper.  ``OptimalitySystem`` is the one
-solve path of the package: it takes one or more fields over HHO spaces and a
-grid of global blocks, slices off the Dirichlet DOFs, factors once, lifts the
-fixed values into the right-hand side at each solve and checks the residual.
-It serves the Poisson solve, the two- and three-field optimality systems of
-the unconstrained schemes and the repeated state/adjoint solves of the
+its kernel groups, and the library applies them only group by group:
+congruent cells share one kernel, and the distinct kernels are built group
+by group (equal face count and quadrature size) with stacked products and
+solves.  A per-space ``NodeTable`` stacks the quadrature nodes of every cell
+and face, so loads, projections, norms and errors evaluate a function once
+on all nodes.  Per-cell matrices are scattered into global sparse matrices by
+one triplet helper.  ``OptimalitySystem`` is the one solve path of the
+package: it takes one or more fields over HHO spaces and a grid of global
+blocks, slices off the Dirichlet DOFs, factors once, lifts the fixed values
+into the right-hand side at each solve and checks the residual.  It serves
+the Poisson solve, the two- and three-field optimality systems of the
+unconstrained schemes and the repeated state/adjoint solves of the
 constrained ones.
 """
 
@@ -92,28 +93,22 @@ class HhoSpace:
         s = self.face_dof_start[f]
         return np.arange(s, s + self.face_dim)
 
-    def local_dofs(self, i):
-        """Global DOF indices of cell i: cell block, then faces in loop order."""
-        parts = [self.cell_dofs(i)]
-        for fid, _ in self.mesh.cell_faces[i]:
-            parts.append(self.face_dofs(fid))
-        return np.concatenate(parts)
-
     def zero_vector(self):
         return HhoVector(self, np.zeros(self.n_dofs))
 
     # -- operators and assembled matrices (built lazily, cached) ------------
 
-    def local_ops(self):
-        """Per-cell operators; congruent cells share one kernel."""
-        if self._ops is None:
-            self._ops, self._groups = _build(self, range(self.mesh.n_cells))
-        return self._ops
-
     def kernel_groups(self):
-        """The stacked kernels behind ``local_ops``, one entry per group."""
-        self.local_ops()
+        """The stacked local kernels of every cell, one entry per group."""
+        if self._groups is None:
+            self._groups = _build(self, range(self.mesh.n_cells))
         return self._groups
+
+    def local_ops(self):
+        """Per-cell views of the kernel groups; congruent cells share one kernel."""
+        if self._ops is None:
+            self._ops = _views(self.kernel_groups(), range(self.mesh.n_cells))
+        return self._ops
 
     def nodes(self):
         """The space's ``NodeTable``, built on first use."""
@@ -183,28 +178,19 @@ class HhoVector:
     def face_block(self, f):
         return self.values[self.space.face_dofs(f)]
 
-    def local_block(self, i):
-        return self.values[self.space.local_dofs(i)]
-
-    def copy(self):
-        return HhoVector(self.space, self.values.copy())
-
-    def __add__(self, other):
-        return HhoVector(self.space, self.values + other.values)
-
     def __sub__(self, other):
         return HhoVector(self.space, self.values - other.values)
 
 
 class LocalOperators:
-    """Per-cell reconstruction, stabilization and stiffness matrices.
+    """Read-only per-cell view of the kernel groups, for inspection and tests.
 
     Congruent cells (same relative polygon, face traversal and degrees) share
     one kernel: every matrix and table below is the same object for all of
-    them, a view into the arrays their group was built in (see
-    ``build_local_operators``).  Only the centroid, the face ids and the
-    global DOF indices are cell-specific.  Per-face entries (``S_faces``,
-    ``M_faces`` and the face tables) are stacked along a leading face axis.
+    them, a view into the arrays their group was built in.  Only the
+    centroid, the face ids and the global DOF indices are cell-specific.
+    Per-face entries (``S_faces``, ``M_faces`` and the face tables) are
+    stacked along a leading face axis.
     """
 
     __slots__ = ("cell_id", "centroid", "face_ids", "dofs", "_k")
@@ -305,44 +291,16 @@ class LocalOperators:
         """Face basis values at face-j quadrature points."""
         return self._k["Vf"][j]
 
-    # local operations
-    def project_cell(self, f):
-        """L2-projection of f onto the cell polynomial space."""
-        w, pts = self.qweights, self.qpoints()
-        rhs = self.cell_vals.T @ (w * f(pts))
-        return np.linalg.solve(self.M_cell, rhs)
-
-    def project_face(self, j, f):
-        w, pts = self.face_qweights(j), self.face_qpoints(j)
-        rhs = self.face_vals(j).T @ (w * f(pts))
-        return np.linalg.solve(self.M_faces[j], rhs)
-
-    def reduce(self, f):
-        """Local reduction: cell projection plus per-face projections."""
-        parts = [self.project_cell(f)]
-        parts += [self.project_face(j, f) for j in range(self.n_faces)]
-        return np.concatenate(parts)
-
-    def reconstruct(self, local_coeffs):
-        """Coefficients of R_T applied to a local DOF block."""
-        return self.G @ np.asarray(local_coeffs)
-
-    def stabilization(self, local_coeffs):
-        """Per-face residual polynomials S_F and the value S_T(v, v)."""
-        v = np.asarray(local_coeffs)
-        polys = [S @ v for S in self.S_faces]
-        val = 0.0
-        for j, p in enumerate(polys):
-            val += p @ self.M_faces[j] @ p
-        return polys, val / self.h
-
-    def elliptic_project(self, f):
-        """R_T of the local reduction of f: identity on P_{k+1}(T)."""
-        return self.reconstruct(self.reduce(f))
-
 
 def _mT(a):
     return np.swapaxes(a, -1, -2)
+
+
+def _basis_at(points, degree, T, centroids, h):
+    """Basis values ``(B, n, dim)`` of B cells at their points ``(B, n, 2)``."""
+    v = poly.monomial_values((points - centroids[:, None, :]) / h[:, None, None],
+                             degree)
+    return v if T is None else v @ _mT(T)
 
 
 class KernelGroup:
@@ -384,15 +342,11 @@ def _build_kernels(space, tris, centroids, h, measure, face_ends, normals):
                                       tris[:, :, 2], max(exactness, 2 * l, 2 * r))
     pts, w = pts.reshape(B, -1, 2), w.reshape(B, -1)
 
-    def local(points):
-        return (points - centroids[:, None, :]) / h[:, None, None]
-
-    def values(points, degree, T):
-        v = poly.monomial_values(local(points), degree)
-        return v if T is None else v @ _mT(T)
+    values = functools.partial(_basis_at, centroids=centroids, h=h)
 
     def grads(points, degree, T):
-        g = poly.monomial_grads(local(points), degree, h)
+        local = (points - centroids[:, None, :]) / h[:, None, None]
+        g = poly.monomial_grads(local, degree, h)
         return g if T is None else np.einsum("bij,bnjd->bnid", T, g)
 
     # the cell and reconstruction bases are orthonormalized from degree 2
@@ -480,7 +434,7 @@ def _build_kernels(space, tris, centroids, h, measure, face_ends, normals):
 
 
 def _build(space, cell_ids):
-    """Operators of ``cell_ids`` (in that order) and their kernel groups."""
+    """Kernel groups of the cells ``cell_ids``."""
     mesh = space.mesh
     cell_ids = np.asarray(cell_ids, dtype=np.intp).reshape(-1)
     cells = [mesh.cells[c] for c in cell_ids]
@@ -488,7 +442,6 @@ def _build(space, cell_ids):
     face_normals = np.array([f.normal for f in mesh.faces]).reshape(-1, 2)
     n_vertices = np.array([len(c.vertex_ids) for c in cells], dtype=np.intp)
     dl, fd = space.cell_dim, space.face_dim
-    ops = [None] * len(cell_ids)
     groups = []
     for m in np.unique(n_vertices):
         at = np.nonzero(n_vertices == m)[0]       # positions in cell_ids
@@ -531,23 +484,30 @@ def _build(space, cell_ids):
                 np.array([c.measure for c in rep_cells]),
                 face_ends[fids[r]],
                 signs[r][..., None] * face_normals[fids[r]])
-            shared = [{name: a[b] if isinstance(a, np.ndarray) else a
-                       for name, a in kernels.items()} for b in range(len(r))]
             row_of = np.full(len(ids), -1)
             row_of[r] = np.arange(len(r))
             rows = row_of[kernel_of]
             mine = np.nonzero(rows >= 0)[0]
             groups.append(KernelGroup(kernels, ids[mine], rows[mine], dofs[mine],
                                       fids[mine], c0[mine]))
-            for i in mine:
-                ops[at[i]] = LocalOperators(int(ids[i]), cells[at[i]].centroid,
-                                            fids[i].tolist(), dofs[i],
-                                            shared[rows[i]])
-    return ops, groups
+    return groups
 
 
-def build_local_operators(space, cell_ids=None):
-    """Operators of the given cells (all cells by default), built in groups.
+def _views(groups, cell_ids):
+    """Views of ``cell_ids``, in order; cells of one kernel row share its views."""
+    ops = {}
+    for g in groups:
+        shared = [{name: a[b] if isinstance(a, np.ndarray) else a
+                   for name, a in g.kernels.items()}
+                  for b in range(len(g.kernels["h"]))]
+        for c, c0, fids, dofs, row in zip(g.cells, g.centroids, g.face_ids,
+                                          g.dofs, g.rows):
+            ops[c] = LocalOperators(int(c), c0, fids.tolist(), dofs, shared[row])
+    return [ops[c] for c in cell_ids]
+
+
+def build_local_operators(space, cell_ids):
+    """Per-cell views of the given cells, built in groups of their own.
 
     Cells are keyed by congruence (the polygon and face traversal relative
     to the centroid, rounded to 1e-12); the first cell of each key gives the
@@ -556,9 +516,7 @@ def build_local_operators(space, cell_ids=None):
     products and batched solves.  Non-convex cells, whose centroid fan
     folds, are ear-clipped and form their own groups.
     """
-    if cell_ids is None:
-        cell_ids = range(space.mesh.n_cells)
-    return _build(space, cell_ids)[0]
+    return _views(_build(space, cell_ids), cell_ids)
 
 
 class NodeTable:
@@ -570,9 +528,11 @@ class NodeTable:
     ``cell_dim`` contiguous int32 columns.  ``values``, ``moments`` and
     ``cell_integrals`` apply a kernel's basis table group by group, with
     stacked products that give each cell the same bits as a product of its
-    own kernel would.  ``face_cell`` and ``face_local`` name, for every face,
-    the first cell (in cell order) that holds it and the face's position in
-    that cell's loop: that cell's face rule integrates the face.
+    own kernel would; ``basis_at`` evaluates the bases of given cells at other
+    points with the bits of each cell's own basis.  ``face_cell`` and
+    ``face_local`` name, for every face, the first cell (in cell order) that
+    holds it and the face's position in that cell's loop: that cell's face
+    rule integrates the face.
     """
 
     def __init__(self, space):
@@ -645,6 +605,18 @@ class NodeTable:
             if out is None:
                 out = np.empty((len(self.counts), V.shape[-1]))
             out[g.cells] = (_mT(V) @ wv[self._nodes_of(g)][..., None])[..., 0]
+        return out
+
+    def basis_at(self, table, cells, points):
+        """Basis ``table`` of each of ``cells`` at its row of ``points`` (n, q, 2)."""
+        degree, Q = ("cell_degree", "Ql") if table == "Vl" else ("recon_degree", "Qr")
+        out = np.empty(points.shape[:-1] + self.groups[0].kernels[table].shape[-1:])
+        for i, g in enumerate(self.groups):
+            at = np.nonzero(self.group_of[cells] == i)[0]
+            k, rows = g.kernels, self.row_of[cells[at]]
+            out[at] = _basis_at(points[at], k[degree],
+                                None if k[Q] is None else k[Q][rows],
+                                self.centroids[cells[at]], k["h"][rows])
         return out
 
     def cell_integrals(self, values):

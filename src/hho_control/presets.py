@@ -152,8 +152,8 @@ def parse_expression(text):
 
 def make_problem(y, phi, lam, bounds=None, seed=42):
     """Derive (f, y_d, u) from exact (y, phi) and self-check the PDEs."""
-    if lam <= 0:
-        raise PresetError("lambda must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise PresetError("lambda must be finite and positive")
 
     def u_exact(p):
         raw = -phi.value(p) / lam

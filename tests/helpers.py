@@ -12,6 +12,8 @@ import math
 import numpy as np
 
 from hho_control import make_cartesian, make_voronoi
+from hho_control.hho_core import reconstruct_all, reduce_function
+from hho_control.poly import monomial_exponents
 
 
 @functools.lru_cache(maxsize=None)
@@ -81,6 +83,50 @@ def dense_recon_mass(space):
         d = op.dofs
         B[np.ix_(d, d)] += op.G.T @ op.M_recon @ op.G
     return B
+
+
+def dense_cross_coupling(space, control_space):
+    """Reference (R_c u, w_T) coupling of uc32, assembled cell by cell.
+
+    Each cell's control reconstruction basis is its ``CellBasis``, evaluated
+    at the state cell's quadrature points.
+    """
+    K = np.zeros((space.n_dofs, control_space.n_dofs))
+    c_ops = control_space.local_ops()
+    for op in space.local_ops():
+        cop = c_ops[op.cell_id]
+        Vr_c = cop.recon_basis().eval(op.qpoints())
+        K[np.ix_(space.cell_dofs(op.cell_id), cop.dofs)] += (
+            op.cell_vals.T @ (op.qweights[:, None] * Vr_c) @ cop.G)
+    return K
+
+
+def global_monomials(degree):
+    """x^a y^b for every exponent pair of total degree <= ``degree``."""
+    return [(lambda p, a=a, b=b: p[:, 0] ** a * p[:, 1] ** b)
+            for a, b in monomial_exponents(degree)]
+
+
+def stabilization(op, local):
+    """Per-face residual polynomials S_F v and S_T(v, v) of one cell's DOFs."""
+    polys = op.S_faces @ local
+    value = sum(p @ M @ p for p, M in zip(polys, op.M_faces))
+    return polys, value / op.h
+
+
+def reduce_reconstruct_stabilize(space, f):
+    """Per cell: its view, the local DOFs of I f, the largest |R I f - f| at
+    its quadrature nodes, and the stabilization of I f.
+
+    Applies the library's ``reduce_function`` and ``reconstruct_all`` to the
+    whole space, then reads each cell's rows through its view.
+    """
+    vec = reduce_function(space, f)
+    rec = reconstruct_all(space, vec)
+    for op in space.local_ops():
+        local = vec.values[op.dofs]
+        err = np.abs(op.recon_vals @ rec[op.cell_id] - f(op.qpoints())).max()
+        yield op, local, err, stabilization(op, local)
 
 
 def dense_face_schur(space):

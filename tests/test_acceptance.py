@@ -19,7 +19,8 @@ from hho_control.errors import (energy_error, eoc, l2_error_control,
 from hho_control.hho_core import cell_load_vector, recon_load_vector
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, dense_cell_mass,
-                     dense_face_schur, dense_recon_mass, dense_stiffness)
+                     dense_face_schur, dense_recon_mass, dense_stiffness,
+                     global_monomials, reduce_reconstruct_stabilize)
 
 CART_LEVELS = {0: (4, 8, 16, 32), 1: (4, 8, 16, 32), 2: (4, 8, 16)}
 VOR_LEVELS = {0: (16, 64, 256, 1024), 1: (16, 64, 256, 1024), 2: (16, 64, 256)}
@@ -219,22 +220,17 @@ def test_criterion_8_operator_properties():
             else cached_voronoi(16)
         for k in (0, 1, 2, 3):
             space = HhoSpace(mesh, k, dirichlet=False)
-            for op in space.local_ops():
-                rb = op.recon_basis()
-                for j in range(rb.dimension):
-                    red = op.reduce(lambda p, j=j: rb.eval(p)[:, j])
-                    rec = op.reconstruct(red)
-                    target = np.zeros(rb.dimension)
-                    target[j] = 1.0
+            for j, p in enumerate(global_monomials(k + 1)):
+                for op, red, err, (polys, _) in reduce_reconstruct_stabilize(
+                        space, p):
                     scale = max(1.0, np.abs(red).max())
-                    _check(failures,
-                           np.abs(rec - target).max() <= 1e-11 * scale,
+                    _check(failures, err <= 1e-11 * scale,
                            f"{mesh_name} k={k} cell {op.cell_id} recon {j}")
-                    polys, _ = op.stabilization(red)
                     _check(failures,
                            max(np.abs(sf).max() for sf in polys)
                            <= 1e-11 * scale,
                            f"{mesh_name} k={k} cell {op.cell_id} stab {j}")
+            for op in space.local_ops():
                 eigs = np.linalg.eigvalsh(op.A)
                 _check(failures, eigs[0] > -1e-12 * eigs[-1]
                        and eigs[1] > 1e-9 * eigs[-1],

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hho_control import cli
+from hho_control import cli, hho_core
+from hho_control.hho_core import HhoSpace
 from hho_control.cli import (CSV_HEADER, ConfigError, ExperimentConfig, main,
                              run_experiment, validate_config, write_report)
 from hho_control.errors import ConvergenceReport, ErrorRecord
@@ -173,9 +174,17 @@ def test_cli_flags_override_config_document(tmp_path):
 
 @pytest.mark.parametrize("flag", ["--pgd-tol", "--pgd-max-iters"])
 def test_cli_zero_pgd_setting_rejected(flag):
-    with pytest.raises(ConfigError, match="pgd"):
-        run_flags("--scheme", "wc1", "--degree", "0", "--preset", "wc-default",
-                  flag, "0")
+    for value in ("0", "inf", "nan"):
+        with pytest.raises(ConfigError, match="pgd"):
+            run_flags("--scheme", "wc1", "--degree", "0", "--preset",
+                      "wc-default", flag, value)
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+def test_cli_nonpositive_or_nonfinite_lambda_rejected(value):
+    with pytest.raises(ConfigError, match="lambda"):
+        run_flags("--scheme", "uc1", "--degree", "0", "--preset", "uc1-default",
+                  "--lambda", value)
 
 
 @pytest.mark.parametrize("form", [["--bounds", "-250,-10"],
@@ -187,8 +196,26 @@ def test_cli_negative_bounds(form):
 
 
 def test_cli_bad_levels_is_config_error():
-    with pytest.raises(ConfigError, match="levels"):
-        run_flags("--scheme", "uc1", "--degree", "0", "--levels", "4,x")
+    for levels in ("4,x", "8,4", "4,4"):
+        with pytest.raises(ConfigError, match="levels"):
+            run_flags("--scheme", "uc1", "--degree", "0", "--levels", levels)
+
+
+@pytest.mark.parametrize("scheme, degree, preset", [
+    ("uc1", 1, "uc1-default"), ("uc2", 1, "uc1-default"),
+    ("uc31", 1, "uc31-default"), ("uc32", 2, "uc32-default"),
+    ("wc1", 0, "wc-default"), ("wc2", 1, "wc-default")])
+def test_run_level_builds_no_per_cell_operators(monkeypatch, scheme, degree,
+                                                preset):
+    def per_cell(*args, **kwargs):
+        raise AssertionError("per-cell local operators built")
+
+    monkeypatch.setattr(HhoSpace, "local_ops", per_cell)
+    monkeypatch.setattr(hho_core, "build_local_operators", per_cell)
+    monkeypatch.setattr(hho_core.LocalOperators, "__init__", per_cell)
+    cfg = make_config(scheme=scheme, degree=degree, preset=preset, levels=[4])
+    record = cli.run_level(cfg, cfg.build_problem(), 4)
+    assert np.isfinite(record.err_u_l2) and np.isfinite(record.err_y_energy)
 
 
 def test_nan_error_reported_as_nan(tmp_path):

@@ -37,8 +37,9 @@ def test_box_requires_order():
 def test_pgd_config_validation():
     with pytest.raises(ValueError):
         PgdConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        PgdConfig(tol=0.0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            PgdConfig(tol=tol)
 
 
 def test_wc1_zero_data_feasible_zero():
@@ -91,9 +92,19 @@ def test_wc1_variational_inequality_at_convergence():
     prob = problem_from_preset("wc-default")
     cfg = PgdConfig()
     sol = solve_wc1(space, prob, cfg)
-    assert vi_residual_wc1(space, sol, prob) >= -10.0 * cfg.tol * 1e2
+    worst = vi_residual_wc1(space, sol, prob)
+    assert worst >= -10.0 * cfg.tol * 1e2
     assert sol.iterations <= cfg.max_iters
     assert sol.final_increment <= cfg.tol
+
+    # the grouped evaluation repeats the cell-by-cell one bit for bit
+    u, ref = sol.control.values, np.inf
+    for op in space.local_ops():
+        i = op.cell_id
+        grad = op.int_cell @ sol.phi.cell_block(i) + prob.lam * u[i] * op.measure
+        for v in prob.bounds:
+            ref = min(ref, grad * (v - u[i]))
+    assert worst == ref
 
 
 def test_wc1_matches_active_set_enumeration_oracle():

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from hho_control import HhoSpace
+from hho_control import HhoSpace, solve_wc2
 from hho_control.errors import (energy_error, eoc, l2_error_cells,
-                                l2_error_reconstruction)
+                                l2_error_control, l2_error_reconstruction)
 from hho_control.hho_core import reduce_function
-from helpers import (cached_cartesian, polygon_monomial_integral,
-                     segment_monomial_integral)
+from hho_control.poly import polygon_quadrature
+from hho_control.presets import problem_from_preset
+from helpers import (cached_cartesian, cached_voronoi,
+                     polygon_monomial_integral, segment_monomial_integral)
 
 
 def test_energy_error_zero_for_interpolant():
@@ -116,6 +118,38 @@ def test_error_bitwise_reproducible():
         results.append((l2_error_cells(space, vec, v),
                         energy_error(space, vec, v)))
     assert results[0] == results[1]
+
+
+def _wc2_control_error_cell_by_cell(solution, u_exact):
+    """wc2 control error with each kinked cell's own ``polygon_quadrature``."""
+    control = solution.control
+    space = control.space
+    kinked = set(control.kinked_cells().tolist())
+    contribs = []
+    for op in space.local_ops():
+        pts, w = op.qpoints(), op.qweights
+        if op.cell_id in kinked:
+            cell = space.mesh.cells[op.cell_id]
+            rule = polygon_quadrature(cell.polygon, 8 * (space.face_degree + 2),
+                                      centroid=cell.centroid)
+            pts, w = rule.points, rule.weights
+        phi = op.cell_basis().eval(pts) @ solution.phi.cell_block(op.cell_id)
+        u = np.minimum(control.box.u_b,
+                       np.maximum(control.box.u_a, -phi / control.lam))
+        contribs.append(w @ (u_exact(pts) - u) ** 2)
+    return math.sqrt(sum(sorted(contribs)))
+
+
+@pytest.mark.parametrize("family, n", [("cartesian", 16), ("voronoi", 64)])
+def test_wc2_control_error_matches_cell_by_cell_refinement(family, n):
+    mesh = cached_cartesian(n) if family == "cartesian" else cached_voronoi(n)
+    space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
+    prob = problem_from_preset("wc-default")
+    sol = solve_wc2(space, prob)
+    assert len(sol.control.kinked_cells()) > 0
+    got = l2_error_control(sol, prob.exact.u)
+    ref = _wc2_control_error_cell_by_cell(sol, prob.exact.u)
+    assert abs(got - ref) <= 1e-12 * ref
 
 
 def test_eoc_simple_ratios():

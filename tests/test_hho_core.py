@@ -5,31 +5,23 @@ from hho_control import HhoSpace, make_cartesian, solve_poisson
 from hho_control.errors import energy_error, eoc, l2_error_reconstruction
 from hho_control.hho_core import (OptimalitySystem, build_local_operators,
                                   cell_load_vector, h1h_seminorm_sq,
-                                  reduce_function)
+                                  reconstruct_all, reduce_function)
 from helpers import (cached_cartesian, cached_voronoi, dense_face_schur,
-                     dense_stiffness, segment_monomial_integral,
-                     voronoi_with_l_cell)
-
-
-def recon_basis_functions(op):
-    rb = op.recon_basis()
-    return [(lambda pts, j=j: rb.eval(pts)[:, j]) for j in range(rb.dimension)]
+                     dense_stiffness, global_monomials,
+                     reduce_reconstruct_stabilize, segment_monomial_integral,
+                     stabilization, voronoi_with_l_cell)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
-@pytest.mark.parametrize("mesh_name", ["cartesian", "voronoi"])
+@pytest.mark.parametrize("mesh_name", ["cartesian", "voronoi", "l-cell"])
 def test_reconstruction_and_stabilization_polynomial_exactness(k, mesh_name):
-    mesh = cached_cartesian(4) if mesh_name == "cartesian" else cached_voronoi(16)
+    mesh = {"cartesian": cached_cartesian(4), "voronoi": cached_voronoi(16),
+            "l-cell": voronoi_with_l_cell()}[mesh_name]
     space = HhoSpace(mesh, k, dirichlet=False)
-    for op in space.local_ops():
-        for j, p in enumerate(recon_basis_functions(op)):
-            red = op.reduce(p)
-            rec = op.reconstruct(red)
-            target = np.zeros(space.recon_dim)
-            target[j] = 1.0
+    for p in global_monomials(k + 1):
+        for op, red, err, (polys, value) in reduce_reconstruct_stabilize(space, p):
             scale = max(1.0, np.abs(red).max())
-            assert np.abs(rec - target).max() < 1e-11 * scale
-            polys, value = op.stabilization(red)
+            assert err < 1e-11 * scale
             assert value < 1e-22 * scale ** 2
             for sf in polys:
                 assert np.abs(sf).max() < 1e-11 * scale
@@ -38,10 +30,9 @@ def test_reconstruction_and_stabilization_polynomial_exactness(k, mesh_name):
 def test_reconstruct_constant_mean_constraint():
     mesh = cached_cartesian(2)
     space = HhoSpace(mesh, 1, dirichlet=False)
-    op = space.local_ops()[0]
-    red = op.reduce(lambda p: np.full(len(p), 3.25))
-    rec = op.reconstruct(red)
-    vals = op.recon_vals @ rec
+    rec = reconstruct_all(space, reduce_function(space,
+                                                 lambda p: np.full(len(p), 3.25)))
+    vals = space.nodes().values("Vr", rec)
     assert np.abs(vals - 3.25).max() < 1e-12
 
 
@@ -53,7 +44,9 @@ def test_reconstruction_against_constrained_least_squares_oracle():
     local = np.zeros(1 + 4)
     for j, fid in enumerate(op.face_ids):
         local[1 + j] = mesh.faces[fid].midpoint[0]
-    got = op.reconstruct(local)
+    vec = space.zero_vector()
+    vec.values[op.dofs] = local
+    (got,) = reconstruct_all(space, vec)
 
     # Oracle: stack the gradient relations against every recon basis function
     # plus the mean constraint, solve the consistent system densely.
@@ -78,9 +71,9 @@ def test_reconstruction_against_constrained_least_squares_oracle():
 def test_stabilization_constant_vanishes():
     mesh = cached_cartesian(2)
     space = HhoSpace(mesh, 1, dirichlet=False)
+    vec = reduce_function(space, lambda p: np.full(len(p), -2.0))
     op = space.local_ops()[0]
-    red = op.reduce(lambda p: np.full(len(p), -2.0))
-    polys, value = op.stabilization(red)
+    polys, value = stabilization(op, vec.values[op.dofs])
     assert value < 1e-24
     assert all(np.abs(sf).max() < 1e-12 for sf in polys)
 
@@ -92,11 +85,12 @@ def test_stabilization_against_direct_formula_oracle(k):
     space = HhoSpace(mesh, k, dirichlet=False)
     op = space.local_ops()[0]
     target = lambda p: np.sin(np.pi * p[:, 0])
-    red = op.reduce(target)
-    _, value = op.stabilization(red)
+    vec = reduce_function(space, target)
+    red = vec.values[op.dofs]
+    _, value = stabilization(op, red)
 
     cb, rb = op.cell_basis(), op.recon_basis()
-    rec = op.reconstruct(red)
+    rec = reconstruct_all(space, vec)[op.cell_id]
     dl = space.cell_dim
     total = 0.0
     for j in range(op.n_faces):
@@ -126,7 +120,7 @@ def test_l2_projection_idempotent(degree):
     cb = op.cell_basis()
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(cb.dimension)
-    proj = op.project_cell(lambda p: cb.eval(p) @ coeffs)
+    proj = reduce_function(space, lambda p: cb.eval(p) @ coeffs).cell_block(0)
     assert np.abs(proj - coeffs).max() < 1e-12
 
 
@@ -134,7 +128,7 @@ def test_l2_projection_onto_constants():
     mesh = cached_cartesian(1)
     space = HhoSpace(mesh, 0, dirichlet=False)
     op = space.local_ops()[0]
-    proj = op.project_cell(lambda p: p[:, 0] ** 2)
+    proj = reduce_function(space, lambda p: p[:, 0] ** 2).cell_block(0)
     vals = op.cell_vals @ proj
     assert np.abs(vals - 1.0 / 3.0).max() < 1e-13  # mean of x^2 on (0,1)^2
 
@@ -146,7 +140,7 @@ def test_projection_error_decreases_with_degree():
         space = HhoSpace(mesh, degree, dirichlet=False)
         op = space.local_ops()[0]
         f = lambda p: np.sin(np.pi * p[:, 0])
-        proj = op.project_cell(f)
+        proj = reduce_function(space, f).cell_block(0)
         d = f(op.qpoints()) - op.cell_vals @ proj
         errs.append(np.sqrt(op.qweights @ d ** 2))
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
@@ -181,12 +175,16 @@ def test_elliptic_projection_identity_and_gradient_optimality():
     op = space.local_ops()[0]
     rb = op.recon_basis()
 
+    def elliptic_project(f):
+        """R_T of the reduction of f on cell 0: identity on P_{k+1}(T)."""
+        return reconstruct_all(space, reduce_function(space, f))[op.cell_id]
+
     rng = np.random.default_rng(11)
     coeffs = rng.standard_normal(rb.dimension)
-    got = op.elliptic_project(lambda p: rb.eval(p) @ coeffs)
+    got = elliptic_project(lambda p: rb.eval(p) @ coeffs)
     assert np.abs(got - coeffs).max() < 1e-11
 
-    got_c = op.elliptic_project(lambda p: np.full(len(p), 4.5))
+    got_c = elliptic_project(lambda p: np.full(len(p), 4.5))
     vals = op.recon_vals @ got_c
     assert np.abs(vals - 4.5).max() < 1e-12
 
@@ -194,7 +192,7 @@ def test_elliptic_projection_identity_and_gradient_optimality():
     v = lambda p: np.exp(p[:, 0] + p[:, 1])
     w, pts = op.qweights, op.qpoints()
     grads = rb.grad(pts)
-    ev = op.elliptic_project(v)
+    ev = elliptic_project(v)
     # L2 projection of v onto the recon space
     piv = np.linalg.solve(op.M_recon, op.recon_vals.T @ (w * v(pts)))
     gv_exact = np.column_stack([v(pts), v(pts)])  # grad e^{x+y} = (e, e)
@@ -207,10 +205,11 @@ def test_elliptic_projection_identity_and_gradient_optimality():
 def test_local_stiffness_kernel_and_symmetry(k):
     mesh = cached_voronoi(16)
     space = HhoSpace(mesh, k, dirichlet=False)
+    interp = reduce_function(space, lambda p: np.ones(len(p)))
     for op in space.local_ops():
         A = op.A
         assert np.abs(A - A.T).max() <= 1e-13 * max(1.0, np.abs(A).max())
-        ones = op.reduce(lambda p: np.ones(len(p)))
+        ones = interp.values[op.dofs]
         assert np.abs(A @ ones).max() < 1e-11 * max(1.0, np.abs(A).max())
         eigs = np.linalg.eigvalsh(A)
         assert eigs[0] > -1e-12 * abs(eigs[-1])
@@ -224,7 +223,7 @@ def test_local_energy_matches_dense_formula_oracle():
     mesh = cached_cartesian(1)
     space = HhoSpace(mesh, 0, dirichlet=False)
     op = space.local_ops()[0]
-    red = op.reduce(lambda p: p[:, 0])
+    red = reduce_function(space, lambda p: p[:, 0]).values[op.dofs]
     assert abs(red @ op.A @ red - 1.0) < 1e-12
 
 
@@ -377,10 +376,9 @@ def test_l_shaped_cell_is_ear_clipped_and_exact():
     per_triangle = len(tri.qweights) // len(mesh.cells[0].vertex_ids)
     assert len(op.qweights) == (len(cell.vertex_ids) - 2) * per_triangle
     assert abs(op.qweights.sum() - 0.36) < 1e-14
-    rb = op.recon_basis()
-    for j in range(rb.dimension):
-        rec = op.reconstruct(op.reduce(lambda p, j=j: rb.eval(p)[:, j]))
-        assert np.abs(rec - np.eye(rb.dimension)[j]).max() < 1e-11
+    for p in global_monomials(2):
+        rec = reconstruct_all(space, reduce_function(space, p))[op.cell_id]
+        assert np.abs(op.recon_vals @ rec - p(op.qpoints())).max() < 1e-11
 
 
 def test_congruent_cells_share_one_kernel():

@@ -7,6 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hho_control import HhoSpace, Mesh  # noqa: E402
+from hho_control.hho_core import reconstruct_all, reduce_function  # noqa: E402
 from hho_control.poly import monomial_exponents  # noqa: E402
 
 # derandomized so that the suite sees the same examples on every run
@@ -31,7 +32,7 @@ def convex_polygons(draw):
        st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10))
 def test_reconstruction_of_reduction_reproduces_p_k_plus_1(polygon, k, coeffs):
     mesh = Mesh(polygon, [list(range(len(polygon)))])
-    (op,) = HhoSpace(mesh, k).local_ops()
+    space = HhoSpace(mesh, k)
     exps = monomial_exponents(k + 1)
     center = mesh.cells[0].centroid
 
@@ -40,7 +41,8 @@ def test_reconstruction_of_reduction_reproduces_p_k_plus_1(polygon, k, coeffs):
         return sum(c * local[:, 0] ** i * local[:, 1] ** j
                    for c, (i, j) in zip(coeffs, exps))
 
-    rec = op.reconstruct(op.reduce(p))
-    target = p(op.qpoints())
+    rec = reconstruct_all(space, reduce_function(space, p))
+    nodes = space.nodes()
+    target = p(nodes.points)
     scale = max(1.0, np.abs(target).max())
-    assert np.abs(op.recon_vals @ rec - target).max() <= 1e-10 * scale
+    assert np.abs(nodes.values("Vr", rec) - target).max() <= 1e-10 * scale

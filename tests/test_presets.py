@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hho_control.control_unconstrained import ControlProblem
 from hho_control.presets import (PresetError, get_preset, make_problem,
                                  parse_expression, preset_ids,
                                  problem_from_preset)
@@ -83,5 +84,8 @@ def test_inline_problem_self_check():
 
 def test_lambda_must_be_positive():
     y = parse_expression("x1*x2")
-    with pytest.raises(PresetError):
-        make_problem(y, y, 0.0)
+    for lam in (0.0, float("inf"), float("nan")):
+        with pytest.raises(PresetError):
+            make_problem(y, y, lam)
+        with pytest.raises(ValueError, match="regularization"):
+            ControlProblem(f=y, y_d=y, lam=lam)

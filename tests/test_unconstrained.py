@@ -9,7 +9,8 @@ from hho_control.errors import (energy_error, eoc, l2_error_control,
 from hho_control.hho_core import cell_load_vector, reconstruct_all
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, dense_cell_mass,
-                     dense_recon_mass, dense_stiffness)
+                     dense_cross_coupling, dense_recon_mass, dense_stiffness,
+                     voronoi_with_l_cell)
 
 ZERO = lambda p: np.zeros(len(np.atleast_2d(p)))
 
@@ -193,6 +194,26 @@ def test_reported_residuals_below_contract():
              "uc32-default")):
         sol = solver(space, problem_from_preset(preset))
         assert max(sol.residuals.values()) <= 1e-9
+
+
+def test_cross_coupling_matches_cell_by_cell_reference():
+    # Voronoi cells plus the ear-clipped L cell: the grouped coupling must
+    # equal the one assembled cell by cell from each cell's own bases.
+    from hho_control.control_unconstrained import _cross_coupling
+
+    mesh = voronoi_with_l_cell()
+    space = HhoSpace(mesh, 2, cell_degree=3, dirichlet=True)
+    control_space = HhoSpace(mesh, 2)
+    K = _cross_coupling(space, control_space).toarray()
+    ref = dense_cross_coupling(space, control_space)
+    assert np.abs(K - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
+
+
+def test_uc32_control_space_must_share_the_mesh():
+    space = HhoSpace(cached_cartesian(2), 2, cell_degree=3, dirichlet=True)
+    other = HhoSpace(cached_cartesian(3), 2)
+    with pytest.raises(ValueError, match="state mesh"):
+        solve_uc32(space, problem_from_preset("uc32-default"), other)
 
 
 # ---------------------------------------------------------------------------
