@@ -181,10 +181,10 @@ def validate_config(text):
     return _config_from_fields(_parse_document(text))
 
 
-def _build_mesh(cfg, level):
-    if cfg.mesh_family == "cartesian":
-        return make_cartesian(level)
-    return make_voronoi(level, rng_seed=cfg.rng_seed, lloyd_iters=cfg.lloyd_iters)
+def _build_mesh(family, n, rng_seed, lloyd_iters):
+    if family == "cartesian":
+        return make_cartesian(n)
+    return make_voronoi(n, rng_seed=rng_seed, lloyd_iters=lloyd_iters)
 
 
 def _solve_level(cfg, mesh, prob):
@@ -209,7 +209,7 @@ def _solve_level(cfg, mesh, prob):
 
 def run_level(cfg, prob, level):
     """Solve one refinement level and measure all reported errors."""
-    mesh = _build_mesh(cfg, level)
+    mesh = _build_mesh(cfg.mesh_family, level, cfg.rng_seed, cfg.lloyd_iters)
     space, sol = _solve_level(cfg, mesh, prob)
     exact = prob.exact
     return ErrorRecord(
@@ -355,12 +355,8 @@ def main(argv=None):
                 print(f"{alias}: alias of {target}")
             return 0
         if args.command == "mesh":
-            if args.family == "cartesian":
-                mesh = make_cartesian(args.cells)
-            else:
-                mesh = make_voronoi(args.cells, rng_seed=args.seed,
-                                    lloyd_iters=args.lloyd)
-            Path(args.out).write_text(write_mesh(mesh))
+            Path(args.out).write_text(write_mesh(_build_mesh(
+                args.family, args.cells, args.seed, args.lloyd)))
             return 0
         cfg = _config_from_args(args)
         report = run_experiment(cfg)

@@ -60,8 +60,8 @@ def l2_error_control(solution, u_exact):
     kinked = control.kinked_cells() if control.has_kinks else []
     for start in range(0, len(kinked), KINK_CHUNK):
         chunk = kinked[start:start + KINK_CHUNK]
-        tris = [poly.polygon_triangles(space.mesh.cells[c].polygon,
-                                       space.mesh.cells[c].centroid) for c in chunk]
+        tris = [poly.polygon_triangles(space.mesh.polygon(c),
+                                       space.mesh.cell_centroids[c]) for c in chunk]
         n_tris = np.array([len(tri) for tri in tris])
         rules = []
         for nt in np.unique(n_tris):

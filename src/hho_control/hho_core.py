@@ -28,6 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import poly
+from .mesh import loop_groups
 from .poly import CellBasis, space_dimension
 
 
@@ -77,7 +78,7 @@ class HhoSpace:
         self.face_dof_start = self.n_cell_dofs + np.arange(mesh.n_faces) * fd
         active = np.ones(self.n_dofs, dtype=bool)
         if self.dirichlet:
-            bf = np.fromiter(mesh.boundary_face_ids, dtype=np.intp)
+            bf = mesh.boundary_faces
             active[(self.face_dof_start[bf, None] + np.arange(fd)).ravel()] = False
         self.active_mask = active
         self.active_dofs = np.nonzero(active)[0]
@@ -151,7 +152,7 @@ class HhoSpace:
         """Fixed-DOF values for Dirichlet data g (zeros when g is None)."""
         vals = np.zeros(self.n_dofs)
         if g is not None:
-            faces = np.fromiter(self.mesh.boundary_face_ids, dtype=np.intp)
+            faces = self.mesh.boundary_faces
             vals[self.face_dof_start[faces, None] + np.arange(self.face_dim)] = \
                 _face_projections(self, g, faces)
         return vals[self.fixed_dofs]
@@ -437,19 +438,13 @@ def _build(space, cell_ids):
     """Kernel groups of the cells ``cell_ids``."""
     mesh = space.mesh
     cell_ids = np.asarray(cell_ids, dtype=np.intp).reshape(-1)
-    cells = [mesh.cells[c] for c in cell_ids]
-    face_ends = np.array([f.endpoints for f in mesh.faces]).reshape(-1, 2, 2)
-    face_normals = np.array([f.normal for f in mesh.faces]).reshape(-1, 2)
-    n_vertices = np.array([len(c.vertex_ids) for c in cells], dtype=np.intp)
     dl, fd = space.cell_dim, space.face_dim
     groups = []
-    for m in np.unique(n_vertices):
-        at = np.nonzero(n_vertices == m)[0]       # positions in cell_ids
-        ids = cell_ids[at]
-        vids = np.array([cells[i].vertex_ids for i in at])
-        fids = np.array([[fid for fid, _ in mesh.cell_faces[c]] for c in ids])
-        signs = np.array([[s for _, s in mesh.cell_faces[c]] for c in ids])
-        c0 = np.array([cells[i].centroid for i in at])
+    for at, idx in loop_groups(mesh.cell_ptr, cell_ids):
+        ids, m = cell_ids[at], idx.shape[1]
+        vids, fids = mesh.cell_vertex_ids[idx], mesh.cell_face_ids[idx]
+        signs = mesh.cell_face_signs[idx]
+        c0 = mesh.cell_centroids[ids]
         dofs = np.concatenate(
             (space.cell_dof_start[ids, None] + np.arange(dl),
              (space.face_dof_start[fids][..., None] + np.arange(fd))
@@ -457,7 +452,7 @@ def _build(space, cell_ids):
 
         # congruence key: polygon and face traversal relative to the centroid
         polys = mesh.vertices[vids]
-        rel_faces = np.round(face_ends[fids] - c0[:, None, None, :], 12)
+        rel_faces = np.round(mesh.face_points[fids] - c0[:, None, None, :], 12)
         orient = np.stack((signs, np.zeros_like(signs)), -1)[:, :, None, :]
         keys = np.concatenate(
             (np.round(polys - c0[:, None, :], 12).reshape(len(ids), -1),
@@ -477,13 +472,10 @@ def _build(space, cell_ids):
             group_tris = np.array([
                 poly.polygon_triangles(polys[i], c0[i]) if fold else t
                 for i, fold, t in zip(r, folded[sel], tris[sel])])
-            rep_cells = [cells[at[i]] for i in r]
             kernels = _build_kernels(
-                space, group_tris, c0[r],
-                np.array([c.diameter for c in rep_cells]),
-                np.array([c.measure for c in rep_cells]),
-                face_ends[fids[r]],
-                signs[r][..., None] * face_normals[fids[r]])
+                space, group_tris, c0[r], mesh.cell_diameters[ids[r]],
+                mesh.cell_areas[ids[r]], mesh.face_points[fids[r]],
+                signs[r][..., None] * mesh.face_normals[fids[r]])
             row_of = np.full(len(ids), -1)
             row_of[r] = np.arange(len(r))
             rows = row_of[kernel_of]
@@ -558,16 +550,12 @@ class NodeTable:
             self.points[at] = g.kernels["qp"][g.rows] + g.centroids[:, None, :]
             self.weights[at] = g.kernels["qw"][g.rows]
 
-        cell, local, face = [], [], []
-        for g in self.groups:
-            n, m = g.face_ids.shape
-            cell.append(np.repeat(g.cells, m))
-            local.append(np.tile(np.arange(m), n))
-            face.append(g.face_ids.ravel())
-        cell, local, face = map(np.concatenate, (cell, local, face))
-        order = np.lexsort((local, cell))
-        _, first = np.unique(face[order], return_index=True)
-        self.face_cell, self.face_local = cell[order][first], local[order][first]
+        # the first loop edge of each face has the sign +1, and the faces
+        # are numbered in the order of those edges
+        mesh = space.mesh
+        self.face_cell = mesh.face_cells[:, 0]
+        self.face_local = (np.flatnonzero(mesh.cell_face_signs > 0)
+                           - mesh.cell_ptr[self.face_cell])
 
     def _nodes_of(self, g):
         return self.starts[g.cells, None] + np.arange(g.n_nodes)
@@ -677,7 +665,7 @@ def reduce_function(space, f, include_boundary=False):
                                          rhs[g.cells][..., None])[..., 0]
     faces = np.arange(space.mesh.n_faces)
     if space.dirichlet and not include_boundary:
-        faces = faces[~np.isin(faces, list(space.mesh.boundary_face_ids))]
+        faces = faces[~np.isin(faces, space.mesh.boundary_faces)]
     vec[space.face_dof_start[faces, None] + np.arange(space.face_dim)] = \
         _face_projections(space, f, faces)
     return HhoVector(space, vec)

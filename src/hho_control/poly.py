@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import next_vertices, polygon_centroid
+from .mesh import next_vertices, polygon_centroid, read_only, twice_area
 
 
 class GeometryError(Exception):
@@ -50,16 +50,11 @@ class FaceQuadrature:
     exactness_degree: int
 
 
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
 @functools.lru_cache(maxsize=None)
 def _gauss_legendre(n):
     """n-point Gauss-Legendre rule on [-1, 1], computed once per process."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return _read_only(x), _read_only(w)
+    return read_only(x), read_only(w)
 
 
 @functools.lru_cache(maxsize=None)
@@ -75,14 +70,8 @@ def _duffy_rule(nu, nv):
     v, wv = 0.5 * (y + 1.0), 0.5 * wy
     uu, vv = np.meshgrid(u, v, indexing="ij")
     ww = np.outer(wu, wv)
-    return (_read_only(uu.ravel()), _read_only((vv * (1.0 - uu)).ravel()),
-            _read_only((ww * (1.0 - uu)).ravel()))
-
-
-def _twice_area(a, b, c):
-    """Signed double areas of triangles abc, vertices ``(..., 2)``."""
-    return ((b[..., 0] - a[..., 0]) * (c[..., 1] - a[..., 1])
-            - (b[..., 1] - a[..., 1]) * (c[..., 0] - a[..., 0]))
+    return (read_only(uu.ravel()), read_only((vv * (1.0 - uu)).ravel()),
+            read_only((ww * (1.0 - uu)).ravel()))
 
 
 def triangle_quadrature(a, b, c, exactness):
@@ -98,7 +87,7 @@ def triangle_quadrature(a, b, c, exactness):
     pts = (a[..., None, :]
            + U[:, None] * (b - a)[..., None, :]
            + V[:, None] * (c - a)[..., None, :])
-    return pts, W * _twice_area(a, b, c)[..., None]
+    return pts, W * twice_area(a, b, c)[..., None]
 
 
 def fan_triangles(polys, centroids):
@@ -111,7 +100,7 @@ def fan_triangles(polys, centroids):
     """
     nxt = next_vertices(polys)
     a = np.broadcast_to(centroids[..., None, :], polys.shape)
-    folded = (_twice_area(a, polys, nxt) <= 0.0).any(axis=-1)
+    folded = (twice_area(a, polys, nxt) <= 0.0).any(axis=-1)
     return np.stack((a, polys, nxt), axis=-2), folded
 
 
@@ -175,11 +164,6 @@ def polygon_quadrature(poly, exactness, centroid=None):
     return CellQuadrature(pts.reshape(-1, 2), wts.ravel(), exactness)
 
 
-def cell_quadrature(cell, exactness):
-    """Quadrature over a mesh cell (uses its polygon and centroid)."""
-    return polygon_quadrature(cell.polygon, exactness, centroid=cell.centroid)
-
-
 def segment_rule(p0, p1, exactness):
     """Gauss-Legendre points ``(..., n, 2)`` and weights ``(..., n)`` on segments."""
     x, w = _gauss_legendre(max(1, math.ceil((exactness + 1) / 2)))
@@ -195,15 +179,19 @@ def segment_quadrature(p0, p1, exactness):
     return FaceQuadrature(pts, wts, exactness)
 
 
-def face_quadrature(face, exactness):
-    """Gauss-Legendre rule on a mesh face."""
-    return segment_quadrature(face.endpoints[0], face.endpoints[1], exactness)
+def _power_tables(loc, degree):
+    """``x ** p`` and ``y ** p`` for p = 0..degree, ``(..., n, degree + 1)``."""
+    p = np.arange(degree + 1)
+    return loc[..., 0, None] ** p, loc[..., 1, None] ** p
 
 
 def monomial_values(loc, degree):
     """Scaled monomials at local coordinates ``(..., n, 2)``: ``(..., n, dim)``."""
     e = np.asarray(monomial_exponents(degree))
-    return loc[..., 0, None] ** e[:, 0] * loc[..., 1, None] ** e[:, 1]
+    px, py = _power_tables(loc, degree)
+    # gathered columns come back in another memory layout, which would send
+    # later products down another BLAS path: copy to C order
+    return np.ascontiguousarray(px[..., e[:, 0]] * py[..., e[:, 1]])
 
 
 def monomial_grads(loc, degree, scale):
@@ -213,13 +201,11 @@ def monomial_grads(loc, degree, scale):
     """
     e = np.asarray(monomial_exponents(degree))
     a, b = e[:, 0], e[:, 1]
-    x, y = loc[..., 0, None], loc[..., 1, None]
+    px, py = _power_tables(loc, degree)
     scale = np.asarray(scale)[..., None, None]
-    xa = x ** np.maximum(a - 1, 0)
-    yb = y ** np.maximum(b - 1, 0)
-    gx = a * xa * (y ** b) / scale
-    gy = b * (x ** a) * yb / scale
-    return np.stack([gx, gy], axis=-1)
+    gx = a * px[..., np.maximum(a - 1, 0)] * py[..., b] / scale
+    gy = b * px[..., a] * py[..., np.maximum(b - 1, 0)] / scale
+    return np.ascontiguousarray(np.stack([gx, gy], axis=-1))
 
 
 class CellBasis:
@@ -266,25 +252,6 @@ def orthonormal_transform(vals, weights):
     """
     gram = np.swapaxes(vals, -1, -2) @ (weights[..., None] * vals)
     return np.linalg.inv(np.linalg.cholesky(gram))
-
-
-def orthonormalize(basis, quadrature):
-    """Return a mass-orthonormalized copy of a raw CellBasis."""
-    transform = orthonormal_transform(basis.eval(quadrature.points),
-                                      quadrature.weights)
-    return CellBasis(basis.degree, basis.center, basis.scale, transform=transform)
-
-
-def make_cell_basis(cell, degree, quadrature=None, orthonormal=None):
-    """Basis on a mesh cell; orthonormalized by default for degree >= 2."""
-    basis = CellBasis(degree, cell.centroid, cell.diameter)
-    if orthonormal is None:
-        orthonormal = degree >= 2
-    if orthonormal:
-        if quadrature is None:
-            quadrature = cell_quadrature(cell, 2 * degree)
-        basis = orthonormalize(basis, quadrature)
-    return basis
 
 
 class FaceBasis:

@@ -3,7 +3,10 @@
 The oracles here deliberately avoid the library's quadrature and assembly
 paths: polygon moments go through the divergence theorem with 1D Gauss rules,
 dense reference systems are solved with numpy, and expected values are
-computed from closed forms.
+computed from closed forms.  ``polygon_area``, ``polygon_centroid`` and
+``polygon_diameter`` sum one polygon at a time, the reference for the mesh's
+grouped geometry.  ``cell_quadrature`` and ``make_cell_basis`` are not
+oracles: they apply the library's rules to a mesh ``Cell`` view.
 """
 
 import functools
@@ -13,7 +16,9 @@ import numpy as np
 
 from hho_control import make_cartesian, make_voronoi
 from hho_control.hho_core import reconstruct_all, reduce_function
-from hho_control.poly import monomial_exponents
+from hho_control.mesh import next_vertices
+from hho_control.poly import (CellBasis, monomial_exponents,
+                              orthonormal_transform, polygon_quadrature)
 
 
 @functools.lru_cache(maxsize=None)
@@ -24,6 +29,51 @@ def cached_voronoi(seeds, rng_seed=42, lloyd_iters=10):
 @functools.lru_cache(maxsize=None)
 def cached_cartesian(n):
     return make_cartesian(n)
+
+
+def polygon_area(poly):
+    """Signed area of one vertex loop, summed on its own."""
+    x, y = poly[:, 0], poly[:, 1]
+    nxt = next_vertices(poly)
+    xn, yn = nxt[:, 0], nxt[:, 1]
+    return 0.5 * float((x * yn - xn * y).sum())
+
+
+def polygon_centroid(poly):
+    """Centroid of one vertex loop, summed on its own."""
+    x, y = poly[:, 0], poly[:, 1]
+    nxt = next_vertices(poly)
+    xn, yn = nxt[:, 0], nxt[:, 1]
+    cross = x * yn - xn * y
+    area = 0.5 * float(cross.sum())
+    cx = float(((x + xn) * cross).sum()) / (6.0 * area)
+    cy = float(((y + yn) * cross).sum()) / (6.0 * area)
+    return np.array([cx, cy])
+
+
+def polygon_diameter(poly):
+    """Largest distance between two vertices of one loop."""
+    d = poly[:, None, :] - poly[None, :, :]
+    return float(np.sqrt((d ** 2).sum(-1)).max())
+
+
+def cell_quadrature(cell, exactness):
+    """Quadrature over a mesh cell view (its polygon and centroid)."""
+    return polygon_quadrature(cell.polygon, exactness, centroid=cell.centroid)
+
+
+def make_cell_basis(cell, degree, quadrature=None, orthonormal=None):
+    """Basis on a mesh cell view; orthonormalized by default for degree >= 2."""
+    basis = CellBasis(degree, cell.centroid, cell.diameter)
+    if orthonormal is None:
+        orthonormal = degree >= 2
+    if orthonormal:
+        if quadrature is None:
+            quadrature = cell_quadrature(cell, 2 * degree)
+        basis = CellBasis(degree, cell.centroid, cell.diameter,
+                          transform=orthonormal_transform(
+                              basis.eval(quadrature.points), quadrature.weights))
+    return basis
 
 
 def polygon_monomial_integral(poly, a, b):

@@ -59,7 +59,7 @@ def test_reconstruction_against_constrained_least_squares_oracle():
         face = mesh.faces[fid]
         fw = op.face_qweights(j)
         fp = op.face_qpoints(j)
-        dgn = rb.grad(fp) @ (mesh.cell_faces[0][j][1] * face.normal)
+        dgn = rb.grad(fp) @ (mesh.cells[0].face_signs[j] * face.normal)
         # (v_F - v_T, grad q . n): the cell value is zero here
         rhs += dgn.T @ (fw * local[1 + j])
     rows = np.vstack([K, w @ rb.eval(pts)])

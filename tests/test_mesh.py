@@ -14,7 +14,7 @@ def test_cartesian_counts():
 def test_cartesian_single_cell():
     m = make_cartesian(1)
     assert m.n_cells == 1
-    assert len(m.boundary_face_ids) == 4
+    assert len(m.boundary_faces) == 4
 
 
 @pytest.mark.parametrize("n,cells", [(4, 16), (8, 64), (16, 256), (32, 1024),
@@ -99,7 +99,7 @@ def test_single_triangle():
     text = "poly-mesh 1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n3 0 1 2\n"
     m = read_mesh(text)
     assert m.n_cells == 1
-    assert len(m.boundary_face_ids) == 3
+    assert len(m.boundary_faces) == 3
 
 
 def test_comments_allowed_anywhere():
@@ -147,3 +147,54 @@ def test_mesh_rejects_nonfinite_vertices():
     vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, np.inf], [0.0, 1.0]]
     with pytest.raises(MeshError, match="finite"):
         Mesh(vertices, [[0, 1, 2, 3]])
+
+
+@pytest.mark.parametrize("loop", [
+    [(0, 0), (1, 0), (2, 0), (2, 1), (1, 0), (0, 1)],   # pinched at (1, 0)
+    [(0, 0), (2, 0), (2, 2), (1, 0), (0, 2)],           # vertex 3 on edge 0-1
+    [(0, 0), (2, 0), (2, 2), (2, 1)],                   # folds back inside
+    [(0, 0), (2, 0), (2, 1), (2, 3), (2, 0.5), (0, 2)],  # folds back past
+    [(0, 0), (4, 0), (4, 4), (2, -1), (0, 4)],          # proper crossing
+], ids=["pinched", "t-touch", "fold-inside", "fold-past", "crossing"])
+def test_self_touching_loop_is_rejected(loop):
+    with pytest.raises(MeshError, match="self-intersects"):
+        Mesh(loop, [list(range(len(loop)))])
+
+
+def test_straight_hanging_vertex_is_accepted():
+    m = Mesh([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)], [[0, 1, 2, 3, 4]])
+    assert (m.n_faces, m.total_measure()) == (5, 4.0)
+
+
+@pytest.mark.parametrize("ids", [[0, 1.9, 2], [0, True, 2], [0, np.True_, 2],
+                                 [0, np.float64(1.0), 2], [0, "1", 2],
+                                 [0, 1, 2 ** 70]])
+def test_mesh_rejects_invalid_vertex_ids(ids):
+    with pytest.raises(MeshError, match="invalid vertex id"):
+        Mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [ids])
+
+
+def test_face_table_and_cell_views_agree():
+    m = cached_voronoi(64)
+    for i, face in enumerate(m.faces):
+        assert face.endpoint_ids == tuple(m.face_vertex_ids[i])
+        assert np.array_equal(face.endpoints, m.vertices[m.face_vertex_ids[i]])
+        assert face.cells == tuple(c for c in m.face_cells[i] if c >= 0)
+    assert np.array_equal(m.boundary_faces,
+                          [i for i, f in enumerate(m.faces) if len(f.cells) == 1])
+    for c, cell in enumerate(m.cells):
+        assert np.array_equal(cell.polygon, m.polygon(c))
+        for fid, sign, normal in zip(cell.face_ids, cell.face_signs,
+                                     cell.outward_normals):
+            assert c in m.faces[fid].cells
+            assert np.array_equal(normal, sign * m.face_normals[fid])
+
+
+def test_mesh_arrays_and_views_are_read_only():
+    m = make_cartesian(2)
+    with pytest.raises(ValueError):
+        m.face_normals[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        m.cells[0].polygon[0, 0] = 1.0
+    with pytest.raises(AttributeError):
+        m.faces[0].measure = 1.0

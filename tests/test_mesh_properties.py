@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hho_control import (MeshError, MeshGenerationError,  # noqa: E402
                          make_cartesian, make_voronoi, read_mesh, write_mesh)
+from helpers import (polygon_area, polygon_centroid,  # noqa: E402
+                     polygon_diameter)
 
 # derandomized so that the suite sees the same examples on every run
 PROPERTY = dict(deadline=None, derandomize=True, database=None)
@@ -82,3 +84,18 @@ def test_voronoi_generation_gives_mesh_or_generation_error(n, seed, lloyd):
     assert all(cell.measure > 0 for cell in mesh.cells)
     assert np.isfinite(mesh.vertices).all()
     assert ((mesh.vertices >= 0.0) & (mesh.vertices <= 1.0)).all()
+
+
+@settings(max_examples=25, **PROPERTY)
+@given(st.integers(2, 80), st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
+def test_cell_geometry_arrays_equal_per_polygon_sums(n, seed, lloyd):
+    """The grouped geometry has the bits of each polygon summed on its own."""
+    try:
+        mesh = make_voronoi(n, rng_seed=seed, lloyd_iters=lloyd)
+    except MeshGenerationError:
+        return
+    for c in range(mesh.n_cells):
+        poly = mesh.polygon(c)
+        assert mesh.cell_areas[c] == polygon_area(poly)
+        assert np.array_equal(mesh.cell_centroids[c], polygon_centroid(poly))
+        assert mesh.cell_diameters[c] == polygon_diameter(poly)

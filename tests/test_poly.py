@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from hho_control import make_cartesian
-from hho_control.poly import (CellBasis, _gauss_legendre, cell_quadrature,
-                              make_cell_basis, monomial_exponents,
+from hho_control.poly import (CellBasis, _gauss_legendre, monomial_exponents,
                               polygon_quadrature, segment_quadrature)
-from helpers import (cached_voronoi, polygon_monomial_integral,
-                     regular_polygon)
+from helpers import (cached_voronoi, cell_quadrature, make_cell_basis,
+                     polygon_monomial_integral, regular_polygon)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
