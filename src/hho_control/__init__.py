@@ -2,10 +2,9 @@
 
 from .mesh import (Mesh, MeshError, MeshFormatError, MeshGenerationError,
                    make_cartesian, make_voronoi, read_mesh, write_mesh)
-from .poly import CellBasis, CellQuadrature, FaceBasis, FaceQuadrature
-from .hho_core import (HhoSpace, HhoVector, LocalOperators, OptimalitySystem,
-                       SolverError, build_local_operators, reduce_function,
-                       solve_poisson)
+from .poly import CellBasis
+from .hho_core import (HhoSpace, HhoVector, OptimalitySystem, SolverError,
+                       reduce_function, solve_poisson)
 from .control_unconstrained import (ControlProblem, ExactTriple,
                                     OptimalitySolution, UnsupportedDegreeError,
                                     solve_uc1, solve_uc2, solve_uc31,

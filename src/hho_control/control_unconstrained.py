@@ -214,14 +214,3 @@ def solve_uc32(space, prob, control_space=None):
     return OptimalitySolution("uc32", y, phi, control, control_hat=u_hat,
                               residuals=residuals)
 
-
-def solve_variational_mixed(space, prob, scheme="vd-mixed"):
-    """Unconstrained variational discretization on an arbitrary space.
-
-    Used as the inactive-bounds reference for the constrained solver on the
-    mixed-order space; coincides with the uc1/uc2 system when the space is
-    equal-order.
-    """
-    if not space.dirichlet:
-        raise ValueError("variational discretization requires a zero-trace space")
-    return _solve_two_field(space, prob, scheme)

@@ -7,21 +7,26 @@ trace residual with an h_T^{-1} weight.  The local operators of a space are
 its kernel groups, and the library applies them only group by group:
 congruent cells share one kernel, and the distinct kernels are built group
 by group (equal face count and quadrature size) with stacked products and
-solves.  A per-space ``NodeTable`` stacks the quadrature nodes of every cell
-and face, so loads, projections, norms and errors evaluate a function once
-on all nodes.  Per-cell matrices are scattered into global sparse matrices by
-one triplet helper.  ``OptimalitySystem`` is the one solve path of the
-package: it takes one or more fields over HHO spaces and a grid of global
-blocks, slices off the Dirichlet DOFs, factors once, lifts the fixed values
-into the right-hand side at each solve and checks the residual.  It serves
-the Poisson solve, the two- and three-field optimality systems of the
-unconstrained schemes and the repeated state/adjoint solves of the
-constrained ones.
+solves.  The ``_build_kernels`` entry names (``G``, ``A``, ``S_faces``,
+``M_cell``, ``Vl``, ``qw``, ``Vf`` ...) are the one vocabulary of the local
+operators: ``HhoSpace.local_ops()`` lists, for inspection, one record per
+cell that holds the same entries under the same names.  A per-space
+``NodeTable`` stacks the quadrature nodes of every cell and face, so loads,
+projections, norms and errors evaluate a function once on all nodes.
+Per-cell matrices are scattered into global sparse matrices by one triplet
+helper.  ``OptimalitySystem`` is the one solve path of the package: it takes
+one or more fields over HHO spaces and a grid of global blocks, slices off
+the Dirichlet DOFs, factors once, lifts the fixed values into the right-hand
+side at each solve and checks the residual.  It serves the Poisson solve,
+the two- and three-field optimality systems of the unconstrained schemes and
+the repeated state/adjoint solves of the constrained ones.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -29,7 +34,7 @@ import scipy.sparse.linalg as spla
 
 from . import poly
 from .mesh import loop_groups
-from .poly import CellBasis, space_dimension
+from .poly import space_dimension
 
 
 class SolverError(Exception):
@@ -55,6 +60,9 @@ class HhoSpace:
     def __init__(self, mesh, face_degree, cell_degree=None, dirichlet=False):
         if cell_degree is None:
             cell_degree = face_degree
+        for d in (face_degree, cell_degree):
+            if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 0:
+                raise ValueError(f"degrees must be non-negative integers, got {d!r}")
         if cell_degree not in (face_degree, face_degree + 1):
             raise ValueError("cell_degree must be face_degree or face_degree + 1")
         self.mesh = mesh
@@ -84,19 +92,6 @@ class HhoSpace:
         self.active_dofs = np.nonzero(active)[0]
         self.fixed_dofs = np.nonzero(~active)[0]
 
-    # -- layout helpers ----------------------------------------------------
-
-    def cell_dofs(self, i):
-        s = self.cell_dof_start[i]
-        return np.arange(s, s + self.cell_dim)
-
-    def face_dofs(self, f):
-        s = self.face_dof_start[f]
-        return np.arange(s, s + self.face_dim)
-
-    def zero_vector(self):
-        return HhoVector(self, np.zeros(self.n_dofs))
-
     # -- operators and assembled matrices (built lazily, cached) ------------
 
     def kernel_groups(self):
@@ -106,7 +101,10 @@ class HhoSpace:
         return self._groups
 
     def local_ops(self):
-        """Per-cell views of the kernel groups; congruent cells share one kernel."""
+        """Per-cell records of the kernel groups (see ``_views``).
+
+        Congruent cells share one kernel: their records hold the same arrays.
+        """
         if self._ops is None:
             self._ops = _views(self.kernel_groups(), range(self.mesh.n_cells))
         return self._ops
@@ -168,129 +166,13 @@ class HhoVector:
         self.space = space
         self.values = values
 
-    def cell_block(self, i):
-        return self.values[self.space.cell_dofs(i)]
-
     def cell_blocks(self):
         """Cell coefficients of every cell, a (n_cells, cell_dim) view."""
         return self.values[:self.space.n_cell_dofs].reshape(
             -1, self.space.cell_dim)
 
-    def face_block(self, f):
-        return self.values[self.space.face_dofs(f)]
-
     def __sub__(self, other):
         return HhoVector(self.space, self.values - other.values)
-
-
-class LocalOperators:
-    """Read-only per-cell view of the kernel groups, for inspection and tests.
-
-    Congruent cells (same relative polygon, face traversal and degrees) share
-    one kernel: every matrix and table below is the same object for all of
-    them, a view into the arrays their group was built in.  Only the
-    centroid, the face ids and the global DOF indices are cell-specific.
-    Per-face entries (``S_faces``, ``M_faces`` and the face tables) are
-    stacked along a leading face axis.
-    """
-
-    __slots__ = ("cell_id", "centroid", "face_ids", "dofs", "_k")
-
-    def __init__(self, cell_id, centroid, face_ids, dofs, kernels):
-        self.cell_id = cell_id
-        self.centroid = centroid
-        self.face_ids = face_ids
-        self.dofs = dofs
-        self._k = kernels
-
-    # geometry / bases
-    @property
-    def h(self):
-        return self._k["h"]
-
-    @property
-    def measure(self):
-        return self._k["measure"]
-
-    @property
-    def n_faces(self):
-        return len(self.face_ids)
-
-    def cell_basis(self):
-        return CellBasis(self._k["cell_degree"], self.centroid, self.h,
-                         transform=self._k["Ql"])
-
-    def recon_basis(self):
-        return CellBasis(self._k["recon_degree"], self.centroid, self.h,
-                         transform=self._k["Qr"])
-
-    # quadrature in global coordinates
-    @property
-    def qweights(self):
-        return self._k["qw"]
-
-    def qpoints(self):
-        return self._k["qp"] + self.centroid
-
-    def face_qweights(self, j):
-        return self._k["fqw"][j]
-
-    def face_qpoints(self, j):
-        return self._k["fqp"][j] + self.centroid
-
-    # matrices (shared, translation invariant)
-    @property
-    def G(self):
-        """Reconstruction matrix: local DOFs -> P_{k+1}(T) coefficients."""
-        return self._k["G"]
-
-    @property
-    def A(self):
-        """Local stiffness G^T K_{k+1} G + S_T."""
-        return self._k["A"]
-
-    @property
-    def S_faces(self):
-        """Per-face stabilization matrices S_F: local DOFs -> P_k(F) coeffs."""
-        return self._k["S_faces"]
-
-    @property
-    def M_cell(self):
-        return self._k["M_cell"]
-
-    @property
-    def M_recon(self):
-        return self._k["M_recon"]
-
-    @property
-    def M_faces(self):
-        return self._k["M_faces"]
-
-    @property
-    def K_cell(self):
-        return self._k["K_cell"]
-
-    @property
-    def int_cell(self):
-        """Vector of (phi_i, 1)_T over the cell basis."""
-        return self._k["int_cell"]
-
-    @property
-    def cell_vals(self):
-        """Cell basis values at the cell quadrature points."""
-        return self._k["Vl"]
-
-    @property
-    def recon_vals(self):
-        return self._k["Vr"]
-
-    def face_cell_trace(self, j):
-        """Cell basis values at face-j quadrature points."""
-        return self._k["Vl_f"][j]
-
-    def face_vals(self, j):
-        """Face basis values at face-j quadrature points."""
-        return self._k["Vf"][j]
 
 
 def _mT(a):
@@ -486,7 +368,12 @@ def _build(space, cell_ids):
 
 
 def _views(groups, cell_ids):
-    """Views of ``cell_ids``, in order; cells of one kernel row share its views."""
+    """Per-cell records of ``cell_ids``, in order.
+
+    A record holds the cell's ``cell_id``, ``centroid``, ``face_ids`` and
+    ``dofs`` and every ``_build_kernels`` entry under its own name; cells of
+    one kernel row share that row's arrays, which are views into the group.
+    """
     ops = {}
     for g in groups:
         shared = [{name: a[b] if isinstance(a, np.ndarray) else a
@@ -494,21 +381,9 @@ def _views(groups, cell_ids):
                   for b in range(len(g.kernels["h"]))]
         for c, c0, fids, dofs, row in zip(g.cells, g.centroids, g.face_ids,
                                           g.dofs, g.rows):
-            ops[c] = LocalOperators(int(c), c0, fids.tolist(), dofs, shared[row])
+            ops[c] = SimpleNamespace(**shared[row], cell_id=int(c), centroid=c0,
+                                     face_ids=fids.tolist(), dofs=dofs)
     return [ops[c] for c in cell_ids]
-
-
-def build_local_operators(space, cell_ids):
-    """Per-cell views of the given cells, built in groups of their own.
-
-    Cells are keyed by congruence (the polygon and face traversal relative
-    to the centroid, rounded to 1e-12); the first cell of each key gives the
-    kernel the others share.  The distinct kernels are grouped by face count
-    and quadrature size, and each group is built at once with stacked
-    products and batched solves.  Non-convex cells, whose centroid fan
-    folds, are ear-clipped and form their own groups.
-    """
-    return _views(_build(space, cell_ids), cell_ids)
 
 
 class NodeTable:
@@ -735,14 +610,6 @@ def scatter_blocks(shape, triplets):
     return sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=shape).tocsr()
-
-
-def write_coo(matrix, path):
-    """Dump a sparse matrix as one `row col value` triplet per line, 0-based."""
-    coo = sp.coo_matrix(matrix)
-    with open(path, "w") as fh:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {v:.17g}\n")
 
 
 class OptimalitySystem:

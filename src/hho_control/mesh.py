@@ -227,6 +227,10 @@ class Mesh:
         face = np.argsort(order)[inverse]
         creator = first[order]               # the loop edge that makes each face
         sign = np.where(creator[face] == np.arange(len(ids)), 1.0, -1.0)
+        # the second cell of a face must run it opposite to the first
+        _first((sign < 0) & (ids != nxt[creator[face]]),
+               "cell {} runs a shared face the same way as its neighbour",
+               cell_of)
 
         self.vertices = vertices
         self.cell_ptr, self.cell_vertex_ids = ptr, ids

@@ -1,9 +1,10 @@
-"""Polynomial bases on cells and faces, quadrature on polygons and segments.
+"""Polynomial bases on cells, quadrature on polygons and segments.
 
 Cell bases are monomials scaled by the cell diameter and centered at the
 centroid, ((x - x_T)/h_T)^a ((y - y_T)/h_T)^b in graded order, optionally
 mass-orthonormalized through a Cholesky factorization of the Gram matrix.
-Face bases are monomials in the arclength coordinate mapped to [-1, 1].
+Face bases are monomials in the arclength coordinate mapped to [-1, 1];
+``hho_core`` tabulates them at the face nodes as the kernel entry ``Vf``.
 Polygon quadrature triangulates from the centroid (ear clipping as fallback
 for non-convex cells) and applies a collapsed-square Gauss rule per triangle.
 The 1D Gauss-Legendre and reference triangle rules are computed once per
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,20 +34,6 @@ def monomial_exponents(degree):
 
 def space_dimension(degree):
     return (degree + 1) * (degree + 2) // 2
-
-
-@dataclass(frozen=True)
-class CellQuadrature:
-    points: np.ndarray      # (n, 2)
-    weights: np.ndarray     # (n,), positive
-    exactness_degree: int
-
-
-@dataclass(frozen=True)
-class FaceQuadrature:
-    points: np.ndarray
-    weights: np.ndarray
-    exactness_degree: int
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,12 +142,15 @@ def polygon_triangles(poly, centroid):
 
 
 def polygon_quadrature(poly, exactness, centroid=None):
-    """Quadrature on a simple CCW polygon, exact for total degree `exactness`."""
+    """Points ``(n, 2)`` and weights ``(n,)`` on a simple CCW polygon.
+
+    The rule is exact for total degree ``exactness``.
+    """
     poly = np.asarray(poly, dtype=float)
     centroid = polygon_centroid(poly) if centroid is None else np.asarray(centroid)
     tris = polygon_triangles(poly, centroid)
     pts, wts = triangle_quadrature(tris[:, 0], tris[:, 1], tris[:, 2], exactness)
-    return CellQuadrature(pts.reshape(-1, 2), wts.ravel(), exactness)
+    return pts.reshape(-1, 2), wts.ravel()
 
 
 def segment_rule(p0, p1, exactness):
@@ -171,12 +160,6 @@ def segment_rule(p0, p1, exactness):
     length = np.hypot(p1[..., 0] - p0[..., 0], p1[..., 1] - p0[..., 1])
     return (mid[..., None, :] + x[:, None] * half[..., None, :],
             (0.5 * length)[..., None] * w)
-
-
-def segment_quadrature(p0, p1, exactness):
-    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
-    pts, wts = segment_rule(p0, p1, exactness)
-    return FaceQuadrature(pts, wts, exactness)
 
 
 def _power_tables(loc, degree):
@@ -252,24 +235,3 @@ def orthonormal_transform(vals, weights):
     """
     gram = np.swapaxes(vals, -1, -2) @ (weights[..., None] * vals)
     return np.linalg.inv(np.linalg.cholesky(gram))
-
-
-class FaceBasis:
-    """Monomial basis in the arclength coordinate of a face mapped to [-1, 1]."""
-
-    def __init__(self, degree, p0, p1):
-        self.degree = int(degree)
-        self.dimension = self.degree + 1
-        p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
-        self.midpoint = 0.5 * (p0 + p1)
-        half = 0.5 * (p1 - p0)
-        self._half = half
-        self._inv_sq = 1.0 / float(half @ half)
-        self.measure = 2.0 * float(np.hypot(*half))
-
-    def parameter(self, points):
-        return (np.atleast_2d(points) - self.midpoint) @ self._half * self._inv_sq
-
-    def eval(self, points):
-        t = self.parameter(points)
-        return t[:, None] ** np.arange(self.dimension)[None, :]

@@ -7,6 +7,8 @@ computed from closed forms.  ``polygon_area``, ``polygon_centroid`` and
 ``polygon_diameter`` sum one polygon at a time, the reference for the mesh's
 grouped geometry.  ``cell_quadrature`` and ``make_cell_basis`` are not
 oracles: they apply the library's rules to a mesh ``Cell`` view.
+``cell_basis`` and ``recon_basis`` rebuild the bases of one cell's record
+from ``HhoSpace.local_ops()`` out of its kernel entries.
 """
 
 import functools
@@ -58,8 +60,21 @@ def polygon_diameter(poly):
 
 
 def cell_quadrature(cell, exactness):
-    """Quadrature over a mesh cell view (its polygon and centroid)."""
+    """Points and weights over a mesh cell view (its polygon and centroid)."""
     return polygon_quadrature(cell.polygon, exactness, centroid=cell.centroid)
+
+
+def cell_dofs(space, i):
+    """Global indices of cell i's DOFs, from the space's layout."""
+    return space.cell_dof_start[i] + np.arange(space.cell_dim)
+
+
+def cell_basis(op):
+    return CellBasis(op.cell_degree, op.centroid, op.h, transform=op.Ql)
+
+
+def recon_basis(op):
+    return CellBasis(op.recon_degree, op.centroid, op.h, transform=op.Qr)
 
 
 def make_cell_basis(cell, degree, quadrature=None, orthonormal=None):
@@ -68,11 +83,9 @@ def make_cell_basis(cell, degree, quadrature=None, orthonormal=None):
     if orthonormal is None:
         orthonormal = degree >= 2
     if orthonormal:
-        if quadrature is None:
-            quadrature = cell_quadrature(cell, 2 * degree)
+        pts, w = quadrature or cell_quadrature(cell, 2 * degree)
         basis = CellBasis(degree, cell.centroid, cell.diameter,
-                          transform=orthonormal_transform(
-                              basis.eval(quadrature.points), quadrature.weights))
+                          transform=orthonormal_transform(basis.eval(pts), w))
     return basis
 
 
@@ -122,7 +135,7 @@ def dense_stiffness(space):
 def dense_cell_mass(space):
     M = np.zeros((space.n_dofs, space.n_dofs))
     for op in space.local_ops():
-        d = space.cell_dofs(op.cell_id)
+        d = cell_dofs(space, op.cell_id)
         M[np.ix_(d, d)] += op.M_cell
     return M
 
@@ -145,9 +158,9 @@ def dense_cross_coupling(space, control_space):
     c_ops = control_space.local_ops()
     for op in space.local_ops():
         cop = c_ops[op.cell_id]
-        Vr_c = cop.recon_basis().eval(op.qpoints())
-        K[np.ix_(space.cell_dofs(op.cell_id), cop.dofs)] += (
-            op.cell_vals.T @ (op.qweights[:, None] * Vr_c) @ cop.G)
+        Vr_c = recon_basis(cop).eval(op.qp + op.centroid)
+        K[np.ix_(cell_dofs(space, op.cell_id), cop.dofs)] += (
+            op.Vl.T @ (op.qw[:, None] * Vr_c) @ cop.G)
     return K
 
 
@@ -165,17 +178,17 @@ def stabilization(op, local):
 
 
 def reduce_reconstruct_stabilize(space, f):
-    """Per cell: its view, the local DOFs of I f, the largest |R I f - f| at
+    """Per cell: its record, the local DOFs of I f, the largest |R I f - f| at
     its quadrature nodes, and the stabilization of I f.
 
     Applies the library's ``reduce_function`` and ``reconstruct_all`` to the
-    whole space, then reads each cell's rows through its view.
+    whole space, then reads each cell's rows through its record.
     """
     vec = reduce_function(space, f)
     rec = reconstruct_all(space, vec)
     for op in space.local_ops():
         local = vec.values[op.dofs]
-        err = np.abs(op.recon_vals @ rec[op.cell_id] - f(op.qpoints())).max()
+        err = np.abs(op.Vr @ rec[op.cell_id] - f(op.qp + op.centroid)).max()
         yield op, local, err, stabilization(op, local)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hho_control import cli, hho_core
+from hho_control import cli, hho_core, make_cartesian
 from hho_control.hho_core import HhoSpace
 from hho_control.cli import (CSV_HEADER, ConfigError, ExperimentConfig, main,
                              run_experiment, validate_config, write_report)
@@ -211,11 +211,14 @@ def test_run_level_builds_no_per_cell_operators(monkeypatch, scheme, degree,
         raise AssertionError("per-cell local operators built")
 
     monkeypatch.setattr(HhoSpace, "local_ops", per_cell)
-    monkeypatch.setattr(hho_core, "build_local_operators", per_cell)
-    monkeypatch.setattr(hho_core.LocalOperators, "__init__", per_cell)
+    monkeypatch.setattr(hho_core, "_views", per_cell)
     cfg = make_config(scheme=scheme, degree=degree, preset=preset, levels=[4])
     record = cli.run_level(cfg, cfg.build_problem(), 4)
     assert np.isfinite(record.err_u_l2) and np.isfinite(record.err_y_energy)
+    space = HhoSpace(make_cartesian(1), 0)  # the patches do take hold
+    for build in (space.local_ops, lambda: hho_core._views([], [])):
+        with pytest.raises(AssertionError, match="per-cell"):
+            build()
 
 
 def test_nan_error_reported_as_nan(tmp_path):

@@ -7,13 +7,12 @@ from hho_control import (AdmissibleBox, HhoSpace, PgdConfig,
                          PgdIterationError, project_box, solve_uc1, solve_wc1,
                          solve_wc2)
 from hho_control.control_constrained import (reduced_cost, vi_residual_wc1)
-from hho_control.control_unconstrained import (ControlProblem,
-                                               solve_variational_mixed)
+from hho_control.control_unconstrained import ControlProblem, _solve_two_field
 from hho_control.errors import eoc, l2_error_control
 from hho_control.hho_core import cell_load_vector
 from hho_control.presets import problem_from_preset
-from helpers import (cached_cartesian, cached_voronoi, dense_cell_mass,
-                     dense_stiffness)
+from helpers import (cached_cartesian, cached_voronoi, cell_dofs,
+                     dense_cell_mass, dense_stiffness)
 
 ZERO = lambda p: np.zeros(len(np.atleast_2d(p)))
 BOX = AdmissibleBox(-250.0, -10.0)
@@ -80,7 +79,7 @@ def test_wc1_feasible_at_every_iterate_and_cost_monotone():
         assert (u >= box.u_a).all() and (u <= box.u_b).all()
         load = np.zeros(space.n_dofs)
         for op in ops:
-            load[space.cell_dofs(op.cell_id)] = u[op.cell_id] * op.int_cell
+            load[cell_dofs(space, op.cell_id)] = u[op.cell_id] * op.int_cell
         costs.append(reduced_cost(space, prob, load, float(areas @ u ** 2)))
     slack = 1e-12 * (1.0 + abs(costs[0]))
     assert all(c2 <= c1 + slack for c1, c2 in zip(costs, costs[1:]))
@@ -101,7 +100,8 @@ def test_wc1_variational_inequality_at_convergence():
     u, ref = sol.control.values, np.inf
     for op in space.local_ops():
         i = op.cell_id
-        grad = op.int_cell @ sol.phi.cell_block(i) + prob.lam * u[i] * op.measure
+        grad = (op.int_cell @ sol.phi.cell_blocks()[i]
+                + prob.lam * u[i] * op.measure)
         for v in prob.bounds:
             ref = min(ref, grad * (v - u[i]))
     assert worst == ref
@@ -127,7 +127,7 @@ def test_wc1_matches_active_set_enumeration_oracle():
     L = np.zeros((n, nc))
     lookup = {d: i for i, d in enumerate(act)}
     for op in ops:
-        for d, v in zip(space.cell_dofs(op.cell_id), op.int_cell):
+        for d, v in zip(cell_dofs(space, op.cell_id), op.int_cell):
             L[lookup[d], op.cell_id] = v
     areas = np.array([op.measure for op in ops])
 
@@ -205,7 +205,7 @@ def test_wc2_feasibility_every_iterate():
     for mesh in meshes():
         space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
         sol = solve_wc2(space, prob, keep_history=True)
-        nodes = [len(op.qweights) for op in space.local_ops()]
+        nodes = [len(op.qw) for op in space.local_ops()]
         for snapshot in sol.history:
             assert [len(uq) for uq in snapshot] == nodes
             for uq in snapshot:
@@ -218,7 +218,8 @@ def test_wc2_inactive_bounds_match_variational_mixed():
     for mesh in meshes():
         space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
         a = solve_wc2(space, wide)
-        b = solve_variational_mixed(space, free)
+        # the uc1/uc2 two-field system on the mixed-order space
+        b = _solve_two_field(space, free, "vd-mixed")
         assert np.abs(a.y.values - b.y.values).max() < 1e-8
 
 
@@ -231,7 +232,7 @@ def test_wc2_single_cell_matches_pointwise_clamp_oracle():
 
     # projection identity at every quadrature node of the returned adjoint
     op = space.local_ops()[0]
-    phi_q = op.cell_vals @ sol.phi.cell_block(0)
+    phi_q = op.Vl @ sol.phi.cell_blocks()[0]
     clamp = np.clip(-phi_q / prob.lam, box.u_a, box.u_b)
     assert np.abs(sol.control.samples[0] - clamp).max() < 1e-8
 
@@ -244,8 +245,8 @@ def test_wc2_single_cell_matches_pointwise_clamp_oracle():
     M = dense_cell_mass(space)[np.ix_(act, act)]
     F_f = cell_load_vector(space, prob.f)[act]
     F_yd = cell_load_vector(space, prob.y_d)[act]
-    Vl, w = op.cell_vals, op.qweights
-    yd_vals = prob.y_d(op.qpoints())
+    Vl, w = op.Vl, op.qw
+    yd_vals = prob.y_d(op.qp + op.centroid)
 
     def cost_and_grad(u):
         y = np.linalg.solve(A, F_f + Vl.T @ (w * u))

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from hho_control import HhoSpace, make_cartesian, solve_poisson
+from hho_control import HhoSpace, HhoVector, make_cartesian, solve_poisson
 from hho_control.errors import energy_error, eoc, l2_error_reconstruction
-from hho_control.hho_core import (OptimalitySystem, build_local_operators,
+from hho_control.hho_core import (OptimalitySystem, _build, _views,
                                   cell_load_vector, h1h_seminorm_sq,
                                   reconstruct_all, reduce_function)
-from helpers import (cached_cartesian, cached_voronoi, dense_face_schur,
-                     dense_stiffness, global_monomials,
-                     reduce_reconstruct_stabilize, segment_monomial_integral,
-                     stabilization, voronoi_with_l_cell)
+from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
+                     dense_face_schur, dense_stiffness, global_monomials,
+                     recon_basis, reduce_reconstruct_stabilize,
+                     segment_monomial_integral, stabilization,
+                     voronoi_with_l_cell)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -44,21 +45,21 @@ def test_reconstruction_against_constrained_least_squares_oracle():
     local = np.zeros(1 + 4)
     for j, fid in enumerate(op.face_ids):
         local[1 + j] = mesh.faces[fid].midpoint[0]
-    vec = space.zero_vector()
+    vec = HhoVector(space, np.zeros(space.n_dofs))
     vec.values[op.dofs] = local
     (got,) = reconstruct_all(space, vec)
 
     # Oracle: stack the gradient relations against every recon basis function
     # plus the mean constraint, solve the consistent system densely.
-    rb = op.recon_basis()
-    w, pts = op.qweights, op.qpoints()
+    rb = recon_basis(op)
+    w, pts = op.qw, op.qp + op.centroid
     grads = rb.grad(pts)
     K = np.einsum("nid,n,njd->ij", grads, w, grads)
     rhs = np.zeros(rb.dimension)
     for j, fid in enumerate(op.face_ids):
         face = mesh.faces[fid]
-        fw = op.face_qweights(j)
-        fp = op.face_qpoints(j)
+        fw = op.fqw[j]
+        fp = op.fqp[j] + op.centroid
         dgn = rb.grad(fp) @ (mesh.cells[0].face_signs[j] * face.normal)
         # (v_F - v_T, grad q . n): the cell value is zero here
         rhs += dgn.T @ (fw * local[1 + j])
@@ -89,24 +90,24 @@ def test_stabilization_against_direct_formula_oracle(k):
     red = vec.values[op.dofs]
     _, value = stabilization(op, red)
 
-    cb, rb = op.cell_basis(), op.recon_basis()
+    cb, rb = cell_basis(op), recon_basis(op)
     rec = reconstruct_all(space, vec)[op.cell_id]
     dl = space.cell_dim
     total = 0.0
-    for j in range(op.n_faces):
-        fw, fp = op.face_qweights(j), op.face_qpoints(j)
+    for j in range(len(op.face_ids)):
+        fw, fp = op.fqw[j], op.fqp[j] + op.centroid
         # Pi_T^l of the reconstruction, evaluated on the face
-        w, pts = op.qweights, op.qpoints()
+        w, pts = op.qw, op.qp + op.centroid
         M = cb.eval(pts).T @ (w[:, None] * cb.eval(pts))
         rhs = cb.eval(pts).T @ (w * (rb.eval(pts) @ rec))
         proj_cell = np.linalg.solve(M, rhs)
         resid_vals = (cb.eval(fp) @ red[:dl]
-                      - op.face_vals(j) @ red[dl + j * space.face_dim:
-                                              dl + (j + 1) * space.face_dim]
+                      - op.Vf[j] @ red[dl + j * space.face_dim:
+                                       dl + (j + 1) * space.face_dim]
                       + rb.eval(fp) @ rec - cb.eval(fp) @ proj_cell)
-        Mf = op.face_vals(j).T @ (fw[:, None] * op.face_vals(j))
-        coeff = np.linalg.solve(Mf, op.face_vals(j).T @ (fw * resid_vals))
-        vals = op.face_vals(j) @ coeff
+        Mf = op.Vf[j].T @ (fw[:, None] * op.Vf[j])
+        coeff = np.linalg.solve(Mf, op.Vf[j].T @ (fw * resid_vals))
+        vals = op.Vf[j] @ coeff
         total += fw @ vals ** 2
     total /= op.h
     assert abs(value - total) < 1e-10 * max(1.0, total)
@@ -117,10 +118,10 @@ def test_l2_projection_idempotent(degree):
     mesh = cached_cartesian(2)
     space = HhoSpace(mesh, degree, dirichlet=False)
     op = space.local_ops()[0]
-    cb = op.cell_basis()
+    cb = cell_basis(op)
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(cb.dimension)
-    proj = reduce_function(space, lambda p: cb.eval(p) @ coeffs).cell_block(0)
+    proj = reduce_function(space, lambda p: cb.eval(p) @ coeffs).cell_blocks()[0]
     assert np.abs(proj - coeffs).max() < 1e-12
 
 
@@ -128,8 +129,8 @@ def test_l2_projection_onto_constants():
     mesh = cached_cartesian(1)
     space = HhoSpace(mesh, 0, dirichlet=False)
     op = space.local_ops()[0]
-    proj = reduce_function(space, lambda p: p[:, 0] ** 2).cell_block(0)
-    vals = op.cell_vals @ proj
+    proj = reduce_function(space, lambda p: p[:, 0] ** 2).cell_blocks()[0]
+    vals = op.Vl @ proj
     assert np.abs(vals - 1.0 / 3.0).max() < 1e-13  # mean of x^2 on (0,1)^2
 
 
@@ -140,9 +141,9 @@ def test_projection_error_decreases_with_degree():
         space = HhoSpace(mesh, degree, dirichlet=False)
         op = space.local_ops()[0]
         f = lambda p: np.sin(np.pi * p[:, 0])
-        proj = reduce_function(space, f).cell_block(0)
-        d = f(op.qpoints()) - op.cell_vals @ proj
-        errs.append(np.sqrt(op.qweights @ d ** 2))
+        proj = reduce_function(space, f).cell_blocks()[0]
+        d = f(op.qp + op.centroid) - op.Vl @ proj
+        errs.append(np.sqrt(op.qw @ d ** 2))
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
 
@@ -151,10 +152,11 @@ def test_reduce_of_constant():
     space = HhoSpace(mesh, 1, dirichlet=False)
     vec = reduce_function(space, lambda p: np.full(len(p), 7.0))
     for op in space.local_ops():
-        cell_vals = op.cell_vals @ vec.cell_block(op.cell_id)
+        cell_vals = op.Vl @ vec.values[cell_dofs(space, op.cell_id)]
         assert np.abs(cell_vals - 7.0).max() < 1e-12
         for j, fid in enumerate(op.face_ids):
-            face_vals = op.face_vals(j) @ vec.face_block(fid)
+            dofs = space.face_dof_start[fid] + np.arange(space.face_dim)
+            face_vals = op.Vf[j] @ vec.values[dofs]
             assert np.abs(face_vals - 7.0).max() < 1e-12
 
 
@@ -164,8 +166,8 @@ def test_reduce_reproduces_global_polynomial():
     poly = lambda p: 1.0 + 2.0 * p[:, 0] - p[:, 1] + 0.5 * p[:, 0] * p[:, 1]
     vec = reduce_function(space, poly)
     for op in space.local_ops():
-        pts = op.qpoints()
-        assert np.abs(op.cell_vals @ vec.cell_block(op.cell_id)
+        pts = op.qp + op.centroid
+        assert np.abs(op.Vl @ vec.values[cell_dofs(space, op.cell_id)]
                       - poly(pts)).max() < 1e-12
 
 
@@ -173,7 +175,7 @@ def test_elliptic_projection_identity_and_gradient_optimality():
     mesh = cached_cartesian(2)
     space = HhoSpace(mesh, 1, dirichlet=False)
     op = space.local_ops()[0]
-    rb = op.recon_basis()
+    rb = recon_basis(op)
 
     def elliptic_project(f):
         """R_T of the reduction of f on cell 0: identity on P_{k+1}(T)."""
@@ -185,16 +187,16 @@ def test_elliptic_projection_identity_and_gradient_optimality():
     assert np.abs(got - coeffs).max() < 1e-11
 
     got_c = elliptic_project(lambda p: np.full(len(p), 4.5))
-    vals = op.recon_vals @ got_c
+    vals = op.Vr @ got_c
     assert np.abs(vals - 4.5).max() < 1e-12
 
     # gradient optimality: || grad(v - E v) || <= || grad(v - Pi v) ||
     v = lambda p: np.exp(p[:, 0] + p[:, 1])
-    w, pts = op.qweights, op.qpoints()
+    w, pts = op.qw, op.qp + op.centroid
     grads = rb.grad(pts)
     ev = elliptic_project(v)
     # L2 projection of v onto the recon space
-    piv = np.linalg.solve(op.M_recon, op.recon_vals.T @ (w * v(pts)))
+    piv = np.linalg.solve(op.M_recon, op.Vr.T @ (w * v(pts)))
     gv_exact = np.column_stack([v(pts), v(pts)])  # grad e^{x+y} = (e, e)
     err_e = gv_exact - np.einsum("nid,i->nd", grads, ev)
     err_p = gv_exact - np.einsum("nid,i->nd", grads, piv)
@@ -278,7 +280,7 @@ def test_norm_consistency():
 
     fixed = HhoSpace(mesh, 1, dirichlet=True)
     rng = np.random.default_rng(8)
-    vec = fixed.zero_vector()
+    vec = HhoVector(fixed, np.zeros(fixed.n_dofs))
     vec.values[fixed.active_dofs] = rng.standard_normal(len(fixed.active_dofs))
     assert h1h_seminorm_sq(fixed, vec) > 0
 
@@ -287,18 +289,6 @@ def test_condensed_schur_spd():
     mesh = cached_cartesian(4)
     space = HhoSpace(mesh, 1, dirichlet=True)
     np.linalg.cholesky(dense_face_schur(space))  # raises if not SPD
-
-
-def test_matrix_coo_export(tmp_path):
-    from hho_control.hho_core import write_coo
-
-    mesh = cached_cartesian(1)
-    space = HhoSpace(mesh, 0, dirichlet=False)
-    path = tmp_path / "matrix.txt"
-    write_coo(space.stiffness_matrix(), path)
-    lines = path.read_text().strip().splitlines()
-    r, c, v = lines[0].split()
-    assert int(r) >= 0 and int(c) >= 0 and float(v) == float(v)
 
 
 def test_solver_failure_reports_residual():
@@ -318,8 +308,8 @@ def test_face_trace_energy_term_oracle():
     # One-cell sanity check of the face part of the discrete H1 norm.
     mesh = cached_cartesian(1)
     space = HhoSpace(mesh, 0, dirichlet=False)
-    vec = space.zero_vector()
-    vec.values[space.cell_dofs(0)] = 1.0  # v_T = 1, v_F = 0
+    vec = HhoVector(space, np.zeros(space.n_dofs))
+    vec.values[cell_dofs(space, 0)] = 1.0  # v_T = 1, v_F = 0
     cell = mesh.cells[0]
     expected = sum(
         segment_monomial_integral(mesh.faces[f].endpoints[0],
@@ -329,18 +319,15 @@ def test_face_trace_energy_term_oracle():
     assert abs(h1h_seminorm_sq(space, vec) - expected) < 1e-13
 
 
+FACE_TABLES = ("fqw", "fqp", "Vf", "Vl_f")
+
+
 def _kernel_entries(op):
-    """Every matrix and table of a cell's operators, by name."""
-    entries = {name: getattr(op, name) for name in (
-        "G", "A", "S_faces", "M_faces", "M_cell", "M_recon", "K_cell",
-        "int_cell", "cell_vals", "recon_vals", "qweights")}
-    entries.update(qpoints=op.qpoints(), h=op.h, measure=op.measure,
-                   cell_transform=op.cell_basis().transform,
-                   recon_transform=op.recon_basis().transform)
-    for j in range(op.n_faces):
-        entries.update({f"face{j}_{name}": value for name, value in (
-            ("qweights", op.face_qweights(j)), ("qpoints", op.face_qpoints(j)),
-            ("vals", op.face_vals(j)), ("cell_trace", op.face_cell_trace(j)))})
+    """Every entry of a cell's record, by name; face tables face by face."""
+    entries = dict(vars(op))
+    for name in FACE_TABLES:
+        table = entries.pop(name)
+        entries.update({f"{name}[{j}]": t for j, t in enumerate(table)})
     return entries
 
 
@@ -353,17 +340,18 @@ def test_batched_build_matches_one_cell_builds(k, cell_degree):
     ops = space.local_ops()
     assert [op.cell_id for op in ops] == list(range(mesh.n_cells))
     for i, op in enumerate(ops):
-        (single,) = build_local_operators(space, [i])
-        assert single.face_ids == op.face_ids
-        assert np.array_equal(single.dofs, op.dofs)
+        (single,) = _views(_build(space, [i]), [i])
         want = _kernel_entries(single)
-        for name, got in _kernel_entries(op).items():
-            if want[name] is None:
-                assert got is None, name
+        got = _kernel_entries(op)
+        assert got.keys() == want.keys()
+        for name, value in got.items():
+            if not isinstance(want[name], np.ndarray):  # None, ids, scalars
+                assert type(value) is type(want[name]), (i, name)
+                assert value == want[name], (i, name)
                 continue
-            scale = max(1.0, np.abs(np.asarray(want[name])).max())
-            assert np.abs(np.asarray(got) - want[name]).max() <= 1e-13 * scale, \
-                (i, name)
+            assert value.shape == want[name].shape, (i, name)
+            scale = max(1.0, np.abs(want[name]).max())
+            assert np.abs(value - want[name]).max() <= 1e-13 * scale, (i, name)
 
 
 def test_l_shaped_cell_is_ear_clipped_and_exact():
@@ -372,24 +360,33 @@ def test_l_shaped_cell_is_ear_clipped_and_exact():
     space = HhoSpace(mesh, 1)
     op = space.local_ops()[-1]
     # ear clipping gives m - 2 triangles where the centroid fan has m
-    (tri,) = build_local_operators(space, [0])
-    per_triangle = len(tri.qweights) // len(mesh.cells[0].vertex_ids)
-    assert len(op.qweights) == (len(cell.vertex_ids) - 2) * per_triangle
-    assert abs(op.qweights.sum() - 0.36) < 1e-14
+    (tri,) = _build(space, [0])
+    per_triangle = tri.n_nodes // len(mesh.cells[0].vertex_ids)
+    assert len(op.qw) == (len(cell.vertex_ids) - 2) * per_triangle
+    assert abs(op.qw.sum() - 0.36) < 1e-14
     for p in global_monomials(2):
         rec = reconstruct_all(space, reduce_function(space, p))[op.cell_id]
-        assert np.abs(op.recon_vals @ rec - p(op.qpoints())).max() < 1e-11
+        assert np.abs(op.Vr @ rec - p(op.qp + op.centroid)).max() < 1e-11
 
 
 def test_congruent_cells_share_one_kernel():
     # A Cartesian grid has four congruence classes (which of the left and
     # bottom faces the cell created); every cell of a class holds the same
-    # matrix objects.
+    # array objects.  The benchmark counts kernels this way.
     space = HhoSpace(cached_cartesian(8), 1, dirichlet=True)
     ops = space.local_ops()
     assert len({id(op.G) for op in ops}) == 4
     by_kernel = {}
     for op in ops:
-        by_kernel.setdefault(id(op.G), op)
-        first = by_kernel[id(op.G)]
-        assert op.A is first.A and op.cell_vals is first.cell_vals
+        first = by_kernel.setdefault(id(op.G), op)
+        for name, value in vars(first).items():
+            if isinstance(value, np.ndarray) and name not in ("centroid", "dofs"):
+                assert getattr(op, name) is value, name
+
+
+def test_negative_or_non_integer_degree_rejected():
+    mesh = cached_cartesian(2)
+    for args in [(-1,), (1.5,), (1, 2.0), (True,)]:
+        with pytest.raises(ValueError, match="non-negative integers"):
+            HhoSpace(mesh, *args, dirichlet=True)
+    assert HhoSpace(mesh, np.int64(1), dirichlet=True).face_degree == 1

@@ -161,6 +161,16 @@ def test_self_touching_loop_is_rejected(loop):
         Mesh(loop, [list(range(len(loop)))])
 
 
+@pytest.mark.parametrize("vertices, cells", [
+    ([(0, 0), (1, 0), (0, 1)], [[0, 1, 2], [1, 2, 0]]),           # same loop twice
+    ([(0, 0), (1, 0), (1, 1), (0, 1)], [[0, 1, 2, 3], [0, 1, 2]]),  # square + triangle
+], ids=["same-loop", "square-triangle"])
+def test_face_run_the_same_way_by_both_cells_is_rejected(vertices, cells):
+    # overlapping cells: each shared edge runs the same way in both loops
+    with pytest.raises(MeshError, match="same way"):
+        Mesh(vertices, cells)
+
+
 def test_straight_hanging_vertex_is_accepted():
     m = Mesh([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)], [[0, 1, 2, 3, 4]])
     assert (m.n_faces, m.total_measure()) == (5, 4.0)

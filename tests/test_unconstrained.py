@@ -8,9 +8,9 @@ from hho_control.errors import (energy_error, eoc, l2_error_control,
                                 l2_error_reconstruction)
 from hho_control.hho_core import cell_load_vector, reconstruct_all
 from hho_control.presets import problem_from_preset
-from helpers import (cached_cartesian, cached_voronoi, dense_cell_mass,
-                     dense_cross_coupling, dense_recon_mass, dense_stiffness,
-                     voronoi_with_l_cell)
+from helpers import (cached_cartesian, cached_voronoi, cell_dofs,
+                     dense_cell_mass, dense_cross_coupling, dense_recon_mass,
+                     dense_stiffness, voronoi_with_l_cell)
 
 ZERO = lambda p: np.zeros(len(np.atleast_2d(p)))
 
@@ -229,7 +229,7 @@ def _reduced_cost(space, prob, u_coeffs):
     norm_u_sq = 0.0
     for op in space.local_ops():
         c = u_coeffs[op.cell_id]
-        load[space.cell_dofs(op.cell_id)] = op.M_cell @ c
+        load[cell_dofs(space, op.cell_id)] = op.M_cell @ c
         norm_u_sq += c @ op.M_cell @ c
     rhs = (cell_load_vector(space, prob.f) + load)[act]
     g = space.boundary_values(prob.state_boundary)
@@ -241,9 +241,9 @@ def _reduced_cost(space, prob, u_coeffs):
     y[space.fixed_dofs] = g
     misfit = 0.0
     for op in space.local_ops():
-        vals = op.cell_vals @ y[space.cell_dofs(op.cell_id)] \
-            - prob.y_d(op.qpoints())
-        misfit += op.qweights @ vals ** 2
+        vals = (op.Vl @ y[cell_dofs(space, op.cell_id)]
+                - prob.y_d(op.qp + op.centroid))
+        misfit += op.qw @ vals ** 2
     return 0.5 * misfit + 0.5 * prob.lam * norm_u_sq
 
 
