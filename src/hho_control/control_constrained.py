@@ -4,7 +4,10 @@ wc1 (piecewise constant controls) and wc2 (variational discretization,
 Hinze, Comput. Optim. Appl. 30 (2005) 45-61) share the loop.  The control
 is carried by its values at every cell quadrature node.  Each iteration
 solves the state and adjoint equations with the current control (one sparse
-factorization of a_h is reused throughout), then moves the control halfway
+factorization of a_h is reused throughout; each solve is one step from the
+previous iterate's state or adjoint, zero at the start, so the loop itself
+does the iterative refinement of ``OptimalitySystem``), then moves the
+control halfway
 (theta = 1/2) towards the clamp P(-phi_T / lambda) of the adjoint cell
 polynomial at the nodes.  On the k = 0 space of wc1 the adjoint cell unknown
 is constant per cell, so every node of a cell carries the same value and the
@@ -27,8 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hho_core import (HhoVector, OptimalitySystem, cell_load_vector,
-                       sorted_sum)
+from .hho_core import HhoVector, OptimalitySystem, cell_load_vector
 from .control_unconstrained import ControlProblem  # noqa: F401  (re-export)
 
 THETA = 0.5  # damping of the fixed-point map; see the contraction condition
@@ -159,16 +161,18 @@ def _damped_projection(space, prob, cfg, keep_history, scheme):
     nodes = space.nodes()
     Q, w, starts = nodes.cell_vals, nodes.weights, nodes.starts
 
-    def solve_pde(u):
-        (y,) = system.solve([F_f + Q.T @ (w * u)], [g])
-        (phi,) = system.solve([M @ y.values - F_yd])
+    def solve_pde(u, y, phi):
+        # one refinement step from the previous iterate's state and adjoint
+        (y,) = system.solve([F_f + Q.T @ (w * u)], [g], start=[y])
+        (phi,) = system.solve([M @ y.values - F_yd], start=[phi])
         return y, phi
 
     u = project_box(np.zeros(len(w)), box)
     history = [u] if keep_history else None
     increment = np.inf
+    y = phi = HhoVector(space, np.zeros(space.n_dofs))
     for it in range(1, cfg.max_iters + 1):
-        _, phi = solve_pde(u)
+        y, phi = solve_pde(u, y, phi)
         target = project_box(-(Q @ phi.values) / prob.lam, box)
         u_next = project_box((1.0 - THETA) * u + THETA * target, box)
         inc_sq = np.add.reduceat(w * (u_next - u) ** 2, starts)
@@ -182,7 +186,7 @@ def _damped_projection(space, prob, cfg, keep_history, scheme):
         raise PgdIterationError(
             f"{scheme} did not converge in {cfg.max_iters} iterations "
             f"(last increment {increment:.3e})", increment)
-    y, phi = solve_pde(u)
+    y, phi = solve_pde(u, y, phi)
     return u, starts, y, phi, it, increment, history
 
 
@@ -217,33 +221,3 @@ def solve_wc2(space, prob, cfg=None, keep_history=False):
                                     np.split(u, starts[1:]))
     return ConstrainedSolution("wc2", y, phi, control, it, increment,
                                history=history)
-
-
-def vi_residual_wc1(space, solution, prob):
-    """Worst value of (phi_T + lambda u, v - u) over the extreme directions.
-
-    For piecewise constant controls the admissible extreme directions per cell
-    are v = u_a and v = u_b; the discrete variational inequality holds when
-    the minimum is nonnegative (up to the fixed-point tolerance).
-    """
-    u = solution.control.values
-    phi = solution.phi.cell_blocks()
-    worst = np.inf
-    for g in space.kernel_groups():
-        k, rows, ug = g.kernels, g.rows, u[g.cells]
-        grad = ((k["int_cell"][rows][:, None, :] @ phi[g.cells][..., None])[:, 0, 0]
-                + prob.lam * ug * k["measure"][rows])
-        for v in prob.bounds:
-            worst = min(worst, float(np.min(grad * (v - ug))))
-    return worst
-
-
-def reduced_cost(space, prob, control_load, control_norm_sq):
-    """j_h(u) = 0.5 ||y_T(u) - y_d||^2 + (lam/2) ||u||^2 for a given load."""
-    system = OptimalitySystem([space], [[space.stiffness_matrix()]])
-    (y,) = system.solve([cell_load_vector(space, prob.f) + control_load],
-                        [space.boundary_values(prob.state_boundary)])
-    t = space.nodes()
-    misfit = t.cell_integrals(
-        (t.values("Vl", y.cell_blocks()) - prob.y_d(t.points)) ** 2)
-    return 0.5 * sorted_sum(misfit) + 0.5 * prob.lam * control_norm_sq

@@ -71,7 +71,12 @@ class CellPolyControl:
 
 @dataclass
 class OptimalitySolution:
-    """State, adjoint and control returned by a scheme solver."""
+    """State, adjoint and control returned by a scheme solver.
+
+    ``residuals`` holds each equation's residual relative to the whole
+    right-hand side; ``refinement`` the solve's iterative-refinement steps
+    and final relative residual (``OptimalitySystem.refinement``).
+    """
 
     scheme: str
     y: HhoVector
@@ -80,6 +85,7 @@ class OptimalitySolution:
     control_hat: HhoVector | None = None
     iterations: int | None = None
     residuals: dict = field(default_factory=dict)
+    refinement: dict = field(default_factory=dict)
 
 
 def _check_equal_order(space, prob, scheme):
@@ -121,7 +127,8 @@ def _solve_two_field(space, prob, scheme, recon=False):
             space, -phi.values[:space.n_cell_dofs].reshape(nc, space.cell_dim)
             / lam, "cell")
     return OptimalitySolution(scheme, y, phi, control, control_hat=u_hat,
-                              residuals=residuals)
+                              residuals=residuals,
+                              refinement=system.refinement)
 
 
 def solve_uc1(space, prob):
@@ -212,5 +219,6 @@ def solve_uc32(space, prob, control_space=None):
     control = CellPolyControl(control_space,
                               reconstruct_all(control_space, u_hat), "recon")
     return OptimalitySolution("uc32", y, phi, control, control_hat=u_hat,
-                              residuals=residuals)
+                              residuals=residuals,
+                              refinement=system.refinement)
 

@@ -20,10 +20,22 @@ the Dirichlet DOFs, factors once, lifts the fixed values into the right-hand
 side at each solve and checks the residual.  It serves the Poisson solve,
 the two- and three-field optimality systems of the unconstrained schemes and
 the repeated state/adjoint solves of the constrained ones.
+
+One- and two-field systems are factored in a geometric nested-dissection
+order (``median_bisection`` of the cell centroids, one vectorized pass per
+level; separators are the faces between the halves) without pivoting, the
+two-field uc systems after balancing the adjoint so that the symmetric part
+is diag(A, A).  The pinned three-field uc32 system keeps SuperLU's COLAMD
+order with partial pivoting.  Every solve is refined against the assembled,
+unscaled matrix with residuals summed in ``np.longdouble``, so the results
+do not depend on the ordering (to about 1e-14 where longdouble is wider than
+double); a solve given the previous solution as ``start`` takes one
+refinement step from it.  ``OptimalitySystem`` says more.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import numbers
 from types import SimpleNamespace
@@ -612,6 +624,79 @@ def scatter_blocks(shape, triplets):
         shape=shape).tocsr()
 
 
+def median_bisection(points):
+    """Recursive median bisection of ``points`` (n, 2) down to single points.
+
+    Returns ``(leaf, depth)``: the tree is complete of depth ``depth`` and
+    ``leaf[i]`` is the path of point i from the root, one bit per level, 1
+    for the upper half.  Each level splits every part of two or more points
+    at the median of their coordinate along the longer side of the part's
+    bounding box (ties by index; the lower half takes the odd point); a part
+    of one point passes to its lower child.  The work is vectorized per
+    level, never per part.
+    """
+    n = len(points)
+    leaf = np.zeros(n, dtype=np.int64)
+    depth = 0
+    while n:
+        counts = np.bincount(leaf)
+        if counts.max() == 1:
+            break
+        lo = np.full((len(counts), 2), np.inf)
+        hi = np.full((len(counts), 2), -np.inf)
+        np.minimum.at(lo, leaf, points)
+        np.maximum.at(hi, leaf, points)
+        axis = np.argmax(hi - lo, axis=1)
+        order = np.lexsort((points[np.arange(n), axis[leaf]], leaf))
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n) - (np.cumsum(counts) - counts)[leaf[order]]
+        leaf = 2 * leaf + (2 * rank >= counts[leaf])
+        depth += 1
+    return leaf, depth
+
+
+def nested_dissection(spaces):
+    """Nested-dissection order of the stacked active DOFs of ``spaces``.
+
+    The cells are bisected at coordinate medians of their centroids
+    (``median_bisection``).  A cell's DOFs belong to its leaf; a face's DOFs
+    to the lowest part holding both its cells, so the faces whose two cells
+    fall in different halves of a part form that part's separator.  Cell
+    DOFs couple only through their own faces, and all faces of a cell lie on
+    the path from its leaf to the root, so eliminating each part's halves
+    before its separator creates no fill between the halves.  The order
+    lists the parts in postorder (both halves, then the separator); within a
+    part by DOF index, with every field's copy of a DOF side by side.
+    Returns the permutation of positions in the stacked active vector.
+    """
+    mesh = spaces[0].mesh
+    leaf, depth = median_bisection(mesh.cell_centroids)
+    c0, c1 = mesh.face_cells.T
+    a = leaf[c0]
+    # levels from the leaves up to the lowest part holding both cells
+    up = np.frexp(a ^ leaf[np.where(c1 < 0, c0, c1)])[1]
+
+    def postorder(code, up):
+        # by the part's last leaf, then deeper parts first: both halves of
+        # a part come before its separator
+        return ((((code >> up) + 1) << up) - 1) * (depth + 1) + up
+
+    cell_key, face_key = postorder(leaf, 0), postorder(a, up)
+    keys, dofs, fields = [], [], []
+    for i, s in enumerate(spaces):
+        key = np.concatenate((np.repeat(cell_key, s.cell_dim),
+                              np.repeat(face_key, s.face_dim)))
+        keys.append(key[s.active_dofs])
+        dofs.append(s.active_dofs)
+        fields.append(np.full(len(s.active_dofs), i))
+    return np.lexsort((np.concatenate(fields), np.concatenate(dofs),
+                       np.concatenate(keys)))
+
+
+_EPS = np.finfo(float).eps
+_SQRT_EPS = np.sqrt(_EPS)
+
+
 class OptimalitySystem:
     """Block system over HHO fields, factored once and solved many times.
 
@@ -620,11 +705,50 @@ class OptimalitySystem:
     the equations tested against field i.  The rows and columns of fixed
     (Dirichlet) DOFs are sliced off before the single factorization; at each
     solve the fixed columns times the given fixed values move into the
-    right-hand side (the lift), and every solve is checked against
-    ``||K x - b|| <= 1e-10 ||b||``.
+    right-hand side (the lift).
+
+    Factorization.  Systems of one or two fields are factored in the
+    ``nested_dissection`` order (George, SIAM J. Numer. Anal. 10 (1973)
+    345-363), with SuperLU told to keep it (``permc_spec="NATURAL"``,
+    ``SymmetricMode``) and to pivot on the diagonal
+    (``diag_pivot_thresh=0``).  A two-field system is balanced first: the
+    second field is scaled by s = sqrt(max|K10| / max|K01|) and its
+    equations by 1/s, so the uc system [A, C/lam; -C, A] becomes
+    [A, C/sqrt(lam); -C/sqrt(lam), A].  Its symmetric part diag(A, A) is
+    SPD, as is the one-field A, so LU without pivoting exists and is stable
+    (Golub & Van Loan, Linear Algebra Appl. 28 (1979) 85-97).  The pinned
+    three-field uc32 system has no such balancing: threshold pivoting in the
+    dissection order pivoted it heavily (three times the solve time), so it
+    keeps SuperLU's COLAMD order with partial pivoting.
+
+    Refinement (Demmel et al., ACM TOMS 32 (2006) 325-351).  Every solve is
+    refined against the assembled, unscaled matrix: the residual b - K x is
+    summed in ``np.longdouble`` from a cached ``longdouble`` copy of K and
+    the correction solved with the same LU.  Refinement stops when the
+    correction stops shrinking, falls below the resolution of x (eps ||x||)
+    or reaches ``MAX_REFINEMENT_STEPS``.  The result is the solution of the
+    assembled system to about double precision, whatever the ordering and
+    scaling of the factorization.  Given a ``start`` (the previous solution
+    of a loop) a solve is one refinement step from it, so the loop's own
+    iterations do the refining; when the start is one of the last two
+    solutions, its residual is carried over (``_restart``), so such a step
+    costs one LU solve and one product with K.  That product is summed in
+    double after a step larger than sqrt(eps) ||x||: the loop is then still
+    far from its fixed point, and its later, smaller steps, summed in
+    ``longdouble``, correct what double misses.  Where
+    ``np.longdouble`` is no wider than
+    double (aarch64 macOS, Windows) refinement improves only the backward
+    error, and the results keep the round-off of the factorization.
+
+    Every solve is checked against ``||b - K x|| <= 1e-10 ||b||``; a
+    non-finite solution fails with an infinite residual.  ``residuals``
+    holds each field's residual relative to the whole right-hand side;
+    ``refinement`` the number of refinement steps and the final residual,
+    relative to the whole right-hand side.
     """
 
     RESIDUAL_TOL = 1e-10
+    MAX_REFINEMENT_STEPS = 10
 
     def __init__(self, spaces, blocks):
         self.spaces = list(spaces)
@@ -638,24 +762,79 @@ class OptimalitySystem:
         # bmat copies even a lone block through COO arrays, and sliced blocks
         # kept alive through the factorization add to its peak; each raised
         # the peak RSS of the one-field wc2 solve at 32 x 32 by 1-3 MB
-        self.matrix = (grid[0][0].tocsc() if len(grid) == 1
-                       else sp.bmat(grid, format="csc"))
+        matrix = (grid[0][0].tocsc() if len(grid) == 1
+                  else sp.bmat(grid, format="csc"))
+        self._order = (nested_dissection(self.spaces) if len(grid) <= 2
+                       else None)
+        self._scale = (_field_scale(grid, [len(a) for a in act])
+                       if self._order is not None and len(grid) == 2 else None)
         del grid
+        # the assembled matrix in double and, over the same indices, in
+        # longdouble for the residuals of iterates near the solution
+        self._matrix = sp.csr_matrix(matrix)
+        self._matrix_ld = sp.csr_matrix(
+            (self._matrix.data.astype(np.longdouble), self._matrix.indices,
+             self._matrix.indptr), shape=self._matrix.shape)
+        # (x, b, b - K x) of the last two solves: a loop alternating two
+        # right-hand sides, like the wc state and adjoint, restarts from each
+        self._last = collections.deque(maxlen=2)
         self._split = np.cumsum([len(a) for a in act])[:-1]
         self.residuals = None
+        self.refinement = None
         try:
-            self._lu = spla.splu(self.matrix)
+            if self._order is None:
+                self._lu = spla.splu(matrix)
+            else:
+                if self._scale is not None:
+                    matrix = (sp.diags(1.0 / self._scale) @ matrix
+                              @ sp.diags(self._scale)).tocsr()
+                matrix = matrix[self._order][:, self._order].tocsc()
+                self._lu = spla.splu(matrix, permc_spec="NATURAL",
+                                     diag_pivot_thresh=0.0,
+                                     options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # exactly singular
             raise SolverError(f"factorization failed: {exc}",
                               residual=np.inf) from None
 
-    def solve(self, loads, fixed=None):
+    def _residual(self, b, x, extended=True):
+        """b - K x for the assembled K, summed in longdouble if ``extended``."""
+        if not extended:
+            return b - self._matrix @ x
+        r = self._matrix_ld @ x
+        np.subtract(b, r, out=r)
+        return r.astype(float)
+
+    def _restart(self, b, x):
+        """b - K x, carried over when x is one of the last two solutions.
+
+        With x's own right-hand side b0 and residual r0, b - K x is
+        (b - b0) + r0; summed in double, it is off by about eps |b - b0|,
+        which vanishes as a loop converges.
+        """
+        for x0, b0, r0 in self._last:
+            if np.array_equal(x0, x):
+                return (b - b0) + r0
+        return self._residual(b, x)
+
+    def _lu_solve(self, b):
+        """K^{-1} b through the (balanced, permuted) factorization."""
+        if self._order is None:
+            return self._lu.solve(b)
+        if self._scale is not None:
+            b = b / self._scale
+        x = np.empty_like(b)
+        x[self._order] = self._lu.solve(b[self._order])
+        return x if self._scale is None else x * self._scale
+
+    def solve(self, loads, fixed=None, start=None):
         """Full-length solution vectors, one per field.
 
         ``loads`` holds one full-length load vector per field and ``fixed``
         the values of each field's fixed DOFs (None, or a None entry, for
-        zero).  Sets ``residuals`` to each field's residual relative to the
-        whole right-hand side; raises SolverError above the tolerance.
+        zero).  ``start``, one vector per field, is a previous solution to
+        take one refinement step from.  Sets ``residuals`` and
+        ``refinement``; raises SolverError above the tolerance or on a
+        non-finite solution.
         """
         fixed = fixed or [None] * len(self.spaces)
         rhs = []
@@ -666,16 +845,40 @@ class OptimalitySystem:
                     b = b - block @ g
             rhs.append(b)
         b = np.concatenate(rhs)
-        x = self._lu.solve(b)
-        r = self.matrix @ x - b
-        scale = np.linalg.norm(b)
+        if start is None:
+            x, cap = self._lu_solve(b), self.MAX_REFINEMENT_STEPS
+            r = self._residual(b, x)
+        else:
+            x, cap = np.concatenate([v.values[s.active_dofs] for s, v
+                                     in zip(self.spaces, start)]), 1
+            r = self._restart(b, x)
+        steps, last = 0, np.inf
+        while steps < cap:
+            d = self._lu_solve(r)
+            size = _norm(d)
+            if not size < last:  # stopped shrinking (or not finite)
+                break
+            x, steps, last = x + d, steps + 1, size
+            size_x = _norm(x)
+            # a warm step above sqrt(eps) ||x|| leaves the loop far from its
+            # fixed point, and its later steps correct what double misses
+            r = self._residual(b, x, extended=start is None
+                               or size <= _SQRT_EPS * size_x)
+            if size <= _EPS * size_x:  # below the resolution of x
+                break
+        self._last.append((x, b, r))
+
+        scale = _norm(b)
         unit = scale if scale > 0 else 1.0  # with b = 0 only x = 0 passes
-        self.residuals = [float(np.linalg.norm(part) / unit)
-                          for part in np.split(r, self._split)]
-        res = np.linalg.norm(r)
+        parts = [_norm(part) for part in np.split(r, self._split)]
+        res = float(np.hypot.reduce(parts))
+        self.residuals = [_finite_or_inf(p / unit) for p in parts]
+        residual = _finite_or_inf(res / unit)
+        self.refinement = {"steps": steps, "residual": residual}
+        # a non-finite x leaves a non-finite residual, which fails here
         if not res <= self.RESIDUAL_TOL * scale:
-            raise SolverError(f"linear solve residual {res / unit:.3e} exceeds "
-                              f"{self.RESIDUAL_TOL:.0e}", residual=res / unit)
+            raise SolverError(f"linear solve residual {residual:.3e} exceeds "
+                              f"{self.RESIDUAL_TOL:.0e}", residual=residual)
         out = []
         for space, part, g in zip(self.spaces, np.split(x, self._split), fixed):
             vals = np.zeros(space.n_dofs)
@@ -684,6 +887,33 @@ class OptimalitySystem:
                 vals[space.fixed_dofs] = g
             out.append(HhoVector(space, vals))
         return out
+
+
+def _field_scale(grid, sizes):
+    """Column scale of a two-field system: 1 on field 0, s on field 1.
+
+    s = sqrt(max|K10| / max|K01|) gives the two coupling blocks equal
+    largest entries; it is 1 when either block is empty.
+    """
+    big = [0.0 if b is None or b.nnz == 0 else float(abs(b).max())
+           for b in (grid[1][0], grid[0][1])]
+    s = np.sqrt(big[0] / big[1]) if min(big) > 0 else 1.0
+    return np.concatenate((np.ones(sizes[0]), np.full(sizes[1], s)))
+
+
+def _norm(v):
+    """Euclidean norm, summed by ``einsum`` rather than BLAS; inf on overflow.
+
+    A threaded BLAS dot hands a vector of more than 10k entries to a second
+    thread; right after a SuperLU solve that hand-off took about 0.5 ms.
+    """
+    return float(np.sqrt(np.einsum("i,i->", v, v)))
+
+
+def _finite_or_inf(value):
+    """``value`` as a float, infinite when it is not finite."""
+    value = float(value)
+    return value if np.isfinite(value) else np.inf
 
 
 def solve_poisson(space, f, boundary_data=None):

@@ -8,7 +8,10 @@ computed from closed forms.  ``polygon_area``, ``polygon_centroid`` and
 grouped geometry.  ``cell_quadrature`` and ``make_cell_basis`` are not
 oracles: they apply the library's rules to a mesh ``Cell`` view.
 ``cell_basis`` and ``recon_basis`` rebuild the bases of one cell's record
-from ``HhoSpace.local_ops()`` out of its kernel entries.
+from ``HhoSpace.local_ops()`` out of its kernel entries.  ``vi_residual_wc1``
+and ``reduced_cost`` are not oracles either: they evaluate the wc1
+variational inequality and the reduced cost of a control load with the
+library's kernels and solve.
 """
 
 import functools
@@ -17,7 +20,9 @@ import math
 import numpy as np
 
 from hho_control import make_cartesian, make_voronoi
-from hho_control.hho_core import reconstruct_all, reduce_function
+from hho_control.hho_core import (OptimalitySystem, cell_load_vector,
+                                  reconstruct_all, reduce_function,
+                                  sorted_sum)
 from hho_control.mesh import next_vertices
 from hho_control.poly import (CellBasis, monomial_exponents,
                               orthonormal_transform, polygon_quadrature)
@@ -233,3 +238,33 @@ def voronoi_with_l_cell(seeds=12):
              + lines[2:at_cells] + corners + [f"cells {mesh.n_cells + 1}"]
              + lines[at_cells + 1:] + [" ".join(map(str, [len(loop), *loop]))])
     return read_mesh("\n".join(lines) + "\n")
+
+
+def vi_residual_wc1(space, solution, prob):
+    """Worst value of (phi_T + lambda u, v - u) over the extreme directions.
+
+    For piecewise constant controls the admissible extreme directions per cell
+    are v = u_a and v = u_b; the discrete variational inequality holds when
+    the minimum is nonnegative (up to the fixed-point tolerance).
+    """
+    u = solution.control.values
+    phi = solution.phi.cell_blocks()
+    worst = np.inf
+    for g in space.kernel_groups():
+        k, rows, ug = g.kernels, g.rows, u[g.cells]
+        grad = ((k["int_cell"][rows][:, None, :] @ phi[g.cells][..., None])[:, 0, 0]
+                + prob.lam * ug * k["measure"][rows])
+        for v in prob.bounds:
+            worst = min(worst, float(np.min(grad * (v - ug))))
+    return worst
+
+
+def reduced_cost(space, prob, control_load, control_norm_sq):
+    """j_h(u) = 0.5 ||y_T(u) - y_d||^2 + (lam/2) ||u||^2 for a given load."""
+    system = OptimalitySystem([space], [[space.stiffness_matrix()]])
+    (y,) = system.solve([cell_load_vector(space, prob.f) + control_load],
+                        [space.boundary_values(prob.state_boundary)])
+    t = space.nodes()
+    misfit = t.cell_integrals(
+        (t.values("Vl", y.cell_blocks()) - prob.y_d(t.points)) ** 2)
+    return 0.5 * sorted_sum(misfit) + 0.5 * prob.lam * control_norm_sq

@@ -6,13 +6,13 @@ import pytest
 from hho_control import (AdmissibleBox, HhoSpace, PgdConfig,
                          PgdIterationError, project_box, solve_uc1, solve_wc1,
                          solve_wc2)
-from hho_control.control_constrained import (reduced_cost, vi_residual_wc1)
 from hho_control.control_unconstrained import ControlProblem, _solve_two_field
 from hho_control.errors import eoc, l2_error_control
 from hho_control.hho_core import cell_load_vector
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, cell_dofs,
-                     dense_cell_mass, dense_stiffness)
+                     dense_cell_mass, dense_stiffness, reduced_cost,
+                     vi_residual_wc1)
 
 ZERO = lambda p: np.zeros(len(np.atleast_2d(p)))
 BOX = AdmissibleBox(-250.0, -10.0)

@@ -304,6 +304,27 @@ def test_solver_failure_reports_residual():
     assert err.value.residual > OptimalitySystem.RESIDUAL_TOL
 
 
+@pytest.mark.parametrize("case", ["exactly-singular", "singular-blocks",
+                                  "overflow"])
+def test_two_field_solver_failure_reports_residual(case):
+    from hho_control import SolverError
+
+    # Without pivoting a singular or badly scaled two-field system may leave
+    # a zero pivot or non-finite values: the error carries a residual above
+    # the tolerance (inf when nothing finite is left), never nan.
+    mesh = cached_cartesian(2)
+    space = HhoSpace(mesh, 1, dirichlet=case != "singular-blocks")
+    A = space.stiffness_matrix()
+    blocks = {"exactly-singular": [[A, A], [A, A]],
+              "singular-blocks": [[A, None], [None, A]],
+              "overflow": [[A * 1e-300, None], [None, A]]}[case]
+    load = cell_load_vector(space, lambda p: np.ones(len(p)))
+    scale = 1e10 if case == "overflow" else 1.0  # the solution overflows
+    with pytest.raises(SolverError) as err:
+        OptimalitySystem([space, space], blocks).solve([scale * load, load])
+    assert err.value.residual > OptimalitySystem.RESIDUAL_TOL
+
+
 def test_face_trace_energy_term_oracle():
     # One-cell sanity check of the face part of the discrete H1 norm.
     mesh = cached_cartesian(1)

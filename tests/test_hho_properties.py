@@ -1,4 +1,6 @@
-"""Property tests of the local HHO operators (skipped without hypothesis)."""
+"""Property tests of the local HHO operators and the nested-dissection order
+(skipped without hypothesis).
+"""
 
 import numpy as np
 import pytest
@@ -6,9 +8,12 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from hho_control import HhoSpace, Mesh  # noqa: E402
-from hho_control.hho_core import reconstruct_all, reduce_function  # noqa: E402
+from hho_control import HhoSpace, Mesh, make_voronoi  # noqa: E402
+from hho_control.hho_core import (median_bisection,  # noqa: E402
+                                  nested_dissection, reconstruct_all,
+                                  reduce_function)
 from hho_control.poly import monomial_exponents  # noqa: E402
+from helpers import voronoi_with_l_cell  # noqa: E402
 
 # derandomized so that the suite sees the same examples on every run
 PROPERTY = dict(deadline=None, derandomize=True, database=None)
@@ -46,3 +51,67 @@ def test_reconstruction_of_reduction_reproduces_p_k_plus_1(polygon, k, coeffs):
     target = p(nodes.points)
     scale = max(1.0, np.abs(target).max())
     assert np.abs(nodes.values("Vr", rec) - target).max() <= 1e-10 * scale
+
+
+def _dof_entities(space):
+    """(kind, index) of each DOF of the space: its cell or its face."""
+    return ([("cell", i // space.cell_dim) for i in range(space.n_cell_dofs)]
+            + [("face", i // space.face_dim)
+               for i in range(space.n_dofs - space.n_cell_dofs)])
+
+
+@settings(max_examples=25, **PROPERTY)
+@given(st.one_of(
+    st.builds(make_voronoi, st.integers(2, 40),
+              rng_seed=st.integers(0, 2 ** 32 - 1),
+              lloyd_iters=st.integers(0, 3)),
+    st.just("l-cell")), st.integers(0, 1), st.booleans(), st.integers(1, 2))
+def test_nested_dissection_orders_separators_after_their_halves(
+        mesh, k, dirichlet, n_fields):
+    if mesh == "l-cell":
+        mesh = voronoi_with_l_cell()
+    space = HhoSpace(mesh, k, dirichlet=dirichlet)
+    perm = nested_dissection([space] * n_fields)
+    n_act = len(space.active_dofs)
+    assert sorted(perm) == list(range(n_fields * n_act))
+    pos = np.empty_like(perm)
+    pos[perm] = np.arange(len(perm))
+    # every field's copy of a DOF sits in the same part, next to the others
+    for f in range(1, n_fields):
+        assert (pos[f * n_act:(f + 1) * n_act] == pos[:n_act] + f).all()
+
+    # each split halves its part at the median, the odd cell going low
+    leaf, depth = median_bisection(mesh.cell_centroids)
+    for up in range(1, depth + 1):
+        for code in np.unique(leaf >> up):
+            low = np.sum(leaf >> (up - 1) == 2 * code)
+            high = np.sum(leaf >> (up - 1) == 2 * code + 1)
+            assert low - high in ((0, 1) if low + high > 1 else (1,))
+
+    # the part of a cell is its leaf; of a face, the lowest part that holds
+    # both its cells (its separator), found here one level at a time
+    def part(kind, i):
+        if kind == "cell":
+            return leaf[i], 0
+        a, b = mesh.face_cells[i]
+        b = a if b < 0 else b
+        up = 0
+        while leaf[a] >> up != leaf[b] >> up:
+            up += 1
+        return leaf[a] >> up, up
+
+    parts = [part(*e) for e in _dof_entities(space)]
+    at = {d: i for i, d in enumerate(space.active_dofs)}
+    first = {}
+    for d, (code, up) in enumerate(parts):
+        if d in at and up > 0:
+            first[code, up] = min(first.get((code, up), len(perm)), pos[at[d]])
+    for d, (code, up) in enumerate(parts):
+        if d not in at:
+            continue
+        # every DOF below a separator comes before that separator
+        for above in range(up + 1, depth + 1):
+            key = (code >> (above - up), above)
+            if key in first:
+                assert pos[at[d]] < first[key]
+

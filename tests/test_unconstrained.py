@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hho_control import (HhoSpace, UnsupportedDegreeError, solve_uc1,
-                         solve_uc2, solve_uc31, solve_uc32)
+from hho_control import (HhoSpace, OptimalitySystem, UnsupportedDegreeError,
+                         solve_uc1, solve_uc2, solve_uc31, solve_uc32)
 from hho_control.control_unconstrained import ControlProblem
 from hho_control.errors import (energy_error, eoc, l2_error_control,
                                 l2_error_reconstruction)
@@ -194,6 +194,43 @@ def test_reported_residuals_below_contract():
              "uc32-default")):
         sol = solver(space, problem_from_preset(preset))
         assert max(sol.residuals.values()) <= 1e-9
+
+
+def test_uc32_errors_stable_under_last_bit_load_changes(monkeypatch):
+    # The pinned three-field system amplifies round-off: without extended-
+    # precision refinement a 1e-15 relative change of the cell loads moved
+    # the reported errors by up to 1e-4.
+    from hho_control import cli, control_unconstrained
+    from hho_control.errors import QUANTITIES
+
+    cfg = cli.ExperimentConfig(scheme="uc32", degree=2, mesh_family="cartesian",
+                               preset="uc32-default", levels=[16])
+    prob = cfg.build_problem()
+    base = cli.run_level(cfg, prob, 16)
+    rng = np.random.default_rng(3)
+    loads = control_unconstrained.cell_load_vector
+
+    def perturbed(space, f):
+        v = loads(space, f)
+        return v * (1.0 + 1e-15 * rng.standard_normal(v.shape))
+
+    monkeypatch.setattr(control_unconstrained, "cell_load_vector", perturbed)
+    got = cli.run_level(cfg, prob, 16)
+    for q in QUANTITIES:
+        assert abs(getattr(got, q) - getattr(base, q)) <= 1e-10 * getattr(base, q)
+
+
+@pytest.mark.parametrize("lam", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_uc1_lambda_sweep_passes_residual_gate(lam):
+    # The balanced two-field system [A, C/sqrt(lam); -C/sqrt(lam), A] is
+    # factored without pivoting; small lam must not cost accuracy.
+    space = HhoSpace(cached_cartesian(8), 1, dirichlet=True)
+    prob = problem_from_preset("uc1-default")
+    sol = solve_uc1(space, ControlProblem(prob.f, prob.y_d, lam,
+                                          state_boundary=prob.state_boundary))
+    assert max(sol.residuals.values()) <= 1e-10
+    assert 1 <= sol.refinement["steps"] <= OptimalitySystem.MAX_REFINEMENT_STEPS
+    assert sol.refinement["residual"] <= 1e-14
 
 
 def test_cross_coupling_matches_cell_by_cell_reference():
