@@ -62,6 +62,9 @@ class ExperimentConfig:
             raise ConfigError("levels must be strictly increasing positive integers")
         if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
             raise ConfigError("lambda must be finite and positive")
+        for name in ("rng_seed", "lloyd_iters"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         k = self.degree
         if self.scheme == "uc31" and k not in (0, 1):
             raise ConfigError("uc31 supports degree k in {0, 1} only")
@@ -174,11 +177,6 @@ def _config_from_fields(raw):
         bounds=bounds, exact_y=raw.get("exact_y"), exact_phi=raw.get("exact_phi"),
         pgd=pgd, output_dir=raw.get("output_dir", "out"),
         rng_seed=geti("rng_seed", 42), lloyd_iters=geti("lloyd_iters", 10))
-
-
-def validate_config(text):
-    """Parse a flat `key = value` document into an ExperimentConfig."""
-    return _config_from_fields(_parse_document(text))
 
 
 def _build_mesh(family, n, rng_seed, lloyd_iters):
@@ -349,9 +347,7 @@ def main(argv=None):
         if args.command == "presets":
             for pid in presets_mod.preset_ids():
                 print(f"{pid}: {presets_mod.get_preset(pid).description}")
-            for alias, target in (("uc2-default", "uc1-default"),
-                                  ("wc1-default", "wc-default"),
-                                  ("wc2-default", "wc-default")):
+            for alias, target in presets_mod.ALIASES.items():
                 print(f"{alias}: alias of {target}")
             return 0
         if args.command == "mesh":

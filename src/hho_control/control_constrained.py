@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .control_unconstrained import CellPolyControl
 from .hho_core import HhoVector, OptimalitySystem, cell_load_vector
-from .control_unconstrained import ControlProblem  # noqa: F401  (re-export)
 
 THETA = 0.5  # damping of the fixed-point map; see the contraction condition
 
@@ -73,20 +73,6 @@ class PgdIterationError(Exception):
     def __init__(self, message, final_increment):
         self.final_increment = final_increment
         super().__init__(message)
-
-
-class CellConstantControl:
-    """Piecewise constant control values, one per cell."""
-
-    has_kinks = False
-
-    def __init__(self, space, values):
-        self.space = space
-        self.values = np.asarray(values, dtype=float)
-
-    def at_nodes(self):
-        """Values at the nodes of the space's ``NodeTable``."""
-        return np.repeat(self.values, self.space.nodes().counts)
 
 
 class ClampedAdjointControl:
@@ -199,7 +185,7 @@ def solve_wc1(space, prob, cfg=None, keep_history=False):
     if history is not None:
         history = [h[starts] for h in history]
     return ConstrainedSolution("wc1", y, phi,
-                               CellConstantControl(space, u[starts]),
+                               CellPolyControl(space, u[starts][:, None], "cell"),
                                it, increment, history=history)
 
 

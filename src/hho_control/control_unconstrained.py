@@ -83,7 +83,6 @@ class OptimalitySolution:
     phi: HhoVector
     control: object
     control_hat: HhoVector | None = None
-    iterations: int | None = None
     residuals: dict = field(default_factory=dict)
     refinement: dict = field(default_factory=dict)
 
@@ -178,7 +177,7 @@ def _cross_coupling(space, control_space):
     return scatter_blocks((space.n_dofs, control_space.n_dofs), triplets())
 
 
-def solve_uc32(space, prob, control_space=None):
+def solve_uc32(space, prob):
     """Partial reconstruction: mixed-order state/adjoint, control in R(V_h^k).
 
     The control block (R u, R v) is singular on the kernel of the global
@@ -194,12 +193,7 @@ def solve_uc32(space, prob, control_space=None):
             f"partial reconstruction requires k >= 2, got k={k}")
     if space.cell_degree != k + 1 or not space.dirichlet:
         raise ValueError("uc32 requires the mixed-order zero-trace space")
-    if control_space is None:
-        control_space = HhoSpace(space.mesh, k, dirichlet=False)
-    if (control_space.mesh is not space.mesh or control_space.face_degree != k
-            or control_space.dirichlet):
-        raise ValueError("control space must be the unconstrained k-space "
-                         "on the state mesh")
+    control_space = HhoSpace(space.mesh, k, dirichlet=False)
 
     lam = prob.lam
     A = space.stiffness_matrix()

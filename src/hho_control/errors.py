@@ -14,6 +14,7 @@ import numpy as np
 from . import poly
 from .hho_core import (h1h_seminorm_sq, reconstruct_all, reduce_function,
                        sorted_sum)
+from .mesh import loop_groups
 
 
 def energy_error(space, vec, v_exact):
@@ -22,22 +23,12 @@ def energy_error(space, vec, v_exact):
     return math.sqrt(h1h_seminorm_sq(space, vec - ref))
 
 
-def _l2_distance(space, v_exact, approx):
-    """L2 distance to v_exact of the function with node values ``approx``."""
-    t = space.nodes()
-    return math.sqrt(sorted_sum(t.cell_integrals((v_exact(t.points) - approx) ** 2)))
-
-
-def l2_error_cells(space, vec, v_exact):
-    """L2 distance between the exact function and the cell polynomials."""
-    return _l2_distance(space, v_exact,
-                        space.nodes().values("Vl", vec.cell_blocks()))
-
-
 def l2_error_reconstruction(space, vec, v_exact):
     """L2 distance between the exact function and the reconstruction R v."""
-    return _l2_distance(space, v_exact, space.nodes().values(
-        "Vr", reconstruct_all(space, vec)))
+    t = space.nodes()
+    approx = t.values("Vr", reconstruct_all(space, vec))
+    diff_sq = (v_exact(t.points) - approx) ** 2
+    return math.sqrt(sorted_sum(t.cell_integrals(diff_sq)))
 
 
 # kinked cells refined at once: bounds the stacked tables of the refined rule
@@ -50,27 +41,22 @@ def l2_error_control(solution, u_exact):
     For a control whose ``has_kinks`` is set (the variational-discretization
     clamp of wc2) the cells crossed by the active-set boundary are integrated
     with a rule of four times the standard exactness to limit the quadrature
-    crime near the free boundary: each cell's ``poly.polygon_quadrature``
-    rule, stacked per triangle count, with one ``u_exact`` call per chunk.
+    crime near the free boundary: the ``poly.polygon_rules`` of each group of
+    equal vertex count, with one ``u_exact`` call per chunk.
     """
     control = solution.control
     space = control.space
+    mesh = space.mesh
     t = space.nodes()
     contribs = t.cell_integrals((u_exact(t.points) - control.at_nodes()) ** 2)
     kinked = control.kinked_cells() if control.has_kinks else []
     for start in range(0, len(kinked), KINK_CHUNK):
         chunk = kinked[start:start + KINK_CHUNK]
-        tris = [poly.polygon_triangles(space.mesh.polygon(c),
-                                       space.mesh.cell_centroids[c]) for c in chunk]
-        n_tris = np.array([len(tri) for tri in tris])
-        rules = []
-        for nt in np.unique(n_tris):
-            sel = np.nonzero(n_tris == nt)[0]
-            tri = np.array([tris[i] for i in sel])
-            pts, w = poly.triangle_quadrature(tri[:, :, 0], tri[:, :, 1], tri[:, :, 2],
-                                              8 * (space.face_degree + 2))
-            rules.append((chunk[sel], pts.reshape(len(sel), -1, 2),
-                          w.reshape(len(sel), -1)))
+        rules = [(chunk[at[sel]], pts, w)
+                 for at, idx in loop_groups(mesh.cell_ptr, chunk)
+                 for sel, pts, w in poly.polygon_rules(
+                     mesh.vertices[mesh.cell_vertex_ids[idx]],
+                     mesh.cell_centroids[chunk[at]], 8 * (space.face_degree + 2))]
         exact = u_exact(np.concatenate([pts.reshape(-1, 2) for _, pts, _ in rules]))
         sizes = np.cumsum([w.size for *_, w in rules])
         for (cells, pts, w), u in zip(rules, np.split(exact, sizes)):

@@ -220,22 +220,18 @@ class KernelGroup:
         return self.kernels["qw"].shape[1]
 
 
-def _build_kernels(space, tris, centroids, h, measure, face_ends, normals):
+def _build_kernels(space, pts, w, centroids, h, measure, face_ends, normals):
     """Kernels of cells with one face count and rule size, stacked by cell.
 
-    ``tris`` holds each cell's quadrature triangles ``(B, t, 3, 2)``,
-    ``face_ends`` the endpoints of its faces in loop order ``(B, m, 2, 2)``
-    (each in the face's own orientation) and ``normals`` its outward face
-    normals ``(B, m, 2)``.  Every product and solve acts on the whole stack.
+    ``pts`` ``(B, n, 2)`` and ``w`` ``(B, n)`` hold each cell's quadrature
+    rule, ``face_ends`` the endpoints of its faces in loop order ``(B, m, 2,
+    2)`` (each in the face's own orientation) and ``normals`` its outward
+    face normals ``(B, m, 2)``.  Every product and solve acts on the whole
+    stack.
     """
     k, l = space.face_degree, space.cell_degree
     r = k + 1
-    exactness = 2 * (k + 2)
     B, m = normals.shape[:2]
-
-    pts, w = poly.triangle_quadrature(tris[:, :, 0], tris[:, :, 1],
-                                      tris[:, :, 2], max(exactness, 2 * l, 2 * r))
-    pts, w = pts.reshape(B, -1, 2), w.reshape(B, -1)
 
     values = functools.partial(_basis_at, centroids=centroids, h=h)
 
@@ -265,7 +261,7 @@ def _build_kernels(space, tris, centroids, h, measure, face_ends, normals):
     # Faces, stacked (B, m, ...): quadrature, face basis, cell and
     # reconstruction traces, and the normal derivative of the recon basis.
     p0, p1 = face_ends[:, :, 0], face_ends[:, :, 1]
-    fpts, fw = poly.segment_rule(p0, p1, max(exactness, 2 * r))
+    fpts, fw = poly.segment_rule(p0, p1, 2 * (k + 2))
     nf = fw.shape[-1]
     mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
     inv_sq = 1.0 / (half[..., None, :] @ half[..., :, None])[..., 0]
@@ -357,17 +353,12 @@ def _build(space, cell_ids):
                               for i, key in enumerate(keys)])
         reps = np.unique(kernel_of)               # first cell of each shape
 
-        # star-shaped cells use the centroid fan, the others are ear-clipped
-        tris, folded = poly.fan_triangles(polys[reps], c0[reps])
-        n_tris = np.where(folded, m - 2, m)
-        for nt in np.unique(n_tris):
-            sel = np.nonzero(n_tris == nt)[0]
+        # 2(k + 2) covers every product of two basis functions: l, r <= k + 1
+        for sel, pts, w in poly.polygon_rules(polys[reps], c0[reps],
+                                              2 * (space.face_degree + 2)):
             r = reps[sel]
-            group_tris = np.array([
-                poly.polygon_triangles(polys[i], c0[i]) if fold else t
-                for i, fold, t in zip(r, folded[sel], tris[sel])])
             kernels = _build_kernels(
-                space, group_tris, c0[r], mesh.cell_diameters[ids[r]],
+                space, pts, w, c0[r], mesh.cell_diameters[ids[r]],
                 mesh.cell_areas[ids[r]], mesh.face_points[fids[r]],
                 signs[r][..., None] * mesh.face_normals[fids[r]])
             row_of = np.full(len(ids), -1)

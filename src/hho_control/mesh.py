@@ -5,25 +5,22 @@ the cells form one CSR table: cell c's loop is ``cell_vertex_ids[cell_ptr[c]:
 cell_ptr[c + 1]]`` and its local face k is the edge from loop vertex k to
 k + 1.  ``cell_face_ids`` and ``cell_face_signs`` run parallel to that table.
 The face table holds, per face, the endpoint ids ``face_vertex_ids`` and
-coordinates ``face_points``, ``face_lengths``, ``face_midpoints``,
-``face_normals`` and ``face_cells`` (the second cell is -1 on the boundary,
-listed in ``boundary_faces``); ``sign * face_normals[face]`` is a cell's own
-outward normal.  ``cell_areas``, ``cell_centroids`` and ``cell_diameters``
+coordinates ``face_points``, ``face_lengths``, ``face_normals`` and
+``face_cells`` (the second cell is -1 on the boundary, listed in
+``boundary_faces``); ``sign * face_normals[face]`` is a cell's own outward
+normal.  ``cell_areas``, ``cell_centroids`` and ``cell_diameters``
 hold the cell geometry, computed per group of equal vertex count with each
 loop summed at its own length, so each cell gets the bits of its polygon
 summed alone.  Faces are derived by matching vertex-id pairs, never by
 floating-point comparison, and are numbered by first appearance in the (cell,
 local edge) traversal, keeping the orientation of that first cell.
-``Mesh.cells`` and ``Mesh.faces`` are read-only ``Cell``/``Face`` views built
-on first access, for tests and inspection; the library reads the arrays.
+There are no per-cell or per-face objects: every reader slices the arrays.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from collections import namedtuple
 
 import numpy as np
 from scipy.spatial import Voronoi
@@ -47,12 +44,6 @@ class MeshGenerationError(MeshError):
     """A generator produced a degenerate configuration."""
 
 
-# read-only views of one row of the face table and of one cell
-Face = namedtuple("Face", "endpoint_ids endpoints measure midpoint normal cells")
-Cell = namedtuple("Cell", "vertex_ids polygon centroid diameter measure "
-                  "face_ids outward_normals face_signs")
-
-
 def next_vertices(polys):
     """Vertex loops ``(..., m, 2)`` shifted by one: row i holds vertex i + 1."""
     return np.concatenate((polys[..., 1:, :], polys[..., :1, :]), axis=-2)
@@ -74,11 +65,6 @@ def _areas_centroids(polys):
     moments = np.stack((((x + xn) * cross).sum(-1),
                         ((y + yn) * cross).sum(-1)), axis=-1)
     return area, moments / (6.0 * area)[:, None]
-
-
-def polygon_centroid(poly):
-    """Centroid of one CCW vertex loop ``(m, 2)``."""
-    return _areas_centroids(poly[None])[1][0]
 
 
 def _diameters(polys):
@@ -240,8 +226,6 @@ class Mesh:
         self.face_vertex_ids = np.stack((ids[creator], nxt[creator]), axis=1)
         self.face_points = vertices[self.face_vertex_ids]
         self.face_lengths = length[creator]
-        self.face_midpoints = 0.5 * (self.face_points[:, 0]
-                                     + self.face_points[:, 1])
         self.face_normals = outward[creator]
         self.face_cells = np.full((len(creator), 2), -1, dtype=np.intp)
         self.face_cells[:, 0] = cell_of[creator]
@@ -262,36 +246,9 @@ class Mesh:
     def n_vertices(self):
         return len(self.vertices)
 
-    def polygon(self, c):
-        """Vertex coordinates ``(m, 2)`` of the loop of cell c."""
-        return self.vertices[
-            self.cell_vertex_ids[self.cell_ptr[c]:self.cell_ptr[c + 1]]]
-
-    @functools.cached_property
-    def faces(self):
-        return [Face(tuple(v), p, float(h), mid, n, tuple(c for c in cc if c >= 0))
-                for v, p, h, mid, n, cc in zip(
-                    self.face_vertex_ids.tolist(), self.face_points,
-                    self.face_lengths, self.face_midpoints, self.face_normals,
-                    self.face_cells.tolist())]
-
-    @functools.cached_property
-    def cells(self):
-        ptr, ids = self.cell_ptr.tolist(), self.cell_face_ids
-        normals = read_only(self.cell_face_signs[:, None] * self.face_normals[ids])
-        return [Cell(tuple(self.cell_vertex_ids[a:b].tolist()),
-                     read_only(self.polygon(c)), self.cell_centroids[c],
-                     float(self.cell_diameters[c]), float(self.cell_areas[c]),
-                     tuple(ids[a:b].tolist()), tuple(normals[a:b]),
-                     tuple(self.cell_face_signs[a:b].tolist()))
-                for c, (a, b) in enumerate(zip(ptr, ptr[1:]))]
-
     def max_diameter(self):
         """Mesh size h = max over cells of h_T."""
         return float(self.cell_diameters.max())
-
-    def total_measure(self):
-        return float(sum(self.cell_areas.tolist()))
 
 
 def make_cartesian(n):

@@ -5,8 +5,9 @@ centroid, ((x - x_T)/h_T)^a ((y - y_T)/h_T)^b in graded order, optionally
 mass-orthonormalized through a Cholesky factorization of the Gram matrix.
 Face bases are monomials in the arclength coordinate mapped to [-1, 1];
 ``hho_core`` tabulates them at the face nodes as the kernel entry ``Vf``.
-Polygon quadrature triangulates from the centroid (ear clipping as fallback
-for non-convex cells) and applies a collapsed-square Gauss rule per triangle.
+``polygon_rules`` builds the quadrature of stacked polygons in one place:
+it triangulates from the centroid (ear clipping as fallback for non-convex
+cells) and applies a collapsed-square Gauss rule per triangle.
 The 1D Gauss-Legendre and reference triangle rules are computed once per
 process, on first use, and shared read-only; the quadrature and monomial
 functions work on stacked arrays so that local kernels of many cells are
@@ -20,7 +21,7 @@ import math
 
 import numpy as np
 
-from .mesh import next_vertices, polygon_centroid, read_only, twice_area
+from .mesh import next_vertices, read_only, twice_area
 
 
 class GeometryError(Exception):
@@ -141,16 +142,25 @@ def polygon_triangles(poly, centroid):
     return tris
 
 
-def polygon_quadrature(poly, exactness, centroid=None):
-    """Points ``(n, 2)`` and weights ``(n,)`` on a simple CCW polygon.
+def polygon_rules(polys, centroids, exactness):
+    """Rules exact for total degree ``exactness`` on loops of one vertex count.
 
-    The rule is exact for total degree ``exactness``.
+    ``polys`` is ``(B, m, 2)`` and ``centroids`` ``(B, 2)``.  Each loop gets
+    the rule of its ``polygon_triangles``; the loops are grouped by triangle
+    count (ear-clipped loops first) and each group is yielded as ``(sel,
+    points, weights)``: the loops' rows ``sel`` of ``polys``, their points
+    ``(len(sel), n, 2)`` and weights ``(len(sel), n)``.
     """
-    poly = np.asarray(poly, dtype=float)
-    centroid = polygon_centroid(poly) if centroid is None else np.asarray(centroid)
-    tris = polygon_triangles(poly, centroid)
-    pts, wts = triangle_quadrature(tris[:, 0], tris[:, 1], tris[:, 2], exactness)
-    return pts.reshape(-1, 2), wts.ravel()
+    tris, folded = fan_triangles(polys, centroids)
+    for fold in (True, False):
+        sel = np.flatnonzero(folded == fold)
+        if not len(sel):
+            continue
+        t = (np.array([polygon_triangles(polys[i], centroids[i]) for i in sel])
+             if fold else tris[sel])
+        pts, w = triangle_quadrature(t[:, :, 0], t[:, :, 1], t[:, :, 2],
+                                     exactness)
+        yield sel, pts.reshape(len(sel), -1, 2), w.reshape(len(sel), -1)
 
 
 def segment_rule(p0, p1, exactness):

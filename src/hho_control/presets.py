@@ -103,7 +103,7 @@ _PRESETS = {
         bounds=(-250.0, -10.0),
         description="box-constrained variant, bounds (-250, -10), lambda = 1e-2"),
 }
-_ALIASES = {
+ALIASES = {
     "uc2-default": "uc1-default",
     "wc1-default": "wc-default",
     "wc2-default": "wc-default",
@@ -115,7 +115,7 @@ def preset_ids():
 
 
 def get_preset(preset_id):
-    key = _ALIASES.get(preset_id, preset_id)
+    key = ALIASES.get(preset_id, preset_id)
     if key not in _PRESETS:
         raise PresetError(f"unknown preset {preset_id!r}; see `hho-control presets`")
     return _PRESETS[key]

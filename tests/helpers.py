@@ -5,13 +5,17 @@ paths: polygon moments go through the divergence theorem with 1D Gauss rules,
 dense reference systems are solved with numpy, and expected values are
 computed from closed forms.  ``polygon_area``, ``polygon_centroid`` and
 ``polygon_diameter`` sum one polygon at a time, the reference for the mesh's
-grouped geometry.  ``cell_quadrature`` and ``make_cell_basis`` are not
-oracles: they apply the library's rules to a mesh ``Cell`` view.
-``cell_basis`` and ``recon_basis`` rebuild the bases of one cell's record
-from ``HhoSpace.local_ops()`` out of its kernel entries.  ``vi_residual_wc1``
-and ``reduced_cost`` are not oracles either: they evaluate the wc1
-variational inequality and the reduced cost of a control load with the
-library's kernels and solve.
+grouped geometry.  ``cell_polygon``, ``cell_face_ids`` and ``cell_normals``
+read one cell's rows of the mesh arrays.  ``polygon_quadrature``,
+``cell_quadrature`` and ``make_cell_basis`` are not oracles: they apply the
+library's ``polygon_rules`` to one polygon or cell.  ``single_polygon_rule``
+is the per-polygon reference of that builder: the triangulation and triangle
+rule of one polygon on its own.  ``cell_basis`` and ``recon_basis`` rebuild
+the bases of one cell's record from ``HhoSpace.local_ops()`` out of its
+kernel entries.  ``l2_error_cells``, ``vi_residual_wc1`` and
+``reduced_cost`` are not oracles either: they evaluate the L2 error of the
+cell polynomials, the wc1 variational inequality and the reduced cost of a
+control load with the library's kernels and solve.
 """
 
 import functools
@@ -25,7 +29,8 @@ from hho_control.hho_core import (OptimalitySystem, cell_load_vector,
                                   sorted_sum)
 from hho_control.mesh import next_vertices
 from hho_control.poly import (CellBasis, monomial_exponents,
-                              orthonormal_transform, polygon_quadrature)
+                              orthonormal_transform, polygon_rules,
+                              polygon_triangles, triangle_quadrature)
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,9 +69,45 @@ def polygon_diameter(poly):
     return float(np.sqrt((d ** 2).sum(-1)).max())
 
 
-def cell_quadrature(cell, exactness):
-    """Points and weights over a mesh cell view (its polygon and centroid)."""
-    return polygon_quadrature(cell.polygon, exactness, centroid=cell.centroid)
+def cell_polygon(mesh, c):
+    """Vertex coordinates ``(m, 2)`` of the loop of cell c."""
+    return mesh.vertices[
+        mesh.cell_vertex_ids[mesh.cell_ptr[c]:mesh.cell_ptr[c + 1]]]
+
+
+def cell_face_ids(mesh, c):
+    """Faces of cell c in loop order."""
+    return mesh.cell_face_ids[mesh.cell_ptr[c]:mesh.cell_ptr[c + 1]].tolist()
+
+
+def cell_normals(mesh, c):
+    """Outward unit normals ``(m, 2)`` of cell c's faces, in loop order."""
+    at = slice(mesh.cell_ptr[c], mesh.cell_ptr[c + 1])
+    signs, faces = mesh.cell_face_signs[at], mesh.cell_face_ids[at]
+    return signs[:, None] * mesh.face_normals[faces]
+
+
+def polygon_quadrature(poly, exactness, centroid=None):
+    """Points ``(n, 2)`` and weights ``(n,)``: ``polygon_rules`` on one polygon."""
+    poly = np.asarray(poly, dtype=float)
+    centroid = polygon_centroid(poly) if centroid is None else centroid
+    ((_, pts, w),) = polygon_rules(poly[None], np.asarray(centroid)[None],
+                                   exactness)
+    return pts[0], w[0]
+
+
+def single_polygon_rule(poly, centroid, exactness):
+    """One polygon's rule from its own triangles: ``polygon_triangles`` and
+    ``triangle_quadrature`` on that polygon alone."""
+    tris = polygon_triangles(poly, centroid)
+    pts, w = triangle_quadrature(tris[:, 0], tris[:, 1], tris[:, 2], exactness)
+    return pts.reshape(-1, 2), w.ravel()
+
+
+def cell_quadrature(mesh, c, exactness):
+    """Points and weights over mesh cell c (its polygon and centroid)."""
+    return polygon_quadrature(cell_polygon(mesh, c), exactness,
+                              centroid=mesh.cell_centroids[c])
 
 
 def cell_dofs(space, i):
@@ -82,14 +123,15 @@ def recon_basis(op):
     return CellBasis(op.recon_degree, op.centroid, op.h, transform=op.Qr)
 
 
-def make_cell_basis(cell, degree, quadrature=None, orthonormal=None):
-    """Basis on a mesh cell view; orthonormalized by default for degree >= 2."""
-    basis = CellBasis(degree, cell.centroid, cell.diameter)
+def make_cell_basis(mesh, c, degree, quadrature=None, orthonormal=None):
+    """Basis on mesh cell c; orthonormalized by default for degree >= 2."""
+    center, h = mesh.cell_centroids[c], mesh.cell_diameters[c]
+    basis = CellBasis(degree, center, h)
     if orthonormal is None:
         orthonormal = degree >= 2
     if orthonormal:
-        pts, w = quadrature or cell_quadrature(cell, 2 * degree)
-        basis = CellBasis(degree, cell.centroid, cell.diameter,
+        pts, w = quadrature or cell_quadrature(mesh, c, 2 * degree)
+        basis = CellBasis(degree, center, h,
                           transform=orthonormal_transform(basis.eval(pts), w))
     return basis
 
@@ -240,6 +282,14 @@ def voronoi_with_l_cell(seeds=12):
     return read_mesh("\n".join(lines) + "\n")
 
 
+def l2_error_cells(space, vec, v_exact):
+    """L2 distance between the exact function and the cell polynomials."""
+    t = space.nodes()
+    approx = t.values("Vl", vec.cell_blocks())
+    diff_sq = (v_exact(t.points) - approx) ** 2
+    return math.sqrt(sorted_sum(t.cell_integrals(diff_sq)))
+
+
 def vi_residual_wc1(space, solution, prob):
     """Worst value of (phi_T + lambda u, v - u) over the extreme directions.
 
@@ -247,7 +297,7 @@ def vi_residual_wc1(space, solution, prob):
     are v = u_a and v = u_b; the discrete variational inequality holds when
     the minimum is nonnegative (up to the fixed-point tolerance).
     """
-    u = solution.control.values
+    u = solution.control.coeffs[:, 0]
     phi = solution.phi.cell_blocks()
     worst = np.inf
     for g in space.kernel_groups():

@@ -373,7 +373,7 @@ def test_criterion_9_oracle_equivalence():
     _check(failures, found is not None, "active-set enumeration")
     if found is not None:
         _check(failures,
-               np.abs(sol.control.values - found[2 * n:]).max() <= 1e-8,
+               np.abs(sol.control.coeffs[:, 0] - found[2 * n:]).max() <= 1e-8,
                "wc1 vs enumeration oracle")
     _finish(9, "dense oracle equivalence", failures)
 

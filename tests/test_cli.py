@@ -3,9 +3,15 @@ import pytest
 
 from hho_control import cli, hho_core, make_cartesian
 from hho_control.hho_core import HhoSpace
-from hho_control.cli import (CSV_HEADER, ConfigError, ExperimentConfig, main,
-                             run_experiment, validate_config, write_report)
+from hho_control.cli import (CSV_HEADER, ConfigError, ExperimentConfig,
+                             _config_from_fields, _parse_document, main,
+                             run_experiment, write_report)
 from hho_control.errors import ConvergenceReport, ErrorRecord
+
+
+def parse_config(text):
+    """The ExperimentConfig of a flat `key = value` document."""
+    return _config_from_fields(_parse_document(text))
 
 
 def make_config(**overrides):
@@ -16,7 +22,7 @@ def make_config(**overrides):
 
 
 def test_minimal_config_defaults_filled():
-    cfg = validate_config("scheme = uc1\ndegree = 1\npreset = uc1-default\n")
+    cfg = parse_config("scheme = uc1\ndegree = 1\npreset = uc1-default\n")
     assert cfg.levels == [4, 8, 16, 32]
     assert cfg.rng_seed == 42
     assert cfg.pgd.tol == 1e-10
@@ -25,34 +31,34 @@ def test_minimal_config_defaults_filled():
 def test_config_comments_and_lists():
     text = ("# study\nscheme = wc1\ndegree = 0\nlevels = 4, 8\n"
             "preset = wc-default\nbounds = -250, -10\n")
-    cfg = validate_config(text)
+    cfg = parse_config(text)
     assert cfg.levels == [4, 8]
     assert cfg.bounds == (-250.0, -10.0)
 
 
 def test_uc31_degree_rule_named():
     with pytest.raises(ConfigError, match="uc31.*k in \\{0, 1\\}"):
-        validate_config("scheme = uc31\ndegree = 2\npreset = uc31-default\n")
+        parse_config("scheme = uc31\ndegree = 2\npreset = uc31-default\n")
 
 
 def test_wc1_requires_bounds():
     with pytest.raises(ConfigError, match="bounds required"):
-        validate_config("scheme = wc1\ndegree = 0\npreset = uc1-default\n")
+        parse_config("scheme = wc1\ndegree = 0\npreset = uc1-default\n")
 
 
 def test_unknown_field_rejected():
     with pytest.raises(ConfigError, match="unknown config field"):
-        validate_config("scheme = uc1\ndegree = 0\ncolour = red\n")
+        parse_config("scheme = uc1\ndegree = 0\ncolour = red\n")
 
 
 def test_unknown_scheme_rejected():
     with pytest.raises(ConfigError, match="unknown scheme"):
-        validate_config("scheme = uc9\ndegree = 0\n")
+        parse_config("scheme = uc9\ndegree = 0\n")
 
 
 def test_bounds_on_unconstrained_rejected():
     with pytest.raises(ConfigError, match="not admissible"):
-        validate_config("scheme = uc1\ndegree = 0\npreset = uc1-default\n"
+        parse_config("scheme = uc1\ndegree = 0\npreset = uc1-default\n"
                         "bounds = -1, 1\n")
 
 
@@ -115,6 +121,9 @@ def test_cli_presets_lists_ids(capsys):
     assert main(["presets"]) == 0
     out = capsys.readouterr().out
     assert "uc1-default" in out and "wc-default" in out
+    assert out.endswith("uc2-default: alias of uc1-default\n"
+                        "wc1-default: alias of wc-default\n"
+                        "wc2-default: alias of wc-default\n")
 
 
 def test_cli_mesh_subcommand(tmp_path):
@@ -139,7 +148,7 @@ def test_cli_config_file_run(tmp_path):
 
 
 def test_inline_exact_functions(tmp_path):
-    cfg = validate_config(
+    cfg = parse_config(
         "scheme = uc1\ndegree = 0\nlevels = 2,4\n"
         "exact_y = sin(2*pi*x1)*sin(2*pi*x2)\n"
         "exact_phi = exp(x1+x2)*sin(pi*x1)*sin(pi*x2)\n"
@@ -193,6 +202,19 @@ def test_cli_negative_bounds(form):
     args = cli._parse_args(["run", "--scheme", "wc1", "--degree", "0",
                             "--preset", "wc-default", *form])
     assert cli._config_from_args(args).bounds == (-250.0, -10.0)
+
+
+@pytest.mark.parametrize("mesh", ["voronoi", "cartesian"])
+@pytest.mark.parametrize("flag, field", [("--lloyd", "lloyd_iters"),
+                                         ("--seed", "rng_seed")])
+def test_cli_negative_seed_or_lloyd_count_rejected(tmp_path, capsys, mesh,
+                                                   flag, field):
+    rc = main(["run", "--scheme", "uc1", "--degree", "1", "--mesh", mesh,
+               "--levels", "4", "--preset", "uc1-default", flag, "-3",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"error: {field} must be >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_cli_bad_levels_is_config_error():

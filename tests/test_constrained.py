@@ -46,7 +46,7 @@ def test_wc1_zero_data_feasible_zero():
     space = HhoSpace(mesh, 0, dirichlet=True)
     prob = ControlProblem(f=ZERO, y_d=ZERO, lam=1e-2, bounds=(-1.0, 1.0))
     sol = solve_wc1(space, prob)
-    assert np.abs(sol.control.values).max() == 0.0
+    assert np.abs(sol.control.coeffs[:, 0]).max() == 0.0
     assert np.abs(sol.y.values).max() == 0.0
 
 
@@ -97,7 +97,7 @@ def test_wc1_variational_inequality_at_convergence():
     assert sol.final_increment <= cfg.tol
 
     # the grouped evaluation repeats the cell-by-cell one bit for bit
-    u, ref = sol.control.values, np.inf
+    u, ref = sol.control.coeffs[:, 0], np.inf
     for op in space.local_ops():
         i = op.cell_id
         grad = (op.int_cell @ sol.phi.cell_blocks()[i]
@@ -170,7 +170,7 @@ def test_wc1_matches_active_set_enumeration_oracle():
             best = candidate
             break
     assert best is not None, "enumeration oracle found no admissible pattern"
-    assert np.abs(sol.control.values - best[2 * n:]).max() < 1e-8
+    assert np.abs(sol.control.coeffs[:, 0] - best[2 * n:]).max() < 1e-8
     assert np.abs(sol.y.values[act] - best[:n]).max() < 1e-8
 
 

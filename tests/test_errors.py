@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from hho_control import HhoSpace, HhoVector, solve_wc2
-from hho_control.errors import (energy_error, eoc, l2_error_cells,
-                                l2_error_control, l2_error_reconstruction)
+from hho_control.errors import (energy_error, eoc, l2_error_control,
+                                l2_error_reconstruction)
 from hho_control.hho_core import reduce_function
-from hho_control.poly import polygon_quadrature
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
-                     polygon_monomial_integral, segment_monomial_integral)
+                     cell_face_ids, cell_polygon, l2_error_cells,
+                     polygon_monomial_integral, segment_monomial_integral,
+                     single_polygon_rule)
 
 
 def test_energy_error_zero_for_interpolant():
@@ -40,20 +41,19 @@ def test_energy_error_matches_quadratic_form_oracle():
     cid, local_j = 1, 2  # perturb the y-monomial of cell 1
     vec.values[cell_dofs(space, cid)[local_j]] += 1.0
 
-    cell = mesh.cells[cid]
     op = space.local_ops()[cid]
     cb = cell_basis(op)
     assert cb.transform is None  # oracle below expands raw monomials
     # basis function: ((y - y_T)/h)^1 -> gradient (0, 1/h), so
     # |grad phi|^2 integrates to |T| / h^2
-    grad_sq = polygon_monomial_integral(cell.polygon, 0, 0) / cell.diameter ** 2
+    h, y_T = mesh.cell_diameters[cid], mesh.cell_centroids[cid, 1]
+    grad_sq = polygon_monomial_integral(cell_polygon(mesh, cid), 0, 0) / h ** 2
     face_sq = 0.0
-    for fid in cell.face_ids:
-        f = mesh.faces[fid]
-        phi = lambda p: ((p[:, 1] - cell.centroid[1]) / cell.diameter) ** 2
-        face_sq += segment_monomial_integral(f.endpoints[0], f.endpoints[1],
-                                             phi, 2)
-    expected = math.sqrt(grad_sq + face_sq / cell.diameter)
+    for fid in cell_face_ids(mesh, cid):
+        p0, p1 = mesh.face_points[fid]
+        phi = lambda p: ((p[:, 1] - y_T) / h) ** 2
+        face_sq += segment_monomial_integral(p0, p1, phi, 2)
+    expected = math.sqrt(grad_sq + face_sq / h)
     got = energy_error(space, vec, v)
     assert abs(got - expected) < 1e-12 * max(1.0, expected)
 
@@ -96,7 +96,8 @@ def test_error_invariant_under_cell_reordering():
     mesh = cached_cartesian(3)
     order = np.random.default_rng(4).permutation(mesh.n_cells)
     shuffled = Mesh(mesh.vertices.copy(),
-                    [mesh.cells[i].vertex_ids for i in order])
+                    [mesh.cell_vertex_ids[mesh.cell_ptr[i]:mesh.cell_ptr[i + 1]]
+                     for i in order])
     v = lambda p: np.exp(p[:, 0]) * np.cos(p[:, 1])
     vals = []
     for m in (mesh, shuffled):
@@ -122,7 +123,7 @@ def test_error_bitwise_reproducible():
 
 
 def _wc2_control_error_cell_by_cell(solution, u_exact):
-    """wc2 control error with each kinked cell's own ``polygon_quadrature``."""
+    """wc2 control error with each kinked cell's own ``single_polygon_rule``."""
     control = solution.control
     space = control.space
     kinked = set(control.kinked_cells().tolist())
@@ -130,9 +131,8 @@ def _wc2_control_error_cell_by_cell(solution, u_exact):
     for op in space.local_ops():
         pts, w = op.qp + op.centroid, op.qw
         if op.cell_id in kinked:
-            cell = space.mesh.cells[op.cell_id]
-            pts, w = polygon_quadrature(cell.polygon, 8 * (space.face_degree + 2),
-                                        centroid=cell.centroid)
+            pts, w = single_polygon_rule(cell_polygon(space.mesh, op.cell_id),
+                                         op.centroid, 8 * (space.face_degree + 2))
         phi = cell_basis(op).eval(pts) @ solution.phi.cell_blocks()[op.cell_id]
         u = np.minimum(control.box.u_b,
                        np.maximum(control.box.u_a, -phi / control.lam))

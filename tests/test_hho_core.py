@@ -7,10 +7,10 @@ from hho_control.hho_core import (OptimalitySystem, _build, _views,
                                   cell_load_vector, h1h_seminorm_sq,
                                   reconstruct_all, reduce_function)
 from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
-                     dense_face_schur, dense_stiffness, global_monomials,
-                     recon_basis, reduce_reconstruct_stabilize,
-                     segment_monomial_integral, stabilization,
-                     voronoi_with_l_cell)
+                     cell_face_ids, cell_normals, dense_face_schur,
+                     dense_stiffness, global_monomials, recon_basis,
+                     reduce_reconstruct_stabilize, segment_monomial_integral,
+                     stabilization, voronoi_with_l_cell)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -44,7 +44,7 @@ def test_reconstruction_against_constrained_least_squares_oracle():
     op = space.local_ops()[0]
     local = np.zeros(1 + 4)
     for j, fid in enumerate(op.face_ids):
-        local[1 + j] = mesh.faces[fid].midpoint[0]
+        local[1 + j] = mesh.face_points[fid, :, 0].mean()
     vec = HhoVector(space, np.zeros(space.n_dofs))
     vec.values[op.dofs] = local
     (got,) = reconstruct_all(space, vec)
@@ -57,10 +57,9 @@ def test_reconstruction_against_constrained_least_squares_oracle():
     K = np.einsum("nid,n,njd->ij", grads, w, grads)
     rhs = np.zeros(rb.dimension)
     for j, fid in enumerate(op.face_ids):
-        face = mesh.faces[fid]
         fw = op.fqw[j]
         fp = op.fqp[j] + op.centroid
-        dgn = rb.grad(fp) @ (mesh.cells[0].face_signs[j] * face.normal)
+        dgn = rb.grad(fp) @ cell_normals(mesh, 0)[j]
         # (v_F - v_T, grad q . n): the cell value is zero here
         rhs += dgn.T @ (fw * local[1 + j])
     rows = np.vstack([K, w @ rb.eval(pts)])
@@ -331,12 +330,10 @@ def test_face_trace_energy_term_oracle():
     space = HhoSpace(mesh, 0, dirichlet=False)
     vec = HhoVector(space, np.zeros(space.n_dofs))
     vec.values[cell_dofs(space, 0)] = 1.0  # v_T = 1, v_F = 0
-    cell = mesh.cells[0]
     expected = sum(
-        segment_monomial_integral(mesh.faces[f].endpoints[0],
-                                  mesh.faces[f].endpoints[1],
+        segment_monomial_integral(*mesh.face_points[f],
                                   lambda p: np.ones(len(p)), 0)
-        for f in cell.face_ids) / cell.diameter
+        for f in cell_face_ids(mesh, 0)) / mesh.cell_diameters[0]
     assert abs(h1h_seminorm_sq(space, vec) - expected) < 1e-13
 
 
@@ -377,13 +374,12 @@ def test_batched_build_matches_one_cell_builds(k, cell_degree):
 
 def test_l_shaped_cell_is_ear_clipped_and_exact():
     mesh = voronoi_with_l_cell()
-    cell = mesh.cells[-1]
     space = HhoSpace(mesh, 1)
     op = space.local_ops()[-1]
     # ear clipping gives m - 2 triangles where the centroid fan has m
     (tri,) = _build(space, [0])
-    per_triangle = tri.n_nodes // len(mesh.cells[0].vertex_ids)
-    assert len(op.qw) == (len(cell.vertex_ids) - 2) * per_triangle
+    per_triangle = tri.n_nodes // len(cell_face_ids(mesh, 0))
+    assert len(op.qw) == (len(op.face_ids) - 2) * per_triangle
     assert abs(op.qw.sum() - 0.36) < 1e-14
     for p in global_monomials(2):
         rec = reconstruct_all(space, reduce_function(space, p))[op.cell_id]

@@ -39,7 +39,7 @@ def test_reconstruction_of_reduction_reproduces_p_k_plus_1(polygon, k, coeffs):
     mesh = Mesh(polygon, [list(range(len(polygon)))])
     space = HhoSpace(mesh, k)
     exps = monomial_exponents(k + 1)
-    center = mesh.cells[0].centroid
+    center = mesh.cell_centroids[0]
 
     def p(x):
         local = x - center

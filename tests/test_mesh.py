@@ -3,7 +3,7 @@ import pytest
 
 from hho_control import (Mesh, MeshError, MeshFormatError, make_cartesian,
                          make_voronoi, read_mesh, write_mesh)
-from helpers import cached_voronoi
+from helpers import cached_voronoi, cell_face_ids, cell_normals, cell_polygon
 
 
 def test_cartesian_counts():
@@ -25,7 +25,7 @@ def test_cartesian_element_counts(n, cells):
 
 def test_cartesian_cell_diameter():
     m = make_cartesian(8)
-    assert all(abs(c.diameter - np.sqrt(2) / 8) < 1e-14 for c in m.cells)
+    assert np.abs(m.cell_diameters - np.sqrt(2) / 8).max() < 1e-14
 
 
 @pytest.mark.parametrize("mesh_builder", [
@@ -35,30 +35,28 @@ def test_cartesian_cell_diameter():
 ])
 def test_geometric_invariants(mesh_builder):
     m = mesh_builder()
-    assert abs(m.total_measure() - 1.0) < 1e-12
-    for cell in m.cells:
+    assert abs(m.cell_areas.sum() - 1.0) < 1e-12
+    for c in range(m.n_cells):
         resid = np.zeros(2)
-        for fid, normal in zip(cell.face_ids, cell.outward_normals):
+        for fid, normal in zip(cell_face_ids(m, c), cell_normals(m, c)):
             assert abs(np.hypot(*normal) - 1.0) < 1e-12
-            resid += m.faces[fid].measure * normal
+            resid += m.face_lengths[fid] * normal
         assert np.abs(resid).max() < 1e-12
-        assert cell.diameter > 0 and cell.measure > 0
+        assert m.cell_diameters[c] > 0 and m.cell_areas[c] > 0
 
 
 @pytest.mark.parametrize("seeds", [16, 64, 256, 1024])
 def test_interior_normals_opposite_and_shape_surrogate(seeds):
     m = cached_voronoi(seeds)
-    for i, face in enumerate(m.faces):
-        assert 1 <= len(face.cells) <= 2
-        if len(face.cells) == 2:
-            normals = []
-            for ci in face.cells:
-                j = m.cells[ci].face_ids.index(i)
-                normals.append(m.cells[ci].outward_normals[j])
+    assert (m.face_cells[:, 0] >= 0).all()
+    for i, cells in enumerate(m.face_cells):
+        if cells[1] >= 0:
+            normals = [cell_normals(m, c)[cell_face_ids(m, c).index(i)]
+                       for c in cells]
             assert np.abs(normals[0] + normals[1]).max() < 1e-12
-    for cell in m.cells:
-        for fid in cell.face_ids:
-            assert m.faces[fid].measure >= 0.01 * cell.diameter
+    for c in range(m.n_cells):
+        for fid in cell_face_ids(m, c):
+            assert m.face_lengths[fid] >= 0.01 * m.cell_diameters[c]
 
 
 def test_voronoi_determinism():
@@ -69,12 +67,12 @@ def test_voronoi_determinism():
 
 def test_voronoi_partition_of_unity():
     m = cached_voronoi(64)
-    assert abs(m.total_measure() - 1.0) < 1e-12
+    assert abs(m.cell_areas.sum() - 1.0) < 1e-12
 
 
 def test_lloyd_relaxation_improves_aspect():
     def worst_aspect(mesh):
-        return max(c.diameter ** 2 / c.measure for c in mesh.cells)
+        return (mesh.cell_diameters ** 2 / mesh.cell_areas).max()
 
     rough = make_voronoi(16, rng_seed=42, lloyd_iters=0)
     relaxed = make_voronoi(16, rng_seed=42, lloyd_iters=100)
@@ -85,7 +83,8 @@ def test_roundtrip_cartesian():
     m = make_cartesian(2)
     m2 = read_mesh(write_mesh(m))
     assert m2.n_cells == m.n_cells and m2.n_faces == m.n_faces
-    assert [c.vertex_ids for c in m2.cells] == [c.vertex_ids for c in m.cells]
+    assert np.array_equal(m2.cell_ptr, m.cell_ptr)
+    assert np.array_equal(m2.cell_vertex_ids, m.cell_vertex_ids)
     assert np.array_equal(m2.vertices, m.vertices)
 
 
@@ -173,7 +172,7 @@ def test_face_run_the_same_way_by_both_cells_is_rejected(vertices, cells):
 
 def test_straight_hanging_vertex_is_accepted():
     m = Mesh([(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)], [[0, 1, 2, 3, 4]])
-    assert (m.n_faces, m.total_measure()) == (5, 4.0)
+    assert (m.n_faces, m.cell_areas.sum()) == (5, 4.0)
 
 
 @pytest.mark.parametrize("ids", [[0, 1.9, 2], [0, True, 2], [0, np.True_, 2],
@@ -185,19 +184,20 @@ def test_mesh_rejects_invalid_vertex_ids(ids):
 
 
 def test_face_table_and_cell_views_agree():
+    # the face table against each cell's rows of the loop tables
     m = cached_voronoi(64)
-    for i, face in enumerate(m.faces):
-        assert face.endpoint_ids == tuple(m.face_vertex_ids[i])
-        assert np.array_equal(face.endpoints, m.vertices[m.face_vertex_ids[i]])
-        assert face.cells == tuple(c for c in m.face_cells[i] if c >= 0)
-    assert np.array_equal(m.boundary_faces,
-                          [i for i, f in enumerate(m.faces) if len(f.cells) == 1])
-    for c, cell in enumerate(m.cells):
-        assert np.array_equal(cell.polygon, m.polygon(c))
-        for fid, sign, normal in zip(cell.face_ids, cell.face_signs,
-                                     cell.outward_normals):
-            assert c in m.faces[fid].cells
-            assert np.array_equal(normal, sign * m.face_normals[fid])
+    assert np.array_equal(m.face_points, m.vertices[m.face_vertex_ids])
+    assert np.array_equal(m.boundary_faces, np.flatnonzero(m.face_cells[:, 1] < 0))
+    for c in range(m.n_cells):
+        poly = cell_polygon(m, c)
+        for j, (fid, normal) in enumerate(zip(cell_face_ids(m, c),
+                                              cell_normals(m, c))):
+            assert c in m.face_cells[fid]
+            ends = {tuple(poly[j]), tuple(poly[(j + 1) % len(poly)])}
+            assert ends == {tuple(p) for p in m.face_points[fid]}
+            edge = poly[(j + 1) % len(poly)] - poly[j]
+            assert np.array_equal(normal, np.array([edge[1], -edge[0]])
+                                  / np.hypot(*edge))
 
 
 def test_mesh_arrays_and_views_are_read_only():
@@ -205,6 +205,6 @@ def test_mesh_arrays_and_views_are_read_only():
     with pytest.raises(ValueError):
         m.face_normals[0, 0] = 1.0
     with pytest.raises(ValueError):
-        m.cells[0].polygon[0, 0] = 1.0
-    with pytest.raises(AttributeError):
-        m.faces[0].measure = 1.0
+        m.cell_vertex_ids[m.cell_ptr[0]:m.cell_ptr[1]][0] = 1   # a slice view
+    with pytest.raises(ValueError):
+        m.vertices[0, 0] = 1.0

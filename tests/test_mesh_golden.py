@@ -1,4 +1,4 @@
-"""Golden digests of generated meshes, and the run path's use of mesh views.
+"""Golden digests of generated meshes.
 
 A digest is the SHA-256 of ``write_mesh(mesh)`` followed by the bytes of the
 face table: endpoint ids and both cells as int64 (the second cell is -1 on a
@@ -13,9 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from hho_control import cli, make_cartesian, make_voronoi, write_mesh
-from hho_control.cli import ExperimentConfig
-from hho_control.mesh import Cell, Face
+from hho_control import make_cartesian, make_voronoi, write_mesh
 
 GOLDEN = {
     "cartesian-1": "9708cb2925490e5092992b7fb28bf5ef26e2af0ac661c56448d0a8da0a146d6c",
@@ -51,18 +49,3 @@ def test_generated_mesh_matches_golden_digest(name):
     else:
         mesh = make_voronoi(int(args[0]), rng_seed=int(args[1]))
     assert mesh_digest(mesh) == GOLDEN[name]
-
-
-@pytest.mark.parametrize("scheme,preset", [("uc1", "uc1-default"),
-                                           ("wc2", "wc-default")])
-def test_run_level_builds_no_cell_or_face_view(monkeypatch, scheme, preset):
-    def view(*args, **kwargs):
-        raise AssertionError("per-cell mesh view built")
-
-    monkeypatch.setattr(Cell, "__init__", view)
-    monkeypatch.setattr(Face, "__init__", view)
-    cfg = ExperimentConfig(scheme=scheme, degree=1, preset=preset, levels=[4])
-    record = cli.run_level(cfg, cfg.build_problem(), 4)
-    assert np.isfinite(record.err_u_l2) and np.isfinite(record.err_y_energy)
-    with pytest.raises(AssertionError, match="view built"):
-        make_cartesian(1).cells                   # the patch does take hold

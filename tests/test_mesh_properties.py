@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hho_control import (MeshError, MeshGenerationError,  # noqa: E402
                          make_cartesian, make_voronoi, read_mesh, write_mesh)
-from helpers import (polygon_area, polygon_centroid,  # noqa: E402
-                     polygon_diameter)
+from helpers import (cell_polygon, polygon_area,  # noqa: E402
+                     polygon_centroid, polygon_diameter)
 
 # derandomized so that the suite sees the same examples on every run
 PROPERTY = dict(deadline=None, derandomize=True, database=None)
@@ -27,7 +27,8 @@ PROPERTY = dict(deadline=None, derandomize=True, database=None)
 def test_text_roundtrip(mesh):
     back = read_mesh(write_mesh(mesh))
     assert np.array_equal(back.vertices, mesh.vertices)
-    assert [c.vertex_ids for c in back.cells] == [c.vertex_ids for c in mesh.cells]
+    assert np.array_equal(back.cell_ptr, mesh.cell_ptr)
+    assert np.array_equal(back.cell_vertex_ids, mesh.cell_vertex_ids)
 
 
 ODD = st.one_of(st.floats().map(repr), st.sampled_from(
@@ -65,11 +66,11 @@ def test_fuzzed_document_parses_to_finite_mesh_or_mesh_error(text):
         except MeshError:
             return
     assert np.isfinite(mesh.vertices).all()
-    for cell in mesh.cells:
-        assert np.isfinite([cell.measure, cell.diameter, *cell.centroid]).all()
-        assert cell.measure > 0
-    for face in mesh.faces:
-        assert np.isfinite([face.measure, *face.normal, *face.midpoint]).all()
+    assert np.isfinite(np.column_stack((mesh.cell_areas, mesh.cell_diameters,
+                                        mesh.cell_centroids))).all()
+    assert (mesh.cell_areas > 0).all()
+    assert np.isfinite(np.column_stack((mesh.face_lengths, mesh.face_normals,
+                                        mesh.face_points.reshape(-1, 4)))).all()
 
 
 @settings(max_examples=40, **PROPERTY)
@@ -80,8 +81,8 @@ def test_voronoi_generation_gives_mesh_or_generation_error(n, seed, lloyd):
     except MeshGenerationError:
         return
     assert mesh.n_cells == n
-    assert abs(mesh.total_measure() - 1.0) < 1e-9
-    assert all(cell.measure > 0 for cell in mesh.cells)
+    assert abs(mesh.cell_areas.sum() - 1.0) < 1e-9
+    assert (mesh.cell_areas > 0).all()
     assert np.isfinite(mesh.vertices).all()
     assert ((mesh.vertices >= 0.0) & (mesh.vertices <= 1.0)).all()
 
@@ -95,7 +96,7 @@ def test_cell_geometry_arrays_equal_per_polygon_sums(n, seed, lloyd):
     except MeshGenerationError:
         return
     for c in range(mesh.n_cells):
-        poly = mesh.polygon(c)
+        poly = cell_polygon(mesh, c)
         assert mesh.cell_areas[c] == polygon_area(poly)
         assert np.array_equal(mesh.cell_centroids[c], polygon_centroid(poly))
         assert mesh.cell_diameters[c] == polygon_diameter(poly)

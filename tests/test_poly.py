@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from hho_control import HhoSpace, make_cartesian
+from hho_control.mesh import loop_groups
 from hho_control.poly import (CellBasis, _gauss_legendre, monomial_exponents,
-                              polygon_quadrature, segment_rule)
-from helpers import (cached_voronoi, cell_quadrature, make_cell_basis,
-                     polygon_monomial_integral, regular_polygon)
+                              polygon_rules, segment_rule)
+from helpers import (cached_voronoi, cell_polygon, cell_quadrature,
+                     make_cell_basis, polygon_centroid,
+                     polygon_monomial_integral, polygon_quadrature,
+                     regular_polygon, single_polygon_rule, voronoi_with_l_cell)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -35,7 +38,7 @@ def test_polygon_quadrature_against_moment_oracle(exactness):
     rng = np.random.default_rng(5)
     polys = [UNIT_SQUARE, regular_polygon(5, 0.4), regular_polygon(7, 0.3)]
     mesh = cached_voronoi(16)
-    polys += [mesh.cells[i].polygon for i in rng.choice(16, 3, replace=False)]
+    polys += [cell_polygon(mesh, i) for i in rng.choice(16, 3, replace=False)]
     for poly in polys:
         pts, w = polygon_quadrature(np.asarray(poly), exactness)
         for a in range(exactness + 1):
@@ -54,11 +57,48 @@ def test_nonconvex_polygon_ear_clipping_fallback():
     assert abs(w @ (pts[:, 0] ** 2 * pts[:, 1]) - exact) < 1e-11
 
 
+def _loop_stacks(mesh):
+    """The mesh's loops and centroids, one stack per vertex count."""
+    for at, idx in loop_groups(mesh.cell_ptr):
+        yield mesh.vertices[mesh.cell_vertex_ids[idx]], mesh.cell_centroids[at]
+
+
+@pytest.mark.parametrize("exactness", [4, 6, 24])
+@pytest.mark.parametrize("mesh_name", ["l-cell", "voronoi-64"])
+def test_polygon_rules_match_each_polygons_own_rule(mesh_name, exactness):
+    # Every loop of a stack gets the bits of its own single-polygon rule.
+    mesh = voronoi_with_l_cell() if mesh_name == "l-cell" else cached_voronoi(64)
+    stacks = list(_loop_stacks(mesh))
+    if mesh_name == "l-cell":
+        # the ear-clipped L stacked with a moved copy and two convex octagons
+        l_cell = cell_polygon(mesh, mesh.n_cells - 1)
+        polys = np.array([regular_polygon(8, 0.3), l_cell, l_cell + [-1.0, 0.25],
+                          regular_polygon(8, 0.2, center=(0.6, 0.5))])
+        stacks.append((polys, np.array([polygon_centroid(p) for p in polys])))
+    for polys, centroids in stacks:
+        seen = []
+        for sel, pts, w in polygon_rules(polys, centroids, exactness):
+            for i, p, wi in zip(sel, pts, w):
+                want_p, want_w = single_polygon_rule(polys[i], centroids[i],
+                                                     exactness)
+                assert np.array_equal(p, want_p) and np.array_equal(wi, want_w)
+            seen += sel.tolist()
+        assert sorted(seen) == list(range(len(polys)))
+    if mesh_name == "l-cell":
+        # ear-clipped loops come first, with m - 2 triangles each
+        (fold, fold_pts, _), (fan, fan_pts, _) = polygon_rules(polys, centroids,
+                                                               exactness)
+        assert (fold.tolist(), fan.tolist()) == ([1, 2], [0, 3])
+        assert fold_pts.shape[1] * 8 == fan_pts.shape[1] * 6
+
+
 def test_returned_rules_do_not_leak_into_the_rule_cache():
     # Writing into a returned rule either raises or leaves the next call's
     # rule bit-identical; the shared Gauss rules themselves are read-only.
     def rules():
-        return [*polygon_quadrature(regular_polygon(5, 0.4), 6),
+        pentagon = regular_polygon(5, 0.4)
+        ((_, pts, w),) = polygon_rules(pentagon[None], np.array([[0.3, 0.4]]), 6)
+        return [pts, w,
                 *segment_rule(np.array([0.2, 0.1]), np.array([0.5, 0.5]), 5)]
 
     original = [a.tobytes() for a in rules()]
@@ -103,11 +143,10 @@ def test_constant_basis_function():
 
 def test_gradient_matches_finite_differences():
     mesh = make_cartesian(3)
-    cell = mesh.cells[4]
-    basis = make_cell_basis(cell, 3)
-    h = 1e-5 * cell.diameter
+    basis = make_cell_basis(mesh, 4, 3)
+    h = 1e-5 * mesh.cell_diameters[4]
     rng = np.random.default_rng(1)
-    pts = cell.centroid + rng.uniform(-0.1, 0.1, size=(5, 2))
+    pts = mesh.cell_centroids[4] + rng.uniform(-0.1, 0.1, size=(5, 2))
     grads = basis.grad(pts)
     for d, e in enumerate(np.eye(2)):
         fd = (basis.eval(pts + h * e) - basis.eval(pts - h * e)) / (2 * h)
@@ -117,9 +156,8 @@ def test_gradient_matches_finite_differences():
 @pytest.mark.parametrize("degree", [2, 3, 4])
 def test_orthonormalized_mass_matrix(degree):
     mesh = cached_voronoi(16)
-    cell = mesh.cells[3]
-    pts, w = quad = cell_quadrature(cell, 2 * degree)
-    basis = make_cell_basis(cell, degree, quadrature=quad, orthonormal=True)
+    pts, w = quad = cell_quadrature(mesh, 3, 2 * degree)
+    basis = make_cell_basis(mesh, 3, degree, quadrature=quad, orthonormal=True)
     vals = basis.eval(pts)
     gram = vals.T @ (w[:, None] * vals)
     assert np.abs(gram - np.eye(basis.dimension)).max() < 1e-10
@@ -129,9 +167,8 @@ def test_orthonormalized_mass_matrix(degree):
 
 def test_raw_mass_matrix_spd():
     mesh = cached_voronoi(16)
-    cell = mesh.cells[7]
-    pts, w = cell_quadrature(cell, 8)
-    basis = make_cell_basis(cell, 4, orthonormal=False)
+    pts, w = cell_quadrature(mesh, 7, 8)
+    basis = make_cell_basis(mesh, 7, 4, orthonormal=False)
     vals = basis.eval(pts)
     gram = vals.T @ (w[:, None] * vals)
     assert np.abs(gram - gram.T).max() < 1e-14

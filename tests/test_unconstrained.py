@@ -246,13 +246,6 @@ def test_cross_coupling_matches_cell_by_cell_reference():
     assert np.abs(K - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
-def test_uc32_control_space_must_share_the_mesh():
-    space = HhoSpace(cached_cartesian(2), 2, cell_degree=3, dirichlet=True)
-    other = HhoSpace(cached_cartesian(3), 2)
-    with pytest.raises(ValueError, match="state mesh"):
-        solve_uc32(space, problem_from_preset("uc32-default"), other)
-
-
 # ---------------------------------------------------------------------------
 # convexity of the reduced cost around the discrete minimizer
 # ---------------------------------------------------------------------------
