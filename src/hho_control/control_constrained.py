@@ -26,12 +26,13 @@ the discrete variational inequality.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .control_unconstrained import CellPolyControl
-from .hho_core import HhoVector, OptimalitySystem, cell_load_vector
+from .hho_core import OptimalitySystem, cell_load_vector
 
 THETA = 0.5  # damping of the fixed-point map; see the contraction condition
 
@@ -61,8 +62,9 @@ class PgdConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        n = self.max_iters
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {n!r}")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be finite and positive")
 
@@ -78,7 +80,8 @@ class PgdIterationError(Exception):
 class ClampedAdjointControl:
     """Variational-discretization control u(x) = P_box(-phi_T(x) / lambda).
 
-    Stored as quadrature-point samples; evaluation anywhere (``at_points``)
+    Stored as its values at the space's ``NodeTable`` nodes (``samples``, one
+    flat array in node order); evaluation anywhere (``at_points``)
     uses the clamp formula on the adjoint cell polynomial, which is what the
     samples are.  The clamp kinks along the active-set boundary
     (``has_kinks``), which the control error integrates with a refined rule.
@@ -91,16 +94,17 @@ class ClampedAdjointControl:
         self.phi = phi
         self.lam = lam
         self.box = box
-        self.samples = samples  # per-cell arrays at the NodeTable nodes
+        self.samples = samples
 
     def at_points(self, cells, points):
         """Values at stacked points ``(n, q, 2)``, one row per cell of ``cells``."""
         basis = self.space.nodes().basis_at("Vl", cells, points)
-        phi = (basis @ self.phi.cell_blocks()[cells][..., None])[..., 0]
+        phi = (basis @ self.space.cell_blocks(self.phi)[cells][..., None])[..., 0]
         return project_box(-phi / self.lam, self.box)
 
     def _unclamped(self):
-        return -self.space.nodes().values("Vl", self.phi.cell_blocks()) / self.lam
+        return -self.space.nodes().values(
+            "Vl", self.space.cell_blocks(self.phi)) / self.lam
 
     def at_nodes(self):
         """Values at the nodes of the space's ``NodeTable``."""
@@ -118,9 +122,15 @@ class ClampedAdjointControl:
 
 @dataclass
 class ConstrainedSolution:
+    """State and adjoint (DOF vectors) and control of a constrained scheme.
+
+    With ``keep_history``, ``history`` holds the control at the nodes of
+    ``space.nodes()`` at the start and after each iteration.
+    """
+
     scheme: str
-    y: HhoVector
-    phi: HhoVector
+    y: np.ndarray
+    phi: np.ndarray
     control: object
     iterations: int
     final_increment: float
@@ -130,9 +140,9 @@ class ConstrainedSolution:
 def _damped_projection(space, prob, cfg, keep_history, scheme):
     """Damped projected fixed-point loop over the cell quadrature nodes.
 
-    Returns ``(u, starts, y, phi, iterations, increment, history)``: the
-    control at the nodes, the first node of each cell, the state and adjoint
-    of that control, and every iterate when ``keep_history`` is set.
+    Returns ``(u, y, phi, iterations, increment, history)``: the control at
+    the nodes of ``space.nodes()``, the state and adjoint of that control,
+    and every iterate (node arrays too) when ``keep_history`` is set.
     """
     if prob.bounds is None:
         raise ValueError("bounds required for constrained schemes")
@@ -150,16 +160,16 @@ def _damped_projection(space, prob, cfg, keep_history, scheme):
     def solve_pde(u, y, phi):
         # one refinement step from the previous iterate's state and adjoint
         (y,) = system.solve([F_f + Q.T @ (w * u)], [g], start=[y])
-        (phi,) = system.solve([M @ y.values - F_yd], start=[phi])
+        (phi,) = system.solve([M @ y - F_yd], start=[phi])
         return y, phi
 
     u = project_box(np.zeros(len(w)), box)
     history = [u] if keep_history else None
     increment = np.inf
-    y = phi = HhoVector(space, np.zeros(space.n_dofs))
+    y = phi = np.zeros(space.n_dofs)
     for it in range(1, cfg.max_iters + 1):
         y, phi = solve_pde(u, y, phi)
-        target = project_box(-(Q @ phi.values) / prob.lam, box)
+        target = project_box(-(Q @ phi) / prob.lam, box)
         u_next = project_box((1.0 - THETA) * u + THETA * target, box)
         inc_sq = np.add.reduceat(w * (u_next - u) ** 2, starts)
         increment = float(np.sqrt(np.sum(np.sort(inc_sq))))
@@ -173,20 +183,16 @@ def _damped_projection(space, prob, cfg, keep_history, scheme):
             f"{scheme} did not converge in {cfg.max_iters} iterations "
             f"(last increment {increment:.3e})", increment)
     y, phi = solve_pde(u, y, phi)
-    return u, starts, y, phi, it, increment, history
+    return u, y, phi, it, increment, history
 
 
 def solve_wc1(space, prob, cfg=None, keep_history=False):
     """Lowest-order scheme: piecewise constant control, k = 0 state/adjoint."""
     if space.cell_degree != 0 or space.face_degree != 0 or not space.dirichlet:
         raise ValueError("wc1 requires the zero-trace k = 0 space")
-    u, starts, y, phi, it, increment, history = _damped_projection(
-        space, prob, cfg, keep_history, "wc1")
-    if history is not None:
-        history = [h[starts] for h in history]
-    return ConstrainedSolution("wc1", y, phi,
-                               CellPolyControl(space, u[starts][:, None], "cell"),
-                               it, increment, history=history)
+    u, y, phi, *rest = _damped_projection(space, prob, cfg, keep_history, "wc1")
+    control = CellPolyControl(space, u[space.nodes().starts][:, None], "cell")
+    return ConstrainedSolution("wc1", y, phi, control, *rest)
 
 
 def solve_wc2(space, prob, cfg=None, keep_history=False):
@@ -198,12 +204,7 @@ def solve_wc2(space, prob, cfg=None, keep_history=False):
     """
     if space.cell_degree != 2 or space.face_degree != 1 or not space.dirichlet:
         raise ValueError("wc2 requires the zero-trace mixed space V^{1+}")
-    u, starts, y, phi, it, increment, history = _damped_projection(
-        space, prob, cfg, keep_history, "wc2")
-    if history is not None:
-        history = [np.split(h, starts[1:]) for h in history]
+    u, y, phi, *rest = _damped_projection(space, prob, cfg, keep_history, "wc2")
     control = ClampedAdjointControl(space, phi, prob.lam,
-                                    AdmissibleBox(*prob.bounds),
-                                    np.split(u, starts[1:]))
-    return ConstrainedSolution("wc2", y, phi, control, it, increment,
-                               history=history)
+                                    AdmissibleBox(*prob.bounds), u)
+    return ConstrainedSolution("wc2", y, phi, control, *rest)

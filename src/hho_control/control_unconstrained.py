@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .hho_core import (HhoSpace, HhoVector, OptimalitySystem,
-                       cell_load_vector, recon_load_vector, reconstruct_all,
-                       scatter_blocks)
+from .hho_core import (HhoSpace, OptimalitySystem, cell_load_vector,
+                       recon_load_vector, reconstruct_all, scatter_blocks)
 
 
 class UnsupportedDegreeError(ValueError):
@@ -73,16 +72,17 @@ class CellPolyControl:
 class OptimalitySolution:
     """State, adjoint and control returned by a scheme solver.
 
+    ``y``, ``phi`` and ``control_hat`` are DOF vectors (flat arrays);
     ``residuals`` holds each equation's residual relative to the whole
     right-hand side; ``refinement`` the solve's iterative-refinement steps
     and final relative residual (``OptimalitySystem.refinement``).
     """
 
     scheme: str
-    y: HhoVector
-    phi: HhoVector
+    y: np.ndarray
+    phi: np.ndarray
     control: object
-    control_hat: HhoVector | None = None
+    control_hat: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
     refinement: dict = field(default_factory=dict)
 
@@ -117,14 +117,11 @@ def _solve_two_field(space, prob, scheme, recon=False):
     residuals["control"] = 0.0  # eliminated exactly
 
     if recon:
-        u_hat = HhoVector(space, -phi.values / lam)
+        u_hat = -phi / lam
         control = CellPolyControl(space, reconstruct_all(space, u_hat), "recon")
     else:
         u_hat = None
-        nc = space.mesh.n_cells
-        control = CellPolyControl(
-            space, -phi.values[:space.n_cell_dofs].reshape(nc, space.cell_dim)
-            / lam, "cell")
+        control = CellPolyControl(space, -space.cell_blocks(phi) / lam, "cell")
     return OptimalitySolution(scheme, y, phi, control, control_hat=u_hat,
                               residuals=residuals,
                               refinement=system.refinement)

@@ -20,7 +20,7 @@ from .mesh import loop_groups
 def energy_error(space, vec, v_exact):
     """Discrete H1-like distance || I_h v - v_h ||_{1,h}."""
     ref = reduce_function(space, v_exact, include_boundary=True)
-    return math.sqrt(h1h_seminorm_sq(space, vec - ref))
+    return math.sqrt(h1h_seminorm_sq(space, space.dof_vector(vec) - ref))
 
 
 def l2_error_reconstruction(space, vec, v_exact):

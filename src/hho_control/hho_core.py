@@ -66,7 +66,9 @@ class HhoSpace:
     ``cell_degree`` is either the face degree k (equal-order space) or k+1
     (mixed-order space).  With ``dirichlet`` set, boundary-face DOFs exist in
     the vector layout but are excluded from solves and fixed to the supplied
-    boundary data (zero by default), realizing the zero-trace space.
+    boundary data (zero by default), realizing the zero-trace space.  A DOF
+    vector of the space is a flat float array of length ``n_dofs``: the cell
+    blocks in cell order, then the face blocks in face order.
     """
 
     def __init__(self, mesh, face_degree, cell_degree=None, dirichlet=False):
@@ -167,24 +169,17 @@ class HhoSpace:
                 _face_projections(self, g, faces)
         return vals[self.fixed_dofs]
 
-
-class HhoVector:
-    """Coefficient container matching an HhoSpace layout."""
-
-    def __init__(self, space, values):
+    def dof_vector(self, values):
+        """``values`` as a DOF vector of this space; ValueError on a length mismatch."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (space.n_dofs,):
-            raise ValueError("coefficient length does not match the space")
-        self.space = space
-        self.values = values
+        if values.shape != (self.n_dofs,):
+            raise ValueError(f"coefficient shape {values.shape} does not match "
+                             f"the space's {self.n_dofs} DOFs")
+        return values
 
-    def cell_blocks(self):
-        """Cell coefficients of every cell, a (n_cells, cell_dim) view."""
-        return self.values[:self.space.n_cell_dofs].reshape(
-            -1, self.space.cell_dim)
-
-    def __sub__(self, other):
-        return HhoVector(self.space, self.values - other.values)
+    def cell_blocks(self, vec):
+        """Cell coefficients of every cell, a (n_cells, cell_dim) view of ``vec``."""
+        return self.dof_vector(vec)[:self.n_cell_dofs].reshape(-1, self.cell_dim)
 
 
 def _mT(a):
@@ -546,22 +541,22 @@ def reduce_function(space, f, include_boundary=False):
         faces = faces[~np.isin(faces, space.mesh.boundary_faces)]
     vec[space.face_dof_start[faces, None] + np.arange(space.face_dim)] = \
         _face_projections(space, f, faces)
-    return HhoVector(space, vec)
+    return vec
 
 
 def reconstruct_all(space, vec):
     """Reconstruction coefficients R v on every cell, (n_cells, recon_dim)."""
+    vec = space.dof_vector(vec)
     out = np.empty((space.mesh.n_cells, space.recon_dim))
     for g in space.kernel_groups():
-        out[g.cells] = (g.kernels["G"][g.rows]
-                        @ vec.values[g.dofs][..., None])[..., 0]
+        out[g.cells] = (g.kernels["G"][g.rows] @ vec[g.dofs][..., None])[..., 0]
     return out
 
 
 def h1h_seminorm_sq(space, vec):
     """Square of the discrete H1-like norm sum_T(|grad v_T|^2 + h_T^{-1}|v_T - v_F|^2)."""
-    c = vec.cell_blocks()
-    vf = vec.values[space.n_cell_dofs:].reshape(-1, space.face_dim)
+    c = space.cell_blocks(vec)
+    vf = vec[space.n_cell_dofs:].reshape(-1, space.face_dim)
     contribs = np.empty(space.mesh.n_cells)
     for g in space.kernel_groups():
         k, rows, cg = g.kernels, g.rows, c[g.cells]
@@ -818,7 +813,7 @@ class OptimalitySystem:
         return x if self._scale is None else x * self._scale
 
     def solve(self, loads, fixed=None, start=None):
-        """Full-length solution vectors, one per field.
+        """Full-length solution vectors, one new array per field.
 
         ``loads`` holds one full-length load vector per field and ``fixed``
         the values of each field's fixed DOFs (None, or a None entry, for
@@ -840,7 +835,7 @@ class OptimalitySystem:
             x, cap = self._lu_solve(b), self.MAX_REFINEMENT_STEPS
             r = self._residual(b, x)
         else:
-            x, cap = np.concatenate([v.values[s.active_dofs] for s, v
+            x, cap = np.concatenate([s.dof_vector(v)[s.active_dofs] for s, v
                                      in zip(self.spaces, start)]), 1
             r = self._restart(b, x)
         steps, last = 0, np.inf
@@ -876,7 +871,7 @@ class OptimalitySystem:
             vals[space.active_dofs] = part
             if g is not None:
                 vals[space.fixed_dofs] = g
-            out.append(HhoVector(space, vals))
+            out.append(vals)
         return out
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 from scipy.spatial import Voronoi
@@ -359,6 +360,10 @@ def make_voronoi(n_seeds, rng_seed=42, lloyd_iters=10):
         raise MeshGenerationError("n_seeds must be >= 1")
     if lloyd_iters < 0:
         raise MeshGenerationError("lloyd_iters must be >= 0")
+    if (isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral)
+            or rng_seed < 0):
+        raise MeshGenerationError(
+            f"rng_seed must be a non-negative integer, got {rng_seed!r}")
     rng = np.random.default_rng(rng_seed)
     m = math.ceil(math.sqrt(n_seeds))
     centers = (np.arange(m) + 0.5) / m

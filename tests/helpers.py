@@ -234,7 +234,7 @@ def reduce_reconstruct_stabilize(space, f):
     vec = reduce_function(space, f)
     rec = reconstruct_all(space, vec)
     for op in space.local_ops():
-        local = vec.values[op.dofs]
+        local = vec[op.dofs]
         err = np.abs(op.Vr @ rec[op.cell_id] - f(op.qp + op.centroid)).max()
         yield op, local, err, stabilization(op, local)
 
@@ -285,7 +285,7 @@ def voronoi_with_l_cell(seeds=12):
 def l2_error_cells(space, vec, v_exact):
     """L2 distance between the exact function and the cell polynomials."""
     t = space.nodes()
-    approx = t.values("Vl", vec.cell_blocks())
+    approx = t.values("Vl", space.cell_blocks(vec))
     diff_sq = (v_exact(t.points) - approx) ** 2
     return math.sqrt(sorted_sum(t.cell_integrals(diff_sq)))
 
@@ -298,7 +298,7 @@ def vi_residual_wc1(space, solution, prob):
     the minimum is nonnegative (up to the fixed-point tolerance).
     """
     u = solution.control.coeffs[:, 0]
-    phi = solution.phi.cell_blocks()
+    phi = space.cell_blocks(solution.phi)
     worst = np.inf
     for g in space.kernel_groups():
         k, rows, ug = g.kernels, g.rows, u[g.cells]
@@ -316,5 +316,5 @@ def reduced_cost(space, prob, control_load, control_norm_sq):
                         [space.boundary_values(prob.state_boundary)])
     t = space.nodes()
     misfit = t.cell_integrals(
-        (t.values("Vl", y.cell_blocks()) - prob.y_d(t.points)) ** 2)
+        (t.values("Vl", space.cell_blocks(y)) - prob.y_d(t.points)) ** 2)
     return 0.5 * sorted_sum(misfit) + 0.5 * prob.lam * control_norm_sq

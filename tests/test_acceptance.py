@@ -290,11 +290,11 @@ def test_criterion_9_oracle_equivalence():
         coupling = C_full[np.ix_(act, act)]
         K, rhs = _dense_two_field(A, coupling, rhs1, rhs2, prob.lam)
         ref = np.linalg.solve(K, rhs)
-        got = np.concatenate([sol.y.values[act], sol.phi.values[act]])
+        got = np.concatenate([sol.y[act], sol.phi[act]])
         scale = max(1.0, np.abs(ref).max())
         _check(failures, np.abs(got - ref).max() <= 1e-10 * scale,
                f"{scheme} k={k} {preset} dense KKT solve")
-        _check(failures, np.abs(sol.y.values[fix] - g).max() == 0.0,
+        _check(failures, np.abs(sol.y[fix] - g).max() == 0.0,
                f"{scheme} k={k} {preset} boundary values")
         resid = K @ got - rhs
         _check(failures,
@@ -312,12 +312,12 @@ def test_criterion_9_oracle_equivalence():
            np.abs(B_dense - B_sparse).max() <= 1e-12 * np.abs(B_dense).max(),
            "uc32 control block assembly")
     Kc = _cross_coupling(space32, ctrl_space).toarray()
-    r_ctrl = prob32.lam * B_dense @ sol32.control_hat.values \
-        + Kc.T @ sol32.phi.values
+    r_ctrl = prob32.lam * B_dense @ sol32.control_hat \
+        + Kc.T @ sol32.phi
     _check(failures,
            np.linalg.norm(r_ctrl) <= 1e-10 * max(
                1.0, np.linalg.norm(prob32.lam * B_dense
-                                   @ sol32.control_hat.values)),
+                                   @ sol32.control_hat)),
            "uc32 variational optimality residual")
 
     # wc1 fixed point vs the 3^4 active-set enumeration on the 2x2 mesh

@@ -137,6 +137,15 @@ def test_cli_mesh_subcommand(tmp_path):
     assert mesh.n_cells == 16
 
 
+def test_cli_mesh_subcommand_rejects_a_negative_seed(tmp_path, capsys):
+    path = tmp_path / "mesh.txt"
+    rc = main(["mesh", "--family", "voronoi", "--cells", "16", "--seed", "-3",
+               "--out", str(path)])
+    assert rc == 1
+    assert "rng_seed" in capsys.readouterr().err
+    assert not path.exists()
+
+
 def test_cli_config_file_run(tmp_path):
     out = tmp_path / "cfgout"
     config = tmp_path / "study.cfg"

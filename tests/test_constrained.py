@@ -34,8 +34,10 @@ def test_box_requires_order():
 
 
 def test_pgd_config_validation():
-    with pytest.raises(ValueError):
-        PgdConfig(max_iters=0)
+    for max_iters in (0, 2.5, True, float("inf"), 3.0):
+        with pytest.raises(ValueError, match="max_iters"):
+            PgdConfig(max_iters=max_iters)
+    assert PgdConfig(max_iters=np.int64(500)).max_iters == 500
     for tol in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             PgdConfig(tol=tol)
@@ -47,7 +49,7 @@ def test_wc1_zero_data_feasible_zero():
     prob = ControlProblem(f=ZERO, y_d=ZERO, lam=1e-2, bounds=(-1.0, 1.0))
     sol = solve_wc1(space, prob)
     assert np.abs(sol.control.coeffs[:, 0]).max() == 0.0
-    assert np.abs(sol.y.values).max() == 0.0
+    assert np.abs(sol.y).max() == 0.0
 
 
 def test_wc1_requires_bounds():
@@ -75,7 +77,11 @@ def test_wc1_feasible_at_every_iterate_and_cost_monotone():
     costs = []
     ops = space.local_ops()
     areas = np.array([op.measure for op in ops])
-    for u in sol.history:
+    nodes = space.nodes()
+    for at_nodes in sol.history:
+        # a k = 0 control carries one value per cell at all of its nodes
+        u = at_nodes[nodes.starts]
+        assert np.array_equal(at_nodes, np.repeat(u, nodes.counts))
         assert (u >= box.u_a).all() and (u <= box.u_b).all()
         load = np.zeros(space.n_dofs)
         for op in ops:
@@ -100,7 +106,7 @@ def test_wc1_variational_inequality_at_convergence():
     u, ref = sol.control.coeffs[:, 0], np.inf
     for op in space.local_ops():
         i = op.cell_id
-        grad = (op.int_cell @ sol.phi.cell_blocks()[i]
+        grad = (op.int_cell @ space.cell_blocks(sol.phi)[i]
                 + prob.lam * u[i] * op.measure)
         for v in prob.bounds:
             ref = min(ref, grad * (v - u[i]))
@@ -171,7 +177,7 @@ def test_wc1_matches_active_set_enumeration_oracle():
             break
     assert best is not None, "enumeration oracle found no admissible pattern"
     assert np.abs(sol.control.coeffs[:, 0] - best[2 * n:]).max() < 1e-8
-    assert np.abs(sol.y.values[act] - best[:n]).max() < 1e-8
+    assert np.abs(sol.y[act] - best[:n]).max() < 1e-8
 
 
 def meshes():
@@ -187,8 +193,8 @@ def test_wc1_inactive_bounds_match_unconstrained():
         space = HhoSpace(mesh, 0, dirichlet=True)
         a = solve_wc1(space, wide)
         b = solve_uc1(space, free)
-        assert np.abs(a.y.values - b.y.values).max() < tol
-        assert np.abs(a.phi.values - b.phi.values).max() < tol
+        assert np.abs(a.y - b.y).max() < tol
+        assert np.abs(a.phi - b.phi).max() < tol
 
 
 def test_wc2_zero_data():
@@ -196,7 +202,7 @@ def test_wc2_zero_data():
     space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
     prob = ControlProblem(f=ZERO, y_d=ZERO, lam=1e-2, bounds=(-1.0, 1.0))
     sol = solve_wc2(space, prob)
-    assert np.abs(sol.y.values).max() == 0.0
+    assert np.abs(sol.y).max() == 0.0
 
 
 def test_wc2_feasibility_every_iterate():
@@ -205,11 +211,10 @@ def test_wc2_feasibility_every_iterate():
     for mesh in meshes():
         space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
         sol = solve_wc2(space, prob, keep_history=True)
-        nodes = [len(op.qw) for op in space.local_ops()]
+        n_nodes = sum(len(op.qw) for op in space.local_ops())
         for snapshot in sol.history:
-            assert [len(uq) for uq in snapshot] == nodes
-            for uq in snapshot:
-                assert (uq >= box.u_a).all() and (uq <= box.u_b).all()
+            assert snapshot.shape == (n_nodes,)
+            assert (snapshot >= box.u_a).all() and (snapshot <= box.u_b).all()
 
 
 def test_wc2_inactive_bounds_match_variational_mixed():
@@ -220,7 +225,7 @@ def test_wc2_inactive_bounds_match_variational_mixed():
         a = solve_wc2(space, wide)
         # the uc1/uc2 two-field system on the mixed-order space
         b = _solve_two_field(space, free, "vd-mixed")
-        assert np.abs(a.y.values - b.y.values).max() < 1e-8
+        assert np.abs(a.y - b.y).max() < 1e-8
 
 
 def test_wc2_single_cell_matches_pointwise_clamp_oracle():
@@ -232,9 +237,10 @@ def test_wc2_single_cell_matches_pointwise_clamp_oracle():
 
     # projection identity at every quadrature node of the returned adjoint
     op = space.local_ops()[0]
-    phi_q = op.Vl @ sol.phi.cell_blocks()[0]
+    phi_q = op.Vl @ space.cell_blocks(sol.phi)[0]
     clamp = np.clip(-phi_q / prob.lam, box.u_a, box.u_b)
-    assert np.abs(sol.control.samples[0] - clamp).max() < 1e-8
+    samples = sol.control.samples[:len(op.qw)]  # cell 0's nodes come first
+    assert np.abs(samples - clamp).max() < 1e-8
 
     # independent minimizer of the sampled quadratic via a bound-constrained
     # quasi-Newton solve; confirms the fixed point is the global optimum
@@ -262,7 +268,7 @@ def test_wc2_single_cell_matches_pointwise_clamp_oracle():
                    options={"maxiter": 2000, "ftol": 1e-16, "gtol": 1e-12})
     assert res.success
     # the fixed point must be at least as optimal as the quasi-Newton result
-    j_solver = cost_and_grad(sol.control.samples[0])[0]
+    j_solver = cost_and_grad(samples)[0]
     assert j_solver <= res.fun + 1e-9 * (1.0 + abs(res.fun))
 
 

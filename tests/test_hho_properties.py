@@ -1,5 +1,6 @@
-"""Property tests of the local HHO operators and the nested-dissection order
-(skipped without hypothesis).
+"""Property tests of the local HHO operators and the nested-dissection order.
+
+Skipped without hypothesis; derandomized by the profile of ``conftest.py``.
 """
 
 import numpy as np
@@ -15,10 +16,6 @@ from hho_control.hho_core import (median_bisection,  # noqa: E402
 from hho_control.poly import monomial_exponents  # noqa: E402
 from helpers import voronoi_with_l_cell  # noqa: E402
 
-# derandomized so that the suite sees the same examples on every run
-PROPERTY = dict(deadline=None, derandomize=True, database=None)
-
-
 @st.composite
 def convex_polygons(draw):
     """CCW vertices at well-separated angles on a rotated, shifted ellipse."""
@@ -32,7 +29,7 @@ def convex_polygons(draw):
     return center + np.column_stack([a * np.cos(angles), b * np.sin(angles)]) @ rot.T
 
 
-@settings(max_examples=60, **PROPERTY)
+@settings(max_examples=60)
 @given(convex_polygons(), st.integers(0, 2),
        st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10))
 def test_reconstruction_of_reduction_reproduces_p_k_plus_1(polygon, k, coeffs):
@@ -60,7 +57,7 @@ def _dof_entities(space):
                for i in range(space.n_dofs - space.n_cell_dofs)])
 
 
-@settings(max_examples=25, **PROPERTY)
+@settings(max_examples=25)
 @given(st.one_of(
     st.builds(make_voronoi, st.integers(2, 40),
               rng_seed=st.integers(0, 2 ** 32 - 1),

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hho_control import (Mesh, MeshError, MeshFormatError, make_cartesian,
-                         make_voronoi, read_mesh, write_mesh)
+from hho_control import (Mesh, MeshError, MeshFormatError,
+                         MeshGenerationError, make_cartesian, make_voronoi,
+                         read_mesh, write_mesh)
 from helpers import cached_voronoi, cell_face_ids, cell_normals, cell_polygon
 
 
@@ -62,7 +63,14 @@ def test_interior_normals_opposite_and_shape_surrogate(seeds):
 def test_voronoi_determinism():
     a = write_mesh(make_voronoi(16, rng_seed=123, lloyd_iters=4))
     b = write_mesh(make_voronoi(16, rng_seed=123, lloyd_iters=4))
-    assert a == b
+    c = write_mesh(make_voronoi(16, rng_seed=np.int64(123), lloyd_iters=4))
+    assert a == b == c
+
+
+@pytest.mark.parametrize("seed", [-3, True, 1.5, None])
+def test_voronoi_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(MeshGenerationError, match="rng_seed"):
+        make_voronoi(16, rng_seed=seed)
 
 
 def test_voronoi_partition_of_unity():

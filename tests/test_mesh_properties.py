@@ -1,6 +1,6 @@
 """Property tests of the mesh text format and the Voronoi generator.
 
-Skipped without hypothesis.
+Skipped without hypothesis; derandomized by the profile of ``conftest.py``.
 """
 
 import numpy as np
@@ -14,11 +14,7 @@ from hho_control import (MeshError, MeshGenerationError,  # noqa: E402
 from helpers import (cell_polygon, polygon_area,  # noqa: E402
                      polygon_centroid, polygon_diameter)
 
-# derandomized so that the suite sees the same examples on every run
-PROPERTY = dict(deadline=None, derandomize=True, database=None)
-
-
-@settings(max_examples=30, **PROPERTY)
+@settings(max_examples=30)
 @given(st.one_of(
     st.builds(make_cartesian, st.integers(1, 6)),
     st.builds(make_voronoi, st.integers(2, 24),
@@ -57,7 +53,7 @@ def fuzzed_documents(draw):
     return "\n".join(lines) + "\n"
 
 
-@settings(max_examples=300, **PROPERTY)
+@settings(max_examples=300)
 @given(st.one_of(fuzzed_documents(), st.text(max_size=80)))
 def test_fuzzed_document_parses_to_finite_mesh_or_mesh_error(text):
     with np.errstate(all="ignore"):
@@ -73,7 +69,7 @@ def test_fuzzed_document_parses_to_finite_mesh_or_mesh_error(text):
                                         mesh.face_points.reshape(-1, 4)))).all()
 
 
-@settings(max_examples=40, **PROPERTY)
+@settings(max_examples=40)
 @given(st.integers(1, 80), st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
 def test_voronoi_generation_gives_mesh_or_generation_error(n, seed, lloyd):
     try:
@@ -87,7 +83,7 @@ def test_voronoi_generation_gives_mesh_or_generation_error(n, seed, lloyd):
     assert ((mesh.vertices >= 0.0) & (mesh.vertices <= 1.0)).all()
 
 
-@settings(max_examples=25, **PROPERTY)
+@settings(max_examples=25)
 @given(st.integers(2, 80), st.integers(0, 2 ** 32 - 1), st.integers(0, 4))
 def test_cell_geometry_arrays_equal_per_polygon_sums(n, seed, lloyd):
     """The grouped geometry has the bits of each polygon summed on its own."""
