@@ -20,7 +20,7 @@ from .control_unconstrained import (solve_uc1, solve_uc2, solve_uc31,
 from .errors import (QUANTITIES, ConvergenceReport, ErrorRecord, energy_error,
                      l2_error_control, l2_error_reconstruction)
 from .hho_core import HhoSpace
-from .mesh import make_cartesian, make_voronoi, write_mesh
+from .mesh import is_count, make_cartesian, make_voronoi, write_mesh
 
 
 class ConfigError(ValueError):
@@ -63,8 +63,10 @@ class ExperimentConfig:
         if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
             raise ConfigError("lambda must be finite and positive")
         for name in ("rng_seed", "lloyd_iters"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not is_count(value):
+                raise ConfigError(
+                    f"{name} must be >= 0 and an integer, got {value!r}")
         k = self.degree
         if self.scheme == "uc31" and k not in (0, 1):
             raise ConfigError("uc31 supports degree k in {0, 1} only")

@@ -1,27 +1,48 @@
-"""Box-constrained schemes solved by one damped projected fixed-point loop.
+"""Box-constrained schemes solved by one primal-dual active-set Newton loop.
 
 wc1 (piecewise constant controls) and wc2 (variational discretization,
 Hinze, Comput. Optim. Appl. 30 (2005) 45-61) share the loop.  The control
-is carried by its values at every cell quadrature node.  Each iteration
-solves the state and adjoint equations with the current control (one sparse
-factorization of a_h is reused throughout; each solve is one step from the
-previous iterate's state or adjoint, zero at the start, so the loop itself
-does the iterative refinement of ``OptimalitySystem``), then moves the
-control halfway
-(theta = 1/2) towards the clamp P(-phi_T / lambda) of the adjoint cell
-polynomial at the nodes.  On the k = 0 space of wc1 the adjoint cell unknown
-is constant per cell, so every node of a cell carries the same value and the
-clamp is wc1's update P(-mean phi_T / lambda).
+is carried by its values u at every cell quadrature node; Q
+(``NodeTable.cell_vals``) maps a DOF vector to its cell polynomials at the
+nodes and W holds the node weights.  The discrete optimality condition is
+the fixed point u = P(-Q phi / lambda), P the clamp onto the box and phi
+the adjoint of the state of u.  On the k = 0 space of wc1 the adjoint cell
+unknown is constant per cell, so every node of a cell carries the same value
+and the clamp is wc1's P(-mean phi_T / lambda).
 
-Where the bounds are inactive the damped map is u -> u - theta (u + (S*S u
-+ c) / lambda), with S the control-to-state operator, so it contracts only
-when theta (1 + ||S*S|| / lambda) < 2: for theta = 1/2, when lambda >
-||S*S|| / 3, about 8.6e-4 on the unit square (||S*S|| = (2 pi^2)^{-2}).
-Active bounds clamp part of the control and the loop then converges for
-smaller lambda too, as for the presets; with inactive bounds and small
-lambda the iterates diverge and the solver raises PgdIterationError.  When
-the map contracts the iterates converge linearly to the unique solution of
-the discrete variational inequality.
+The loop is the primal-dual active-set method (Hintermueller, Ito &
+Kunisch, SIAM J. Optim. 13 (2002) 865-888), a semismooth Newton method for
+that fixed point, run at the nodes.  A step takes z = -Q phi / lambda,
+sets u to the bound on the active nodes, where z lies outside [u_a, u_b],
+and on the free nodes I solves
+
+    (lambda + (Q T)_II) delta_I = -(lambda u + Q phi)_I,
+    T = A^{-1} M A^{-1} Q^T W,
+
+with A the stiffness and M the cell mass matrix.  The solve is conjugate
+gradients in the W inner product, where the reduced Hessian is
+self-adjoint; that is CG on W (lambda + Q T) preconditioned by the diagonal
+lambda W, whose spectrum lies in [1, 1 + ||S*S|| / lambda] with S the
+control-to-state map (||S*S|| = (2 pi^2)^{-2}, about 2.6e-3, on the unit
+square).  Each CG step costs two unrefined solves with the one
+factorization of A (``OptimalitySystem.lu_solve``); the state and adjoint
+are carried along with the iterates, so a Newton step needs no separate
+state or adjoint solve.  Each CG solve reduces the W-norm of its residual
+by ``CG_REDUCTION``.
+
+The first step starts from the empty active set, so it solves the problem
+without bounds.  Once the predicted active set repeats, every step first
+recomputes the state and adjoint by a refined ``OptimalitySystem.solve``
+from the carried vectors, which removes the round-off of the unrefined
+solves, and the loop stops when the fixed-point residual
+||P(z) - u||_W is at most ``PgdConfig.tol`` and has stopped shrinking (or
+the last step allowed is taken), or is below eps ||u||_W.  Iterating to
+that round-off floor makes the result independent of the LU ordering.  The control returned is the clamp P(z).
+
+The loop converges for the presets and, with inactive bounds, for lambda
+down to 1e-4 on the unit square.  The residual's round-off floor grows like
+eps ||u|| ||S*S|| / lambda, and for much smaller lambda the active set can
+cycle; either raises PgdIterationError after ``max_iters`` steps.
 """
 
 from __future__ import annotations
@@ -34,7 +55,10 @@ import numpy as np
 from .control_unconstrained import CellPolyControl
 from .hho_core import OptimalitySystem, cell_load_vector
 
-THETA = 0.5  # damping of the fixed-point map; see the contraction condition
+# residual reduction of each CG solve; a wc2 Cartesian 32 level took 38 LU
+# solves with 1e-2 (more Newton steps), 40 with 1e-4 (more CG steps), 34 here
+CG_REDUCTION = 1e-3
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -56,7 +80,12 @@ def project_box(w, box):
 
 @dataclass
 class PgdConfig:
-    """Stopping rule of the projected fixed-point loop."""
+    """Stopping rule of the active-set Newton loop.
+
+    ``max_iters`` caps the Newton steps and the CG steps of each one;
+    ``tol`` bounds the W-norm of the fixed-point residual
+    P(-Q phi / lambda) - u at the nodes.
+    """
 
     max_iters: int = 500
     tol: float = 1e-10
@@ -70,7 +99,10 @@ class PgdConfig:
 
 
 class PgdIterationError(Exception):
-    """Fixed point not reached within max_iters; carries the last increment."""
+    """Newton loop or one CG solve not done within max_iters steps.
+
+    ``final_increment`` is the last fixed-point residual.
+    """
 
     def __init__(self, message, final_increment):
         self.final_increment = final_increment
@@ -124,8 +156,11 @@ class ClampedAdjointControl:
 class ConstrainedSolution:
     """State and adjoint (DOF vectors) and control of a constrained scheme.
 
+    ``iterations`` counts the Newton steps, ``cg_steps`` the CG steps of
+    all of them and ``final_increment`` is the last fixed-point residual.
     With ``keep_history``, ``history`` holds the control at the nodes of
-    ``space.nodes()`` at the start and after each iteration.
+    ``space.nodes()`` at the start and the clamp P(-Q phi / lambda) after
+    each Newton step, each inside the box.
     """
 
     scheme: str
@@ -134,20 +169,28 @@ class ConstrainedSolution:
     control: object
     iterations: int
     final_increment: float
+    cg_steps: int
     history: list | None = None
 
 
-def _damped_projection(space, prob, cfg, keep_history, scheme):
-    """Damped projected fixed-point loop over the cell quadrature nodes.
+def _w_norm(v, w, starts):
+    """W-weighted L2 norm of a node array, cell sums added smallest first."""
+    return float(np.sqrt(np.sum(np.sort(np.add.reduceat(w * v * v, starts)))))
 
-    Returns ``(u, y, phi, iterations, increment, history)``: the control at
-    the nodes of ``space.nodes()``, the state and adjoint of that control,
-    and every iterate (node arrays too) when ``keep_history`` is set.
+
+def _active_set_newton(space, prob, cfg, keep_history, scheme):
+    """Primal-dual active-set Newton loop over the control's node values.
+
+    Returns ``(clamp, y, phi, iterations, residual, cg_steps, history)``:
+    the clamp P(-Q phi / lambda) at the nodes of ``space.nodes()``, the
+    state and adjoint of the last iterate, and every iterate's clamp (node
+    arrays too) when ``keep_history`` is set.
     """
     if prob.bounds is None:
         raise ValueError("bounds required for constrained schemes")
     cfg = cfg or PgdConfig()
     box = AdmissibleBox(*prob.bounds)
+    lam = prob.lam
     # the state carries the boundary data, the adjoint is zero on it
     system = OptimalitySystem([space], [[space.stiffness_matrix()]])
     g = space.boundary_values(prob.state_boundary)
@@ -156,41 +199,94 @@ def _damped_projection(space, prob, cfg, keep_history, scheme):
     F_yd = cell_load_vector(space, prob.y_d)
     nodes = space.nodes()
     Q, w, starts = nodes.cell_vals, nodes.weights, nodes.starts
+    act = space.active_dofs
 
     def solve_pde(u, y, phi):
-        # one refinement step from the previous iterate's state and adjoint
+        # one refinement step from the carried state and adjoint
         (y,) = system.solve([F_f + Q.T @ (w * u)], [g], start=[y])
         (phi,) = system.solve([M @ y - F_yd], start=[phi])
         return y, phi
 
+    def response(p):
+        # state and adjoint of the control change p, both zero on the boundary
+        y_p, phi_p = np.zeros(space.n_dofs), np.zeros(space.n_dofs)
+        y_p[act] = system.lu_solve((Q.T @ (w * p))[act])
+        phi_p[act] = system.lu_solve((M @ y_p)[act])
+        return y_p, phi_p
+
+    def cg(u, y, phi, free):
+        # reduced Hessian lambda + Q T on the free nodes, CG in the W product
+        r = np.where(free, -(lam * u + Q @ phi), 0.0)
+        p, rr = r, np.einsum("i,i,i->", w, r, r)
+        stop, steps = CG_REDUCTION ** 2 * rr, 0
+        while not rr <= stop:  # not reduced enough, or not finite
+            if steps == cfg.max_iters:
+                # on the free nodes P(-Q phi / lambda) - u is r / lambda
+                residual = _w_norm(r, w, starts) / lam
+                raise PgdIterationError(
+                    f"{scheme}: conjugate gradients did not converge in "
+                    f"{cfg.max_iters} steps (residual {residual:.3e})",
+                    residual)
+            y_p, phi_p = response(p)
+            Hp = np.where(free, lam * p + Q @ phi_p, 0.0)
+            alpha = rr / np.einsum("i,i,i->", w, p, Hp)
+            u = u + alpha * p
+            y = y + alpha * y_p
+            phi = phi + alpha * phi_p
+            r = r - alpha * Hp
+            rr, rr_old = np.einsum("i,i,i->", w, r, r), rr
+            p = r + (rr / rr_old) * p
+            steps += 1
+        return u, y, phi, steps
+
     u = project_box(np.zeros(len(w)), box)
+    y, phi = solve_pde(u, np.zeros(space.n_dofs), np.zeros(space.n_dofs))
     history = [u] if keep_history else None
-    increment = np.inf
-    y = phi = np.zeros(space.n_dofs)
+    # the first step starts from the empty active set: it solves the
+    # problem without bounds, from which the active set is predicted
+    lo = hi = np.zeros(len(w), dtype=bool)
+    last, cg_steps = np.inf, 0
     for it in range(1, cfg.max_iters + 1):
-        y, phi = solve_pde(u, y, phi)
-        target = project_box(-(Q @ phi) / prob.lam, box)
-        u_next = project_box((1.0 - THETA) * u + THETA * target, box)
-        inc_sq = np.add.reduceat(w * (u_next - u) ** 2, starts)
-        increment = float(np.sqrt(np.sum(np.sort(inc_sq))))
-        u = u_next
+        # Newton step: the bounds on the active nodes, CG on the free ones
+        jump = np.where(lo, box.u_a, np.where(hi, box.u_b, u)) - u
+        if jump.any():
+            y_p, phi_p = response(jump)
+            u, y, phi = u + jump, y + y_p, phi + phi_p
+        u, y, phi, steps = cg(u, y, phi, ~(lo | hi))
+        cg_steps += steps
+
+        z = -(Q @ phi) / lam
+        settled = (np.array_equal(lo, z < box.u_a)
+                   and np.array_equal(hi, z > box.u_b))
+        if settled:
+            # the active set stopped changing: restore the accuracy the
+            # carried vectors lost to the unrefined solves
+            y, phi = solve_pde(u, y, phi)
+            z = -(Q @ phi) / lam
+        lo, hi = z < box.u_a, z > box.u_b
+        clamp = project_box(z, box)
+        residual = _w_norm(clamp - u, w, starts)
         if keep_history:
-            history.append(u)
-        if increment <= cfg.tol:
+            history.append(clamp)
+        # stop below the resolution of u, or below tol once the residual
+        # stops shrinking or the last step allowed is taken
+        if settled and (residual <= _EPS * _w_norm(u, w, starts) or (
+                residual <= cfg.tol
+                and (not residual < last or it == cfg.max_iters))):
             break
+        last = residual if settled else np.inf
     else:
         raise PgdIterationError(
-            f"{scheme} did not converge in {cfg.max_iters} iterations "
-            f"(last increment {increment:.3e})", increment)
-    y, phi = solve_pde(u, y, phi)
-    return u, y, phi, it, increment, history
+            f"{scheme} did not converge in {cfg.max_iters} Newton steps "
+            f"(last residual {residual:.3e})", residual)
+    return clamp, y, phi, it, residual, cg_steps, history
 
 
 def solve_wc1(space, prob, cfg=None, keep_history=False):
     """Lowest-order scheme: piecewise constant control, k = 0 state/adjoint."""
     if space.cell_degree != 0 or space.face_degree != 0 or not space.dirichlet:
         raise ValueError("wc1 requires the zero-trace k = 0 space")
-    u, y, phi, *rest = _damped_projection(space, prob, cfg, keep_history, "wc1")
+    u, y, phi, *rest = _active_set_newton(space, prob, cfg, keep_history, "wc1")
     control = CellPolyControl(space, u[space.nodes().starts][:, None], "cell")
     return ConstrainedSolution("wc1", y, phi, control, *rest)
 
@@ -204,7 +300,7 @@ def solve_wc2(space, prob, cfg=None, keep_history=False):
     """
     if space.cell_degree != 2 or space.face_degree != 1 or not space.dirichlet:
         raise ValueError("wc2 requires the zero-trace mixed space V^{1+}")
-    u, y, phi, *rest = _damped_projection(space, prob, cfg, keep_history, "wc2")
+    u, y, phi, *rest = _active_set_newton(space, prob, cfg, keep_history, "wc2")
     control = ClampedAdjointControl(space, phi, prob.lam,
                                     AdmissibleBox(*prob.bounds), u)
     return ConstrainedSolution("wc2", y, phi, control, *rest)

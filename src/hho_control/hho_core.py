@@ -19,7 +19,8 @@ one or more fields over HHO spaces and a grid of global blocks, slices off
 the Dirichlet DOFs, factors once, lifts the fixed values into the right-hand
 side at each solve and checks the residual.  It serves the Poisson solve,
 the two- and three-field optimality systems of the unconstrained schemes and
-the repeated state/adjoint solves of the constrained ones.
+the refined state/adjoint solves of the constrained ones, whose CG steps use
+its plain ``lu_solve``.
 
 One- and two-field systems are factored in a geometric nested-dissection
 order (``median_bisection`` of the cell centroids, one vectorized pass per
@@ -29,15 +30,13 @@ is diag(A, A).  The pinned three-field uc32 system keeps SuperLU's COLAMD
 order with partial pivoting.  Every solve is refined against the assembled,
 unscaled matrix with residuals summed in ``np.longdouble``, so the results
 do not depend on the ordering (to about 1e-14 where longdouble is wider than
-double); a solve given the previous solution as ``start`` takes one
+double); a solve given an approximate solution as ``start`` takes one
 refinement step from it.  ``OptimalitySystem`` says more.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
-import numbers
 from types import SimpleNamespace
 
 import numpy as np
@@ -45,7 +44,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import poly
-from .mesh import loop_groups
+from .mesh import is_count, loop_groups
 from .poly import space_dimension
 
 
@@ -75,7 +74,7 @@ class HhoSpace:
         if cell_degree is None:
             cell_degree = face_degree
         for d in (face_degree, cell_degree):
-            if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d < 0:
+            if not is_count(d):
                 raise ValueError(f"degrees must be non-negative integers, got {d!r}")
         if cell_degree not in (face_degree, face_degree + 1):
             raise ValueError("cell_degree must be face_degree or face_degree + 1")
@@ -714,14 +713,14 @@ class OptimalitySystem:
     correction stops shrinking, falls below the resolution of x (eps ||x||)
     or reaches ``MAX_REFINEMENT_STEPS``.  The result is the solution of the
     assembled system to about double precision, whatever the ordering and
-    scaling of the factorization.  Given a ``start`` (the previous solution
-    of a loop) a solve is one refinement step from it, so the loop's own
-    iterations do the refining; when the start is one of the last two
-    solutions, its residual is carried over (``_restart``), so such a step
-    costs one LU solve and one product with K.  That product is summed in
-    double after a step larger than sqrt(eps) ||x||: the loop is then still
-    far from its fixed point, and its later, smaller steps, summed in
-    ``longdouble``, correct what double misses.  Where
+    scaling of the factorization.  Given a ``start`` (an approximate
+    solution carried by a loop) a solve is one refinement step from it, so
+    the loop's own iterations do the refining: one LU solve and two products
+    with K.  The second, the residual of the result, is summed in double
+    after a step larger than sqrt(eps) ||x||: the start was then far from
+    the solution, and the loop's later, smaller steps, summed in
+    ``longdouble``, correct what double misses.  ``lu_solve`` is the plain
+    solve with the factorization, for inner iterations.  Where
     ``np.longdouble`` is no wider than
     double (aarch64 macOS, Windows) refinement improves only the backward
     error, and the results keep the round-off of the factorization.
@@ -761,9 +760,6 @@ class OptimalitySystem:
         self._matrix_ld = sp.csr_matrix(
             (self._matrix.data.astype(np.longdouble), self._matrix.indices,
              self._matrix.indptr), shape=self._matrix.shape)
-        # (x, b, b - K x) of the last two solves: a loop alternating two
-        # right-hand sides, like the wc state and adjoint, restarts from each
-        self._last = collections.deque(maxlen=2)
         self._split = np.cumsum([len(a) for a in act])[:-1]
         self.residuals = None
         self.refinement = None
@@ -790,20 +786,15 @@ class OptimalitySystem:
         np.subtract(b, r, out=r)
         return r.astype(float)
 
-    def _restart(self, b, x):
-        """b - K x, carried over when x is one of the last two solutions.
+    def lu_solve(self, b):
+        """K^{-1} b through the (balanced, permuted) factorization, unrefined.
 
-        With x's own right-hand side b0 and residual r0, b - K x is
-        (b - b0) + r0; summed in double, it is off by about eps |b - b0|,
-        which vanishes as a loop converges.
+        ``b`` and the result are vectors over the active DOFs of the fields,
+        concatenated: no lift, no refinement and no residual check.  This is
+        the one plain solve, for inner iterations that apply K^{-1} many
+        times and are themselves corrected by a refined ``solve`` (the
+        reduced-Hessian CG of the box-constrained schemes).
         """
-        for x0, b0, r0 in self._last:
-            if np.array_equal(x0, x):
-                return (b - b0) + r0
-        return self._residual(b, x)
-
-    def _lu_solve(self, b):
-        """K^{-1} b through the (balanced, permuted) factorization."""
         if self._order is None:
             return self._lu.solve(b)
         if self._scale is not None:
@@ -815,44 +806,42 @@ class OptimalitySystem:
     def solve(self, loads, fixed=None, start=None):
         """Full-length solution vectors, one new array per field.
 
-        ``loads`` holds one full-length load vector per field and ``fixed``
-        the values of each field's fixed DOFs (None, or a None entry, for
-        zero).  ``start``, one vector per field, is a previous solution to
-        take one refinement step from.  Sets ``residuals`` and
-        ``refinement``; raises SolverError above the tolerance or on a
-        non-finite solution.
+        ``loads`` holds one full-length load vector per field (ValueError on
+        a length mismatch) and ``fixed`` the values of each field's fixed
+        DOFs (None, or a None entry, for zero).  ``start``, one vector per
+        field, is an approximate solution to take one refinement step from.
+        Sets ``residuals`` and ``refinement``; raises SolverError above the
+        tolerance or on a non-finite solution.
         """
         fixed = fixed or [None] * len(self.spaces)
         rhs = []
         for space, load, lift in zip(self.spaces, loads, self._lift):
-            b = load[space.active_dofs]
+            b = space.dof_vector(load)[space.active_dofs]
             for block, g in zip(lift, fixed):
                 if block is not None and g is not None:
                     b = b - block @ g
             rhs.append(b)
         b = np.concatenate(rhs)
         if start is None:
-            x, cap = self._lu_solve(b), self.MAX_REFINEMENT_STEPS
-            r = self._residual(b, x)
+            x, cap = self.lu_solve(b), self.MAX_REFINEMENT_STEPS
         else:
             x, cap = np.concatenate([s.dof_vector(v)[s.active_dofs] for s, v
                                      in zip(self.spaces, start)]), 1
-            r = self._restart(b, x)
+        r = self._residual(b, x)
         steps, last = 0, np.inf
         while steps < cap:
-            d = self._lu_solve(r)
+            d = self.lu_solve(r)
             size = _norm(d)
             if not size < last:  # stopped shrinking (or not finite)
                 break
             x, steps, last = x + d, steps + 1, size
             size_x = _norm(x)
-            # a warm step above sqrt(eps) ||x|| leaves the loop far from its
-            # fixed point, and its later steps correct what double misses
+            # a warm step above sqrt(eps) ||x|| started far from the
+            # solution, and the loop's later steps correct what double misses
             r = self._residual(b, x, extended=start is None
                                or size <= _SQRT_EPS * size_x)
             if size <= _EPS * size_x:  # below the resolution of x
                 break
-        self._last.append((x, b, r))
 
         scale = _norm(b)
         unit = scale if scale > 0 else 1.0  # with b = 0 only x = 0 passes

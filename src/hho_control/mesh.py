@@ -350,6 +350,12 @@ def _collapse_short_edges(vertices, ptr, ids, rel_tol=0.02, max_rounds=20):
     return vertices, ptr, ids
 
 
+def is_count(value):
+    """True for a non-negative integer (numpy's too) that is not a bool."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            and value >= 0)
+
+
 def make_voronoi(n_seeds, rng_seed=42, lloyd_iters=10):
     """Voronoi-like polygonal mesh of (0,1)^2 from Lloyd-relaxed jittered seeds.
 
@@ -360,8 +366,7 @@ def make_voronoi(n_seeds, rng_seed=42, lloyd_iters=10):
         raise MeshGenerationError("n_seeds must be >= 1")
     if lloyd_iters < 0:
         raise MeshGenerationError("lloyd_iters must be >= 0")
-    if (isinstance(rng_seed, bool) or not isinstance(rng_seed, numbers.Integral)
-            or rng_seed < 0):
+    if not is_count(rng_seed):
         raise MeshGenerationError(
             f"rng_seed must be a non-negative integer, got {rng_seed!r}")
     rng = np.random.default_rng(rng_seed)

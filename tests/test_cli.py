@@ -226,6 +226,16 @@ def test_cli_negative_seed_or_lloyd_count_rejected(tmp_path, capsys, mesh,
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("mesh", ["voronoi", "cartesian"])
+@pytest.mark.parametrize("field", ["rng_seed", "lloyd_iters"])
+@pytest.mark.parametrize("value", [1.5, True])
+def test_config_seed_or_lloyd_count_must_be_an_integer(mesh, field, value):
+    # the CLI parses both as integers; the library API takes any value
+    with pytest.raises(ConfigError, match=f"{field} must be >= 0 and an integer"):
+        make_config(mesh_family=mesh, **{field: value})
+    assert make_config(mesh_family=mesh, **{field: np.int64(3)})
+
+
 def test_cli_bad_levels_is_config_error():
     for levels in ("4,x", "8,4", "4,4"):
         with pytest.raises(ConfigError, match="levels"):

@@ -68,6 +68,23 @@ def test_wc1_nonconvergence_raises_with_increment():
     assert err.value.final_increment > 0
 
 
+def test_newton_and_cg_step_caps():
+    mesh = cached_cartesian(4)
+    space = HhoSpace(mesh, 0, dirichlet=True)
+    prob = problem_from_preset("wc-default")
+    with pytest.raises(PgdIterationError, match="conjugate gradients") as err:
+        solve_wc1(space, prob, PgdConfig(max_iters=1))
+    assert err.value.final_increment > 0
+    with pytest.raises(PgdIterationError, match="Newton steps") as err:
+        solve_wc1(space, prob, PgdConfig(max_iters=3, tol=1e-14))
+    assert err.value.final_increment > 1e-14
+    # the last step allowed meets tol while the residual still shrinks
+    cfg = PgdConfig(max_iters=4)
+    sol = solve_wc1(space, prob, cfg)
+    assert sol.iterations == 4 and sol.final_increment <= cfg.tol
+    assert solve_wc1(space, prob).iterations > 4
+
+
 def test_wc1_feasible_at_every_iterate_and_cost_monotone():
     mesh = cached_cartesian(4)
     space = HhoSpace(mesh, 0, dirichlet=True)
@@ -195,6 +212,27 @@ def test_wc1_inactive_bounds_match_unconstrained():
         b = solve_uc1(space, free)
         assert np.abs(a.y - b.y).max() < tol
         assert np.abs(a.phi - b.phi).max() < tol
+
+
+@pytest.mark.parametrize("scheme", ["wc1", "wc2"])
+@pytest.mark.parametrize("lam", [1e-2, 1e-3, 1e-4])
+def test_inactive_bounds_lambda_sweep_matches_unconstrained(scheme, lam):
+    # a smaller lambda stretches the spectrum of the preconditioned reduced
+    # Hessian to [1, 1 + ||S*S|| / lambda], about [1, 27] at 1e-4
+    wide = problem_from_preset("wc-default", lam=lam, bounds=(-1e6, 1e6))
+    free = ControlProblem(f=wide.f, y_d=wide.y_d, lam=lam)
+    mesh = cached_cartesian(16)
+    cfg = PgdConfig()
+    if scheme == "wc1":
+        space = HhoSpace(mesh, 0, dirichlet=True)
+        a, b = solve_wc1(space, wide, cfg), solve_uc1(space, free)
+    else:
+        space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
+        a = solve_wc2(space, wide, cfg)
+        b = _solve_two_field(space, free, "vd-mixed")
+    assert a.final_increment <= cfg.tol
+    assert np.abs(a.y - b.y).max() < 1e-8
+    assert np.abs(a.phi - b.phi).max() < 1e-8
 
 
 def test_wc2_zero_data():

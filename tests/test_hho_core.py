@@ -327,7 +327,8 @@ def test_two_field_solver_failure_reports_residual(case):
 @pytest.mark.parametrize("length", ["short", "long", "one"])
 def test_vector_of_another_length_rejected(length):
     # numpy alone would broadcast a length-1 vector in vec - ref, and
-    # indexing by the cells' DOFs would ignore extra entries
+    # indexing by the cells' or active DOFs would ignore extra entries (a
+    # load one entry too long solved as if the entry were not there)
     mesh = cached_cartesian(2)
     space = HhoSpace(mesh, 1, dirichlet=True)
     n = {"short": space.n_dofs - 1, "long": space.n_dofs + 1, "one": 1}[length]
@@ -338,15 +339,16 @@ def test_vector_of_another_length_rejected(length):
                  lambda: l2_error_reconstruction(space, vec, v),
                  lambda: reconstruct_all(space, vec),
                  lambda: space.cell_blocks(vec),
-                 lambda: system.solve([load], start=[vec])):
+                 lambda: system.solve([load], start=[vec]),
+                 lambda: system.solve([vec])):
         with pytest.raises(ValueError, match="does not match"):
             call()
 
 
 @pytest.mark.parametrize("dirichlet", [True, False])
 def test_solve_results_do_not_alias_the_restart_cache(dirichlet):
-    # A start equal to one of the last two solutions reuses that solution's
-    # residual; a returned array changed in place must not be taken for it.
+    # A returned array changed in place and passed back as the start must
+    # be refined to the solution, not taken for the one it was returned as.
     # Without Dirichlet DOFs every DOF is active, so a solution could be a
     # view of the system's own copy; the cell mass makes A + M invertible.
     mesh = cached_cartesian(4)
