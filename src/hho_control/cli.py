@@ -188,23 +188,15 @@ def _build_mesh(family, n, rng_seed, lloyd_iters):
 
 
 def _solve_level(cfg, mesh, prob):
-    k = cfg.degree
-    if cfg.scheme in ("uc1", "uc2"):
-        space = HhoSpace(mesh, k, dirichlet=True)
-        sol = (solve_uc1 if cfg.scheme == "uc1" else solve_uc2)(space, prob)
-    elif cfg.scheme == "uc31":
-        space = HhoSpace(mesh, k, dirichlet=True)
-        sol = solve_uc31(space, prob)
-    elif cfg.scheme == "uc32":
-        space = HhoSpace(mesh, k, cell_degree=k + 1, dirichlet=True)
-        sol = solve_uc32(space, prob)
-    elif cfg.scheme == "wc1":
-        space = HhoSpace(mesh, 0, dirichlet=True)
-        sol = solve_wc1(space, prob, cfg.pgd)
-    else:
-        space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
-        sol = solve_wc2(space, prob, cfg.pgd)
-    return space, sol
+    k = cfg.degree  # validated: 0 for wc1, 1 for wc2
+    mixed = cfg.scheme in ("uc32", "wc2")
+    space = HhoSpace(mesh, k, cell_degree=k + 1 if mixed else k, dirichlet=True)
+    # looked up per call, so a wrapped module-level solver is the one called
+    solve = {"uc1": solve_uc1, "uc2": solve_uc2, "uc31": solve_uc31,
+             "uc32": solve_uc32, "wc1": solve_wc1, "wc2": solve_wc2}[cfg.scheme]
+    if cfg.scheme.startswith("wc"):
+        return space, solve(space, prob, cfg.pgd)
+    return space, solve(space, prob)
 
 
 def run_level(cfg, prob, level):

@@ -14,35 +14,24 @@ The loop is the primal-dual active-set method (Hintermueller, Ito &
 Kunisch, SIAM J. Optim. 13 (2002) 865-888), a semismooth Newton method for
 that fixed point, run at the nodes.  A step takes z = -Q phi / lambda,
 sets u to the bound on the active nodes, where z lies outside [u_a, u_b],
-and on the free nodes I solves
-
-    (lambda + (Q T)_II) delta_I = -(lambda u + Q phi)_I,
-    T = A^{-1} M A^{-1} Q^T W,
-
-with A the stiffness and M the cell mass matrix.  The solve is conjugate
-gradients in the W inner product, where the reduced Hessian is
-self-adjoint; that is CG on W (lambda + Q T) preconditioned by the diagonal
-lambda W, whose spectrum lies in [1, 1 + ||S*S|| / lambda] with S the
+and solves u + Q phi(u) / lambda = 0 on the free nodes by
+``reduced_hessian_cg`` in the W inner product, to a residual reduction of
+``CG_REDUCTION``: two unrefined solves with the one stiffness factorization
+per CG step, with a spectrum in [1, 1 + ||S*S|| / lambda], S the
 control-to-state map (||S*S|| = (2 pi^2)^{-2}, about 2.6e-3, on the unit
-square).  Each CG step costs two unrefined solves with the one
-factorization of A (``OptimalitySystem.lu_solve``); the state and adjoint
-are carried along with the iterates, so a Newton step needs no separate
-state or adjoint solve.  Each CG solve reduces the W-norm of its residual
-by ``CG_REDUCTION``.
+square).
 
 The first step starts from the empty active set, so it solves the problem
 without bounds.  Once the predicted active set repeats, every step first
 recomputes the state and adjoint by a refined ``OptimalitySystem.solve``
-from the carried vectors, which removes the round-off of the unrefined
-solves, and the loop stops when the fixed-point residual
+from the carried vectors, and the loop stops when the fixed-point residual
 ||P(z) - u||_W is at most ``PgdConfig.tol`` and has stopped shrinking (or
 the last step allowed is taken), or is below eps ||u||_W.  Iterating to
-that round-off floor makes the result independent of the LU ordering.  The control returned is the clamp P(z).
-
-The loop converges for the presets and, with inactive bounds, for lambda
-down to 1e-4 on the unit square.  The residual's round-off floor grows like
-eps ||u|| ||S*S|| / lambda, and for much smaller lambda the active set can
-cycle; either raises PgdIterationError after ``max_iters`` steps.
+that round-off floor makes the result independent of the LU ordering.  The
+control returned is the clamp P(z).  The floor grows like
+eps ||u|| ||S*S|| / lambda: one above tol (inactive bounds, lambda 1e-5)
+raises PgdIterationError once the residual stops shrinking, and an active
+set that cycles (much smaller lambda) after ``max_iters`` steps.
 """
 
 from __future__ import annotations
@@ -53,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control_unconstrained import CellPolyControl
-from .hho_core import OptimalitySystem, cell_load_vector
+from .hho_core import (OptimalitySystem, SolverError, cell_load_vector,
+                       linear_response, reduced_hessian_cg)
 
 # residual reduction of each CG solve; a wc2 Cartesian 32 level took 38 LU
 # solves with 1e-2 (more Newton steps), 40 with 1e-4 (more CG steps), 34 here
@@ -99,9 +89,9 @@ class PgdConfig:
 
 
 class PgdIterationError(Exception):
-    """Newton loop or one CG solve not done within max_iters steps.
+    """Newton loop or CG out of max_iters steps, or stalled above tol.
 
-    ``final_increment`` is the last fixed-point residual.
+    ``final_increment`` is the last fixed-point residual, or the floor.
     """
 
     def __init__(self, message, final_increment):
@@ -199,45 +189,15 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
     F_yd = cell_load_vector(space, prob.y_d)
     nodes = space.nodes()
     Q, w, starts = nodes.cell_vals, nodes.weights, nodes.starts
-    act = space.active_dofs
+
+    def load(u):
+        return Q.T @ (w * u)
 
     def solve_pde(u, y, phi):
         # one refinement step from the carried state and adjoint
-        (y,) = system.solve([F_f + Q.T @ (w * u)], [g], start=[y])
+        (y,) = system.solve([F_f + load(u)], [g], start=[y])
         (phi,) = system.solve([M @ y - F_yd], start=[phi])
         return y, phi
-
-    def response(p):
-        # state and adjoint of the control change p, both zero on the boundary
-        y_p, phi_p = np.zeros(space.n_dofs), np.zeros(space.n_dofs)
-        y_p[act] = system.lu_solve((Q.T @ (w * p))[act])
-        phi_p[act] = system.lu_solve((M @ y_p)[act])
-        return y_p, phi_p
-
-    def cg(u, y, phi, free):
-        # reduced Hessian lambda + Q T on the free nodes, CG in the W product
-        r = np.where(free, -(lam * u + Q @ phi), 0.0)
-        p, rr = r, np.einsum("i,i,i->", w, r, r)
-        stop, steps = CG_REDUCTION ** 2 * rr, 0
-        while not rr <= stop:  # not reduced enough, or not finite
-            if steps == cfg.max_iters:
-                # on the free nodes P(-Q phi / lambda) - u is r / lambda
-                residual = _w_norm(r, w, starts) / lam
-                raise PgdIterationError(
-                    f"{scheme}: conjugate gradients did not converge in "
-                    f"{cfg.max_iters} steps (residual {residual:.3e})",
-                    residual)
-            y_p, phi_p = response(p)
-            Hp = np.where(free, lam * p + Q @ phi_p, 0.0)
-            alpha = rr / np.einsum("i,i,i->", w, p, Hp)
-            u = u + alpha * p
-            y = y + alpha * y_p
-            phi = phi + alpha * phi_p
-            r = r - alpha * Hp
-            rr, rr_old = np.einsum("i,i,i->", w, r, r), rr
-            p = r + (rr / rr_old) * p
-            steps += 1
-        return u, y, phi, steps
 
     u = project_box(np.zeros(len(w)), box)
     y, phi = solve_pde(u, np.zeros(space.n_dofs), np.zeros(space.n_dofs))
@@ -250,9 +210,16 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
         # Newton step: the bounds on the active nodes, CG on the free ones
         jump = np.where(lo, box.u_a, np.where(hi, box.u_b, u)) - u
         if jump.any():
-            y_p, phi_p = response(jump)
+            y_p, phi_p = linear_response(system, M, load(jump))
             u, y, phi = u + jump, y + y_p, phi + phi_p
-        u, y, phi, steps = cg(u, y, phi, ~(lo | hi))
+        # on the free nodes the residual -(u + Q phi / lambda) is P(z) - u
+        try:
+            u, y, phi, steps = reduced_hessian_cg(
+                system, M, load, lambda phi: (Q @ phi) / lam,
+                lambda a, b: np.einsum("i,i,i->", w, a, b), u, y, phi,
+                CG_REDUCTION, cfg.max_iters, free=~(lo | hi))
+        except SolverError as exc:
+            raise PgdIterationError(f"{scheme}: {exc}", exc.residual) from None
         cg_steps += steps
 
         z = -(Q @ phi) / lam
@@ -274,6 +241,11 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
                 residual <= cfg.tol
                 and (not residual < last or it == cfg.max_iters))):
             break
+        if settled and cfg.tol < last <= residual:  # a floor above tol
+            raise PgdIterationError(
+                f"{scheme}: the fixed-point residual stopped shrinking at "
+                f"{last:.3e}, above tol {cfg.tol:.0e}, after {it} Newton "
+                "steps", last)
         last = residual if settled else np.inf
     else:
         raise PgdIterationError(

@@ -4,10 +4,11 @@ All four schemes minimize a strictly convex quadratic, so the unique
 minimizer is the solution of the coupled optimality system.  The control is
 eliminated analytically where elimination is exact (cell-polynomial and full
 reconstruction controls) leaving a two-field sparse system in the state and
-adjoint; the partial-reconstruction scheme keeps its control unknowns and
-solves a three-field system, since only the reconstruction of its control is
-determined (the global reconstruction has a kernel) and a pointwise
-elimination through the adjoint is not available there.
+adjoint.  The partial-reconstruction scheme keeps its control unknowns, since
+only the reconstruction of its control is determined (the global
+reconstruction has a kernel) and a pointwise elimination through the adjoint
+is not available there; it eliminates the state and adjoint instead and
+solves for the control by ``reduced_hessian_cg``.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .hho_core import (HhoSpace, OptimalitySystem, cell_load_vector,
-                       recon_load_vector, reconstruct_all, scatter_blocks)
+from .hho_core import (HhoSpace, OptimalitySystem, SolverError,
+                       cell_load_vector, recon_load_vector, reconstruct_all,
+                       reduced_hessian_cg, scatter_blocks)
+
+UC32_REDUCTION = 1e-13  # of the uc32 CG residual, in the C-norm
 
 
 class UnsupportedDegreeError(ValueError):
@@ -87,11 +91,12 @@ class OptimalitySolution:
     refinement: dict = field(default_factory=dict)
 
 
-def _check_equal_order(space, prob, scheme):
+def _check_space(space, prob, scheme, order="equal"):
     if prob.bounds is not None:
         raise ValueError("unconstrained scheme called with bounds")
-    if space.cell_degree != space.face_degree or not space.dirichlet:
-        raise ValueError(f"{scheme} requires the equal-order zero-trace space")
+    mixed = order == "mixed"
+    if space.cell_degree != space.face_degree + mixed or not space.dirichlet:
+        raise ValueError(f"{scheme} requires the {order}-order zero-trace space")
 
 
 def _solve_two_field(space, prob, scheme, recon=False):
@@ -129,13 +134,13 @@ def _solve_two_field(space, prob, scheme, recon=False):
 
 def solve_uc1(space, prob):
     """Cell-polynomial control of degree k; state and adjoint in the k-space."""
-    _check_equal_order(space, prob, "uc1")
+    _check_space(space, prob, "uc1")
     return _solve_two_field(space, prob, "uc1")
 
 
 def solve_uc2(space, prob):
     """Variational discretization; algebraically identical to the uc1 system."""
-    _check_equal_order(space, prob, "uc2")
+    _check_space(space, prob, "uc2")
     return _solve_two_field(space, prob, "uc2")
 
 
@@ -146,7 +151,7 @@ def solve_uc31(space, prob):
     of the zero-trace unknowns lie inside the control space, so the blocks
     reduce to the reconstruction mass matrix B = G^T M_{k+1} G.
     """
-    _check_equal_order(space, prob, "uc31")
+    _check_space(space, prob, "uc31")
     if space.face_degree not in (0, 1):
         raise UnsupportedDegreeError(
             f"full reconstruction supports k in {{0, 1}}, got k={space.face_degree}")
@@ -177,39 +182,54 @@ def _cross_coupling(space, control_space):
 def solve_uc32(space, prob):
     """Partial reconstruction: mixed-order state/adjoint, control in R(V_h^k).
 
-    The control block (R u, R v) is singular on the kernel of the global
-    reconstruction (only R u_hat is determined), so the three-field system
-    carries a 1e-12-scaled pinning of the control DOFs to select a
-    representative; the residuals reported are those of the pinned system.
+    The system is A y = F_f + K u, A phi = M y - F_yd, K^T phi + C u = 0,
+    C = lambda B plus a 1e-12-scaled pinning: B is singular on the kernel of
+    the global reconstruction, and only R u_hat is determined.
+    ``reduced_hessian_cg`` solves u + C^{-1} K^T phi(u) = 0 from u = 0 in the
+    C inner product (spectrum in [1, 1 + ||S||^2 / lambda]); the state and
+    adjoint are then refined once.  ``residuals`` are relative to the whole
+    right-hand side; ``refinement`` is the adjoint solve's plus ``cg_steps``.
     """
-    if prob.bounds is not None:
-        raise ValueError("unconstrained scheme called with bounds")
+    _check_space(space, prob, "uc32", "mixed")
     k = space.face_degree
     if k < 2:
         raise UnsupportedDegreeError(
             f"partial reconstruction requires k >= 2, got k={k}")
-    if space.cell_degree != k + 1 or not space.dirichlet:
-        raise ValueError("uc32 requires the mixed-order zero-trace space")
     control_space = HhoSpace(space.mesh, k, dirichlet=False)
 
-    lam = prob.lam
     A = space.stiffness_matrix()
     M = space.cell_mass_matrix()
     K = _cross_coupling(space, control_space)
     B = control_space.recon_mass_matrix()
-    eps = 1e-12 * lam * B.diagonal().max()
-    C = (lam * B + eps * sp.identity(control_space.n_dofs, format="csr")).tocsr()
+    n_u = control_space.n_dofs
+    eps = 1e-12 * prob.lam * B.diagonal().max()
+    C = (prob.lam * B + eps * sp.identity(n_u, format="csr")).tocsr()
+    pde = OptimalitySystem([space], [[A]])
+    mass = OptimalitySystem([control_space], [[C]])
 
-    system = OptimalitySystem([space, space, control_space],
-                              [[A, None, -K], [-M, A, None], [None, K.T, C]])
-    y, phi, u_hat = system.solve(
-        [cell_load_vector(space, prob.f), -cell_load_vector(space, prob.y_d),
-         np.zeros(control_space.n_dofs)],
-        [space.boundary_values(prob.state_boundary), None, None])
-    residuals = dict(zip(("state", "adjoint", "control"), system.residuals))
+    F_f = cell_load_vector(space, prob.f)
+    F_yd = cell_load_vector(space, prob.y_d)
+    g = space.boundary_values(prob.state_boundary)
+    (y,) = pde.solve([F_f], [g])
+    (phi,) = pde.solve([M @ y - F_yd])
+    u_hat, y, phi, steps = reduced_hessian_cg(  # exact CG ends in n_u steps
+        pde, M, K.dot, lambda phi: mass.lu_solve(K.T @ phi),
+        lambda a, b: np.einsum("i,i->", a, C @ b), np.zeros(n_u), y, phi,
+        UC32_REDUCTION, n_u)
+    (y,) = pde.solve([F_f + K @ u_hat], [g], start=[y])
+    (phi,) = pde.solve([M @ y - F_yd], start=[phi])
+
+    act, fix = space.active_dofs, space.fixed_dofs
+    rhs = np.linalg.norm(np.append((F_f - A[:, fix] @ g)[act], F_yd[act]))
+    parts = ((F_f + K @ u_hat - A @ y)[act], (M @ y - F_yd - A @ phi)[act],
+             K.T @ phi + C @ u_hat)
+    residuals = {name: float(np.linalg.norm(r) / (rhs or 1.0)) for name, r
+                 in zip(("state", "adjoint", "control"), parts)}
+    if not np.linalg.norm(parts[2]) <= OptimalitySystem.RESIDUAL_TOL * rhs:
+        raise SolverError(f"uc32 control residual {residuals['control']:.3e} "
+                          "exceeds 1e-10", residual=residuals["control"])
     control = CellPolyControl(control_space,
                               reconstruct_all(control_space, u_hat), "recon")
     return OptimalitySolution("uc32", y, phi, control, control_hat=u_hat,
                               residuals=residuals,
-                              refinement=system.refinement)
-
+                              refinement=dict(pde.refinement, cg_steps=steps))

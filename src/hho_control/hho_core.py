@@ -14,24 +14,11 @@ cell that holds the same entries under the same names.  A per-space
 ``NodeTable`` stacks the quadrature nodes of every cell and face, so loads,
 projections, norms and errors evaluate a function once on all nodes.
 Per-cell matrices are scattered into global sparse matrices by one triplet
-helper.  ``OptimalitySystem`` is the one solve path of the package: it takes
-one or more fields over HHO spaces and a grid of global blocks, slices off
-the Dirichlet DOFs, factors once, lifts the fixed values into the right-hand
-side at each solve and checks the residual.  It serves the Poisson solve,
-the two- and three-field optimality systems of the unconstrained schemes and
-the refined state/adjoint solves of the constrained ones, whose CG steps use
-its plain ``lu_solve``.
-
-One- and two-field systems are factored in a geometric nested-dissection
-order (``median_bisection`` of the cell centroids, one vectorized pass per
-level; separators are the faces between the halves) without pivoting, the
-two-field uc systems after balancing the adjoint so that the symmetric part
-is diag(A, A).  The pinned three-field uc32 system keeps SuperLU's COLAMD
-order with partial pivoting.  Every solve is refined against the assembled,
-unscaled matrix with residuals summed in ``np.longdouble``, so the results
-do not depend on the ordering (to about 1e-14 where longdouble is wider than
-double); a solve given an approximate solution as ``start`` takes one
-refinement step from it.  ``OptimalitySystem`` says more.
+helper.  ``OptimalitySystem`` is the one solve path of the package: one
+or two fields, factored once in a nested-dissection order without pivoting,
+refined against the assembled matrix and checked.  It solves the Poisson
+problem and the two-field uc1, uc2 and uc31 systems, and its plain
+``lu_solve`` runs the ``reduced_hessian_cg`` of uc32, wc1 and wc2.
 """
 
 from __future__ import annotations
@@ -49,9 +36,9 @@ from .poly import space_dimension
 
 
 class SolverError(Exception):
-    """Linear solve failed; carries the achieved relative residual.
+    """Linear solve failed; carries the residual (relative for a direct solve).
 
-    The residual is infinite when the factorization itself failed.
+    It is infinite when the factorization itself failed.
     """
 
     def __init__(self, message, residual=None):
@@ -692,19 +679,17 @@ class OptimalitySystem:
     solve the fixed columns times the given fixed values move into the
     right-hand side (the lift).
 
-    Factorization.  Systems of one or two fields are factored in the
-    ``nested_dissection`` order (George, SIAM J. Numer. Anal. 10 (1973)
-    345-363), with SuperLU told to keep it (``permc_spec="NATURAL"``,
-    ``SymmetricMode``) and to pivot on the diagonal
-    (``diag_pivot_thresh=0``).  A two-field system is balanced first: the
-    second field is scaled by s = sqrt(max|K10| / max|K01|) and its
-    equations by 1/s, so the uc system [A, C/lam; -C, A] becomes
+    Factorization.  A system of one or two fields (ValueError for more) is
+    factored in the ``nested_dissection`` order (George, SIAM J. Numer.
+    Anal. 10 (1973) 345-363), with SuperLU told to keep it
+    (``permc_spec="NATURAL"``, ``SymmetricMode``) and to pivot on the
+    diagonal (``diag_pivot_thresh=0``).  A two-field system is balanced
+    first: the second field is scaled by s = sqrt(max|K10| / max|K01|) and
+    its equations by 1/s, so the uc system [A, C/lam; -C, A] becomes
     [A, C/sqrt(lam); -C/sqrt(lam), A].  Its symmetric part diag(A, A) is
-    SPD, as is the one-field A, so LU without pivoting exists and is stable
-    (Golub & Van Loan, Linear Algebra Appl. 28 (1979) 85-97).  The pinned
-    three-field uc32 system has no such balancing: threshold pivoting in the
-    dissection order pivoted it heavily (three times the solve time), so it
-    keeps SuperLU's COLAMD order with partial pivoting.
+    SPD, as are the one-field matrices (the stiffness, the pinned uc32
+    control mass), so LU without pivoting exists and is stable (Golub & Van
+    Loan, Linear Algebra Appl. 28 (1979) 85-97).
 
     Refinement (Demmel et al., ACM TOMS 32 (2006) 325-351).  Every solve is
     refined against the assembled, unscaled matrix: the residual b - K x is
@@ -715,13 +700,8 @@ class OptimalitySystem:
     assembled system to about double precision, whatever the ordering and
     scaling of the factorization.  Given a ``start`` (an approximate
     solution carried by a loop) a solve is one refinement step from it, so
-    the loop's own iterations do the refining: one LU solve and two products
-    with K.  The second, the residual of the result, is summed in double
-    after a step larger than sqrt(eps) ||x||: the start was then far from
-    the solution, and the loop's later, smaller steps, summed in
-    ``longdouble``, correct what double misses.  ``lu_solve`` is the plain
-    solve with the factorization, for inner iterations.  Where
-    ``np.longdouble`` is no wider than
+    the loop's own iterations do the refining.  ``lu_solve`` is the plain
+    solve, for inner iterations.  Where ``np.longdouble`` is no wider than
     double (aarch64 macOS, Windows) refinement improves only the backward
     error, and the results keep the round-off of the factorization.
 
@@ -737,6 +717,9 @@ class OptimalitySystem:
 
     def __init__(self, spaces, blocks):
         self.spaces = list(spaces)
+        if len(self.spaces) not in (1, 2):
+            raise ValueError("only one or two fields are factored without "
+                             f"pivoting, got {len(self.spaces)} fields")
         act = [s.active_dofs for s in self.spaces]
         fix = [s.fixed_dofs for s in self.spaces]
         self._lift = [[None if b is None else b[act[i]][:, fix[j]]
@@ -749,10 +732,9 @@ class OptimalitySystem:
         # the peak RSS of the one-field wc2 solve at 32 x 32 by 1-3 MB
         matrix = (grid[0][0].tocsc() if len(grid) == 1
                   else sp.bmat(grid, format="csc"))
-        self._order = (nested_dissection(self.spaces) if len(grid) <= 2
-                       else None)
+        self._order = nested_dissection(self.spaces)
         self._scale = (_field_scale(grid, [len(a) for a in act])
-                       if self._order is not None and len(grid) == 2 else None)
+                       if len(grid) == 2 else None)
         del grid
         # the assembled matrix in double and, over the same indices, in
         # longdouble for the residuals of iterates near the solution
@@ -763,17 +745,14 @@ class OptimalitySystem:
         self._split = np.cumsum([len(a) for a in act])[:-1]
         self.residuals = None
         self.refinement = None
+        if self._scale is not None:
+            matrix = (sp.diags(1.0 / self._scale) @ matrix
+                      @ sp.diags(self._scale)).tocsr()
+        matrix = matrix[self._order][:, self._order].tocsc()
         try:
-            if self._order is None:
-                self._lu = spla.splu(matrix)
-            else:
-                if self._scale is not None:
-                    matrix = (sp.diags(1.0 / self._scale) @ matrix
-                              @ sp.diags(self._scale)).tocsr()
-                matrix = matrix[self._order][:, self._order].tocsc()
-                self._lu = spla.splu(matrix, permc_spec="NATURAL",
-                                     diag_pivot_thresh=0.0,
-                                     options=dict(SymmetricMode=True))
+            self._lu = spla.splu(matrix, permc_spec="NATURAL",
+                                 diag_pivot_thresh=0.0,
+                                 options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # exactly singular
             raise SolverError(f"factorization failed: {exc}",
                               residual=np.inf) from None
@@ -791,12 +770,9 @@ class OptimalitySystem:
 
         ``b`` and the result are vectors over the active DOFs of the fields,
         concatenated: no lift, no refinement and no residual check.  This is
-        the one plain solve, for inner iterations that apply K^{-1} many
-        times and are themselves corrected by a refined ``solve`` (the
-        reduced-Hessian CG of the box-constrained schemes).
+        the one plain solve, for inner iterations (``reduced_hessian_cg``)
+        that apply K^{-1} many times and are corrected by a refined ``solve``.
         """
-        if self._order is None:
-            return self._lu.solve(b)
         if self._scale is not None:
             b = b / self._scale
         x = np.empty_like(b)
@@ -889,6 +865,45 @@ def _finite_or_inf(value):
     """``value`` as a float, infinite when it is not finite."""
     value = float(value)
     return value if np.isfinite(value) else np.inf
+
+
+def linear_response(system, M, load):
+    """Plain-solve state A^{-1} load and adjoint A^{-1} M y, zero if fixed."""
+    act = system.spaces[0].active_dofs
+    y, phi = np.zeros(len(load)), np.zeros(len(load))
+    y[act] = system.lu_solve(load[act])
+    phi[act] = system.lu_solve((M @ y)[act])
+    return y, phi
+
+
+def reduced_hessian_cg(system, M, load, G, inner, u, y, phi, reduction,
+                       max_steps, free=True):
+    """CG for u + G(phi) = 0 on the entries ``free`` of u (a mask, or all).
+
+    y and phi, the state and adjoint of u, are carried along: a change p adds
+    the ``linear_response`` of ``load(p)``, so the reduced Hessian
+    H p = p + G(phi_p) (Hinze, Pinnau, Ulbrich & Ulbrich, Optimization with
+    PDE Constraints, Springer 2009) must be SPD in the inner product
+    ``inner``.  Returns ``(u, y, phi, steps)`` once the residual's norm has
+    fallen by ``reduction``; SolverError with that norm after ``max_steps``.
+    """
+    r = np.where(free, -(u + G(phi)), 0.0)
+    p, rr = r, inner(r, r)
+    stop, steps = reduction ** 2 * rr, 0
+    while not rr <= stop:  # not reduced enough, or not finite
+        if steps == max_steps:
+            res = float(np.sqrt(rr))
+            raise SolverError(f"conjugate gradients did not converge in "
+                              f"{max_steps} steps (residual {res:.3e})", res)
+        y_p, phi_p = linear_response(system, M, load(p))
+        Hp = np.where(free, p + G(phi_p), 0.0)
+        alpha = rr / inner(p, Hp)
+        u, y, phi = u + alpha * p, y + alpha * y_p, phi + alpha * phi_p
+        r = r - alpha * Hp
+        rr, rr_old = inner(r, r), rr
+        p = r + (rr / rr_old) * p
+        steps += 1
+    return u, y, phi, steps
 
 
 def solve_poisson(space, f, boundary_data=None):

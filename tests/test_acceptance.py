@@ -157,12 +157,15 @@ def test_criterion_4_uc31_rates():
 def test_criterion_5_uc32_rates():
     failures = []
     prob = problem_from_preset("uc32-default")
-    rows = _study("uc32", 2, "cartesian", (4, 8, 16), prob)
-    rate_u = _final_rate(rows, "u")
-    _check(failures, 3.6 <= rate_u <= 4.4, f"control rate {rate_u:.3f}")
-    for key in ("y", "phi"):
-        rate = _final_rate(rows, key)
-        _check(failures, 2.7 <= rate <= 3.3, f"{key} rate {rate:.3f}")
+    for family, levels in (("cartesian", (4, 8, 16)), ("voronoi", (64, 256))):
+        rows = _study("uc32", 2, family, levels, prob)
+        rate_u = _final_rate(rows, "u")
+        _check(failures, 3.6 <= rate_u <= 4.4,
+               f"{family} control rate {rate_u:.3f}")
+        for key in ("y", "phi"):
+            rate = _final_rate(rows, key)
+            _check(failures, 2.7 <= rate <= 3.3,
+                   f"{family} {key} rate {rate:.3f}")
     _finish(5, "partial-reconstruction rates at k=2", failures)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,27 @@ def test_inactive_bounds_lambda_sweep_matches_unconstrained(scheme, lam):
     assert a.final_increment <= cfg.tol
     assert np.abs(a.y - b.y).max() < 1e-8
     assert np.abs(a.phi - b.phi).max() < 1e-8
+
+
+@pytest.mark.parametrize("scheme", ["wc1", "wc2"])
+def test_round_off_floor_above_tol_raises_at_once(scheme):
+    # at lambda = 1e-5 the fixed-point residual levels off above the
+    # default tol 1e-10; the loop reports the floor instead of taking all
+    # of its max_iters Newton steps
+    prob = problem_from_preset("wc-default", lam=1e-5, bounds=(-1e6, 1e6))
+    mesh = cached_cartesian(16)
+    if scheme == "wc1":
+        solve, space = solve_wc1, HhoSpace(mesh, 0, dirichlet=True)
+    else:
+        solve = solve_wc2
+        space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
+    cfg = PgdConfig()
+    with pytest.raises(PgdIterationError, match="stopped shrinking") as err:
+        solve(space, prob, cfg)
+    steps = int(re.search(r"after (\d+) Newton steps", str(err.value))[1])
+    assert steps <= 20
+    assert err.value.final_increment > cfg.tol
+    assert f"{err.value.final_increment:.3e}" in str(err.value)
 
 
 def test_wc2_zero_data():

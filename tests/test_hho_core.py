@@ -324,6 +324,16 @@ def test_two_field_solver_failure_reports_residual(case):
     assert err.value.residual > OptimalitySystem.RESIDUAL_TOL
 
 
+def test_more_than_two_fields_rejected():
+    # factoring without pivoting is stable only for the SPD one-field and
+    # the balanced two-field matrix
+    space = HhoSpace(cached_cartesian(2), 1, dirichlet=True)
+    A = space.stiffness_matrix()
+    grid = [[A if i == j else None for j in range(3)] for i in range(3)]
+    with pytest.raises(ValueError, match="3 fields"):
+        OptimalitySystem([space] * 3, grid)
+
+
 @pytest.mark.parametrize("length", ["short", "long", "one"])
 def test_vector_of_another_length_rejected(length):
     # numpy alone would broadcast a length-1 vector in vec - ref, and

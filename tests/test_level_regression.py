@@ -2,11 +2,11 @@
 
 The values were recorded from the refined solve of ``OptimalitySystem``
 (extended-precision iterative refinement against the assembled matrix), so
-they hold whatever the LU ordering: SuperLU's COLAMD order with partial
-pivoting and the nested-dissection order without pivoting both reproduce
-them to 1e-13.  The wc2 pin comes from the active-set Newton loop, which
-iterates to the round-off of the fixed-point residual.  A refactor of the
-kernel, load, solve or error layers must reproduce them to 1e-12 relative.
+they hold whatever the LU ordering: the nested-dissection order and the
+plain DOF-index order, both without pivoting, reproduce them to 1e-13.  The
+wc2 pin comes from the active-set Newton loop, which iterates to the
+round-off of the fixed-point residual.  A refactor of the kernel, load,
+solve or error layers must reproduce them to 1e-12 relative.
 """
 
 import numpy as np
@@ -76,11 +76,19 @@ def test_errors_do_not_depend_on_the_lu_ordering(name, monkeypatch):
     cfg = cli.ExperimentConfig(levels=[level], **fields)
     prob = cfg.build_problem()
     dissected = cli.run_level(cfg, prob, level)
-    # without an ordering the core falls back to COLAMD with partial pivoting
-    monkeypatch.setattr(hho_core, "nested_dissection", lambda spaces: None)
-    colamd = cli.run_level(cfg, prob, level)
-    assert dissected.iters == colamd.iters
+    # the DOF-index order, every field's copy of a DOF side by side; LU
+    # without pivoting stays safe, since a symmetric permutation keeps the
+    # symmetric part SPD
+    def by_index(spaces):
+        dofs = np.concatenate([s.active_dofs for s in spaces])
+        fields = np.repeat(np.arange(len(spaces)),
+                           [len(s.active_dofs) for s in spaces])
+        return np.lexsort((fields, dofs))
+
+    monkeypatch.setattr(hho_core, "nested_dissection", by_index)
+    plain = cli.run_level(cfg, prob, level)
+    assert dissected.iters == plain.iters
     for q in QUANTITIES:
-        got, want = getattr(dissected, q), getattr(colamd, q)
+        got, want = getattr(dissected, q), getattr(plain, q)
         assert abs(got - want) <= 1e-13 * abs(want), (q, got, want)
 

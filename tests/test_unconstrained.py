@@ -230,6 +230,18 @@ def test_uc1_lambda_sweep_passes_residual_gate(lam):
     assert sol.refinement["residual"] <= 1e-14
 
 
+@pytest.mark.parametrize("lam", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_uc32_lambda_sweep_passes_residual_gate(lam):
+    # C^{-1} times the reduced Hessian has its spectrum in
+    # [1, 1 + ||S||^2 / lam]: a small lam costs CG steps, not accuracy
+    space = HhoSpace(cached_cartesian(8), 2, cell_degree=3, dirichlet=True)
+    prob = problem_from_preset("uc32-default")
+    sol = solve_uc32(space, ControlProblem(prob.f, prob.y_d, lam,
+                                           state_boundary=prob.state_boundary))
+    assert max(sol.residuals.values()) <= 1e-10
+    assert 1 <= sol.refinement["cg_steps"] <= space.n_dofs
+
+
 def test_cross_coupling_matches_cell_by_cell_reference():
     # Voronoi cells plus the ear-clipped L cell: the grouped coupling must
     # equal the one assembled cell by cell from each cell's own bases.
