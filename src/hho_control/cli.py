@@ -58,11 +58,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mesh family {self.mesh_family!r}")
         if not self.levels:
             raise ConfigError("levels must be nonempty")
-        if any(b <= a for a, b in zip([0, *self.levels], self.levels)):
+        if not all(is_count(n) for n in self.levels) or any(
+                b <= a for a, b in zip([0, *self.levels], self.levels)):
             raise ConfigError("levels must be strictly increasing positive integers")
         if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
             raise ConfigError("lambda must be finite and positive")
-        for name in ("rng_seed", "lloyd_iters"):
+        for name in ("degree", "rng_seed", "lloyd_iters"):
             value = getattr(self, name)
             if not is_count(value):
                 raise ConfigError(
@@ -76,13 +77,13 @@ class ExperimentConfig:
             raise ConfigError("wc1 is defined for degree k = 0 only")
         if self.scheme == "wc2" and k != 1:
             raise ConfigError("wc2 uses the fixed mixed space V^{1+} (k = 1)")
-        if k < 0:
-            raise ConfigError("degree must be nonnegative")
         if self.scheme in ("wc1", "wc2") and self.bounds is None \
                 and not self._preset_has_bounds():
             raise ConfigError("bounds required for constrained schemes")
         if self.scheme.startswith("uc") and self.bounds is not None:
             raise ConfigError("bounds are not admissible for unconstrained schemes")
+        if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
+            raise ConfigError("bounds must satisfy u_a < u_b")
 
     def _preset_has_bounds(self):
         if not self.preset:
@@ -164,8 +165,6 @@ def _config_from_fields(raw):
             bounds = (float(toks[0]), float(toks[1]))
         except ValueError:
             raise ConfigError("field 'bounds' must be two real numbers") from None
-        if not bounds[0] < bounds[1]:
-            raise ConfigError("bounds must satisfy u_a < u_b")
 
     try:
         pgd = PgdConfig(max_iters=geti("pgd_max_iters", 500),

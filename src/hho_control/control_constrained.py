@@ -182,7 +182,7 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
     box = AdmissibleBox(*prob.bounds)
     lam = prob.lam
     # the state carries the boundary data, the adjoint is zero on it
-    system = OptimalitySystem([space], [[space.stiffness_matrix()]])
+    system = OptimalitySystem(space, space.stiffness_matrix())
     g = space.boundary_values(prob.state_boundary)
     M = space.cell_mass_matrix()
     F_f = cell_load_vector(space, prob.f)
@@ -195,8 +195,8 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
 
     def solve_pde(u, y, phi):
         # one refinement step from the carried state and adjoint
-        (y,) = system.solve([F_f + load(u)], [g], start=[y])
-        (phi,) = system.solve([M @ y - F_yd], start=[phi])
+        y = system.solve(F_f + load(u), g, start=y)
+        phi = system.solve(M @ y - F_yd, start=phi)
         return y, phi
 
     u = project_box(np.zeros(len(w)), box)

@@ -3,12 +3,13 @@
 All four schemes minimize a strictly convex quadratic, so the unique
 minimizer is the solution of the coupled optimality system.  The control is
 eliminated analytically where elimination is exact (cell-polynomial and full
-reconstruction controls) leaving a two-field sparse system in the state and
-adjoint.  The partial-reconstruction scheme keeps its control unknowns, since
-only the reconstruction of its control is determined (the global
-reconstruction has a kernel) and a pointwise elimination through the adjoint
-is not available there; it eliminates the state and adjoint instead and
-solves for the control by ``reduced_hessian_cg``.
+reconstruction controls), leaving a system in the state and adjoint that is
+solved as one complex sparse system in y + i phi / sqrt(lambda).  The
+partial-reconstruction scheme keeps its control unknowns, since only the
+reconstruction of its control is determined (the global reconstruction has
+a kernel) and a pointwise elimination through the adjoint is not available
+there; it eliminates the state and adjoint instead and solves for the
+control by ``reduced_hessian_cg``.
 """
 
 from __future__ import annotations
@@ -78,8 +79,10 @@ class OptimalitySolution:
 
     ``y``, ``phi`` and ``control_hat`` are DOF vectors (flat arrays);
     ``residuals`` holds each equation's residual relative to the whole
-    right-hand side; ``refinement`` the solve's iterative-refinement steps
-    and final relative residual (``OptimalitySystem.refinement``).
+    right-hand side (for uc1, uc2 and uc31 the real and imaginary parts of
+    the complex system's residual, see ``_solve_two_field``);
+    ``refinement`` the solve's iterative-refinement steps and final
+    relative residual (``OptimalitySystem.refinement``).
     """
 
     scheme: str
@@ -106,20 +109,26 @@ def _solve_two_field(space, prob, scheme, recon=False):
     boundary data.  C is the cell mass matrix and the loads are tested
     against cell polynomials; with ``recon`` C is the reconstruction mass
     matrix B = G^T M_{k+1} G and the loads are tested against
-    reconstructions.
+    reconstructions.  With s = sqrt(lam) the system is the complex one
+    (A - i C / s) z = F_f - i F_yd / s in z = y + i phi / s: its real part
+    is the state equation and its imaginary part the adjoint equation over
+    s.  The residuals "state" and "adjoint" are the real and imaginary
+    parts of its residual, relative to the complex right-hand side.
     """
     lam = prob.lam
+    s = np.sqrt(lam)
     if recon:
         C, load = space.recon_mass_matrix(), recon_load_vector
     else:
         C, load = space.cell_mass_matrix(), cell_load_vector
-    A = space.stiffness_matrix()
-    system = OptimalitySystem([space, space], [[A, C / lam], [-C, A]])
-    y, phi = system.solve(
-        [load(space, prob.f), -load(space, prob.y_d)],
-        [space.boundary_values(prob.state_boundary), None])
-    residuals = dict(zip(("state", "adjoint"), system.residuals))
-    residuals["control"] = 0.0  # eliminated exactly
+    system = OptimalitySystem(space, space.stiffness_matrix() - 1j / s * C)
+    z = system.solve(load(space, prob.f) - 1j / s * load(space, prob.y_d),
+                     space.boundary_values(prob.state_boundary))
+    y, phi = z.real.copy(), s * z.imag
+    r = system.residual
+    residuals = {"state": float(np.linalg.norm(r.real)),
+                 "adjoint": float(np.linalg.norm(r.imag)),
+                 "control": 0.0}  # eliminated exactly
 
     if recon:
         u_hat = -phi / lam
@@ -204,20 +213,20 @@ def solve_uc32(space, prob):
     n_u = control_space.n_dofs
     eps = 1e-12 * prob.lam * B.diagonal().max()
     C = (prob.lam * B + eps * sp.identity(n_u, format="csr")).tocsr()
-    pde = OptimalitySystem([space], [[A]])
-    mass = OptimalitySystem([control_space], [[C]])
+    pde = OptimalitySystem(space, A)
+    mass = OptimalitySystem(control_space, C)
 
     F_f = cell_load_vector(space, prob.f)
     F_yd = cell_load_vector(space, prob.y_d)
     g = space.boundary_values(prob.state_boundary)
-    (y,) = pde.solve([F_f], [g])
-    (phi,) = pde.solve([M @ y - F_yd])
+    y = pde.solve(F_f, g)
+    phi = pde.solve(M @ y - F_yd)
     u_hat, y, phi, steps = reduced_hessian_cg(  # exact CG ends in n_u steps
         pde, M, K.dot, lambda phi: mass.lu_solve(K.T @ phi),
         lambda a, b: np.einsum("i,i->", a, C @ b), np.zeros(n_u), y, phi,
         UC32_REDUCTION, n_u)
-    (y,) = pde.solve([F_f + K @ u_hat], [g], start=[y])
-    (phi,) = pde.solve([M @ y - F_yd], start=[phi])
+    y = pde.solve(F_f + K @ u_hat, g, start=y)
+    phi = pde.solve(M @ y - F_yd, start=phi)
 
     act, fix = space.active_dofs, space.fixed_dofs
     rhs = np.linalg.norm(np.append((F_f - A[:, fix] @ g)[act], F_yd[act]))

@@ -1,4 +1,4 @@
-"""HHO spaces, local operators, global assembly and the block solve.
+"""HHO spaces, local operators, global assembly and the one sparse solve.
 
 The local gradient reconstruction maps the cell/face unknowns of a cell to a
 polynomial one degree above the face degree through a Neumann problem closed
@@ -15,10 +15,11 @@ cell that holds the same entries under the same names.  A per-space
 projections, norms and errors evaluate a function once on all nodes.
 Per-cell matrices are scattered into global sparse matrices by one triplet
 helper.  ``OptimalitySystem`` is the one solve path of the package: one
-or two fields, factored once in a nested-dissection order without pivoting,
-refined against the assembled matrix and checked.  It solves the Poisson
-problem and the two-field uc1, uc2 and uc31 systems, and its plain
-``lu_solve`` runs the ``reduced_hessian_cg`` of uc32, wc1 and wc2.
+space and one real or complex matrix, factored once in a nested-dissection
+order without pivoting, refined against the assembled matrix and checked.
+It solves the Poisson problem and the complex uc1, uc2 and uc31 systems,
+and its plain ``lu_solve`` runs the ``reduced_hessian_cg`` of uc32, wc1 and
+wc2.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ class HhoSpace:
     (mixed-order space).  With ``dirichlet`` set, boundary-face DOFs exist in
     the vector layout but are excluded from solves and fixed to the supplied
     boundary data (zero by default), realizing the zero-trace space.  A DOF
-    vector of the space is a flat float array of length ``n_dofs``: the cell
-    blocks in cell order, then the face blocks in face order.
+    vector of the space is a flat real (or complex) array of length
+    ``n_dofs``: the cell blocks in cell order, then the face blocks in face
+    order.
     """
 
     def __init__(self, mesh, face_degree, cell_degree=None, dirichlet=False):
@@ -156,12 +158,15 @@ class HhoSpace:
         return vals[self.fixed_dofs]
 
     def dof_vector(self, values):
-        """``values`` as a DOF vector of this space; ValueError on a length mismatch."""
-        values = np.asarray(values, dtype=float)
+        """``values`` as a real or complex DOF vector of this space.
+
+        ValueError on a length mismatch.
+        """
+        values = np.asarray(values)
         if values.shape != (self.n_dofs,):
             raise ValueError(f"coefficient shape {values.shape} does not match "
                              f"the space's {self.n_dofs} DOFs")
-        return values
+        return values.astype(np.result_type(values, float), copy=False)
 
     def cell_blocks(self, vec):
         """Cell coefficients of every cell, a (n_cells, cell_dim) view of ``vec``."""
@@ -627,8 +632,8 @@ def median_bisection(points):
     return leaf, depth
 
 
-def nested_dissection(spaces):
-    """Nested-dissection order of the stacked active DOFs of ``spaces``.
+def nested_dissection(space):
+    """Nested-dissection order of the active DOFs of ``space``.
 
     The cells are bisected at coordinate medians of their centroids
     (``median_bisection``).  A cell's DOFs belong to its leaf; a face's DOFs
@@ -638,10 +643,10 @@ def nested_dissection(spaces):
     the path from its leaf to the root, so eliminating each part's halves
     before its separator creates no fill between the halves.  The order
     lists the parts in postorder (both halves, then the separator); within a
-    part by DOF index, with every field's copy of a DOF side by side.
-    Returns the permutation of positions in the stacked active vector.
+    part by DOF index.  Returns the permutation of positions in the active
+    vector.
     """
-    mesh = spaces[0].mesh
+    mesh = space.mesh
     leaf, depth = median_bisection(mesh.cell_centroids)
     c0, c1 = mesh.face_cells.T
     a = leaf[c0]
@@ -653,16 +658,9 @@ def nested_dissection(spaces):
         # a part come before its separator
         return ((((code >> up) + 1) << up) - 1) * (depth + 1) + up
 
-    cell_key, face_key = postorder(leaf, 0), postorder(a, up)
-    keys, dofs, fields = [], [], []
-    for i, s in enumerate(spaces):
-        key = np.concatenate((np.repeat(cell_key, s.cell_dim),
-                              np.repeat(face_key, s.face_dim)))
-        keys.append(key[s.active_dofs])
-        dofs.append(s.active_dofs)
-        fields.append(np.full(len(s.active_dofs), i))
-    return np.lexsort((np.concatenate(fields), np.concatenate(dofs),
-                       np.concatenate(keys)))
+    key = np.concatenate((np.repeat(postorder(leaf, 0), space.cell_dim),
+                          np.repeat(postorder(a, up), space.face_dim)))
+    return np.argsort(key[space.active_dofs], kind="stable")
 
 
 _EPS = np.finfo(float).eps
@@ -670,84 +668,63 @@ _SQRT_EPS = np.sqrt(_EPS)
 
 
 class OptimalitySystem:
-    """Block system over HHO fields, factored once and solved many times.
+    """Sparse system over one HHO space, factored once and solved many times.
 
-    ``spaces`` lists the fields; ``blocks`` is a square grid of full-size
-    sparse matrices (None for a zero block), block (i, j) acting on field j in
-    the equations tested against field i.  The rows and columns of fixed
-    (Dirichlet) DOFs are sliced off before the single factorization; at each
-    solve the fixed columns times the given fixed values move into the
-    right-hand side (the lift).
+    ``matrix`` is a full-size sparse matrix over the DOFs of ``space``, real
+    or complex.  The rows and columns of fixed (Dirichlet) DOFs are sliced
+    off before the single factorization; at each solve the fixed columns
+    times the given fixed values move into the right-hand side (the lift).
 
-    Factorization.  A system of one or two fields (ValueError for more) is
-    factored in the ``nested_dissection`` order (George, SIAM J. Numer.
-    Anal. 10 (1973) 345-363), with SuperLU told to keep it
-    (``permc_spec="NATURAL"``, ``SymmetricMode``) and to pivot on the
-    diagonal (``diag_pivot_thresh=0``).  A two-field system is balanced
-    first: the second field is scaled by s = sqrt(max|K10| / max|K01|) and
-    its equations by 1/s, so the uc system [A, C/lam; -C, A] becomes
-    [A, C/sqrt(lam); -C/sqrt(lam), A].  Its symmetric part diag(A, A) is
-    SPD, as are the one-field matrices (the stiffness, the pinned uc32
-    control mass), so LU without pivoting exists and is stable (Golub & Van
-    Loan, Linear Algebra Appl. 28 (1979) 85-97).
+    Factorization.  The system is factored in the ``nested_dissection``
+    order (George, SIAM J. Numer. Anal. 10 (1973) 345-363), with SuperLU
+    told to keep it (``permc_spec="NATURAL"``, ``SymmetricMode``) and to
+    pivot on the diagonal (``diag_pivot_thresh=0``).  Every matrix factored
+    here has a positive definite Hermitian part: the stiffness, the pinned
+    uc32 control mass, and the complex uc matrix A - i C / sqrt(lam), whose
+    Hermitian part is A.  LU without pivoting then exists and is stable
+    (Golub & Van Loan, Linear Algebra Appl. 28 (1979) 85-97).
 
     Refinement (Demmel et al., ACM TOMS 32 (2006) 325-351).  Every solve is
-    refined against the assembled, unscaled matrix: the residual b - K x is
-    summed in ``np.longdouble`` from a cached ``longdouble`` copy of K and
-    the correction solved with the same LU.  Refinement stops when the
-    correction stops shrinking, falls below the resolution of x (eps ||x||)
-    or reaches ``MAX_REFINEMENT_STEPS``.  The result is the solution of the
-    assembled system to about double precision, whatever the ordering and
-    scaling of the factorization.  Given a ``start`` (an approximate
-    solution carried by a loop) a solve is one refinement step from it, so
-    the loop's own iterations do the refining.  ``lu_solve`` is the plain
-    solve, for inner iterations.  Where ``np.longdouble`` is no wider than
-    double (aarch64 macOS, Windows) refinement improves only the backward
-    error, and the results keep the round-off of the factorization.
+    refined against the assembled matrix: the residual b - K x is summed in
+    ``np.longdouble`` (``np.clongdouble`` for a complex K) from a cached
+    extended copy of K and the correction solved with the same LU.
+    Refinement stops when the correction stops shrinking, falls below the
+    resolution of x (eps ||x||) or reaches ``MAX_REFINEMENT_STEPS``.  The
+    result is the solution of the assembled system to about double
+    precision, whatever the ordering of the factorization.  Given a
+    ``start`` (an approximate solution carried by a loop) a solve is one
+    refinement step from it, so the loop's own iterations do the refining.
+    ``lu_solve`` is the plain solve, for inner iterations.  Where
+    ``np.longdouble`` is no wider than double (aarch64 macOS, Windows)
+    refinement improves only the backward error, and the results keep the
+    round-off of the factorization.
 
     Every solve is checked against ``||b - K x|| <= 1e-10 ||b||``; a
-    non-finite solution fails with an infinite residual.  ``residuals``
-    holds each field's residual relative to the whole right-hand side;
-    ``refinement`` the number of refinement steps and the final residual,
-    relative to the whole right-hand side.
+    non-finite solution fails with an infinite residual.  ``residual`` holds
+    the last residual b - K x over the active DOFs relative to ||b||;
+    ``refinement`` the number of refinement steps and the norm of that
+    relative residual.
     """
 
     RESIDUAL_TOL = 1e-10
     MAX_REFINEMENT_STEPS = 10
 
-    def __init__(self, spaces, blocks):
-        self.spaces = list(spaces)
-        if len(self.spaces) not in (1, 2):
-            raise ValueError("only one or two fields are factored without "
-                             f"pivoting, got {len(self.spaces)} fields")
-        act = [s.active_dofs for s in self.spaces]
-        fix = [s.fixed_dofs for s in self.spaces]
-        self._lift = [[None if b is None else b[act[i]][:, fix[j]]
-                       for j, b in enumerate(row)]
-                      for i, row in enumerate(blocks)]
-        grid = [[None if b is None else b[act[i]][:, act[j]]
-                 for j, b in enumerate(row)] for i, row in enumerate(blocks)]
-        # bmat copies even a lone block through COO arrays, and sliced blocks
-        # kept alive through the factorization add to its peak; each raised
-        # the peak RSS of the one-field wc2 solve at 32 x 32 by 1-3 MB
-        matrix = (grid[0][0].tocsc() if len(grid) == 1
-                  else sp.bmat(grid, format="csc"))
-        self._order = nested_dissection(self.spaces)
-        self._scale = (_field_scale(grid, [len(a) for a in act])
-                       if len(grid) == 2 else None)
-        del grid
+    def __init__(self, space, matrix):
+        self.space = space
+        act, fix = space.active_dofs, space.fixed_dofs
+        self._lift = matrix[act][:, fix]
+        matrix = matrix[act][:, act].tocsc()
+        self._order = nested_dissection(space)
         # the assembled matrix in double and, over the same indices, in
-        # longdouble for the residuals of iterates near the solution
+        # extended precision for the residuals of iterates near the solution
         self._matrix = sp.csr_matrix(matrix)
         self._matrix_ld = sp.csr_matrix(
-            (self._matrix.data.astype(np.longdouble), self._matrix.indices,
-             self._matrix.indptr), shape=self._matrix.shape)
-        self._split = np.cumsum([len(a) for a in act])[:-1]
-        self.residuals = None
+            (self._matrix.data.astype(
+                np.promote_types(self._matrix.dtype, np.longdouble)),
+             self._matrix.indices, self._matrix.indptr),
+            shape=self._matrix.shape)
+        self.residual = None
         self.refinement = None
-        if self._scale is not None:
-            matrix = (sp.diags(1.0 / self._scale) @ matrix
-                      @ sp.diags(self._scale)).tocsr()
         matrix = matrix[self._order][:, self._order].tocsc()
         try:
             self._lu = spla.splu(matrix, permc_spec="NATURAL",
@@ -758,51 +735,42 @@ class OptimalitySystem:
                               residual=np.inf) from None
 
     def _residual(self, b, x, extended=True):
-        """b - K x for the assembled K, summed in longdouble if ``extended``."""
+        """b - K x for the assembled K, summed in extended precision if asked."""
         if not extended:
             return b - self._matrix @ x
         r = self._matrix_ld @ x
         np.subtract(b, r, out=r)
-        return r.astype(float)
+        return r.astype(self._matrix.dtype)
 
     def lu_solve(self, b):
-        """K^{-1} b through the (balanced, permuted) factorization, unrefined.
+        """K^{-1} b through the permuted factorization, unrefined.
 
-        ``b`` and the result are vectors over the active DOFs of the fields,
-        concatenated: no lift, no refinement and no residual check.  This is
-        the one plain solve, for inner iterations (``reduced_hessian_cg``)
-        that apply K^{-1} many times and are corrected by a refined ``solve``.
+        ``b`` and the result are vectors over the active DOFs: no lift, no
+        refinement and no residual check.  This is the one plain solve, for
+        inner iterations (``reduced_hessian_cg``) that apply K^{-1} many
+        times and are corrected by a refined ``solve``.
         """
-        if self._scale is not None:
-            b = b / self._scale
         x = np.empty_like(b)
         x[self._order] = self._lu.solve(b[self._order])
-        return x if self._scale is None else x * self._scale
+        return x
 
-    def solve(self, loads, fixed=None, start=None):
-        """Full-length solution vectors, one new array per field.
+    def solve(self, load, fixed=None, start=None):
+        """Full-length solution vector, a new array.
 
-        ``loads`` holds one full-length load vector per field (ValueError on
-        a length mismatch) and ``fixed`` the values of each field's fixed
-        DOFs (None, or a None entry, for zero).  ``start``, one vector per
-        field, is an approximate solution to take one refinement step from.
-        Sets ``residuals`` and ``refinement``; raises SolverError above the
-        tolerance or on a non-finite solution.
+        ``load`` is a full-length load vector (ValueError on a length
+        mismatch) and ``fixed`` the values of the fixed DOFs (None for
+        zero).  ``start`` is an approximate solution to take one refinement
+        step from.  Sets ``residual`` and ``refinement``; raises SolverError
+        above the tolerance or on a non-finite solution.
         """
-        fixed = fixed or [None] * len(self.spaces)
-        rhs = []
-        for space, load, lift in zip(self.spaces, loads, self._lift):
-            b = space.dof_vector(load)[space.active_dofs]
-            for block, g in zip(lift, fixed):
-                if block is not None and g is not None:
-                    b = b - block @ g
-            rhs.append(b)
-        b = np.concatenate(rhs)
+        space = self.space
+        b = space.dof_vector(load)[space.active_dofs]
+        if fixed is not None:
+            b = b - self._lift @ fixed
         if start is None:
             x, cap = self.lu_solve(b), self.MAX_REFINEMENT_STEPS
         else:
-            x, cap = np.concatenate([s.dof_vector(v)[s.active_dofs] for s, v
-                                     in zip(self.spaces, start)]), 1
+            x, cap = space.dof_vector(start)[space.active_dofs], 1
         r = self._residual(b, x)
         steps, last = 0, np.inf
         while steps < cap:
@@ -821,35 +789,19 @@ class OptimalitySystem:
 
         scale = _norm(b)
         unit = scale if scale > 0 else 1.0  # with b = 0 only x = 0 passes
-        parts = [_norm(part) for part in np.split(r, self._split)]
-        res = float(np.hypot.reduce(parts))
-        self.residuals = [_finite_or_inf(p / unit) for p in parts]
+        res = _norm(r)
+        self.residual = r / unit
         residual = _finite_or_inf(res / unit)
         self.refinement = {"steps": steps, "residual": residual}
         # a non-finite x leaves a non-finite residual, which fails here
         if not res <= self.RESIDUAL_TOL * scale:
             raise SolverError(f"linear solve residual {residual:.3e} exceeds "
                               f"{self.RESIDUAL_TOL:.0e}", residual=residual)
-        out = []
-        for space, part, g in zip(self.spaces, np.split(x, self._split), fixed):
-            vals = np.zeros(space.n_dofs)
-            vals[space.active_dofs] = part
-            if g is not None:
-                vals[space.fixed_dofs] = g
-            out.append(vals)
+        out = np.zeros(space.n_dofs, dtype=x.dtype)
+        out[space.active_dofs] = x
+        if fixed is not None:
+            out[space.fixed_dofs] = fixed
         return out
-
-
-def _field_scale(grid, sizes):
-    """Column scale of a two-field system: 1 on field 0, s on field 1.
-
-    s = sqrt(max|K10| / max|K01|) gives the two coupling blocks equal
-    largest entries; it is 1 when either block is empty.
-    """
-    big = [0.0 if b is None or b.nnz == 0 else float(abs(b).max())
-           for b in (grid[1][0], grid[0][1])]
-    s = np.sqrt(big[0] / big[1]) if min(big) > 0 else 1.0
-    return np.concatenate((np.ones(sizes[0]), np.full(sizes[1], s)))
 
 
 def _norm(v):
@@ -858,7 +810,7 @@ def _norm(v):
     A threaded BLAS dot hands a vector of more than 10k entries to a second
     thread; right after a SuperLU solve that hand-off took about 0.5 ms.
     """
-    return float(np.sqrt(np.einsum("i,i->", v, v)))
+    return float(np.sqrt(np.einsum("i,i->", v.conj(), v).real))
 
 
 def _finite_or_inf(value):
@@ -869,7 +821,7 @@ def _finite_or_inf(value):
 
 def linear_response(system, M, load):
     """Plain-solve state A^{-1} load and adjoint A^{-1} M y, zero if fixed."""
-    act = system.spaces[0].active_dofs
+    act = system.space.active_dofs
     y, phi = np.zeros(len(load)), np.zeros(len(load))
     y[act] = system.lu_solve(load[act])
     phi[act] = system.lu_solve((M @ y)[act])
@@ -910,7 +862,6 @@ def solve_poisson(space, f, boundary_data=None):
     """Solve a_h(y, w) = (f, w_T) on a Dirichlet space."""
     if not space.dirichlet:
         raise ValueError("solve_poisson requires a Dirichlet space")
-    system = OptimalitySystem([space], [[space.stiffness_matrix()]])
-    (y,) = system.solve([cell_load_vector(space, f)],
-                        [space.boundary_values(boundary_data)])
-    return y
+    system = OptimalitySystem(space, space.stiffness_matrix())
+    return system.solve(cell_load_vector(space, f),
+                        space.boundary_values(boundary_data))

@@ -311,9 +311,9 @@ def vi_residual_wc1(space, solution, prob):
 
 def reduced_cost(space, prob, control_load, control_norm_sq):
     """j_h(u) = 0.5 ||y_T(u) - y_d||^2 + (lam/2) ||u||^2 for a given load."""
-    system = OptimalitySystem([space], [[space.stiffness_matrix()]])
-    (y,) = system.solve([cell_load_vector(space, prob.f) + control_load],
-                        [space.boundary_values(prob.state_boundary)])
+    system = OptimalitySystem(space, space.stiffness_matrix())
+    y = system.solve(cell_load_vector(space, prob.f) + control_load,
+                     space.boundary_values(prob.state_boundary))
     t = space.nodes()
     misfit = t.cell_integrals(
         (t.values("Vl", space.cell_blocks(y)) - prob.y_d(t.points)) ** 2)

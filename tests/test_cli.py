@@ -236,6 +236,32 @@ def test_config_seed_or_lloyd_count_must_be_an_integer(mesh, field, value):
     assert make_config(mesh_family=mesh, **{field: np.int64(3)})
 
 
+@pytest.mark.parametrize("degree", [1.5, True, -1])
+def test_config_degree_must_be_a_count(degree):
+    # through the library API a bad degree used to pass the config and fail
+    # mid-study, after an INCOMPLETE report was written
+    with pytest.raises(ConfigError, match="degree must be >= 0 and an integer"):
+        make_config(degree=degree)
+    assert make_config(degree=np.int64(1))
+
+
+@pytest.mark.parametrize("levels", [[2.5], [True, 2], [2, 4.0], [0, 2]])
+def test_config_levels_must_be_positive_counts(levels):
+    with pytest.raises(ConfigError, match="levels must be strictly increasing "
+                                          "positive integers"):
+        make_config(levels=levels)
+    assert make_config(levels=[np.int64(2), 4]).levels == [2, 4]
+
+
+@pytest.mark.parametrize("bounds", [(5, 1), (1, 1), (float("nan"), 1)])
+def test_config_bounds_must_be_ordered(bounds):
+    with pytest.raises(ConfigError, match="u_a < u_b"):
+        make_config(scheme="wc1", preset="wc-default", bounds=bounds)
+    with pytest.raises(ConfigError, match="u_a < u_b"):
+        parse_config("scheme = wc1\ndegree = 0\npreset = wc-default\n"
+                     f"bounds = {bounds[0]}, {bounds[1]}\n")
+
+
 def test_cli_bad_levels_is_config_error():
     for levels in ("4,x", "8,4", "4,4"):
         with pytest.raises(ConfigError, match="levels"):

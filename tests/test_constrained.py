@@ -283,7 +283,7 @@ def test_wc2_inactive_bounds_match_variational_mixed():
     for mesh in meshes():
         space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
         a = solve_wc2(space, wide)
-        # the uc1/uc2 two-field system on the mixed-order space
+        # the uc1/uc2 complex state-adjoint system on the mixed-order space
         b = _solve_two_field(space, free, "vd-mixed")
         assert np.abs(a.y - b.y).max() < 1e-8
 

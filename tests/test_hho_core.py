@@ -299,7 +299,7 @@ def test_solver_failure_reports_residual():
     space = HhoSpace(mesh, 0, dirichlet=False)
     load = cell_load_vector(space, lambda p: np.ones(len(p)))
     with pytest.raises(SolverError) as err:
-        OptimalitySystem([space], [[space.stiffness_matrix()]]).solve([load])
+        OptimalitySystem(space, space.stiffness_matrix()).solve(load)
     assert err.value.residual > OptimalitySystem.RESIDUAL_TOL
 
 
@@ -308,30 +308,22 @@ def test_solver_failure_reports_residual():
 def test_two_field_solver_failure_reports_residual(case):
     from hho_control import SolverError
 
-    # Without pivoting a singular or badly scaled two-field system may leave
-    # a zero pivot or non-finite values: the error carries a residual above
-    # the tolerance (inf when nothing finite is left), never nan.
+    # Without pivoting a singular or badly scaled complex system (the form
+    # of the uc state-adjoint system) may leave a zero pivot or non-finite
+    # values: the error carries a residual above the tolerance (inf when
+    # nothing finite is left), never nan.  The cell mass alone has empty
+    # face rows; without Dirichlet DOFs constants span the kernel of A.
     mesh = cached_cartesian(2)
     space = HhoSpace(mesh, 1, dirichlet=case != "singular-blocks")
-    A = space.stiffness_matrix()
-    blocks = {"exactly-singular": [[A, A], [A, A]],
-              "singular-blocks": [[A, None], [None, A]],
-              "overflow": [[A * 1e-300, None], [None, A]]}[case]
-    load = cell_load_vector(space, lambda p: np.ones(len(p)))
+    A, C = space.stiffness_matrix(), space.cell_mass_matrix()
+    matrix = {"exactly-singular": -1j * C,
+              "singular-blocks": (1 + 1j) * A,
+              "overflow": 1e-300 * (A - 1j * C)}[case]
+    load = cell_load_vector(space, lambda p: np.ones(len(p))) * (1 - 1j)
     scale = 1e10 if case == "overflow" else 1.0  # the solution overflows
     with pytest.raises(SolverError) as err:
-        OptimalitySystem([space, space], blocks).solve([scale * load, load])
+        OptimalitySystem(space, matrix).solve(scale * load)
     assert err.value.residual > OptimalitySystem.RESIDUAL_TOL
-
-
-def test_more_than_two_fields_rejected():
-    # factoring without pivoting is stable only for the SPD one-field and
-    # the balanced two-field matrix
-    space = HhoSpace(cached_cartesian(2), 1, dirichlet=True)
-    A = space.stiffness_matrix()
-    grid = [[A if i == j else None for j in range(3)] for i in range(3)]
-    with pytest.raises(ValueError, match="3 fields"):
-        OptimalitySystem([space] * 3, grid)
 
 
 @pytest.mark.parametrize("length", ["short", "long", "one"])
@@ -343,14 +335,18 @@ def test_vector_of_another_length_rejected(length):
     space = HhoSpace(mesh, 1, dirichlet=True)
     n = {"short": space.n_dofs - 1, "long": space.n_dofs + 1, "one": 1}[length]
     vec, v = np.ones(n), lambda p: p[:, 0]
-    system = OptimalitySystem([space], [[space.stiffness_matrix()]])
+    A = space.stiffness_matrix()
+    system = OptimalitySystem(space, A)
     load = cell_load_vector(space, v)
+    # a complex load must fail on its length, not lose its imaginary part
+    complex_system = OptimalitySystem(space, A - 1j * space.cell_mass_matrix())
     for call in (lambda: energy_error(space, vec, v),
                  lambda: l2_error_reconstruction(space, vec, v),
                  lambda: reconstruct_all(space, vec),
                  lambda: space.cell_blocks(vec),
-                 lambda: system.solve([load], start=[vec]),
-                 lambda: system.solve([vec])):
+                 lambda: system.solve(load, start=vec),
+                 lambda: system.solve(vec),
+                 lambda: complex_system.solve(1j * vec)):
         with pytest.raises(ValueError, match="does not match"):
             call()
 
@@ -364,15 +360,15 @@ def test_solve_results_do_not_alias_the_restart_cache(dirichlet):
     mesh = cached_cartesian(4)
     space = HhoSpace(mesh, 1, dirichlet=dirichlet)
     K = space.stiffness_matrix()
-    system = OptimalitySystem([space], [[K if dirichlet
-                                         else K + space.cell_mass_matrix()]])
+    system = OptimalitySystem(space, K if dirichlet
+                              else K + space.cell_mass_matrix())
     f = lambda p: np.sin(np.pi * p[:, 0]) * (1.0 + p[:, 1])
-    loads = [cell_load_vector(space, f)]
-    (y,) = system.solve(loads)
+    load = cell_load_vector(space, f)
+    y = system.solve(load)
     cold = y.copy()
     rng = np.random.default_rng(5)
     y[space.active_dofs] += 1e-3 * rng.standard_normal(len(space.active_dofs))
-    (warm,) = system.solve(loads, start=[y])
+    warm = system.solve(load, start=y)
     assert np.abs(warm - cold).max() <= 1e-12 * np.abs(cold).max()
 
 

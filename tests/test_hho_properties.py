@@ -62,20 +62,16 @@ def _dof_entities(space):
     st.builds(make_voronoi, st.integers(2, 40),
               rng_seed=st.integers(0, 2 ** 32 - 1),
               lloyd_iters=st.integers(0, 3)),
-    st.just("l-cell")), st.integers(0, 1), st.booleans(), st.integers(1, 2))
+    st.just("l-cell")), st.integers(0, 1), st.booleans())
 def test_nested_dissection_orders_separators_after_their_halves(
-        mesh, k, dirichlet, n_fields):
+        mesh, k, dirichlet):
     if mesh == "l-cell":
         mesh = voronoi_with_l_cell()
     space = HhoSpace(mesh, k, dirichlet=dirichlet)
-    perm = nested_dissection([space] * n_fields)
-    n_act = len(space.active_dofs)
-    assert sorted(perm) == list(range(n_fields * n_act))
+    perm = nested_dissection(space)
+    assert sorted(perm) == list(range(len(space.active_dofs)))
     pos = np.empty_like(perm)
     pos[perm] = np.arange(len(perm))
-    # every field's copy of a DOF sits in the same part, next to the others
-    for f in range(1, n_fields):
-        assert (pos[f * n_act:(f + 1) * n_act] == pos[:n_act] + f).all()
 
     # each split halves its part at the median, the odd cell going low
     leaf, depth = median_bisection(mesh.cell_centroids)

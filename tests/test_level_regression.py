@@ -76,14 +76,10 @@ def test_errors_do_not_depend_on_the_lu_ordering(name, monkeypatch):
     cfg = cli.ExperimentConfig(levels=[level], **fields)
     prob = cfg.build_problem()
     dissected = cli.run_level(cfg, prob, level)
-    # the DOF-index order, every field's copy of a DOF side by side; LU
-    # without pivoting stays safe, since a symmetric permutation keeps the
-    # symmetric part SPD
-    def by_index(spaces):
-        dofs = np.concatenate([s.active_dofs for s in spaces])
-        fields = np.repeat(np.arange(len(spaces)),
-                           [len(s.active_dofs) for s in spaces])
-        return np.lexsort((fields, dofs))
+    # the DOF-index order; LU without pivoting stays safe, since a symmetric
+    # permutation keeps the Hermitian part positive definite
+    def by_index(space):
+        return np.arange(len(space.active_dofs))
 
     monkeypatch.setattr(hho_core, "nested_dissection", by_index)
     plain = cli.run_level(cfg, prob, level)

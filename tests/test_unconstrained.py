@@ -217,17 +217,42 @@ def test_uc32_errors_stable_under_last_bit_load_changes(monkeypatch):
         assert abs(getattr(got, q) - getattr(base, q)) <= 1e-10 * getattr(base, q)
 
 
-@pytest.mark.parametrize("lam", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
-def test_uc1_lambda_sweep_passes_residual_gate(lam):
-    # The balanced two-field system [A, C/sqrt(lam); -C/sqrt(lam), A] is
-    # factored without pivoting; small lam must not cost accuracy.
+UC_SWEEP = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10)
+
+
+@pytest.mark.parametrize("scheme, lam", [
+    pytest.param("uc1", lam, id=str(lam)) for lam in UC_SWEEP] + [
+    pytest.param("uc31", lam, id=f"uc31-{lam}") for lam in UC_SWEEP])
+def test_uc1_lambda_sweep_passes_residual_gate(scheme, lam):
+    # The complex matrix A - i C/sqrt(lam), Hermitian part A, is factored
+    # without pivoting; small lam must not cost accuracy.
+    solver, preset = {"uc1": (solve_uc1, "uc1-default"),
+                      "uc31": (solve_uc31, "uc31-default")}[scheme]
     space = HhoSpace(cached_cartesian(8), 1, dirichlet=True)
-    prob = problem_from_preset("uc1-default")
-    sol = solve_uc1(space, ControlProblem(prob.f, prob.y_d, lam,
-                                          state_boundary=prob.state_boundary))
+    prob = problem_from_preset(preset)
+    sol = solver(space, ControlProblem(prob.f, prob.y_d, lam,
+                                       state_boundary=prob.state_boundary))
     assert max(sol.residuals.values()) <= 1e-10
     assert 1 <= sol.refinement["steps"] <= OptimalitySystem.MAX_REFINEMENT_STEPS
     assert sol.refinement["residual"] <= 1e-14
+
+
+def test_uc1_factors_one_matrix_over_the_active_dofs(monkeypatch):
+    # state and adjoint are one complex unknown: one factorization of n
+    # rows, not of the 2n rows of the real two-field block system
+    from hho_control import hho_core
+
+    shapes, splu = [], hho_core.spla.splu
+
+    def recording(matrix, **kwargs):
+        shapes.append((matrix.shape, matrix.dtype.kind))
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(hho_core.spla, "splu", recording)
+    space = HhoSpace(cached_cartesian(4), 1, dirichlet=True)
+    solve_uc1(space, problem_from_preset("uc1-default"))
+    n = len(space.active_dofs)
+    assert shapes == [((n, n), "c")]
 
 
 @pytest.mark.parametrize("lam", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
