@@ -8,15 +8,14 @@ TSV data.  Output is byte-deterministic for a fixed configuration.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import presets as presets_mod
 from .control_constrained import PgdConfig, solve_wc1, solve_wc2
-from .control_unconstrained import (solve_uc1, solve_uc2, solve_uc31,
-                                    solve_uc32)
+from .control_unconstrained import (ControlProblem, solve_uc1, solve_uc2,
+                                    solve_uc31, solve_uc32)
 from .errors import (QUANTITIES, ConvergenceReport, ErrorRecord, energy_error,
                      l2_error_control, l2_error_reconstruction)
 from .hho_core import HhoSpace
@@ -37,6 +36,8 @@ CSV_HEADER = ("level,h,n_cells,err_u_l2,rate_u,err_y_energy,rate_y,"
 
 @dataclass
 class ExperimentConfig:
+    """A convergence study, checked on construction, which builds ``problem``."""
+
     scheme: str
     degree: int
     mesh_family: str = "cartesian"
@@ -50,19 +51,16 @@ class ExperimentConfig:
     output_dir: str = "out"
     rng_seed: int = 42
     lloyd_iters: int = 10
+    problem: ControlProblem = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.mesh_family not in MESH_FAMILIES:
             raise ConfigError(f"unknown mesh family {self.mesh_family!r}")
-        if not self.levels:
-            raise ConfigError("levels must be nonempty")
-        if not all(is_count(n) for n in self.levels) or any(
+        if not self.levels or not all(is_count(n) for n in self.levels) or any(
                 b <= a for a, b in zip([0, *self.levels], self.levels)):
             raise ConfigError("levels must be strictly increasing positive integers")
-        if self.lam is not None and not (math.isfinite(self.lam) and self.lam > 0):
-            raise ConfigError("lambda must be finite and positive")
         for name in ("degree", "rng_seed", "lloyd_iters"):
             value = getattr(self, name)
             if not is_count(value):
@@ -77,23 +75,16 @@ class ExperimentConfig:
             raise ConfigError("wc1 is defined for degree k = 0 only")
         if self.scheme == "wc2" and k != 1:
             raise ConfigError("wc2 uses the fixed mixed space V^{1+} (k = 1)")
-        if self.scheme in ("wc1", "wc2") and self.bounds is None \
-                and not self._preset_has_bounds():
-            raise ConfigError("bounds required for constrained schemes")
-        if self.scheme.startswith("uc") and self.bounds is not None:
-            raise ConfigError("bounds are not admissible for unconstrained schemes")
-        if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
-            raise ConfigError("bounds must satisfy u_a < u_b")
-
-    def _preset_has_bounds(self):
-        if not self.preset:
-            return False
         try:
-            return presets_mod.get_preset(self.preset).bounds is not None
-        except presets_mod.PresetError:
-            return False
+            self.problem = self._make_problem()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if self.scheme.startswith("wc") and self.problem.bounds is None:
+            raise ConfigError("bounds required for constrained schemes")
+        if self.scheme.startswith("uc") and self.problem.bounds is not None:
+            raise ConfigError("bounds are not admissible for unconstrained schemes")
 
-    def build_problem(self):
+    def _make_problem(self):
         if self.exact_y or self.exact_phi:
             if not (self.exact_y and self.exact_phi):
                 raise ConfigError("inline problems need both exact_y and exact_phi")
@@ -105,6 +96,10 @@ class ExperimentConfig:
             raise ConfigError("a preset id or inline exact functions are required")
         return presets_mod.problem_from_preset(self.preset, lam=self.lam,
                                                bounds=self.bounds)
+
+    def build_problem(self):
+        """The problem built and checked when the config was made."""
+        return self.problem
 
 
 def _parse_document(text):
@@ -126,58 +121,50 @@ def _parse_document(text):
     return raw
 
 
+def _split(convert, kind):
+    """Converter of comma-separated text into a ``kind`` of converted items."""
+    return lambda text: kind(convert(tok) for tok in text.split(",") if tok.strip())
+
+
+# document key -> (dataclass, field, converter); a `run` flag's dest is the
+# key it sets, and a "pgd_" key sets a field of ExperimentConfig.pgd
+_KEYS = {
+    "scheme": (ExperimentConfig, "scheme", str),
+    "degree": (ExperimentConfig, "degree", int),
+    "mesh_family": (ExperimentConfig, "mesh_family", str),
+    "levels": (ExperimentConfig, "levels", _split(int, list)),
+    "preset": (ExperimentConfig, "preset", str),
+    "lambda": (ExperimentConfig, "lam", float),
+    "bounds": (ExperimentConfig, "bounds", _split(float, tuple)),
+    "exact_y": (ExperimentConfig, "exact_y", str),
+    "exact_phi": (ExperimentConfig, "exact_phi", str),
+    "output_dir": (ExperimentConfig, "output_dir", str),
+    "rng_seed": (ExperimentConfig, "rng_seed", int),
+    "lloyd_iters": (ExperimentConfig, "lloyd_iters", int),
+    "pgd_max_iters": (PgdConfig, "max_iters", int),
+    "pgd_tol": (PgdConfig, "tol", float),
+}
+
+
 def _config_from_fields(raw):
     """Validate `key -> value` strings into an ExperimentConfig."""
-    known = {"scheme", "degree", "mesh_family", "levels", "preset", "lambda",
-             "bounds", "exact_y", "exact_phi", "output_dir", "rng_seed",
-             "lloyd_iters", "pgd_max_iters", "pgd_tol"}
-    unknown = set(raw) - known
+    unknown = set(raw) - set(_KEYS)
     if unknown:
         raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
     if "scheme" not in raw or "degree" not in raw:
         raise ConfigError("config requires at least 'scheme' and 'degree'")
-
-    def geti(key, default):
+    values = {ExperimentConfig: {}, PgdConfig: {}}
+    for key, text in raw.items():
+        cls, name, convert = _KEYS[key]
         try:
-            return int(raw[key]) if key in raw else default
-        except ValueError:
-            raise ConfigError(f"field {key!r} must be an integer") from None
-
-    def getf(key, default):
-        try:
-            return float(raw[key]) if key in raw else default
-        except ValueError:
-            raise ConfigError(f"field {key!r} must be a real number") from None
-
-    levels = [4, 8, 16, 32]
-    if "levels" in raw:
-        try:
-            levels = [int(tok) for tok in raw["levels"].split(",") if tok.strip()]
-        except ValueError:
-            raise ConfigError("field 'levels' must be comma-separated integers") \
-                from None
-    bounds = None
-    if "bounds" in raw:
-        toks = [tok for tok in raw["bounds"].split(",") if tok.strip()]
-        if len(toks) != 2:
-            raise ConfigError("field 'bounds' must be 'u_a, u_b'")
-        try:
-            bounds = (float(toks[0]), float(toks[1]))
-        except ValueError:
-            raise ConfigError("field 'bounds' must be two real numbers") from None
-
+            values[cls][name] = convert(text)
+        except ValueError as exc:
+            raise ConfigError(f"field {key!r}: {exc}") from None
     try:
-        pgd = PgdConfig(max_iters=geti("pgd_max_iters", 500),
-                        tol=getf("pgd_tol", 1e-10))
+        pgd = PgdConfig(**values[PgdConfig])
     except ValueError as exc:
         raise ConfigError(f"invalid pgd setting: {exc}") from None
-    return ExperimentConfig(
-        scheme=raw["scheme"], degree=geti("degree", 0),
-        mesh_family=raw.get("mesh_family", "cartesian"), levels=levels,
-        preset=raw.get("preset", ""), lam=getf("lambda", None),
-        bounds=bounds, exact_y=raw.get("exact_y"), exact_phi=raw.get("exact_phi"),
-        pgd=pgd, output_dir=raw.get("output_dir", "out"),
-        rng_seed=geti("rng_seed", 42), lloyd_iters=geti("lloyd_iters", 10))
+    return ExperimentConfig(**values[ExperimentConfig], pgd=pgd)
 
 
 def _build_mesh(family, n, rng_seed, lloyd_iters):
@@ -258,14 +245,12 @@ def write_report(report, out_dir, incomplete=False):
 
 def run_experiment(cfg):
     """Run every level of a configured study and write the reports."""
-    prob = cfg.build_problem()
     records = []
     try:
         for level in cfg.levels:
-            records.append(run_level(cfg, prob, level))
+            records.append(run_level(cfg, cfg.problem, level))
     except Exception:
-        report = ConvergenceReport(records)
-        write_report(report, cfg.output_dir, incomplete=True)
+        write_report(ConvergenceReport(records), cfg.output_dir, incomplete=True)
         raise
     report = ConvergenceReport(records)
     write_report(report, cfg.output_dir)
@@ -277,8 +262,8 @@ def run_experiment(cfg):
 # ---------------------------------------------------------------------------
 
 def _add_run_parser(sub):
-    # Each flag's dest is the config field it sets and its value stays a
-    # string, so flags and a --config document share one validation.
+    # Each flag's dest is the document key it sets (see _KEYS) and its value
+    # stays a string, so flags and a --config document share one validation.
     p = sub.add_parser("run", help="run a convergence study")
     p.add_argument("--config", help="path to a key = value config document; "
                    "flags given as well override its fields")
@@ -315,8 +300,8 @@ def _parser():
     pm.add_argument("--family", choices=MESH_FAMILIES, required=True)
     pm.add_argument("--cells", type=int, required=True,
                     help="grid resolution n (cartesian) or seed count (voronoi)")
-    pm.add_argument("--seed", type=int, default=42)
-    pm.add_argument("--lloyd", type=int, default=10)
+    pm.add_argument("--seed", type=int, default=ExperimentConfig.rng_seed)
+    pm.add_argument("--lloyd", type=int, default=ExperimentConfig.lloyd_iters)
     pm.add_argument("--out", required=True)
     return parser
 

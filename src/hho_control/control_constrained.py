@@ -36,7 +36,6 @@ set that cycles (much smaller lambda) after ``max_iters`` steps.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,7 @@ import numpy as np
 from .control_unconstrained import CellPolyControl
 from .hho_core import (OptimalitySystem, SolverError, cell_load_vector,
                        linear_response, reduced_hessian_cg)
+from .mesh import is_count, is_real
 
 # residual reduction of each CG solve; a wc2 Cartesian 32 level took 38 LU
 # solves with 1e-2 (more Newton steps), 40 with 1e-4 (more CG steps), 34 here
@@ -59,6 +59,8 @@ class AdmissibleBox:
     u_b: float
 
     def __post_init__(self):
+        if not (is_real(self.u_a) and is_real(self.u_b)):
+            raise ValueError(f"bounds must be real, got {self.u_a!r}, {self.u_b!r}")
         if not self.u_a < self.u_b:
             raise ValueError("admissible box requires u_a < u_b")
 
@@ -81,11 +83,11 @@ class PgdConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        n = self.max_iters
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        n, tol = self.max_iters, self.tol
+        if not (is_count(n) and n >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {n!r}")
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError("tol must be finite and positive")
+        if not (is_real(tol) and np.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol must be a finite positive real, got {tol!r}")
 
 
 class PgdIterationError(Exception):
@@ -120,7 +122,7 @@ class ClampedAdjointControl:
 
     def at_points(self, cells, points):
         """Values at stacked points ``(n, q, 2)``, one row per cell of ``cells``."""
-        basis = self.space.nodes().basis_at("Vl", cells, points)
+        basis = self.space.nodes().basis_at(cells, points)
         phi = (basis @ self.space.cell_blocks(self.phi)[cells][..., None])[..., 0]
         return project_box(-phi / self.lam, self.box)
 

@@ -22,6 +22,7 @@ import scipy.sparse as sp
 from .hho_core import (HhoSpace, OptimalitySystem, SolverError,
                        cell_load_vector, recon_load_vector, reconstruct_all,
                        reduced_hessian_cg, scatter_blocks)
+from .mesh import is_real
 
 UC32_REDUCTION = 1e-13  # of the uc32 CG residual, in the C-norm
 
@@ -51,10 +52,14 @@ class ControlProblem:
     state_boundary: callable | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
-            raise ValueError("regularization weight must be finite and positive")
-        if self.bounds is not None and not self.bounds[0] < self.bounds[1]:
-            raise ValueError("bounds must satisfy u_a < u_b")
+        from .control_constrained import AdmissibleBox  # it imports this module
+        if not (is_real(self.lam) and np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("regularization weight lambda must be a finite, "
+                             f"positive real number, got {self.lam!r}")
+        if self.bounds is not None:
+            if np.shape(self.bounds) != (2,):
+                raise ValueError(f"bounds must be a pair, got {self.bounds!r}")
+            AdmissibleBox(*self.bounds)
 
 
 class CellPolyControl:
@@ -171,18 +176,17 @@ def _cross_coupling(space, control_space):
     """Matrix of (R_c u, w_T): state cell tests against control reconstructions.
 
     Kernel groups depend only on the mesh, so both spaces' groups hold the
-    same cells; each cell's block is Vl^T (w * Vr_c) G_c at the state nodes.
+    same cells; each cell's block is Vl^T (w * Vr) G_c at the state nodes,
+    where the state's Vr (degree k + 1) is the control's reconstruction basis.
     """
-    nodes = control_space.nodes()
     dl = space.cell_dim
 
     def triplets():
-        for g, cg in zip(space.kernel_groups(), nodes.groups):
+        for g, cg in zip(space.kernel_groups(), control_space.kernel_groups()):
             k, rows = g.kernels, g.rows
-            Vr_c = nodes.basis_at("Vr", g.cells,
-                                  k["qp"][rows] + g.centroids[:, None, :])
             block = (np.swapaxes(k["Vl"][rows], 1, 2)
-                     @ (k["qw"][rows][..., None] * Vr_c) @ cg.kernels["G"][cg.rows])
+                     @ (k["qw"][rows][..., None] * k["Vr"][rows])
+                     @ cg.kernels["G"][cg.rows])
             yield g.dofs[:, :dl], cg.dofs, block
 
     return scatter_blocks((space.n_dofs, control_space.n_dofs), triplets())

@@ -384,8 +384,8 @@ class NodeTable:
     ``cell_dim`` contiguous int32 columns.  ``values``, ``moments`` and
     ``cell_integrals`` apply a kernel's basis table group by group, with
     stacked products that give each cell the same bits as a product of its
-    own kernel would; ``basis_at`` evaluates the bases of given cells at other
-    points with the bits of each cell's own basis.  ``face_cell`` and
+    own kernel would; ``basis_at`` evaluates the cell bases of given cells at
+    other points with the bits of each cell's own basis.  ``face_cell`` and
     ``face_local`` name, for every face, the first cell (in cell order) that
     holds it and the face's position in that cell's loop: that cell's face
     rule integrates the face.
@@ -459,15 +459,14 @@ class NodeTable:
             out[g.cells] = (_mT(V) @ wv[self._nodes_of(g)][..., None])[..., 0]
         return out
 
-    def basis_at(self, table, cells, points):
-        """Basis ``table`` of each of ``cells`` at its row of ``points`` (n, q, 2)."""
-        degree, Q = ("cell_degree", "Ql") if table == "Vl" else ("recon_degree", "Qr")
-        out = np.empty(points.shape[:-1] + self.groups[0].kernels[table].shape[-1:])
+    def basis_at(self, cells, points):
+        """Cell basis of each of ``cells`` at its row of ``points`` (n, q, 2)."""
+        out = np.empty(points.shape[:-1] + self.groups[0].kernels["Vl"].shape[-1:])
         for i, g in enumerate(self.groups):
             at = np.nonzero(self.group_of[cells] == i)[0]
             k, rows = g.kernels, self.row_of[cells[at]]
-            out[at] = _basis_at(points[at], k[degree],
-                                None if k[Q] is None else k[Q][rows],
+            out[at] = _basis_at(points[at], k["cell_degree"],
+                                None if k["Ql"] is None else k["Ql"][rows],
                                 self.centroids[cells[at]], k["h"][rows])
         return out
 

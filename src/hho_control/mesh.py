@@ -356,6 +356,11 @@ def is_count(value):
             and value >= 0)
 
 
+def is_real(value):
+    """True for a real number (numpy's too) that is not a bool."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def make_voronoi(n_seeds, rng_seed=42, lloyd_iters=10):
     """Voronoi-like polygonal mesh of (0,1)^2 from Lloyd-relaxed jittered seeds.
 

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 import sympy
 
+from .control_constrained import AdmissibleBox, project_box
 from .control_unconstrained import ControlProblem, ExactTriple
 
 
 class PresetError(ValueError):
-    """Unknown preset id or invalid inline expression."""
+    """Unknown preset id, invalid inline expression, weight or box."""
 
 
 @dataclass(frozen=True)
@@ -152,20 +153,26 @@ def parse_expression(text):
 
 def make_problem(y, phi, lam, bounds=None, seed=42):
     """Derive (f, y_d, u) from exact (y, phi) and self-check the PDEs."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise PresetError("lambda must be finite and positive")
 
     def u_exact(p):
         raw = -phi.value(p) / lam
-        if bounds is None:
-            return raw
-        return np.minimum(bounds[1], np.maximum(bounds[0], raw))
+        return raw if box is None else project_box(raw, box)
 
     def f(p):
         return -y.laplacian(p) - u_exact(p)
 
     def y_d(p):
         return y.value(p) + phi.laplacian(p)
+
+    try:
+        prob = ControlProblem(
+            f=f, y_d=y_d, lam=lam, bounds=bounds,
+            exact=ExactTriple(y=y.value, phi=phi.value, u=u_exact),
+            state_boundary=_state_boundary(y))
+    except ValueError as exc:
+        raise PresetError(str(exc)) from None
+    # u_exact reads the box, made once ControlProblem has checked the bounds
+    box = None if bounds is None else AdmissibleBox(*bounds)
 
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0.05, 0.95, size=(32, 2))
@@ -174,11 +181,7 @@ def make_problem(y, phi, lam, bounds=None, seed=42):
     scale = 1.0 + np.abs(y.value(pts)).max()
     if state_res.max() > 1e-8 * scale or adj_res.max() > 1e-8 * scale:
         raise PresetError("manufactured data failed the PDE self-check")
-
-    boundary = _state_boundary(y)
-    return ControlProblem(f=f, y_d=y_d, lam=lam, bounds=bounds,
-                          exact=ExactTriple(y=y.value, phi=phi.value, u=u_exact),
-                          state_boundary=boundary)
+    return prob
 
 
 def _state_boundary(y):

@@ -1,7 +1,12 @@
+import argparse
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hho_control import cli, hho_core, make_cartesian
+from hho_control import PgdConfig, cli, hho_core, make_cartesian
 from hho_control.hho_core import HhoSpace
 from hho_control.cli import (CSV_HEADER, ConfigError, ExperimentConfig,
                              _config_from_fields, _parse_document, main,
@@ -260,6 +265,49 @@ def test_config_bounds_must_be_ordered(bounds):
     with pytest.raises(ConfigError, match="u_a < u_b"):
         parse_config("scheme = wc1\ndegree = 0\npreset = wc-default\n"
                      f"bounds = {bounds[0]}, {bounds[1]}\n")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("bounds", (1,)), ("bounds", 5.0), ("bounds", ("a", "b")), ("lam", "0.1"),
+    ("lam", True)])
+def test_config_malformed_lambda_or_bounds_rejected_at_construction(field, value):
+    # these once escaped as IndexError or TypeError, or passed the config
+    with pytest.raises(ConfigError, match="bounds|lambda"):
+        make_config(scheme="wc1", preset="wc-default", **{field: value})
+
+
+def test_cli_uc_scheme_with_bounded_preset_writes_no_report(tmp_path, capsys):
+    # the preset's box, not only an explicit one, rules out a uc scheme
+    rc = main(["run", "--scheme", "uc1", "--degree", "1", "--levels", "4",
+               "--preset", "wc-default", "--out", str(tmp_path)])
+    assert rc == 1
+    assert "not admissible" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_run_flags_keys_and_readme_name_the_same_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (?:`(--[\w-]+)`)? *\| `([\w.]+)` \|$",
+                      readme, re.M)
+    assert rows, "README.md lists no config keys"
+    documented = {key: (flag or None, name) for key, flag, name in rows}
+    assert documented.keys() == cli._KEYS.keys()
+
+    run = next(a for a in cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices["run"]
+    flags = {a.dest: a.option_strings[0] for a in run._actions
+             if a.dest not in ("help", "config")}
+    assert flags == {key: flag for key, (flag, _) in documented.items() if flag}
+
+    reached = []
+    for key, (cls, name, _) in cli._KEYS.items():
+        owner = "" if cls is ExperimentConfig else "pgd."
+        assert documented[key][1] == owner + name
+        reached.append((cls, name))
+    fields = {(ExperimentConfig, f.name) for f in dataclasses.fields(ExperimentConfig)
+              if f.init and f.name != "pgd"}
+    fields |= {(PgdConfig, f.name) for f in dataclasses.fields(PgdConfig)}
+    assert sorted(reached, key=str) == sorted(fields, key=str)
 
 
 def test_cli_bad_levels_is_config_error():

@@ -30,8 +30,11 @@ def test_project_box_clamps():
 
 
 def test_box_requires_order():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="u_a < u_b"):
         AdmissibleBox(1.0, 1.0)
+    for u_a, u_b in (("a", "b"), (False, True), (0.0, "1")):
+        with pytest.raises(ValueError, match="must be real"):
+            AdmissibleBox(u_a, u_b)
 
 
 def test_pgd_config_validation():
@@ -39,9 +42,10 @@ def test_pgd_config_validation():
         with pytest.raises(ValueError, match="max_iters"):
             PgdConfig(max_iters=max_iters)
     assert PgdConfig(max_iters=np.int64(500)).max_iters == 500
-    for tol in (0.0, float("inf"), float("nan")):
-        with pytest.raises(ValueError):
+    for tol in (0.0, float("inf"), float("nan"), "1e-10", True):
+        with pytest.raises(ValueError, match="tol"):
             PgdConfig(tol=tol)
+    assert PgdConfig(tol=np.float32(1e-8)).tol > 0
 
 
 def test_wc1_zero_data_feasible_zero():

@@ -84,8 +84,18 @@ def test_inline_problem_self_check():
 
 def test_lambda_must_be_positive():
     y = parse_expression("x1*x2")
-    for lam in (0.0, float("inf"), float("nan")):
-        with pytest.raises(PresetError):
+    for lam in (0.0, float("inf"), float("nan"), "0.1", True):
+        with pytest.raises(PresetError, match="lambda"):
             make_problem(y, y, lam)
         with pytest.raises(ValueError, match="regularization"):
             ControlProblem(f=y, y_d=y, lam=lam)
+
+
+@pytest.mark.parametrize("bounds", [(1,), 5.0, ("a", "b"), (1.0, 2.0, 3.0)])
+def test_bounds_must_be_a_real_pair(bounds):
+    # a malformed box once escaped as IndexError or TypeError, or passed
+    y = parse_expression("x1*x2")
+    with pytest.raises(PresetError, match="bounds"):
+        make_problem(y, y, 1e-2, bounds=bounds)
+    with pytest.raises(ValueError, match="bounds"):
+        ControlProblem(f=y, y_d=y, lam=1e-2, bounds=bounds)
