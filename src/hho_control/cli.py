@@ -34,9 +34,13 @@ CSV_HEADER = ("level,h,n_cells,err_u_l2,rate_u,err_y_energy,rate_y,"
               "err_phi_l2_recon,rate_phi_recon,iters")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A convergence study, checked on construction, which builds ``problem``."""
+    """A convergence study, checked on construction, which builds ``problem``.
+
+    Frozen, so ``problem`` always matches the fields; a changed study is a
+    new config, e.g. ``dataclasses.replace(cfg, lam=0.5)``.
+    """
 
     scheme: str
     degree: int
@@ -76,7 +80,7 @@ class ExperimentConfig:
         if self.scheme == "wc2" and k != 1:
             raise ConfigError("wc2 uses the fixed mixed space V^{1+} (k = 1)")
         try:
-            self.problem = self._make_problem()
+            object.__setattr__(self, "problem", self._make_problem())
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.scheme.startswith("wc") and self.problem.bounds is None:

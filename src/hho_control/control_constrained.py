@@ -70,7 +70,7 @@ def project_box(w, box):
     return np.minimum(box.u_b, np.maximum(box.u_a, w))
 
 
-@dataclass
+@dataclass(frozen=True)
 class PgdConfig:
     """Stopping rule of the active-set Newton loop.
 

@@ -24,7 +24,6 @@ import math
 import numbers
 
 import numpy as np
-from scipy.spatial import Voronoi
 
 
 class MeshError(Exception):
@@ -264,35 +263,72 @@ def make_cartesian(n):
     return Mesh._from_csr(vertices, np.arange(n * n + 1) * 4, cells.ravel())
 
 
+def _circumcenters(tri):
+    """Circumcenters of triangles ``(T, 3, 2)``; a flat one's are not finite."""
+    a = tri[:, 0]
+    b, c = tri[:, 1] - a, tri[:, 2] - a
+    bb, cc = (b * b).sum(1), (c * c).sum(1)
+    d = 2.0 * twice_area(a, tri[:, 1], tri[:, 2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return a + np.stack((c[:, 1] * bb - b[:, 1] * cc,
+                             b[:, 0] * cc - c[:, 0] * bb), axis=1) / d[:, None]
+
+
 def _clipped_voronoi(points):
     """Voronoi cells of points in (0,1)^2, clipped exactly to the square.
 
-    Reflecting the seeds across all four walls makes each original cell's
-    clipping boundary a genuine Voronoi bisector, so the diagram of the 5N
-    points tiles the square exactly.  Returns the diagram's vertices and the
-    CSR table ``(ptr, ids)`` of the seeds' regions, each sorted by angle
-    about its seed.
+    The seeds within delta of a wall are mirrored across it, and the cell
+    vertices are the circumcenters of the Delaunay triangles of the seeds and
+    their mirrors.  No mirror is nearer to a point of the square than its own
+    seed, so a seed's region, cut to the square, is always its clipped cell;
+    when every seed's region is bounded and its circumcenters lie in the
+    square (to 1e-9), the regions are the clipped cells.  Otherwise delta is
+    doubled, from 2/sqrt(N), and the diagram is built again; once delta >= 1
+    every seed is mirrored across every wall and the 5N points tile the
+    square exactly.  Returns the circumcenters and the CSR table ``(ptr,
+    ids)`` of the seeds' regions, each sorted by angle about its seed.  A
+    cell whose seed meets a cocircular quadruple (for instance two seeds and
+    their mirrors) lists the circumcenters of both triangles of that
+    quadruple, which coincide to round-off.
     """
-    refl = []
-    for dim, wall in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)):
-        r = points.copy()
-        r[:, dim] = 2.0 * wall - r[:, dim]
-        refl.append(r)
-    vor = Voronoi(np.vstack([points] + refl))
-    regions = [vor.regions[r] for r in vor.point_region[:len(points)]]
-    ptr = np.cumsum([0] + [len(r) for r in regions])
-    ids = np.fromiter(itertools.chain.from_iterable(regions), np.intp, ptr[-1])
-    bad = np.diff(ptr) < 3
-    bad[np.repeat(np.arange(len(points)), np.diff(ptr))[ids < 0]] = True
+    from scipy.spatial import Delaunay, QhullError
+
+    n = len(points)
+    delta = 2.0 / math.sqrt(n)
+    while True:
+        mirrors = []
+        for dim, wall in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)):
+            r = points[np.abs(points[:, dim] - wall) < delta]
+            r[:, dim] = 2.0 * wall - r[:, dim]
+            mirrors.append(r)
+        sites = np.vstack([points] + mirrors)
+        try:
+            tri = Delaunay(sites)
+        except QhullError:      # the seeds and their mirrors are collinear
+            if delta >= 1.0:
+                raise
+            delta *= 2.0
+            continue
+        centers = _circumcenters(sites[tri.simplices])
+        seed = tri.simplices.ravel()
+        own = seed < n
+        seed, simplex = seed[own], np.repeat(np.arange(len(centers)), 3)[own]
+        unbounded = np.isin(np.arange(n), tri.convex_hull)
+        outside = ~((centers[simplex] >= -1e-9)
+                    & (centers[simplex] <= 1.0 + 1e-9)).all(1)
+        if delta >= 1.0 or not (unbounded.any() or outside.any()):
+            break
+        delta *= 2.0
+    ang = np.arctan2(centers[simplex, 1] - points[seed, 1],
+                     centers[simplex, 0] - points[seed, 0])
+    order = np.lexsort((ang, seed))
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(seed, minlength=n))))
+    bad = (np.diff(ptr) < 3) | unbounded
+    bad[seed[~np.isfinite(centers[simplex]).all(1)]] = True
     if bad.any():
         raise MeshGenerationError(
             f"degenerate Voronoi cell for seed {np.argmax(bad)}")
-    for at, idx in loop_groups(ptr):
-        verts = vor.vertices[ids[idx]]
-        ang = np.arctan2(verts[..., 1] - points[at, 1, None],
-                         verts[..., 0] - points[at, 0, None])
-        ids[idx] = np.take_along_axis(ids[idx], np.argsort(ang, axis=1), axis=1)
-    return vor.vertices, ptr, ids
+    return centers, ptr, simplex[order]
 
 
 def _snap_to_walls(vertices, tol=1e-9):
@@ -361,19 +397,8 @@ def is_real(value):
     return not isinstance(value, bool) and isinstance(value, numbers.Real)
 
 
-def make_voronoi(n_seeds, rng_seed=42, lloyd_iters=10):
-    """Voronoi-like polygonal mesh of (0,1)^2 from Lloyd-relaxed jittered seeds.
-
-    Deterministic for fixed (n_seeds, rng_seed, lloyd_iters): the jitter uses
-    a seeded generator and the diagram construction has no randomness.
-    """
-    if n_seeds < 1:
-        raise MeshGenerationError("n_seeds must be >= 1")
-    if lloyd_iters < 0:
-        raise MeshGenerationError("lloyd_iters must be >= 0")
-    if not is_count(rng_seed):
-        raise MeshGenerationError(
-            f"rng_seed must be a non-negative integer, got {rng_seed!r}")
+def _lloyd_seeds(n_seeds, rng_seed, lloyd_iters):
+    """Jittered grid seeds after ``lloyd_iters`` moves to their cell centroids."""
     rng = np.random.default_rng(rng_seed)
     m = math.ceil(math.sqrt(n_seeds))
     centers = (np.arange(m) + 0.5) / m
@@ -384,21 +409,41 @@ def make_voronoi(n_seeds, rng_seed=42, lloyd_iters=10):
     if len(seeds) > n_seeds:
         keep = np.sort(rng.choice(len(seeds), size=n_seeds, replace=False))
         seeds = seeds[keep]
-
-    if n_seeds == 1:
-        return make_cartesian(1)
-
     for _ in range(lloyd_iters):
         vor_vertices, ptr, regions = _clipped_voronoi(seeds)
         seeds = np.empty((n_seeds, 2))
         for at, idx in loop_groups(ptr):
             seeds[at] = _areas_centroids(vor_vertices[regions[idx]])[1]
+    return seeds
 
+
+def make_voronoi(n_seeds, rng_seed=42, lloyd_iters=10):
+    """Voronoi-like polygonal mesh of (0,1)^2 from Lloyd-relaxed jittered seeds.
+
+    Deterministic for fixed (n_seeds, rng_seed, lloyd_iters): the jitter uses
+    a seeded generator and the diagram construction has no randomness.  The
+    cells come from ``_clipped_voronoi`` (Delaunay circumcenters of the seeds
+    and their near-wall mirrors, widened until the cells close inside the
+    square); their vertices are snapped onto the walls, merged where they
+    coincide, and short edges are collapsed.
+    """
+    if n_seeds < 1:
+        raise MeshGenerationError("n_seeds must be >= 1")
+    if lloyd_iters < 0:
+        raise MeshGenerationError("lloyd_iters must be >= 0")
+    if not is_count(rng_seed):
+        raise MeshGenerationError(
+            f"rng_seed must be a non-negative integer, got {rng_seed!r}")
+    if n_seeds == 1:
+        return make_cartesian(1)
+
+    seeds = _lloyd_seeds(n_seeds, rng_seed, lloyd_iters)
     vor_vertices, ptr, regions = _clipped_voronoi(seeds)
     used, loops = np.unique(regions, return_inverse=True)
     coords = _snap_to_walls(vor_vertices[used])
-    # Merge vertices that coincide after snapping (corner duplicates),
-    # numbered by first occurrence: unique(return_index) sorts stably.
+    # Merge vertices that coincide after snapping (corner duplicates and the
+    # circumcenters of a cocircular quadruple's two triangles), numbered by
+    # first occurrence: unique(return_index) sorts stably.
     _, first, inverse = np.unique(np.round(coords, 10) + 0.0, axis=0,
                                   return_index=True, return_inverse=True)
     rank = np.argsort(np.argsort(first))

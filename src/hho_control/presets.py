@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import sympy
 
 from .control_constrained import AdmissibleBox, project_box
 from .control_unconstrained import ControlProblem, ExactTriple
@@ -122,18 +121,18 @@ def get_preset(preset_id):
     return _PRESETS[key]
 
 
-_ALLOWED_FUNCS = {"sin": sympy.sin, "cos": sympy.cos, "exp": sympy.exp,
-                  "pi": sympy.pi}
-
-
 def parse_expression(text):
     """Closed-form expression in x1, x2 (sums/products/sin/cos/exp/powers).
 
     The Laplacian is computed symbolically; anything outside the whitelist is
-    rejected so configs cannot smuggle arbitrary code.
+    rejected so configs cannot smuggle arbitrary code.  sympy is imported
+    here, so that preset runs never load it.
     """
+    import sympy
+
     x1, x2 = sympy.symbols("x1 x2")
-    local = {"x1": x1, "x2": x2, **_ALLOWED_FUNCS}
+    local = {"x1": x1, "x2": x2, "sin": sympy.sin, "cos": sympy.cos,
+             "exp": sympy.exp, "pi": sympy.pi}
     try:
         expr = sympy.sympify(text, locals=local, rational=False)
     except (sympy.SympifyError, SyntaxError, TypeError) as exc:

@@ -5,8 +5,12 @@ paths: polygon moments go through the divergence theorem with 1D Gauss rules,
 dense reference systems are solved with numpy, and expected values are
 computed from closed forms.  ``polygon_area``, ``polygon_centroid`` and
 ``polygon_diameter`` sum one polygon at a time, the reference for the mesh's
-grouped geometry.  ``cell_polygon``, ``cell_face_ids`` and ``cell_normals``
-read one cell's rows of the mesh arrays.  ``polygon_quadrature``,
+grouped geometry.  ``clipped_voronoi_oracle`` builds the clipped Voronoi
+cells from ``scipy.spatial.Voronoi`` of the seeds and all their wall mirrors,
+the reference of the mesh generator's Delaunay construction, and
+``clipped_voronoi_mismatch`` compares the two.  ``cell_polygon``,
+``cell_face_ids`` and ``cell_normals`` read one cell's rows of the mesh
+arrays.  ``polygon_quadrature``,
 ``cell_quadrature`` and ``make_cell_basis`` are not oracles: they apply the
 library's ``polygon_rules`` to one polygon or cell.  ``single_polygon_rule``
 is the per-polygon reference of that builder: the triangulation and triangle
@@ -27,7 +31,7 @@ from hho_control import make_cartesian, make_voronoi
 from hho_control.hho_core import (OptimalitySystem, cell_load_vector,
                                   reconstruct_all, reduce_function,
                                   sorted_sum)
-from hho_control.mesh import next_vertices
+from hho_control.mesh import _clipped_voronoi, next_vertices
 from hho_control.poly import (CellBasis, monomial_exponents,
                               orthonormal_transform, polygon_rules,
                               polygon_triangles, triangle_quadrature)
@@ -255,6 +259,52 @@ def regular_polygon(n_sides, radius=1.0, center=(0.3, 0.4)):
     ang = 2 * np.pi * np.arange(n_sides) / n_sides
     return np.column_stack([center[0] + radius * np.cos(ang),
                             center[1] + radius * np.sin(ang)])
+
+
+def clipped_voronoi_oracle(points):
+    """Clipped Voronoi cells of points in (0, 1)^2 by the 5N construction.
+
+    Every seed is mirrored across all four walls, so the diagram of the 5N
+    points, from ``scipy.spatial.Voronoi``, tiles the square exactly.
+    Returns one ``(m, 2)`` vertex loop per seed, sorted by angle about it.
+    """
+    from scipy.spatial import Voronoi
+
+    sites = [points]
+    for dim, wall in ((0, 0.0), (0, 1.0), (1, 0.0), (1, 1.0)):
+        r = points.copy()
+        r[:, dim] = 2.0 * wall - r[:, dim]
+        sites.append(r)
+    vor = Voronoi(np.vstack(sites))
+    loops = []
+    for seed, region in zip(points, vor.point_region):
+        verts = vor.vertices[vor.regions[region]]
+        assert -1 not in vor.regions[region]
+        ang = np.arctan2(verts[:, 1] - seed[1], verts[:, 0] - seed[0])
+        loops.append(verts[np.argsort(ang)])
+    return loops
+
+
+def clipped_voronoi_mismatch(seeds):
+    """Largest distance of a ``_clipped_voronoi`` cell from the oracle's.
+
+    Each pair of loops is compared up to a cyclic rotation, after every
+    vertex within 1e-12 of its cyclic predecessor is dropped; loops of
+    different lengths are infinitely far apart.
+    """
+    def distinct(loop):
+        step = np.abs(loop - np.roll(loop, 1, axis=0)).max(axis=1)
+        return loop[step > 1e-12]
+
+    vertices, ptr, ids = _clipped_voronoi(seeds)
+    worst = 0.0
+    for c, want in enumerate(clipped_voronoi_oracle(seeds)):
+        a, b = distinct(vertices[ids[ptr[c]:ptr[c + 1]]]), distinct(want)
+        if len(a) != len(b):
+            return np.inf
+        worst = max(worst, min(np.abs(np.roll(a, k, axis=0) - b).max()
+                               for k in range(len(a))))
+    return worst
 
 
 @functools.lru_cache(maxsize=None)

@@ -217,6 +217,27 @@ def test_nonzero_boundary_data_rates(scheme, k, levels, bounds, u_window,
     assert not failures, f"{scheme} k={k}: {failures}"
 
 
+# The Cartesian windows of criteria 4, 6 and 7 on the seed-42 Voronoi meshes
+# (10 Lloyd rounds).  Only the final pair enters a rate; the 64-seed level
+# of the measured 64/256/1024 ladder is left out.  Measured final-pair rates
+# (u, y, phi): uc31 k=0 1.92/0.97/0.93, uc31 k=1 3.05/1.92/1.95, wc1
+# 1.03/0.98/0.95, wc2 2.91/1.95/1.94.
+@pytest.mark.parametrize("scheme, k, preset, u_window, energy_window", [
+    ("uc31", 0, "uc1-default", (1.7, 2.3), (0.8, 1.3)),
+    ("uc31", 1, "uc1-default", (2.7, 3.3), (1.8, 2.3)),
+    ("wc1", 0, "wc-default", (0.8, 1.2), (0.8, 1.2)),
+    ("wc2", 1, "wc-default", (2.6, 3.4), (1.7, 2.3)),
+])
+def test_voronoi_rates(scheme, k, preset, u_window, energy_window):
+    rows = _study(scheme, k, "voronoi", (256, 1024), problem_from_preset(preset))
+    failures = []
+    for key, (lo, hi) in (("u", u_window), ("y", energy_window),
+                          ("phi", energy_window)):
+        rate = _final_rate(rows, key)
+        _check(failures, lo <= rate <= hi, f"{key} rate {rate:.3f}")
+    assert not failures, f"{scheme} k={k} Voronoi: {failures}"
+
+
 def test_criterion_8_operator_properties():
     failures = []
     for mesh_name in ("cartesian", "voronoi"):

@@ -1,6 +1,10 @@
 import argparse
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -97,9 +101,10 @@ def test_reports_are_byte_deterministic(tmp_path):
 
 def test_incomplete_run_preserves_partial_csv(tmp_path):
     out = tmp_path / "out"
+    # two Newton steps force an iteration failure on the first level
     cfg = make_config(scheme="wc1", degree=0, preset="wc-default",
-                      levels=[4, 8], output_dir=str(out))
-    cfg.pgd.max_iters = 2  # forces an iteration failure on the first level
+                      levels=[4, 8], output_dir=str(out),
+                      pgd=PgdConfig(max_iters=2))
     with pytest.raises(Exception):
         run_experiment(cfg)
     lines = (out / "report.csv").read_text().splitlines()
@@ -167,8 +172,7 @@ def test_inline_exact_functions(tmp_path):
         "exact_y = sin(2*pi*x1)*sin(2*pi*x2)\n"
         "exact_phi = exp(x1+x2)*sin(pi*x1)*sin(pi*x2)\n"
         "lambda = 0.1\n")
-    cfg.output_dir = str(tmp_path)
-    report = run_experiment(cfg)
+    report = run_experiment(dataclasses.replace(cfg, output_dir=str(tmp_path)))
     assert len(report.records) == 2
 
 
@@ -348,3 +352,38 @@ def test_nan_error_reported_as_nan(tmp_path):
     assert [r[3] for r in rows] == ["nan", "nan"]
     assert rows[1][4] == "nan"
     assert rows[1][6] == "1"
+
+
+def test_configs_are_frozen():
+    cfg = make_config()
+    for name, value in (("lam", 0.5), ("scheme", "wc1"), ("problem", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.pgd.max_iters = 2
+    # a changed study is a new config, checked and built again
+    assert dataclasses.replace(cfg, lam=0.5).build_problem().lam == 0.5
+    assert cfg.build_problem().lam == 0.01
+    with pytest.raises(ConfigError, match="bounds required"):
+        dataclasses.replace(cfg, scheme="wc1")
+
+
+def test_preset_runs_load_neither_sympy_nor_qhull():
+    script = textwrap.dedent("""
+        import sys
+        from hho_control import cli
+        cfg = cli.ExperimentConfig(scheme="uc1", degree=1, levels=[4],
+                                   mesh_family="voronoi", preset="uc1-default")
+        cfg.build_problem()
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "sympy"
+                     or m.startswith("scipy.spatial")))
+        cli.ExperimentConfig(scheme="uc1", degree=0, exact_y="x1*x2",
+                             exact_phi="sin(pi*x1)*sin(pi*x2)")
+        print("sympy" in sys.modules)
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.splitlines()
+    assert out == ["[]", "True"]

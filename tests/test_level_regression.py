@@ -5,8 +5,10 @@ The values were recorded from the refined solve of ``OptimalitySystem``
 they hold whatever the LU ordering: the nested-dissection order and the
 plain DOF-index order, both without pivoting, reproduce them to 1e-13.  The
 wc2 pin comes from the active-set Newton loop, which iterates to the
-round-off of the fixed-point residual.  A refactor of the kernel, load,
-solve or error layers must reproduce them to 1e-12 relative.
+round-off of the fixed-point residual.  The Voronoi pin was recorded again
+when the mesh cells came to be built from Delaunay circumcenters (its values
+moved by at most 1.3e-11 relative).  A refactor of the kernel, load, solve or
+error layers must reproduce them to 1e-12 relative.
 """
 
 import numpy as np
@@ -27,11 +29,11 @@ PINS = {
     "uc1-k1-voronoi-64": (
         dict(scheme="uc1", degree=1, mesh_family="voronoi",
              preset="uc1-default", rng_seed=42, lloyd_iters=10), 64,
-        dict(h=0.17901135523134054, n_cells=64, iters=None,
-             err_u_l2=2.6667222057713733, err_y_energy=2.6360869144473655,
-             err_phi_energy=0.38421449547546405,
-             err_y_l2_recon=0.013575569211972524,
-             err_phi_l2_recon=0.0025980711565382047)),
+        dict(h=0.17901135523134254, n_cells=64, iters=None,
+             err_u_l2=2.666722205771245, err_y_energy=2.6360869144471857,
+             err_phi_energy=0.3842144954754136,
+             err_y_l2_recon=0.013575569212146723,
+             err_phi_l2_recon=0.002598071156534573)),
     "wc2-cartesian-16": (
         dict(scheme="wc2", degree=1, mesh_family="cartesian",
              preset="wc-default"), 16,

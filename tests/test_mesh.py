@@ -4,7 +4,8 @@ import pytest
 from hho_control import (Mesh, MeshError, MeshFormatError,
                          MeshGenerationError, make_cartesian, make_voronoi,
                          read_mesh, write_mesh)
-from helpers import cached_voronoi, cell_face_ids, cell_normals, cell_polygon
+from helpers import (cached_voronoi, cell_face_ids, cell_normals, cell_polygon,
+                     clipped_voronoi_mismatch)
 
 
 def test_cartesian_counts():
@@ -85,6 +86,46 @@ def test_lloyd_relaxation_improves_aspect():
     rough = make_voronoi(16, rng_seed=42, lloyd_iters=0)
     relaxed = make_voronoi(16, rng_seed=42, lloyd_iters=100)
     assert worst_aspect(relaxed) < worst_aspect(rough)
+
+
+def far_seed_owns_the_left_wall():
+    """25 seeds: 24 crowd x in [0.9, 0.99] and one at (0.6, 0.5).
+
+    The lone seed's cell reaches the wall x = 0 from 0.6 away, beyond the
+    first mirror distance 2/sqrt(25) = 0.4, so its first region is unbounded.
+    """
+    rng = np.random.default_rng(0)
+    crowd = np.column_stack((rng.uniform(0.9, 0.99, 24),
+                             rng.uniform(0.01, 0.99, 24)))
+    return np.vstack(([[0.6, 0.5]], crowd))
+
+
+def diagonal_seeds():
+    """100 collinear seeds on the diagonal, 0.45 from the walls or more.
+
+    No seed is within the first mirror distances 0.2 and 0.4 of a wall, so
+    the seeds alone are flat and Qhull rejects them.
+    """
+    t = np.linspace(0.45, 0.55, 100)
+    return np.column_stack((t, t))
+
+
+@pytest.mark.parametrize("seeds, builds", [(far_seed_owns_the_left_wall, 2),
+                                           (diagonal_seeds, 3)])
+def test_clipped_cells_widen_the_mirror_band_until_they_close(
+        seeds, builds, monkeypatch):
+    import scipy.spatial
+
+    calls = []
+
+    def counted(sites):
+        calls.append(len(sites))
+        return delaunay(sites)
+
+    delaunay = scipy.spatial.Delaunay
+    monkeypatch.setattr(scipy.spatial, "Delaunay", counted)
+    assert clipped_voronoi_mismatch(seeds()) <= 1e-12
+    assert len(calls) == builds
 
 
 def test_roundtrip_cartesian():

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hho_control import (MeshError, MeshGenerationError,  # noqa: E402
                          make_cartesian, make_voronoi, read_mesh, write_mesh)
-from helpers import (cell_polygon, polygon_area,  # noqa: E402
-                     polygon_centroid, polygon_diameter)
+from hho_control.mesh import _lloyd_seeds  # noqa: E402
+from helpers import (cell_polygon, clipped_voronoi_mismatch,  # noqa: E402
+                     polygon_area, polygon_centroid, polygon_diameter)
 
 @settings(max_examples=30)
 @given(st.one_of(
@@ -96,3 +97,24 @@ def test_cell_geometry_arrays_equal_per_polygon_sums(n, seed, lloyd):
         assert mesh.cell_areas[c] == polygon_area(poly)
         assert np.array_equal(mesh.cell_centroids[c], polygon_centroid(poly))
         assert mesh.cell_diameters[c] == polygon_diameter(poly)
+
+
+# seeds on a lattice of step 1/200: exact ties (collinear rows, cocircular
+# quadruples) are frequent, and every circumcenter is well conditioned
+LATTICE_SEEDS = st.lists(st.tuples(st.integers(1, 199), st.integers(1, 199)),
+                         min_size=2, max_size=60, unique=True).map(
+                             lambda pts: np.array(pts) / 200.0)
+
+
+@settings(max_examples=60)
+@given(st.one_of(
+    LATTICE_SEEDS,
+    st.builds(lambda n, seed: np.random.default_rng(seed).uniform(
+        size=(n, 2)), st.integers(2, 300), st.integers(0, 2 ** 32 - 1))))
+def test_clipped_cells_match_the_mirrored_voronoi_oracle(seeds):
+    assert clipped_voronoi_mismatch(seeds) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 64, 256, 1024])
+def test_lloyd_relaxed_cells_match_the_mirrored_voronoi_oracle(n):
+    assert clipped_voronoi_mismatch(_lloyd_seeds(n, 42, 10)) <= 1e-12
