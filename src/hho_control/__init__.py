@@ -12,8 +12,9 @@ from .control_unconstrained import (ControlProblem, ExactTriple,
 from .control_constrained import (AdmissibleBox, ConstrainedSolution,
                                   PgdConfig, PgdIterationError, project_box,
                                   solve_wc1, solve_wc2)
-from .errors import (ConvergenceReport, ErrorRecord, energy_error, eoc,
-                     l2_error_control, l2_error_reconstruction)
+from .errors import (ConvergenceReport, ErrorRecord, NonFiniteError,
+                     energy_error, eoc, l2_error_control,
+                     l2_error_reconstruction)
 from . import presets
 
 __version__ = "0.1.0"

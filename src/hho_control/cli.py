@@ -38,14 +38,15 @@ CSV_HEADER = ("level,h,n_cells,err_u_l2,rate_u,err_y_energy,rate_y,"
 class ExperimentConfig:
     """A convergence study, checked on construction, which builds ``problem``.
 
-    Frozen, so ``problem`` always matches the fields; a changed study is a
-    new config, e.g. ``dataclasses.replace(cfg, lam=0.5)``.
+    Frozen, with ``levels`` kept as a tuple, so ``problem`` and the checked
+    levels always match the fields; a changed study is a new config, e.g.
+    ``dataclasses.replace(cfg, lam=0.5)``.
     """
 
     scheme: str
     degree: int
     mesh_family: str = "cartesian"
-    levels: list = field(default_factory=lambda: [4, 8, 16, 32])
+    levels: tuple = (4, 8, 16, 32)
     preset: str = ""
     lam: float | None = None
     bounds: tuple | None = None
@@ -62,9 +63,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
         if self.mesh_family not in MESH_FAMILIES:
             raise ConfigError(f"unknown mesh family {self.mesh_family!r}")
-        if not self.levels or not all(is_count(n) for n in self.levels) or any(
-                b <= a for a, b in zip([0, *self.levels], self.levels)):
+        try:
+            levels = tuple(self.levels)
+        except TypeError:
+            levels = ()
+        if not levels or not all(is_count(n) for n in levels) or any(
+                b <= a for a, b in zip((0, *levels), levels)):
             raise ConfigError("levels must be strictly increasing positive integers")
+        object.__setattr__(self, "levels", levels)
         for name in ("degree", "rng_seed", "lloyd_iters"):
             value = getattr(self, name)
             if not is_count(value):
@@ -125,9 +131,9 @@ def _parse_document(text):
     return raw
 
 
-def _split(convert, kind):
-    """Converter of comma-separated text into a ``kind`` of converted items."""
-    return lambda text: kind(convert(tok) for tok in text.split(",") if tok.strip())
+def _split(convert):
+    """Converter of comma-separated text into a tuple of converted items."""
+    return lambda text: tuple(convert(tok) for tok in text.split(",") if tok.strip())
 
 
 # document key -> (dataclass, field, converter); a `run` flag's dest is the
@@ -136,10 +142,10 @@ _KEYS = {
     "scheme": (ExperimentConfig, "scheme", str),
     "degree": (ExperimentConfig, "degree", int),
     "mesh_family": (ExperimentConfig, "mesh_family", str),
-    "levels": (ExperimentConfig, "levels", _split(int, list)),
+    "levels": (ExperimentConfig, "levels", _split(int)),
     "preset": (ExperimentConfig, "preset", str),
     "lambda": (ExperimentConfig, "lam", float),
-    "bounds": (ExperimentConfig, "bounds", _split(float, tuple)),
+    "bounds": (ExperimentConfig, "bounds", _split(float)),
     "exact_y": (ExperimentConfig, "exact_y", str),
     "exact_phi": (ExperimentConfig, "exact_phi", str),
     "output_dir": (ExperimentConfig, "output_dir", str),
@@ -247,16 +253,30 @@ def write_report(report, out_dir, incomplete=False):
         (out / f"plotdata_{q}.tsv").write_text("\n".join(series) + "\n")
 
 
+def _partial_report(records):
+    """Report of the longest leading run of ``records`` that makes one."""
+    while True:
+        try:
+            return ConvergenceReport(records)
+        except ValueError:
+            records = records[:-1]
+
+
 def run_experiment(cfg):
-    """Run every level of a configured study and write the reports."""
+    """Run every level of a configured study and write the reports.
+
+    If a level or the report fails (a non-finite error, say), the levels
+    that make a report are written, marked ``# INCOMPLETE``, and the error
+    is raised again.
+    """
     records = []
     try:
         for level in cfg.levels:
             records.append(run_level(cfg, cfg.problem, level))
+        report = ConvergenceReport(records)
     except Exception:
-        write_report(ConvergenceReport(records), cfg.output_dir, incomplete=True)
+        write_report(_partial_report(records), cfg.output_dir, incomplete=True)
         raise
-    report = ConvergenceReport(records)
     write_report(report, cfg.output_dir)
     return report
 

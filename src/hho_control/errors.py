@@ -17,6 +17,19 @@ from .hho_core import (h1h_seminorm_sq, reconstruct_all, reduce_function,
 from .mesh import loop_groups
 
 
+class NonFiniteError(ValueError):
+    """A mesh size or measured error is NaN or infinite.
+
+    A report never carries such a value as a result: the level fails instead.
+    """
+
+
+def _require_finite(values, what):
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise NonFiniteError(f"{what} must be finite, got {bad[0]!r}")
+
+
 def energy_error(space, vec, v_exact):
     """Discrete H1-like distance || I_h v - v_h ||_{1,h}."""
     ref = reduce_function(space, v_exact, include_boundary=True)
@@ -66,11 +79,16 @@ def l2_error_control(solution, u_exact):
 
 
 def eoc(errors, hs):
-    """Rates log(e_i / e_{i+1}) / log(h_i / h_{i+1}) between consecutive levels."""
+    """Rates log(e_i / e_{i+1}) / log(h_i / h_{i+1}) between consecutive levels.
+
+    NonFiniteError when an error or mesh size is NaN or infinite.
+    """
     errors = list(errors)
     hs = list(hs)
     if len(errors) != len(hs):
         raise ValueError("errors and hs must have equal length")
+    _require_finite(errors, "errors")
+    _require_finite(hs, "mesh sizes")
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("mesh sizes must be strictly decreasing")
     rates = []
@@ -90,7 +108,7 @@ QUANTITIES = ("err_u_l2", "err_y_energy", "err_phi_energy",
 
 @dataclass
 class ErrorRecord:
-    """Errors of one refinement level."""
+    """Errors of one refinement level; NonFiniteError if one is not finite."""
 
     level: int
     h: float
@@ -101,6 +119,10 @@ class ErrorRecord:
     err_y_l2_recon: float
     err_phi_l2_recon: float
     iters: int | None = None
+
+    def __post_init__(self):
+        for q in ("h",) + QUANTITIES:
+            _require_finite([getattr(self, q)], f"level {self.level}: {q}")
 
 
 @dataclass

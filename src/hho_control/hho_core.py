@@ -177,6 +177,23 @@ def _mT(a):
     return np.swapaxes(a, -1, -2)
 
 
+def _grad_grams(Gl, Gr, w):
+    """Weighted gradient products of two bases on a stack of cells.
+
+    ``Gl`` ``(B, n, dim_l, 2)`` and ``Gr`` ``(B, n, dim_r, 2)`` hold the
+    basis gradients at the nodes of weights ``w`` ``(B, n)``.  Returns the
+    Gram matrices ``(grad l_i, grad l_j)`` and ``(grad r_i, grad r_j)`` and
+    the cross products ``(grad r_i, grad l_j)``, ``(B, dim_r, dim_l)``.
+    Each gradient stack is flattened to ``(B, dim, 2n)``, with the weights
+    repeated per direction, so every product is one batched matmul.
+    """
+    Fl, Fr = (np.swapaxes(g, 1, 2).reshape(g.shape[0], g.shape[2], -1)
+              for g in (Gl, Gr))
+    w2 = np.repeat(w, 2, axis=1)[:, :, None]
+    wFl = w2 * _mT(Fl)
+    return Fl @ wFl, Fr @ (w2 * _mT(Fr)), Fr @ wFl
+
+
 def _basis_at(points, degree, T, centroids, h):
     """Basis values ``(B, n, dim)`` of B cells at their points ``(B, n, 2)``."""
     v = poly.monomial_values((points - centroids[:, None, :]) / h[:, None, None],
@@ -213,7 +230,10 @@ def _build_kernels(space, pts, w, centroids, h, measure, face_ends, normals):
     rule, ``face_ends`` the endpoints of its faces in loop order ``(B, m, 2,
     2)`` (each in the face's own orientation) and ``normals`` its outward
     face normals ``(B, m, 2)``.  Every product and solve acts on the whole
-    stack.
+    stack, and each is a batched ``matmul`` or ``solve``: the gradient
+    products through ``_grad_grams``, the orthonormalizing transforms as
+    ``T[:, None] @ g``.  No cell of a Voronoi mesh shares its kernel, so
+    these BLAS paths set the cost of the local operators there.
     """
     k, l = space.face_degree, space.cell_degree
     r = k + 1
@@ -224,7 +244,7 @@ def _build_kernels(space, pts, w, centroids, h, measure, face_ends, normals):
     def grads(points, degree, T):
         local = (points - centroids[:, None, :]) / h[:, None, None]
         g = poly.monomial_grads(local, degree, h)
-        return g if T is None else np.einsum("bij,bnjd->bnid", T, g)
+        return g if T is None else T[:, None] @ g
 
     # the cell and reconstruction bases are orthonormalized from degree 2
     Ql, Qr = (poly.orthonormal_transform(values(pts, d, None), w) if d >= 2
@@ -236,8 +256,7 @@ def _build_kernels(space, pts, w, centroids, h, measure, face_ends, normals):
     M_cell = _mT(Vl) @ (wc * Vl)
     M_recon = _mT(Vr) @ (wc * Vr)
     N_lr = _mT(Vl) @ (wc * Vr)
-    K_cell = np.einsum("bnid,bn,bnjd->bij", Gl, w, Gl)
-    K_recon = np.einsum("bnid,bn,bnjd->bij", Gr, w, Gr)
+    K_cell, K_recon, K_rl = _grad_grams(Gl, Gr, w)
     int_cell = (w[:, None, :] @ Vl)[:, 0]
     int_recon = (w[:, None, :] @ Vr)[:, 0]
 
@@ -264,7 +283,7 @@ def _build_kernels(space, pts, w, centroids, h, measure, face_ends, normals):
     # RHS of the reconstruction problem: (grad v_T, grad q)_T
     #   + sum_F (v_F - v_T, grad q . n)_F for q in the recon basis.
     rhs = np.zeros((B, dim_r, n_loc))
-    rhs[:, :, :dim_l] = np.einsum("bnid,bn,bnjd->bji", Gl, w, Gr)
+    rhs[:, :, :dim_l] = K_rl
     cell_flux = _mT(dn) @ (fwc * Vl_f)
     face_flux = _mT(dn) @ (fwc * Vf)
     for j in range(m):

@@ -11,7 +11,9 @@ cells) and applies a collapsed-square Gauss rule per triangle.
 The 1D Gauss-Legendre and reference triangle rules are computed once per
 process, on first use, and shared read-only; the quadrature and monomial
 functions work on stacked arrays so that local kernels of many cells are
-built in one call.
+built in one call.  Monomials and their gradients are gathered from power
+tables of each coordinate, filled by repeated multiplication (the bits of a
+cumulative product) rather than by a generic power.
 """
 
 from __future__ import annotations
@@ -173,9 +175,18 @@ def segment_rule(p0, p1, exactness):
 
 
 def _power_tables(loc, degree):
-    """``x ** p`` and ``y ** p`` for p = 0..degree, ``(..., n, degree + 1)``."""
-    p = np.arange(degree + 1)
-    return loc[..., 0, None] ** p, loc[..., 1, None] ** p
+    """``x ** p`` and ``y ** p`` for p = 0..degree, ``(..., n, degree + 1)``.
+
+    Each power is the one below it times the coordinate, filled into one
+    preallocated table: the bits of a cumulative product, at the cost of
+    ``degree`` elementwise products instead of a generic ``x ** p``.
+    """
+    tab = np.empty((2,) + loc.shape[:-1] + (degree + 1,))
+    tab[..., 0] = 1.0
+    xy = np.moveaxis(loc, -1, 0)
+    for p in range(1, degree + 1):
+        tab[..., p] = tab[..., p - 1] * xy
+    return tab[0], tab[1]
 
 
 def monomial_values(loc, degree):

@@ -14,8 +14,8 @@ from hho_control import PgdConfig, cli, hho_core, make_cartesian
 from hho_control.hho_core import HhoSpace
 from hho_control.cli import (CSV_HEADER, ConfigError, ExperimentConfig,
                              _config_from_fields, _parse_document, main,
-                             run_experiment, write_report)
-from hho_control.errors import ConvergenceReport, ErrorRecord
+                             run_experiment)
+from hho_control.errors import QUANTITIES, ErrorRecord, NonFiniteError
 
 
 def parse_config(text):
@@ -32,7 +32,7 @@ def make_config(**overrides):
 
 def test_minimal_config_defaults_filled():
     cfg = parse_config("scheme = uc1\ndegree = 1\npreset = uc1-default\n")
-    assert cfg.levels == [4, 8, 16, 32]
+    assert cfg.levels == (4, 8, 16, 32)
     assert cfg.rng_seed == 42
     assert cfg.pgd.tol == 1e-10
 
@@ -41,7 +41,7 @@ def test_config_comments_and_lists():
     text = ("# study\nscheme = wc1\ndegree = 0\nlevels = 4, 8\n"
             "preset = wc-default\nbounds = -250, -10\n")
     cfg = parse_config(text)
-    assert cfg.levels == [4, 8]
+    assert cfg.levels == (4, 8)
     assert cfg.bounds == (-250.0, -10.0)
 
 
@@ -196,7 +196,7 @@ def test_cli_flags_override_config_document(tmp_path):
     cfg = run_flags("--config", str(config), "--degree", "0",
                     "--levels", "2,4", "--seed", "7")
     assert (cfg.scheme, cfg.degree, cfg.levels, cfg.preset, cfg.output_dir,
-            cfg.rng_seed) == ("uc1", 0, [2, 4], "uc1-default", "doc-out", 7)
+            cfg.rng_seed) == ("uc1", 0, (2, 4), "uc1-default", "doc-out", 7)
 
 
 @pytest.mark.parametrize("flag", ["--pgd-tol", "--pgd-max-iters"])
@@ -254,12 +254,12 @@ def test_config_degree_must_be_a_count(degree):
     assert make_config(degree=np.int64(1))
 
 
-@pytest.mark.parametrize("levels", [[2.5], [True, 2], [2, 4.0], [0, 2]])
+@pytest.mark.parametrize("levels", [[2.5], [True, 2], [2, 4.0], [0, 2], 4])
 def test_config_levels_must_be_positive_counts(levels):
     with pytest.raises(ConfigError, match="levels must be strictly increasing "
                                           "positive integers"):
         make_config(levels=levels)
-    assert make_config(levels=[np.int64(2), 4]).levels == [2, 4]
+    assert make_config(levels=[np.int64(2), 4]).levels == (2, 4)
 
 
 @pytest.mark.parametrize("bounds", [(5, 1), (1, 1), (float("nan"), 1)])
@@ -340,18 +340,54 @@ def test_run_level_builds_no_per_cell_operators(monkeypatch, scheme, degree,
             build()
 
 
-def test_nan_error_reported_as_nan(tmp_path):
-    nan = float("nan")
-    records = [ErrorRecord(level=n, h=1.0 / n, n_cells=n * n, err_u_l2=nan,
-                           err_y_energy=1.0 / n, err_phi_energy=1.0 / n,
-                           err_y_l2_recon=1.0 / n, err_phi_l2_recon=1.0 / n)
-               for n in (2, 4)]
-    write_report(ConvergenceReport(records), tmp_path)
-    rows = [r.split(",") for r in
-            (tmp_path / "report.csv").read_text().splitlines()[1:]]
-    assert [r[3] for r in rows] == ["nan", "nan"]
-    assert rows[1][4] == "nan"
-    assert rows[1][6] == "1"
+def test_nan_error_is_rejected_not_reported():
+    # a NaN or infinite error or mesh size fails its level instead of being
+    # written as a result
+    values = dict(level=2, h=0.5, n_cells=4, err_u_l2=0.5, err_y_energy=0.5,
+                  err_phi_energy=0.5, err_y_l2_recon=0.5, err_phi_l2_recon=0.5)
+    ErrorRecord(**values)
+    for q in ("h",) + QUANTITIES:
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(NonFiniteError,
+                               match=f"level 2: {q} must be finite"):
+                ErrorRecord(**{**values, q: bad})
+
+
+def test_infinite_error_leaves_an_incomplete_report(tmp_path, capsys):
+    # y = sin(pi x2) / x1 is infinite at the face nodes on x1 = 0
+    config = tmp_path / "study.cfg"
+    config.write_text("scheme = uc1\ndegree = 0\nlevels = 2,4\nlambda = 0.01\n"
+                      "exact_y = x1**(-1)*sin(pi*x2)\n"
+                      "exact_phi = sin(pi*x1)*sin(pi*x2)\n")
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        rc = main(["run", "--config", str(config), "--out", str(out)])
+    assert rc == 1
+    assert "err_y_energy must be finite, got inf" in capsys.readouterr().err
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines == [CSV_HEADER, "# INCOMPLETE"]
+    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
+        run_experiment(dataclasses.replace(parse_config(config.read_text()),
+                                           output_dir=str(out)))
+
+
+def test_report_failure_still_leaves_an_incomplete_report(tmp_path,
+                                                          monkeypatch):
+    # mesh sizes that grow make no rates: the report fails after every level
+    # has run, and the levels that do make a report are kept
+    def growing_h(cfg, prob, level):
+        return ErrorRecord(level=level, h=[0.5, 0.25, 1.0][level - 1],
+                           n_cells=level, err_u_l2=1.0, err_y_energy=1.0,
+                           err_phi_energy=1.0, err_y_l2_recon=1.0,
+                           err_phi_l2_recon=1.0)
+
+    monkeypatch.setattr(cli, "run_level", growing_h)
+    cfg = make_config(levels=[1, 2, 3], output_dir=str(tmp_path))
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        run_experiment(cfg)
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        "level", "1", "2", "# INCOMPLETE"]
 
 
 def test_configs_are_frozen():
@@ -361,6 +397,8 @@ def test_configs_are_frozen():
             setattr(cfg, name, value)
     with pytest.raises(dataclasses.FrozenInstanceError):
         cfg.pgd.max_iters = 2
+    with pytest.raises(AttributeError):     # levels are kept as a tuple
+        cfg.levels.append(8)
     # a changed study is a new config, checked and built again
     assert dataclasses.replace(cfg, lam=0.5).build_problem().lam == 0.5
     assert cfg.build_problem().lam == 0.01

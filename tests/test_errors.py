@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hho_control import HhoSpace, solve_wc2
-from hho_control.errors import (energy_error, eoc, l2_error_control,
-                                l2_error_reconstruction)
+from hho_control.errors import (NonFiniteError, energy_error, eoc,
+                                l2_error_control, l2_error_reconstruction)
 from hho_control.hho_core import reduce_function
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
@@ -174,3 +174,12 @@ def test_eoc_validates_inputs():
         eoc([1.0, 0.5], [0.5, 1.0])
     with pytest.raises(ValueError):
         eoc([1.0], [1.0, 0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eoc_rejects_non_finite_input(bad):
+    # a NaN passes every comparison, so it needs a check of its own
+    with pytest.raises(NonFiniteError, match="errors must be finite"):
+        eoc([1.0, bad, 0.25], [1.0, 0.5, 0.25])
+    with pytest.raises(NonFiniteError, match="mesh sizes must be finite"):
+        eoc([1.0, 0.5], [bad, 0.5])

@@ -3,9 +3,10 @@ import pytest
 
 from hho_control import HhoSpace, make_cartesian, solve_poisson
 from hho_control.errors import energy_error, eoc, l2_error_reconstruction
-from hho_control.hho_core import (OptimalitySystem, _build, _views,
-                                  cell_load_vector, h1h_seminorm_sq,
+from hho_control.hho_core import (OptimalitySystem, _build, _grad_grams,
+                                  _views, cell_load_vector, h1h_seminorm_sq,
                                   reconstruct_all, reduce_function)
+from hho_control.poly import monomial_grads, space_dimension
 from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
                      cell_face_ids, cell_normals, dense_face_schur,
                      dense_stiffness, global_monomials, recon_basis,
@@ -455,3 +456,47 @@ def test_negative_or_non_integer_degree_rejected():
         with pytest.raises(ValueError, match="non-negative integers"):
             HhoSpace(mesh, *args, dirichlet=True)
     assert HhoSpace(mesh, np.int64(1), dirichlet=True).face_degree == 1
+
+
+def _einsum_grad_grams(Gl, Gr, w):
+    """The three-operand einsum products the batched matmuls replaced."""
+    return (np.einsum("bnid,bn,bnjd->bij", Gl, w, Gl),
+            np.einsum("bnid,bn,bnjd->bij", Gr, w, Gr),
+            np.einsum("bnid,bn,bnjd->bji", Gl, w, Gr))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_batched_gradient_products_match_the_einsum_oracle(k, mixed):
+    # random gradient stacks of the shapes of the (k, k) and (k, k + 1)
+    # spaces: cell degree l, reconstruction degree k + 1, positive weights
+    rng = np.random.default_rng(10 * k + mixed)
+    dim_l, dim_r = space_dimension(k + mixed), space_dimension(k + 1)
+    B, n = 7, 6 * (k + 3) ** 2
+    Gl = rng.standard_normal((B, n, dim_l, 2))
+    Gr = rng.standard_normal((B, n, dim_r, 2))
+    w = rng.uniform(0.1, 1.0, (B, n))
+    got = _grad_grams(Gl, Gr, w)
+    want = _einsum_grad_grams(Gl, Gr, w)
+    bounds = _einsum_grad_grams(np.abs(Gl), np.abs(Gr), w)
+    for g, e, b in zip(got, want, bounds):
+        assert g.shape == e.shape
+        assert (np.abs(g - e) <= 1e-14 * b).all()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_kernel_gradient_gram_matches_the_einsum_oracle(k, mixed):
+    # K_cell of every Voronoi kernel against the einsum of the transformed
+    # monomial gradients at the kernel's own nodes
+    space = HhoSpace(cached_voronoi(16), k, cell_degree=k + mixed)
+    for g in space.kernel_groups():
+        kern = g.kernels
+        h, T = kern["h"], kern["Ql"]
+        G = monomial_grads(kern["qp"] / h[:, None, None],
+                           kern["cell_degree"], h)
+        if T is not None:
+            G = np.einsum("bij,bnjd->bnid", T, G)
+        want = np.einsum("bnid,bn,bnjd->bij", G, kern["qw"], G)
+        bound = np.einsum("bnid,bn,bnjd->bij", np.abs(G), kern["qw"], np.abs(G))
+        assert (np.abs(kern["K_cell"] - want) <= 1e-14 * bound).all()

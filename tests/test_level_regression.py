@@ -7,8 +7,13 @@ plain DOF-index order, both without pivoting, reproduce them to 1e-13.  The
 wc2 pin comes from the active-set Newton loop, which iterates to the
 round-off of the fixed-point residual.  The Voronoi pin was recorded again
 when the mesh cells came to be built from Delaunay circumcenters (its values
-moved by at most 1.3e-11 relative).  A refactor of the kernel, load, solve or
-error layers must reproduce them to 1e-12 relative.
+moved by at most 1.3e-11 relative).  All three pins were recorded again
+when the gradient products of the local kernels became batched matmuls and
+the monomial power tables repeated products: the kernels changed in their
+summation order only, and the largest move was 5.9e-10 relative in the
+Cartesian uc1 ``err_y_l2_recon``, 9e-13 absolute against an L2 norm of y of
+about 320.  A refactor of the kernel, load, solve or error layers must
+reproduce them to 1e-12 relative.
 """
 
 import numpy as np
@@ -22,26 +27,26 @@ PINS = {
         dict(scheme="uc1", degree=1, mesh_family="cartesian",
              preset="uc1-default"), 16,
         dict(h=0.08838834764831845, n_cells=256, iters=None,
-             err_u_l2=0.6451515732873192, err_y_energy=0.5989019550138686,
-             err_phi_energy=0.09502976871499878,
-             err_y_l2_recon=0.001543201256812267,
-             err_phi_l2_recon=0.0003179168514377388)),
+             err_u_l2=0.6451515732869955, err_y_energy=0.5989019550118448,
+             err_phi_energy=0.09502976871468852,
+             err_y_l2_recon=0.001543201257727491,
+             err_phi_l2_recon=0.00031791685140363445)),
     "uc1-k1-voronoi-64": (
         dict(scheme="uc1", degree=1, mesh_family="voronoi",
              preset="uc1-default", rng_seed=42, lloyd_iters=10), 64,
         dict(h=0.17901135523134254, n_cells=64, iters=None,
-             err_u_l2=2.666722205771245, err_y_energy=2.6360869144471857,
-             err_phi_energy=0.3842144954754136,
-             err_y_l2_recon=0.013575569212146723,
-             err_phi_l2_recon=0.002598071156534573)),
+             err_u_l2=2.666722205771289, err_y_energy=2.636086914447208,
+             err_phi_energy=0.3842144954754298,
+             err_y_l2_recon=0.013575569212092835,
+             err_phi_l2_recon=0.0025980711565359686)),
     "wc2-cartesian-16": (
         dict(scheme="wc2", degree=1, mesh_family="cartesian",
              preset="wc-default"), 16,
         dict(h=0.08838834764831845, n_cells=256, iters=6,
-             err_u_l2=0.09261174370993346, err_y_energy=0.23155794395697804,
-             err_phi_energy=0.09576854927824514,
-             err_y_l2_recon=0.0007962489756893574,
-             err_phi_l2_recon=0.0003249465377881974)),
+             err_u_l2=0.0926117437102961, err_y_energy=0.23155794395704338,
+             err_phi_energy=0.09576854927832323,
+             err_y_l2_recon=0.0007962489757494199,
+             err_phi_l2_recon=0.0003249465377980206)),
 }
 
 

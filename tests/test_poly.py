@@ -3,8 +3,8 @@ import pytest
 
 from hho_control import HhoSpace, make_cartesian
 from hho_control.mesh import loop_groups
-from hho_control.poly import (CellBasis, _gauss_legendre, monomial_exponents,
-                              polygon_rules, segment_rule)
+from hho_control.poly import (CellBasis, _gauss_legendre, _power_tables,
+                              monomial_exponents, polygon_rules, segment_rule)
 from helpers import (cached_voronoi, cell_polygon, cell_quadrature,
                      make_cell_basis, polygon_centroid,
                      polygon_monomial_integral, polygon_quadrature,
@@ -173,6 +173,30 @@ def test_raw_mass_matrix_spd():
     gram = vals.T @ (w[:, None] * vals)
     assert np.abs(gram - gram.T).max() < 1e-14
     assert np.linalg.eigvalsh(gram).min() > 0
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+def test_power_tables_are_sequential_products(degree):
+    # signed zeros, negatives, tiny values whose powers underflow to
+    # subnormals or zero, and ordinary coordinates
+    special = [0.0, -0.0, 1.0, -1.0, -0.5, 1e-80, -1e-80, 1e-300, 5e-324, -3.7]
+    xy = np.concatenate((special, np.random.default_rng(degree).uniform(
+        -1.5, 1.5, 40)))
+    loc = np.stack((xy, xy[::-1]), axis=-1).reshape(5, 10, 2)
+    tables = _power_tables(loc, degree)
+    for c, tab in zip((loc[..., 0], loc[..., 1]), tables):
+        assert tab.shape == c.shape + (degree + 1,)
+        ones = np.ones(c.shape + (1,))
+        cumprod = np.cumprod(np.concatenate(
+            (ones, np.repeat(c[..., None], degree, axis=-1)), axis=-1), axis=-1)
+        assert tab.tobytes() == cumprod.tobytes()
+        seq = np.ones_like(c)
+        for p in range(degree + 1):
+            assert tab[..., p].tobytes() == seq.tobytes()      # c * c * ... * c
+            power = c ** p
+            assert (np.abs(tab[..., p] - power)
+                    <= 4 * np.spacing(np.abs(power))).all(), p
+            seq = seq * c
 
 
 def test_monomial_exponent_order():
