@@ -253,29 +253,28 @@ def write_report(report, out_dir, incomplete=False):
         (out / f"plotdata_{q}.tsv").write_text("\n".join(series) + "\n")
 
 
-def _partial_report(records):
-    """Report of the longest leading run of ``records`` that makes one."""
-    while True:
-        try:
-            return ConvergenceReport(records)
-        except ValueError:
-            records = records[:-1]
-
-
 def run_experiment(cfg):
     """Run every level of a configured study and write the reports.
 
-    If a level or the report fails (a non-finite error, say), the levels
-    that make a report are written, marked ``# INCOMPLETE``, and the error
-    is raised again.
+    A level whose mesh size h is not below the previous level's fails the
+    study with ConfigError at once.  If a level fails (a non-finite error,
+    say), the levels before it are written, marked ``# INCOMPLETE``, and the
+    error is raised again.
     """
     records = []
     try:
         for level in cfg.levels:
-            records.append(run_level(cfg, cfg.problem, level))
+            record = run_level(cfg, cfg.problem, level)
+            if records and record.h >= records[-1].h:
+                prev = records[-1]
+                raise ConfigError(
+                    f"mesh sizes must be strictly decreasing: level {level} "
+                    f"has h = {record.h:.6g}, level {prev.level} has "
+                    f"h = {prev.h:.6g}")
+            records.append(record)
         report = ConvergenceReport(records)
     except Exception:
-        write_report(_partial_report(records), cfg.output_dir, incomplete=True)
+        write_report(ConvergenceReport(records), cfg.output_dir, incomplete=True)
         raise
     write_report(report, cfg.output_dir)
     return report

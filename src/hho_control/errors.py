@@ -12,16 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import poly
-from .hho_core import (h1h_seminorm_sq, reconstruct_all, reduce_function,
-                       sorted_sum)
+from .hho_core import (NonFiniteError, h1h_seminorm_sq, reconstruct_all,
+                       reduce_function, sorted_sum)
 from .mesh import loop_groups
-
-
-class NonFiniteError(ValueError):
-    """A mesh size or measured error is NaN or infinite.
-
-    A report never carries such a value as a result: the level fails instead.
-    """
 
 
 def _require_finite(values, what):
@@ -81,7 +74,8 @@ def l2_error_control(solution, u_exact):
 def eoc(errors, hs):
     """Rates log(e_i / e_{i+1}) / log(h_i / h_{i+1}) between consecutive levels.
 
-    NonFiniteError when an error or mesh size is NaN or infinite.
+    A rate is +inf where an error falls to 0 and -inf where it grows from
+    0.  NonFiniteError when an error or mesh size is NaN or infinite.
     """
     errors = list(errors)
     hs = list(hs)
@@ -95,8 +89,10 @@ def eoc(errors, hs):
     for (e1, e2), (h1, h2) in zip(zip(errors, errors[1:]), zip(hs, hs[1:])):
         if e1 < 0 or e2 < 0:
             raise ValueError("errors must be nonnegative")
-        if e2 == 0.0 or e1 == 0.0:
+        if e2 == 0.0:
             rates.append(math.inf)
+        elif e1 == 0.0:                 # an error that grows from 0
+            rates.append(-math.inf)
         else:
             rates.append(math.log(e1 / e2) / math.log(h1 / h2))
     return rates

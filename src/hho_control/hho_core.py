@@ -8,10 +8,11 @@ its kernel groups, and the library applies them only group by group:
 congruent cells share one kernel, and the distinct kernels are built group
 by group (equal face count and quadrature size) with stacked products and
 solves.  The ``_build_kernels`` entry names (``G``, ``A``, ``S_faces``,
-``M_cell``, ``Vl``, ``qw``, ``Vf`` ...) are the one vocabulary of the local
+``M_cell``, ``Vl``, ``qw``, ``fqw`` ...) are the one vocabulary of the local
 operators: ``HhoSpace.local_ops()`` lists, for inspection, one record per
-cell that holds the same entries under the same names.  A per-space
-``NodeTable`` stacks the quadrature nodes of every cell and face, so loads,
+cell that holds the same entries under the same names.  Every face shares
+the basis, mass and projection of ``poly.reference_face_table``.  A
+per-space ``NodeTable`` stacks the quadrature nodes of every cell, so loads,
 projections, norms and errors evaluate a function once on all nodes.
 Per-cell matrices are scattered into global sparse matrices by one triplet
 helper.  ``OptimalitySystem`` is the one solve path of the package: one
@@ -45,6 +46,13 @@ class SolverError(Exception):
     def __init__(self, message, residual=None):
         self.residual = residual
         super().__init__(message)
+
+
+class NonFiniteError(ValueError):
+    """Dirichlet data, a mesh size or a measured error is NaN or infinite.
+
+    A report never carries such a value as a result: the level fails instead.
+    """
 
 
 class HhoSpace:
@@ -90,7 +98,6 @@ class HhoSpace:
         if self.dirichlet:
             bf = mesh.boundary_faces
             active[(self.face_dof_start[bf, None] + np.arange(fd)).ravel()] = False
-        self.active_mask = active
         self.active_dofs = np.nonzero(active)[0]
         self.fixed_dofs = np.nonzero(~active)[0]
 
@@ -149,12 +156,17 @@ class HhoSpace:
         return self._recon_mass
 
     def boundary_values(self, g):
-        """Fixed-DOF values for Dirichlet data g (zeros when g is None)."""
+        """Fixed-DOF values for Dirichlet data g (zeros when g is None).
+
+        NonFiniteError when g is NaN or infinite at a boundary face node.
+        """
         vals = np.zeros(self.n_dofs)
         if g is not None:
             faces = self.mesh.boundary_faces
-            vals[self.face_dof_start[faces, None] + np.arange(self.face_dim)] = \
-                _face_projections(self, g, faces)
+            proj = _face_projections(self, g, faces)
+            if not np.isfinite(proj).all():
+                raise NonFiniteError("Dirichlet data must be finite on the boundary")
+            vals[self.face_dof_start[faces, None] + np.arange(self.face_dim)] = proj
         return vals[self.fixed_dofs]
 
     def dof_vector(self, values):
@@ -223,17 +235,20 @@ class KernelGroup:
         return self.kernels["qw"].shape[1]
 
 
-def _build_kernels(space, pts, w, centroids, h, measure, face_ends, normals):
+def _build_kernels(space, pts, w, centroids, h, measure, face_ends, lengths,
+                   normals):
     """Kernels of cells with one face count and rule size, stacked by cell.
 
     ``pts`` ``(B, n, 2)`` and ``w`` ``(B, n)`` hold each cell's quadrature
     rule, ``face_ends`` the endpoints of its faces in loop order ``(B, m, 2,
-    2)`` (each in the face's own orientation) and ``normals`` its outward
-    face normals ``(B, m, 2)``.  Every product and solve acts on the whole
-    stack, and each is a batched ``matmul`` or ``solve``: the gradient
-    products through ``_grad_grams``, the orthonormalizing transforms as
-    ``T[:, None] @ g``.  No cell of a Voronoi mesh shares its kernel, so
-    these BLAS paths set the cost of the local operators there.
+    2)`` (each in the face's own orientation), ``lengths`` their lengths
+    ``(B, m)`` and ``normals`` its outward face normals ``(B, m, 2)``.
+    Every product and solve acts on the whole stack, and each is a batched
+    ``matmul`` or ``solve``: the gradient products through ``_grad_grams``,
+    the orthonormalizing transforms as ``T[:, None] @ g``.  Every face shares
+    the basis, mass and projection of ``poly.reference_face_table``.  No cell
+    of a Voronoi mesh shares its kernel, so these BLAS paths set the cost of
+    the local operators there.
     """
     k, l = space.face_degree, space.cell_degree
     r = k + 1
@@ -263,29 +278,25 @@ def _build_kernels(space, pts, w, centroids, h, measure, face_ends, normals):
     dim_l, dim_r, dim_f = Vl.shape[-1], Vr.shape[-1], k + 1
     n_loc = dim_l + m * dim_f
 
-    # Faces, stacked (B, m, ...): quadrature, face basis, cell and
-    # reconstruction traces, and the normal derivative of the recon basis.
-    p0, p1 = face_ends[:, :, 0], face_ends[:, :, 1]
-    fpts, fw = poly.segment_rule(p0, p1, 2 * (k + 2))
+    # Faces, stacked (B, m, ...): quadrature, cell and reconstruction
+    # traces, and the normal derivative of the recon basis.  Every face's
+    # basis at its nodes is the reference table V.
+    V, M_ref, P_ref = poly.reference_face_table(k)
+    fpts, fw = poly.face_rule(face_ends, k)
     nf = fw.shape[-1]
-    mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
-    inv_sq = 1.0 / (half[..., None, :] @ half[..., :, None])[..., 0]
-    t = ((fpts - mid[:, :, None, :]) @ half[..., :, None])[..., 0] * inv_sq
-    Vf = t[..., None] ** np.arange(dim_f)
     flat = fpts.reshape(B, m * nf, 2)
     Vl_f = values(flat, l, Ql).reshape(B, m, nf, dim_l)
     Vr_f = values(flat, r, Qr).reshape(B, m, nf, dim_r)
     dn = (grads(flat, r, Qr).reshape(B, m, nf, dim_r, 2)
           @ normals[:, :, None, :, None])[..., 0]
     fwc = fw[..., None]
-    M_faces = _mT(Vf) @ (fwc * Vf)
 
     # RHS of the reconstruction problem: (grad v_T, grad q)_T
     #   + sum_F (v_F - v_T, grad q . n)_F for q in the recon basis.
     rhs = np.zeros((B, dim_r, n_loc))
     rhs[:, :, :dim_l] = K_rl
     cell_flux = _mT(dn) @ (fwc * Vl_f)
-    face_flux = _mT(dn) @ (fwc * Vf)
+    face_flux = _mT(dn) @ (fwc * V)
     for j in range(m):
         rhs[:, :, :dim_l] -= cell_flux[:, j]
         rhs[:, :, dim_l + j * dim_f:dim_l + (j + 1) * dim_f] += face_flux[:, j]
@@ -300,19 +311,19 @@ def _build_kernels(space, pts, w, centroids, h, measure, face_ends, normals):
     G[:, 0, :] = ((mean_rhs - (int_recon[:, None, 1:] @ G[:, 1:, :])[:, 0])
                   / int_recon[:, :1])
 
-    # Stabilization S_F = Pi_F(v_T|_F - v_F + ((I - Pi_T^l) R v)|_F).
+    # Stabilization S_F = Pi_F(v_T|_F - v_F + ((I - Pi_T^l) R v)|_F): the
+    # weights of a face cancel in Pi_F, and its mass matrix is (|F|/2) M_ref.
     P_lr = np.linalg.solve(M_cell, N_lr)          # Pi_T^l on recon coefficients
     E_cell = np.zeros((dim_l, n_loc))
     E_cell[:, :dim_l] = np.eye(dim_l)
-    proj = np.linalg.solve(M_faces, _mT(Vf))
     trace_ops = (Vl_f @ E_cell
                  + (Vr_f - Vl_f @ P_lr[:, None]) @ G[:, None])
-    S_faces = proj @ (fwc * trace_ops)
+    S_faces = P_ref @ trace_ops
     A_stab = np.zeros((B, n_loc, n_loc))
     for j in range(m):
         S_faces[:, j, :, dim_l + j * dim_f:dim_l + (j + 1) * dim_f] -= np.eye(dim_f)
         S = S_faces[:, j]
-        A_stab += _mT(S) @ M_faces[:, j] @ S
+        A_stab += 0.5 * lengths[:, j, None, None] * (_mT(S) @ M_ref @ S)
     A = _mT(G) @ K_recon @ G + A_stab / h[:, None, None]
     A = 0.5 * (A + _mT(A))
 
@@ -323,9 +334,7 @@ def _build_kernels(space, pts, w, centroids, h, measure, face_ends, normals):
         "Vl": Vl, "Vr": Vr,
         "M_cell": M_cell, "M_recon": M_recon, "K_cell": K_cell,
         "int_cell": int_cell,
-        "G": G, "A": A, "S_faces": S_faces, "M_faces": M_faces,
-        "fqw": fw, "fqp": fpts - centroids[:, None, None, :],
-        "Vf": Vf, "Vl_f": Vl_f,
+        "G": G, "A": A, "S_faces": S_faces, "fqw": fw, "Vl_f": Vl_f,
     }
 
 
@@ -365,7 +374,7 @@ def _build(space, cell_ids):
             kernels = _build_kernels(
                 space, pts, w, c0[r], mesh.cell_diameters[ids[r]],
                 mesh.cell_areas[ids[r]], mesh.face_points[fids[r]],
-                signs[r][..., None] * mesh.face_normals[fids[r]])
+                mesh.face_lengths[fids[r]], signs[r][..., None] * mesh.face_normals[fids[r]])
             row_of = np.full(len(ids), -1)
             row_of[r] = np.arange(len(r))
             rows = row_of[kernel_of]
@@ -404,10 +413,7 @@ class NodeTable:
     ``cell_integrals`` apply a kernel's basis table group by group, with
     stacked products that give each cell the same bits as a product of its
     own kernel would; ``basis_at`` evaluates the cell bases of given cells at
-    other points with the bits of each cell's own basis.  ``face_cell`` and
-    ``face_local`` name, for every face, the first cell (in cell order) that
-    holds it and the face's position in that cell's loop: that cell's face
-    rule integrates the face.
+    other points with the bits of each cell's own basis.
     """
 
     def __init__(self, space):
@@ -432,13 +438,6 @@ class NodeTable:
             at = self._nodes_of(g)
             self.points[at] = g.kernels["qp"][g.rows] + g.centroids[:, None, :]
             self.weights[at] = g.kernels["qw"][g.rows]
-
-        # the first loop edge of each face has the sign +1, and the faces
-        # are numbered in the order of those edges
-        mesh = space.mesh
-        self.face_cell = mesh.face_cells[:, 0]
-        self.face_local = (np.flatnonzero(mesh.cell_face_signs > 0)
-                           - mesh.cell_ptr[self.face_cell])
 
     def _nodes_of(self, g):
         return self.starts[g.cells, None] + np.arange(g.n_nodes)
@@ -509,25 +508,11 @@ def sorted_sum(contribs):
 # ---------------------------------------------------------------------------
 
 def _face_projections(space, f, faces):
-    """L2 projections of f onto P_k(F) of ``faces``, one row per face.
-
-    Each face is integrated with the rule of its first cell in cell order.
-    """
-    t = space.nodes()
-    cells, local = t.face_cell[faces], t.face_local[faces]
-    parts = []
-    for i, g in enumerate(t.groups):
-        sel = np.nonzero(t.group_of[cells] == i)[0]
-        parts.append((sel, g.kernels, t.row_of[cells[sel]], local[sel]))
-    pts = np.empty((len(faces),) + t.groups[0].kernels["fqw"].shape[2:] + (2,))
-    for sel, k, rows, j in parts:
-        pts[sel] = k["fqp"][rows, j] + t.centroids[cells[sel]][:, None, :]
+    """L2 projections of f onto P_k(F) of ``faces``, one row per face."""
+    k = space.face_degree
+    pts, _ = poly.face_rule(space.mesh.face_points[faces], k)
     fv = f(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    out = np.empty((len(faces), space.face_dim))
-    for sel, k, rows, j in parts:
-        rhs = _mT(k["Vf"][rows, j]) @ (k["fqw"][rows, j] * fv[sel])[..., None]
-        out[sel] = np.linalg.solve(k["M_faces"][rows, j], rhs)[..., 0]
-    return out
+    return fv @ poly.reference_face_table(k)[2].T  # P_ref^T
 
 
 def reduce_function(space, f, include_boundary=False):
@@ -566,6 +551,7 @@ def h1h_seminorm_sq(space, vec):
     """Square of the discrete H1-like norm sum_T(|grad v_T|^2 + h_T^{-1}|v_T - v_F|^2)."""
     c = space.cell_blocks(vec)
     vf = vec[space.n_cell_dofs:].reshape(-1, space.face_dim)
+    V = poly.reference_face_table(space.face_degree)[0]
     contribs = np.empty(space.mesh.n_cells)
     for g in space.kernel_groups():
         k, rows, cg = g.kernels, g.rows, c[g.cells]
@@ -573,7 +559,7 @@ def h1h_seminorm_sq(space, vec):
         jump = np.zeros(len(rows))
         for j in range(g.face_ids.shape[1]):
             d = (k["Vl_f"][rows, j] @ cg[..., None]
-                 - k["Vf"][rows, j] @ vf[g.face_ids[:, j]][..., None])
+                 - V @ vf[g.face_ids[:, j]][..., None])
             jump += (k["fqw"][rows, j][:, None, :] @ d ** 2)[:, 0, 0]
         contribs[g.cells] = grad + jump / k["h"][rows]
     return sorted_sum(contribs)

@@ -3,8 +3,10 @@
 Cell bases are monomials scaled by the cell diameter and centered at the
 centroid, ((x - x_T)/h_T)^a ((y - y_T)/h_T)^b in graded order, optionally
 mass-orthonormalized through a Cholesky factorization of the Gram matrix.
-Face bases are monomials in the arclength coordinate mapped to [-1, 1];
-``hho_core`` tabulates them at the face nodes as the kernel entry ``Vf``.
+Face bases are monomials in the arclength coordinate mapped to [-1, 1]:
+every face's Gauss nodes map to the same reference nodes, so one cached
+``reference_face_table`` per degree holds the face basis at the nodes, the
+reference face mass matrix and the L2 projection onto the face basis.
 ``polygon_rules`` builds the quadrature of stacked polygons in one place:
 it triangulates from the centroid (ear clipping as fallback for non-convex
 cells) and applies a collapsed-square Gauss rule per triangle.
@@ -172,6 +174,30 @@ def segment_rule(p0, p1, exactness):
     length = np.hypot(p1[..., 0] - p0[..., 0], p1[..., 1] - p0[..., 1])
     return (mid[..., None, :] + x[:, None] * half[..., None, :],
             (0.5 * length)[..., None] * w)
+
+
+def face_rule(ends, degree):
+    """Gauss rule of the faces ``ends`` ``(..., 2, 2)`` of face degree ``degree``.
+
+    Exact for 2(degree + 2): every product of two cell or reconstruction
+    traces, whose degrees are at most degree + 1.
+    """
+    return segment_rule(ends[..., 0, :], ends[..., 1, :], 2 * (degree + 2))
+
+
+@functools.lru_cache(maxsize=None)
+def reference_face_table(degree):
+    """Face basis on the reference face [-1, 1] at its ``face_rule`` nodes.
+
+    Returns read-only ``(V, M, P)``: ``V = x ** p`` ``(n, degree + 1)``, the
+    mass matrix ``M = V^T W V`` and the L2 projection ``P = M^{-1} V^T W``.
+    Every face's nodes map to these, so a face F has the mass (|F|/2) M, and
+    P, where the weights cancel, is its projection of node values.
+    """
+    pts, w = face_rule(np.array([[-1.0, 0.0], [1.0, 0.0]]), degree)
+    V = pts[:, :1] ** np.arange(degree + 1)
+    M = V.T @ (w[:, None] * V)
+    return read_only(V), read_only(M), read_only(np.linalg.solve(M, V.T * w))
 
 
 def _power_tables(loc, degree):

@@ -3,8 +3,10 @@
 A preset prescribes the exact state y and adjoint phi in closed form (values
 and Laplacians); the remaining data follow from the optimality system:
 u = -phi/lambda (clamped onto the box when bounds are given), f = -dy - u and
-y_d = y + dphi, where d denotes the Laplacian.  Construction self-checks the
-two PDEs at random sample points.
+y_d = y + dphi, where d denotes the Laplacian.  The trace of y is always
+the state's Dirichlet data, lifted onto the boundary faces: a zero trace
+costs one projection, and no sampled guess can drop a nonzero one.
+Construction self-checks the two PDEs at random sample points.
 """
 
 from __future__ import annotations
@@ -167,7 +169,7 @@ def make_problem(y, phi, lam, bounds=None, seed=42):
         prob = ControlProblem(
             f=f, y_d=y_d, lam=lam, bounds=bounds,
             exact=ExactTriple(y=y.value, phi=phi.value, u=u_exact),
-            state_boundary=_state_boundary(y))
+            state_boundary=y.value)
     except ValueError as exc:
         raise PresetError(str(exc)) from None
     # u_exact reads the box, made once ControlProblem has checked the bounds
@@ -181,17 +183,6 @@ def make_problem(y, phi, lam, bounds=None, seed=42):
     if state_res.max() > 1e-8 * scale or adj_res.max() > 1e-8 * scale:
         raise PresetError("manufactured data failed the PDE self-check")
     return prob
-
-
-def _state_boundary(y):
-    # Nonhomogeneous manufactured traces need lifting onto boundary faces.
-    t = np.linspace(0.0, 1.0, 33)
-    edges = [np.column_stack([t, np.zeros_like(t)]),
-             np.column_stack([t, np.ones_like(t)]),
-             np.column_stack([np.zeros_like(t), t]),
-             np.column_stack([np.ones_like(t), t])]
-    trace = max(np.abs(y.value(e)).max() for e in edges)
-    return y.value if trace > 1e-12 else None
 
 
 def problem_from_preset(preset_id, lam=None, bounds=None):

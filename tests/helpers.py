@@ -16,7 +16,8 @@ library's ``polygon_rules`` to one polygon or cell.  ``single_polygon_rule``
 is the per-polygon reference of that builder: the triangulation and triangle
 rule of one polygon on its own.  ``cell_basis`` and ``recon_basis`` rebuild
 the bases of one cell's record from ``HhoSpace.local_ops()`` out of its
-kernel entries.  ``l2_error_cells``, ``vi_residual_wc1`` and
+kernel entries.  ``face_gauss`` builds one face's Gauss rule and face
+basis from its endpoints alone.  ``l2_error_cells``, ``vi_residual_wc1`` and
 ``reduced_cost`` are not oracles either: they evaluate the L2 error of the
 cell polynomials, the wc1 variational inequality and the reduced cost of a
 control load with the library's kernels and solve.
@@ -221,10 +222,30 @@ def global_monomials(degree):
             for a, b in monomial_exponents(degree)]
 
 
+def face_gauss(mesh, fid, n, dim):
+    """The n-point Gauss-Legendre rule of face ``fid`` and its face basis.
+
+    Returns the points ``(n, 2)``, the weights ``(n,)`` and ``t ** p`` for
+    p < ``dim`` at the points ``(n, dim)``, t the face's arclength
+    coordinate mapped to [-1, 1] in the face's own orientation.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    p0, p1 = mesh.face_points[fid]
+    pts = 0.5 * (p0 + p1) + x[:, None] * (0.5 * (p1 - p0))
+    return pts, 0.5 * math.dist(p0, p1) * w, x[:, None] ** np.arange(dim)
+
+
 def stabilization(op, local):
-    """Per-face residual polynomials S_F v and S_T(v, v) of one cell's DOFs."""
+    """Per-face residual polynomials S_F v and S_T(v, v) of one cell's DOFs.
+
+    Each face's squared residual is integrated with its kernel weights
+    ``fqw``, at whose Gauss-Legendre nodes the face basis is ``t ** p``.
+    """
     polys = op.S_faces @ local
-    value = sum(p @ M @ p for p, M in zip(polys, op.M_faces))
+    value = 0.0
+    for p, fw in zip(polys, op.fqw):
+        x, _ = np.polynomial.legendre.leggauss(len(fw))
+        value += fw @ (x[:, None] ** np.arange(len(p)) @ p) ** 2
     return polys, value / op.h
 
 

@@ -363,7 +363,7 @@ def test_infinite_error_leaves_an_incomplete_report(tmp_path, capsys):
     with pytest.warns(RuntimeWarning):
         rc = main(["run", "--config", str(config), "--out", str(out)])
     assert rc == 1
-    assert "err_y_energy must be finite, got inf" in capsys.readouterr().err
+    assert "Dirichlet data must be finite" in capsys.readouterr().err
     lines = (out / "report.csv").read_text().splitlines()
     assert lines == [CSV_HEADER, "# INCOMPLETE"]
     with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
@@ -373,8 +373,8 @@ def test_infinite_error_leaves_an_incomplete_report(tmp_path, capsys):
 
 def test_report_failure_still_leaves_an_incomplete_report(tmp_path,
                                                           monkeypatch):
-    # mesh sizes that grow make no rates: the report fails after every level
-    # has run, and the levels that do make a report are kept
+    # mesh sizes that grow make no rates: the study fails at the level whose
+    # h grows, and the levels before it are kept
     def growing_h(cfg, prob, level):
         return ErrorRecord(level=level, h=[0.5, 0.25, 1.0][level - 1],
                            n_cells=level, err_u_l2=1.0, err_y_energy=1.0,
@@ -388,6 +388,35 @@ def test_report_failure_still_leaves_an_incomplete_report(tmp_path,
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert [line.split(",")[0] for line in lines] == [
         "level", "1", "2", "# INCOMPLETE"]
+
+
+def test_a_ladder_that_does_not_refine_fails_at_once(tmp_path, monkeypatch,
+                                                     capsys):
+    # with no Lloyd steps, Voronoi 5 has a larger cell than Voronoi 4: the
+    # study stops after level 5, keeps level 4 and runs no further level
+    ran = []
+    run_level = cli.run_level
+
+    def counted(cfg, prob, level):
+        ran.append(level)
+        return run_level(cfg, prob, level)
+
+    monkeypatch.setattr(cli, "run_level", counted)
+    rc = main(["run", "--scheme", "uc31", "--degree", "0", "--mesh", "voronoi",
+               "--levels", "4,5,64", "--lloyd", "0", "--preset",
+               "uc31-default", "--out", str(tmp_path)])
+    assert rc == 1
+    assert ran == [4, 5]
+    assert ("mesh sizes must be strictly decreasing: level 5 has h = 1.01472, "
+            "level 4 has h = 0.783656") in capsys.readouterr().err
+    lines = (tmp_path / "report.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines] == [
+        "level", "4", "# INCOMPLETE"]
+    cfg = make_config(scheme="uc31", mesh_family="voronoi", levels=[4, 5],
+                      lloyd_iters=0, preset="uc31-default",
+                      output_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match="level 5 has h"):
+        run_experiment(cfg)
 
 
 def test_configs_are_frozen():

@@ -167,6 +167,9 @@ def test_eoc_recovers_synthetic_order():
 def test_eoc_zero_error_gives_infinity():
     rates = eoc([1.0, 0.0], [1.0, 0.5])
     assert rates == [math.inf]
+    # an error that grows from exactly 0 has the opposite sign
+    assert eoc([0.0, 1.0], [1.0, 0.5]) == [-math.inf]
+    assert eoc([0.0, 0.0], [1.0, 0.5]) == [math.inf]
 
 
 def test_eoc_validates_inputs():

@@ -3,13 +3,14 @@ import pytest
 
 from hho_control import HhoSpace, make_cartesian, solve_poisson
 from hho_control.errors import energy_error, eoc, l2_error_reconstruction
-from hho_control.hho_core import (OptimalitySystem, _build, _grad_grams,
-                                  _views, cell_load_vector, h1h_seminorm_sq,
-                                  reconstruct_all, reduce_function)
+from hho_control.hho_core import (NonFiniteError, OptimalitySystem, _build,
+                                  _grad_grams, _views, cell_load_vector,
+                                  h1h_seminorm_sq, reconstruct_all,
+                                  reduce_function)
 from hho_control.poly import monomial_grads, space_dimension
 from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
                      cell_face_ids, cell_normals, dense_face_schur,
-                     dense_stiffness, global_monomials, recon_basis,
+                     dense_stiffness, face_gauss, global_monomials, recon_basis,
                      reduce_reconstruct_stabilize, segment_monomial_integral,
                      stabilization, voronoi_with_l_cell)
 
@@ -58,8 +59,7 @@ def test_reconstruction_against_constrained_least_squares_oracle():
     K = np.einsum("nid,n,njd->ij", grads, w, grads)
     rhs = np.zeros(rb.dimension)
     for j, fid in enumerate(op.face_ids):
-        fw = op.fqw[j]
-        fp = op.fqp[j] + op.centroid
+        fp, fw, _ = face_gauss(mesh, fid, len(op.fqw[j]), 1)
         dgn = rb.grad(fp) @ cell_normals(mesh, 0)[j]
         # (v_F - v_T, grad q . n): the cell value is zero here
         rhs += dgn.T @ (fw * local[1 + j])
@@ -95,19 +95,20 @@ def test_stabilization_against_direct_formula_oracle(k):
     dl = space.cell_dim
     total = 0.0
     for j in range(len(op.face_ids)):
-        fw, fp = op.fqw[j], op.fqp[j] + op.centroid
+        fp, fw, Vf = face_gauss(mesh, op.face_ids[j], len(op.fqw[j]),
+                                space.face_dim)
         # Pi_T^l of the reconstruction, evaluated on the face
         w, pts = op.qw, op.qp + op.centroid
         M = cb.eval(pts).T @ (w[:, None] * cb.eval(pts))
         rhs = cb.eval(pts).T @ (w * (rb.eval(pts) @ rec))
         proj_cell = np.linalg.solve(M, rhs)
         resid_vals = (cb.eval(fp) @ red[:dl]
-                      - op.Vf[j] @ red[dl + j * space.face_dim:
+                      - Vf @ red[dl + j * space.face_dim:
                                        dl + (j + 1) * space.face_dim]
                       + rb.eval(fp) @ rec - cb.eval(fp) @ proj_cell)
-        Mf = op.Vf[j].T @ (fw[:, None] * op.Vf[j])
-        coeff = np.linalg.solve(Mf, op.Vf[j].T @ (fw * resid_vals))
-        vals = op.Vf[j] @ coeff
+        Mf = Vf.T @ (fw[:, None] * Vf)
+        coeff = np.linalg.solve(Mf, Vf.T @ (fw * resid_vals))
+        vals = Vf @ coeff
         total += fw @ vals ** 2
     total /= op.h
     assert abs(value - total) < 1e-10 * max(1.0, total)
@@ -147,6 +148,14 @@ def test_projection_error_decreases_with_degree():
     assert all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
 
 
+def test_non_finite_dirichlet_data_are_rejected():
+    space = HhoSpace(cached_cartesian(2), 1, dirichlet=True)
+    for bad in (np.nan, np.inf):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="Dirichlet data"):
+            space.boundary_values(lambda p: np.where(p[:, 0] == 0.0, bad, 1.0))
+
+
 def test_reduce_of_constant():
     mesh = cached_cartesian(2)
     space = HhoSpace(mesh, 1, dirichlet=False)
@@ -156,7 +165,8 @@ def test_reduce_of_constant():
         assert np.abs(cell_vals - 7.0).max() < 1e-12
         for j, fid in enumerate(op.face_ids):
             dofs = space.face_dof_start[fid] + np.arange(space.face_dim)
-            face_vals = op.Vf[j] @ vec[dofs]
+            _, _, Vf = face_gauss(mesh, fid, len(op.fqw[j]), space.face_dim)
+            face_vals = Vf @ vec[dofs]
             assert np.abs(face_vals - 7.0).max() < 1e-12
 
 
@@ -386,7 +396,7 @@ def test_face_trace_energy_term_oracle():
     assert abs(h1h_seminorm_sq(space, vec) - expected) < 1e-13
 
 
-FACE_TABLES = ("fqw", "fqp", "Vf", "Vl_f")
+FACE_TABLES = ("fqw", "Vl_f")
 
 
 def _kernel_entries(op):

@@ -12,8 +12,10 @@ when the gradient products of the local kernels became batched matmuls and
 the monomial power tables repeated products: the kernels changed in their
 summation order only, and the largest move was 5.9e-10 relative in the
 Cartesian uc1 ``err_y_l2_recon``, 9e-13 absolute against an L2 norm of y of
-about 320.  A refactor of the kernel, load, solve or error layers must
-reproduce them to 1e-12 relative.
+about 320.  The two uc1 pins were recorded again when every face came to
+share one reference face table (basis, mass and projection): the largest
+move was 1.8e-12 relative, again in the Cartesian ``err_y_l2_recon``.  A refactor of the
+kernel, load, solve or error layers must reproduce them to 1e-12 relative.
 """
 
 import numpy as np
@@ -27,18 +29,18 @@ PINS = {
         dict(scheme="uc1", degree=1, mesh_family="cartesian",
              preset="uc1-default"), 16,
         dict(h=0.08838834764831845, n_cells=256, iters=None,
-             err_u_l2=0.6451515732869955, err_y_energy=0.5989019550118448,
-             err_phi_energy=0.09502976871468852,
-             err_y_l2_recon=0.001543201257727491,
-             err_phi_l2_recon=0.00031791685140363445)),
+             err_u_l2=0.6451515732869958, err_y_energy=0.5989019550119032,
+             err_phi_energy=0.09502976871468904,
+             err_y_l2_recon=0.0015432012577247531,
+             err_phi_l2_recon=0.00031791685140368183)),
     "uc1-k1-voronoi-64": (
         dict(scheme="uc1", degree=1, mesh_family="voronoi",
              preset="uc1-default", rng_seed=42, lloyd_iters=10), 64,
         dict(h=0.17901135523134254, n_cells=64, iters=None,
-             err_u_l2=2.666722205771289, err_y_energy=2.636086914447208,
-             err_phi_energy=0.3842144954754298,
-             err_y_l2_recon=0.013575569212092835,
-             err_phi_l2_recon=0.0025980711565359686)),
+             err_u_l2=2.6667222057713, err_y_energy=2.636086914447328,
+             err_phi_energy=0.38421449547543457,
+             err_y_l2_recon=0.013575569212074878,
+             err_phi_l2_recon=0.0025980711565362045)),
     "wc2-cartesian-16": (
         dict(scheme="wc2", degree=1, mesh_family="cartesian",
              preset="wc-default"), 16,

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from hho_control import HhoSpace, make_cartesian
+from hho_control.hho_core import _face_projections
 from hho_control.mesh import loop_groups
 from hho_control.poly import (CellBasis, _gauss_legendre, _power_tables,
-                              monomial_exponents, polygon_rules, segment_rule)
+                              face_rule, monomial_exponents, polygon_rules,
+                              reference_face_table, segment_rule)
 from helpers import (cached_voronoi, cell_polygon, cell_quadrature,
                      make_cell_basis, polygon_centroid,
                      polygon_monomial_integral, polygon_quadrature,
@@ -205,16 +207,40 @@ def test_monomial_exponent_order():
 
 
 def test_face_basis_exact_degree():
-    # The kernel's face table Vf holds t^j at the face nodes, t the face's
-    # arclength coordinate mapped to [-1, 1]: the Gauss-Legendre abscissae.
+    # Oracle: the per-face construction of the face basis, mass and
+    # projection.  Each face's arclength coordinate t, mapped to [-1, 1],
+    # sends its Gauss nodes to the reference nodes in either orientation, so
+    # the shared table is every face's basis, and the per-face projection
+    # (Gram matrix and solve) is the table's.
     mesh = cached_voronoi(16)
-    space = HhoSpace(mesh, 2)
-    for op in space.local_ops()[:4]:
-        for j, fid in enumerate(op.face_ids):
-            p0, p1 = mesh.face_points[fid]
-            half = 0.5 * (p1 - p0)
-            t = (op.fqp[j] + op.centroid - 0.5 * (p0 + p1)) @ half / (half @ half)
-            x, _ = _gauss_legendre(len(t))
-            assert np.abs(t - x).max() < 1e-12
-            assert np.abs(op.Vf[j] - x[:, None] ** np.arange(3)).max() < 1e-12
-            assert np.allclose(op.Vf[j], t[:, None] ** np.arange(3))
+    for k in range(4):
+        V, M_ref, P_ref = reference_face_table(k)
+        for ends in (mesh.face_points, mesh.face_points[:, ::-1]):
+            p0, p1 = ends[:, 0], ends[:, 1]
+            pts, w = face_rule(ends, k)
+            mid, half = 0.5 * (p0 + p1), 0.5 * (p1 - p0)
+            inv_sq = 1.0 / (half[:, None, :] @ half[:, :, None])[..., 0]
+            t = ((pts - mid[:, None, :]) @ half[:, :, None])[..., 0] * inv_sq
+            Vt = t[..., None] ** np.arange(k + 1)
+            assert np.abs(Vt - V).max() < 1e-12
+            M_face = np.swapaxes(Vt, 1, 2) @ (w[..., None] * Vt)
+            scale = 0.5 * mesh.face_lengths[:, None, None]
+            assert np.abs(M_face - scale * M_ref).max() < 1e-12 * scale.max()
+            proj = np.linalg.solve(M_face, np.swapaxes(w[..., None] * Vt, 1, 2))
+            assert np.abs(proj - P_ref).max() < 1e-12 * np.abs(P_ref).max()
+
+        # _face_projections of a degree-k polynomial is exact on every face:
+        # its coefficients give back the polynomial at the face's own nodes
+        space = HhoSpace(mesh, k)
+        rng = np.random.default_rng(k)
+        coeffs = rng.standard_normal(len(monomial_exponents(k)))
+        f = lambda p: sum(c * p[:, 0] ** a * p[:, 1] ** b
+                          for c, (a, b) in zip(coeffs, monomial_exponents(k)))
+        faces = np.arange(mesh.n_faces)
+        proj = _face_projections(space, f, faces)
+        x, _ = np.polynomial.legendre.leggauss(k + 2)
+        p0, p1 = mesh.face_points[:, 0], mesh.face_points[:, 1]
+        at = 0.5 * (p0 + p1)[:, None] + x[:, None] * (0.5 * (p1 - p0))[:, None]
+        want = f(at.reshape(-1, 2)).reshape(at.shape[:2])
+        got = proj @ (x[:, None] ** np.arange(k + 1)).T
+        assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())

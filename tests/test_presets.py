@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hho_control.cli import ExperimentConfig, run_level
 from hho_control.control_unconstrained import ControlProblem
 from hho_control.presets import (PresetError, get_preset, make_problem,
                                  parse_expression, preset_ids,
@@ -44,10 +45,20 @@ def test_constrained_preset_clamps_exact_control():
     assert (u == -250.0).any() or (u == -10.0).any()  # the box binds somewhere
 
 
-def test_state_boundary_only_when_trace_nonzero():
-    assert problem_from_preset("uc1-default").state_boundary is not None
-    assert problem_from_preset("uc31-default").state_boundary is None
-    assert problem_from_preset("wc-default").state_boundary is None
+def test_state_trace_is_always_lifted():
+    # y = sin(32 pi x1) vanishes at 33 equispaced points of every edge, yet
+    # its trace on x2 = 0 and x2 = 1 is not zero: the lift must not be
+    # dropped, and at Cartesian 64 it cuts the L2 error of y by a factor 4
+    y = parse_expression("sin(32*pi*x1)")
+    prob = make_problem(y, parse_expression("sin(pi*x1)*sin(pi*x2)"), 1e-2)
+    cfg = ExperimentConfig(scheme="uc1", degree=1, preset="uc1-default",
+                           levels=[64])
+    record = run_level(cfg, prob, 64)
+    assert record.err_y_l2_recon < 0.03      # 0.070 without the lift
+    assert prob.state_boundary is y.value
+    for pid in preset_ids():
+        prob = problem_from_preset(pid)
+        assert prob.state_boundary is get_preset(pid).y.value
 
 
 def test_expression_grammar_roundtrip():
