@@ -14,8 +14,9 @@ from pathlib import Path
 
 from . import presets as presets_mod
 from .control_constrained import PgdConfig, solve_wc1, solve_wc2
-from .control_unconstrained import (ControlProblem, solve_uc1, solve_uc2,
-                                    solve_uc31, solve_uc32)
+from .control_unconstrained import (SCHEMES, ControlProblem, check_scheme,
+                                    solve_uc1, solve_uc2, solve_uc31,
+                                    solve_uc32)
 from .errors import (QUANTITIES, ConvergenceReport, ErrorRecord, energy_error,
                      l2_error_control, l2_error_reconstruction)
 from .hho_core import HhoSpace
@@ -26,7 +27,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-SCHEMES = ("uc1", "uc2", "uc31", "uc32", "wc1", "wc2")
 MESH_FAMILIES = ("cartesian", "voronoi")
 
 CSV_HEADER = ("level,h,n_cells,err_u_l2,rate_u,err_y_energy,rate_y,"
@@ -76,23 +76,11 @@ class ExperimentConfig:
             if not is_count(value):
                 raise ConfigError(
                     f"{name} must be >= 0 and an integer, got {value!r}")
-        k = self.degree
-        if self.scheme == "uc31" and k not in (0, 1):
-            raise ConfigError("uc31 supports degree k in {0, 1} only")
-        if self.scheme == "uc32" and k < 2:
-            raise ConfigError("uc32 requires degree k >= 2")
-        if self.scheme == "wc1" and k != 0:
-            raise ConfigError("wc1 is defined for degree k = 0 only")
-        if self.scheme == "wc2" and k != 1:
-            raise ConfigError("wc2 uses the fixed mixed space V^{1+} (k = 1)")
         try:
             object.__setattr__(self, "problem", self._make_problem())
+            check_scheme(self.scheme, self.degree, self.problem.bounds)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.scheme.startswith("wc") and self.problem.bounds is None:
-            raise ConfigError("bounds required for constrained schemes")
-        if self.scheme.startswith("uc") and self.problem.bounds is not None:
-            raise ConfigError("bounds are not admissible for unconstrained schemes")
 
     def _make_problem(self):
         if self.exact_y or self.exact_phi:
@@ -183,22 +171,19 @@ def _build_mesh(family, n, rng_seed, lloyd_iters):
     return make_voronoi(n, rng_seed=rng_seed, lloyd_iters=lloyd_iters)
 
 
-def _solve_level(cfg, mesh, prob):
-    k = cfg.degree  # validated: 0 for wc1, 1 for wc2
-    mixed = cfg.scheme in ("uc32", "wc2")
-    space = HhoSpace(mesh, k, cell_degree=k + 1 if mixed else k, dirichlet=True)
+def _level_mesh(cfg, level):
+    return _build_mesh(cfg.mesh_family, level, cfg.rng_seed, cfg.lloyd_iters)
+
+
+def _solve_level(cfg, prob, level, mesh):
+    """Solve one level on its mesh and measure all reported errors."""
+    _, mixed, bounded = SCHEMES[cfg.scheme]
+    space = HhoSpace(mesh, cfg.degree, cell_degree=cfg.degree + mixed,
+                     dirichlet=True)
     # looked up per call, so a wrapped module-level solver is the one called
     solve = {"uc1": solve_uc1, "uc2": solve_uc2, "uc31": solve_uc31,
              "uc32": solve_uc32, "wc1": solve_wc1, "wc2": solve_wc2}[cfg.scheme]
-    if cfg.scheme.startswith("wc"):
-        return space, solve(space, prob, cfg.pgd)
-    return space, solve(space, prob)
-
-
-def run_level(cfg, prob, level):
-    """Solve one refinement level and measure all reported errors."""
-    mesh = _build_mesh(cfg.mesh_family, level, cfg.rng_seed, cfg.lloyd_iters)
-    space, sol = _solve_level(cfg, mesh, prob)
+    sol = solve(space, prob, cfg.pgd) if bounded else solve(space, prob)
     exact = prob.exact
     return ErrorRecord(
         level=level, h=mesh.max_diameter(), n_cells=mesh.n_cells,
@@ -208,6 +193,11 @@ def run_level(cfg, prob, level):
         err_y_l2_recon=l2_error_reconstruction(space, sol.y, exact.y),
         err_phi_l2_recon=l2_error_reconstruction(space, sol.phi, exact.phi),
         iters=getattr(sol, "iterations", None))
+
+
+def run_level(cfg, prob, level):
+    """Solve one refinement level and measure all reported errors."""
+    return _solve_level(cfg, prob, level, _level_mesh(cfg, level))
 
 
 def _fmt(x):
@@ -257,21 +247,22 @@ def run_experiment(cfg):
     """Run every level of a configured study and write the reports.
 
     A level whose mesh size h is not below the previous level's fails the
-    study with ConfigError at once.  If a level fails (a non-finite error,
-    say), the levels before it are written, marked ``# INCOMPLETE``, and the
-    error is raised again.
+    study with ConfigError as soon as its mesh is built, before its solve.
+    If a level fails (a non-finite error, say), the levels before it are
+    written, marked ``# INCOMPLETE``, and the error is raised again.
     """
     records = []
     try:
         for level in cfg.levels:
-            record = run_level(cfg, cfg.problem, level)
-            if records and record.h >= records[-1].h:
+            mesh = _level_mesh(cfg, level)
+            h = mesh.max_diameter()
+            if records and h >= records[-1].h:
                 prev = records[-1]
                 raise ConfigError(
                     f"mesh sizes must be strictly decreasing: level {level} "
-                    f"has h = {record.h:.6g}, level {prev.level} has "
+                    f"has h = {h:.6g}, level {prev.level} has "
                     f"h = {prev.h:.6g}")
-            records.append(record)
+            records.append(_solve_level(cfg, cfg.problem, level, mesh))
         report = ConvergenceReport(records)
     except Exception:
         write_report(ConvergenceReport(records), cfg.output_dir, incomplete=True)
@@ -290,7 +281,7 @@ def _add_run_parser(sub):
     p = sub.add_parser("run", help="run a convergence study")
     p.add_argument("--config", help="path to a key = value config document; "
                    "flags given as well override its fields")
-    p.add_argument("--scheme", choices=SCHEMES)
+    p.add_argument("--scheme", choices=list(SCHEMES))
     p.add_argument("--degree")
     p.add_argument("--mesh", dest="mesh_family", choices=MESH_FAMILIES)
     p.add_argument("--levels", help="comma-separated resolutions, e.g. 4,8,16,32")

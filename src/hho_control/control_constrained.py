@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control_unconstrained import CellPolyControl
+from .control_unconstrained import CellPolyControl, check_scheme
 from .hho_core import (OptimalitySystem, SolverError, cell_load_vector,
                        linear_response, reduced_hessian_cg)
 from .mesh import is_count, is_real
@@ -178,8 +178,7 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
     state and adjoint of the last iterate, and every iterate's clamp (node
     arrays too) when ``keep_history`` is set.
     """
-    if prob.bounds is None:
-        raise ValueError("bounds required for constrained schemes")
+    check_scheme(scheme, space.face_degree, prob.bounds, space)
     cfg = cfg or PgdConfig()
     box = AdmissibleBox(*prob.bounds)
     lam = prob.lam
@@ -258,8 +257,6 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
 
 def solve_wc1(space, prob, cfg=None, keep_history=False):
     """Lowest-order scheme: piecewise constant control, k = 0 state/adjoint."""
-    if space.cell_degree != 0 or space.face_degree != 0 or not space.dirichlet:
-        raise ValueError("wc1 requires the zero-trace k = 0 space")
     u, y, phi, *rest = _active_set_newton(space, prob, cfg, keep_history, "wc1")
     control = CellPolyControl(space, u[space.nodes().starts][:, None], "cell")
     return ConstrainedSolution("wc1", y, phi, control, *rest)
@@ -272,8 +269,6 @@ def solve_wc2(space, prob, cfg=None, keep_history=False):
     cell polynomial, carried as samples at the cell quadrature nodes, which is
     exact for every load the scheme needs.
     """
-    if space.cell_degree != 2 or space.face_degree != 1 or not space.dirichlet:
-        raise ValueError("wc2 requires the zero-trace mixed space V^{1+}")
     u, y, phi, *rest = _active_set_newton(space, prob, cfg, keep_history, "wc2")
     control = ClampedAdjointControl(space, phi, prob.lam,
                                     AdmissibleBox(*prob.bounds), u)

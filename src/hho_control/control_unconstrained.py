@@ -28,7 +28,7 @@ UC32_REDUCTION = 1e-13  # of the uc32 CG residual, in the C-norm
 
 
 class UnsupportedDegreeError(ValueError):
-    """Scheme invoked outside its admissible polynomial degrees."""
+    """A face degree k that the scheme's rule (``SCHEMES``) does not admit."""
 
 
 @dataclass
@@ -60,6 +60,35 @@ class ControlProblem:
             if np.shape(self.bounds) != (2,):
                 raise ValueError(f"bounds must be a pair, got {self.bounds!r}")
             AdmissibleBox(*self.bounds)
+
+
+# scheme -> ((lowest, highest or None) face degree k, cell degree k + 1
+# rather than k, bounds required rather than rejected)
+SCHEMES = {
+    "uc1": ((0, None), False, False),
+    "uc2": ((0, None), False, False),
+    "uc31": ((0, 1), False, False),
+    "uc32": ((2, None), True, False),
+    "wc1": ((0, 0), False, True),
+    "wc2": ((1, 1), True, True),
+}
+
+
+def check_scheme(name, k, bounds, space=None):
+    """The one check of a scheme's face degree k, bounds and optional space."""
+    (lo, hi), mixed, bounded = SCHEMES[name]
+    if k < lo or (hi is not None and k > hi):
+        allowed = (f"k >= {lo}" if hi is None else
+                   "k in {" + ", ".join(map(str, range(lo, hi + 1))) + "}")
+        raise UnsupportedDegreeError(f"{name} supports {allowed} only, "
+                                     f"got k={k}")
+    if bounded != (bounds is not None):
+        raise ValueError(f"{name}: bounds " + ("required" if bounded
+                                               else "are not admissible"))
+    if space is not None and (space.cell_degree != k + mixed
+                              or not space.dirichlet):
+        raise ValueError(f"{name} requires the zero-trace space of cell "
+                         f"degree {k + mixed} and face degree {k}")
 
 
 class CellPolyControl:
@@ -97,14 +126,6 @@ class OptimalitySolution:
     control_hat: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
     refinement: dict = field(default_factory=dict)
-
-
-def _check_space(space, prob, scheme, order="equal"):
-    if prob.bounds is not None:
-        raise ValueError("unconstrained scheme called with bounds")
-    mixed = order == "mixed"
-    if space.cell_degree != space.face_degree + mixed or not space.dirichlet:
-        raise ValueError(f"{scheme} requires the {order}-order zero-trace space")
 
 
 def _solve_two_field(space, prob, scheme, recon=False):
@@ -148,13 +169,13 @@ def _solve_two_field(space, prob, scheme, recon=False):
 
 def solve_uc1(space, prob):
     """Cell-polynomial control of degree k; state and adjoint in the k-space."""
-    _check_space(space, prob, "uc1")
+    check_scheme("uc1", space.face_degree, prob.bounds, space)
     return _solve_two_field(space, prob, "uc1")
 
 
 def solve_uc2(space, prob):
     """Variational discretization; algebraically identical to the uc1 system."""
-    _check_space(space, prob, "uc2")
+    check_scheme("uc2", space.face_degree, prob.bounds, space)
     return _solve_two_field(space, prob, "uc2")
 
 
@@ -165,10 +186,7 @@ def solve_uc31(space, prob):
     of the zero-trace unknowns lie inside the control space, so the blocks
     reduce to the reconstruction mass matrix B = G^T M_{k+1} G.
     """
-    _check_space(space, prob, "uc31")
-    if space.face_degree not in (0, 1):
-        raise UnsupportedDegreeError(
-            f"full reconstruction supports k in {{0, 1}}, got k={space.face_degree}")
+    check_scheme("uc31", space.face_degree, prob.bounds, space)
     return _solve_two_field(space, prob, "uc31", recon=True)
 
 
@@ -203,11 +221,8 @@ def solve_uc32(space, prob):
     adjoint are then refined once.  ``residuals`` are relative to the whole
     right-hand side; ``refinement`` is the adjoint solve's plus ``cg_steps``.
     """
-    _check_space(space, prob, "uc32", "mixed")
     k = space.face_degree
-    if k < 2:
-        raise UnsupportedDegreeError(
-            f"partial reconstruction requires k >= 2, got k={k}")
+    check_scheme("uc32", k, prob.bounds, space)
     control_space = HhoSpace(space.mesh, k, dirichlet=False)
 
     A = space.stiffness_matrix()

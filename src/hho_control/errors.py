@@ -25,7 +25,7 @@ def _require_finite(values, what):
 
 def energy_error(space, vec, v_exact):
     """Discrete H1-like distance || I_h v - v_h ||_{1,h}."""
-    ref = reduce_function(space, v_exact, include_boundary=True)
+    ref = reduce_function(space, v_exact)
     return math.sqrt(h1h_seminorm_sq(space, space.dof_vector(vec) - ref))
 
 

@@ -235,14 +235,16 @@ class KernelGroup:
         return self.kernels["qw"].shape[1]
 
 
-def _build_kernels(space, pts, w, centroids, h, measure, face_ends, lengths,
-                   normals):
+def _build_kernels(space, pts, w, centroids, h, face_ends, lengths, normals):
     """Kernels of cells with one face count and rule size, stacked by cell.
 
     ``pts`` ``(B, n, 2)`` and ``w`` ``(B, n)`` hold each cell's quadrature
     rule, ``face_ends`` the endpoints of its faces in loop order ``(B, m, 2,
     2)`` (each in the face's own orientation), ``lengths`` their lengths
     ``(B, m)`` and ``normals`` its outward face normals ``(B, m, 2)``.
+    The entries returned are the ones the library reads, plus
+    ``recon_degree``, ``Qr`` and ``S_faces``, which the test oracles read; a
+    cell's area is ``mesh.cell_areas`` and its basis integrals ``qw @ Vl``.
     Every product and solve acts on the whole stack, and each is a batched
     ``matmul`` or ``solve``: the gradient products through ``_grad_grams``,
     the orthonormalizing transforms as ``T[:, None] @ g``.  Every face shares
@@ -329,11 +331,10 @@ def _build_kernels(space, pts, w, centroids, h, measure, face_ends, lengths,
 
     return {
         "cell_degree": l, "recon_degree": r,
-        "h": h, "measure": measure, "Ql": Ql, "Qr": Qr,
+        "h": h, "Ql": Ql, "Qr": Qr,
         "qw": w, "qp": pts - centroids[:, None, :],
         "Vl": Vl, "Vr": Vr,
         "M_cell": M_cell, "M_recon": M_recon, "K_cell": K_cell,
-        "int_cell": int_cell,
         "G": G, "A": A, "S_faces": S_faces, "fqw": fw, "Vl_f": Vl_f,
     }
 
@@ -373,8 +374,8 @@ def _build(space, cell_ids):
             r = reps[sel]
             kernels = _build_kernels(
                 space, pts, w, c0[r], mesh.cell_diameters[ids[r]],
-                mesh.cell_areas[ids[r]], mesh.face_points[fids[r]],
-                mesh.face_lengths[fids[r]], signs[r][..., None] * mesh.face_normals[fids[r]])
+                mesh.face_points[fids[r]], mesh.face_lengths[fids[r]],
+                signs[r][..., None] * mesh.face_normals[fids[r]])
             row_of = np.full(len(ids), -1)
             row_of[r] = np.arange(len(r))
             rows = row_of[kernel_of]
@@ -515,13 +516,11 @@ def _face_projections(space, f, faces):
     return fv @ poly.reference_face_table(k)[2].T  # P_ref^T
 
 
-def reduce_function(space, f, include_boundary=False):
+def reduce_function(space, f):
     """Global reduction of f: cellwise and facewise L2 projections.
 
-    With a Dirichlet space the boundary blocks are zeroed (the interpolant
-    lands in the zero-trace space) unless ``include_boundary`` asks for the
-    faithful trace projections, which error measurement against solutions
-    carrying lifted boundary data needs.
+    Every face is projected, a Dirichlet space's boundary faces too: a
+    solution carries the lifted trace of its boundary data.
     """
     t = space.nodes()
     vec = np.zeros(space.n_dofs)
@@ -530,11 +529,8 @@ def reduce_function(space, f, include_boundary=False):
     for g in t.groups:
         cells[g.cells] = np.linalg.solve(g.kernels["M_cell"][g.rows],
                                          rhs[g.cells][..., None])[..., 0]
-    faces = np.arange(space.mesh.n_faces)
-    if space.dirichlet and not include_boundary:
-        faces = faces[~np.isin(faces, space.mesh.boundary_faces)]
-    vec[space.face_dof_start[faces, None] + np.arange(space.face_dim)] = \
-        _face_projections(space, f, faces)
+    vec[space.n_cell_dofs:] = _face_projections(
+        space, f, np.arange(space.mesh.n_faces)).ravel()
     return vec
 
 

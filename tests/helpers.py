@@ -373,8 +373,9 @@ def vi_residual_wc1(space, solution, prob):
     worst = np.inf
     for g in space.kernel_groups():
         k, rows, ug = g.kernels, g.rows, u[g.cells]
-        grad = ((k["int_cell"][rows][:, None, :] @ phi[g.cells][..., None])[:, 0, 0]
-                + prob.lam * ug * k["measure"][rows])
+        int_cell = k["qw"][rows][:, None, :] @ k["Vl"][rows]
+        grad = ((int_cell @ phi[g.cells][..., None])[:, 0, 0]
+                + prob.lam * ug * space.mesh.cell_areas[g.cells])
         for v in prob.bounds:
             worst = min(worst, float(np.min(grad * (v - ug))))
     return worst

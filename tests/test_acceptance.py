@@ -359,9 +359,9 @@ def test_criterion_9_oracle_equivalence():
     L = np.zeros((n, nc))
     lookup = {d: i for i, d in enumerate(act)}
     for op in ops:
-        for d, v in zip(cell_dofs(space, op.cell_id), op.int_cell):
+        for d, v in zip(cell_dofs(space, op.cell_id), op.qw @ op.Vl):
             L[lookup[d], op.cell_id] = v
-    areas = np.array([op.measure for op in ops])
+    areas = small.cell_areas
     found = None
     for pattern in itertools.product(("lo", "hi", "free"), repeat=nc):
         big = np.zeros((2 * n + nc, 2 * n + nc))

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import os
 import re
 import subprocess
@@ -10,8 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hho_control import PgdConfig, cli, hho_core, make_cartesian
+from hho_control import (PgdConfig, UnsupportedDegreeError, cli, hho_core,
+                         make_cartesian)
+from hho_control.control_unconstrained import SCHEMES
 from hho_control.hho_core import HhoSpace
+from hho_control.presets import problem_from_preset
 from hho_control.cli import (CSV_HEADER, ConfigError, ExperimentConfig,
                              _config_from_fields, _parse_document, main,
                              run_experiment)
@@ -43,6 +47,39 @@ def test_config_comments_and_lists():
     cfg = parse_config(text)
     assert cfg.levels == (4, 8)
     assert cfg.bounds == (-250.0, -10.0)
+
+
+# the face degrees k of each scheme in the paper, and its box-constrained ones
+PAPER_DEGREES = {"uc1": {0, 1, 2, 3}, "uc2": {0, 1, 2, 3}, "uc31": {0, 1},
+                 "uc32": {2, 3}, "wc1": {0}, "wc2": {1}}
+PAPER_BOUNDED = {"wc1", "wc2"}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+def test_config_accepts_exactly_what_the_solver_accepts(scheme):
+    # the solver runs on the space built from the scheme table, as a level
+    # does; a rejection names the same rule in the config and the solver
+    solve = getattr(cli, f"solve_{scheme}")
+    _, mixed, _ = SCHEMES[scheme]
+    mesh = make_cartesian(2)
+    for k, bounds in itertools.product(range(4), (None, (-250.0, -10.0))):
+        space = HhoSpace(mesh, k, cell_degree=k + mixed, dirichlet=True)
+        try:
+            solve(space, problem_from_preset("uc1-default", bounds=bounds))
+            rejected = None
+        except ValueError as exc:
+            rejected = exc
+        admissible = (k in PAPER_DEGREES[scheme]
+                      and (bounds is not None) == (scheme in PAPER_BOUNDED))
+        assert (rejected is None) == admissible, (k, bounds, rejected)
+        if k not in PAPER_DEGREES[scheme]:
+            assert isinstance(rejected, UnsupportedDegreeError), (k, bounds)
+        if rejected is None:
+            make_config(scheme=scheme, degree=k, bounds=bounds)
+        else:
+            with pytest.raises(ConfigError) as err:
+                make_config(scheme=scheme, degree=k, bounds=bounds)
+            assert str(err.value) == str(rejected)
 
 
 def test_uc31_degree_rule_named():
@@ -374,14 +411,11 @@ def test_infinite_error_leaves_an_incomplete_report(tmp_path, capsys):
 def test_report_failure_still_leaves_an_incomplete_report(tmp_path,
                                                           monkeypatch):
     # mesh sizes that grow make no rates: the study fails at the level whose
-    # h grows, and the levels before it are kept
-    def growing_h(cfg, prob, level):
-        return ErrorRecord(level=level, h=[0.5, 0.25, 1.0][level - 1],
-                           n_cells=level, err_u_l2=1.0, err_y_energy=1.0,
-                           err_phi_energy=1.0, err_y_l2_recon=1.0,
-                           err_phi_l2_recon=1.0)
+    # h grows, and the levels solved before it are kept
+    def growing_h(family, n, rng_seed, lloyd_iters):
+        return make_cartesian([4, 8, 2][n - 1])
 
-    monkeypatch.setattr(cli, "run_level", growing_h)
+    monkeypatch.setattr(cli, "_build_mesh", growing_h)
     cfg = make_config(levels=[1, 2, 3], output_dir=str(tmp_path))
     with pytest.raises(ValueError, match="strictly decreasing"):
         run_experiment(cfg)
@@ -393,20 +427,21 @@ def test_report_failure_still_leaves_an_incomplete_report(tmp_path,
 def test_a_ladder_that_does_not_refine_fails_at_once(tmp_path, monkeypatch,
                                                      capsys):
     # with no Lloyd steps, Voronoi 5 has a larger cell than Voronoi 4: the
-    # study stops after level 5, keeps level 4 and runs no further level
-    ran = []
-    run_level = cli.run_level
+    # study stops once the mesh of level 5 is built, keeps level 4 and
+    # solves no further level
+    solved = []
+    solve_uc31 = cli.solve_uc31
 
-    def counted(cfg, prob, level):
-        ran.append(level)
-        return run_level(cfg, prob, level)
+    def counted(space, prob):
+        solved.append(space.mesh.n_cells)
+        return solve_uc31(space, prob)
 
-    monkeypatch.setattr(cli, "run_level", counted)
+    monkeypatch.setattr(cli, "solve_uc31", counted)
     rc = main(["run", "--scheme", "uc31", "--degree", "0", "--mesh", "voronoi",
                "--levels", "4,5,64", "--lloyd", "0", "--preset",
                "uc31-default", "--out", str(tmp_path)])
     assert rc == 1
-    assert ran == [4, 5]
+    assert solved == [4]
     assert ("mesh sizes must be strictly decreasing: level 5 has h = 1.01472, "
             "level 4 has h = 0.783656") in capsys.readouterr().err
     lines = (tmp_path / "report.csv").read_text().splitlines()

@@ -98,7 +98,7 @@ def test_wc1_feasible_at_every_iterate_and_cost_monotone():
     box = AdmissibleBox(*prob.bounds)
     costs = []
     ops = space.local_ops()
-    areas = np.array([op.measure for op in ops])
+    areas = mesh.cell_areas
     nodes = space.nodes()
     for at_nodes in sol.history:
         # a k = 0 control carries one value per cell at all of its nodes
@@ -107,7 +107,8 @@ def test_wc1_feasible_at_every_iterate_and_cost_monotone():
         assert (u >= box.u_a).all() and (u <= box.u_b).all()
         load = np.zeros(space.n_dofs)
         for op in ops:
-            load[cell_dofs(space, op.cell_id)] = u[op.cell_id] * op.int_cell
+            load[cell_dofs(space, op.cell_id)] = (u[op.cell_id]
+                                                  * (op.qw @ op.Vl))
         costs.append(reduced_cost(space, prob, load, float(areas @ u ** 2)))
     slack = 1e-12 * (1.0 + abs(costs[0]))
     assert all(c2 <= c1 + slack for c1, c2 in zip(costs, costs[1:]))
@@ -128,8 +129,8 @@ def test_wc1_variational_inequality_at_convergence():
     u, ref = sol.control.coeffs[:, 0], np.inf
     for op in space.local_ops():
         i = op.cell_id
-        grad = (op.int_cell @ space.cell_blocks(sol.phi)[i]
-                + prob.lam * u[i] * op.measure)
+        grad = ((op.qw @ op.Vl) @ space.cell_blocks(sol.phi)[i]
+                + prob.lam * u[i] * mesh.cell_areas[i])
         for v in prob.bounds:
             ref = min(ref, grad * (v - u[i]))
     assert worst == ref
@@ -155,9 +156,9 @@ def test_wc1_matches_active_set_enumeration_oracle():
     L = np.zeros((n, nc))
     lookup = {d: i for i, d in enumerate(act)}
     for op in ops:
-        for d, v in zip(cell_dofs(space, op.cell_id), op.int_cell):
+        for d, v in zip(cell_dofs(space, op.cell_id), op.qw @ op.Vl):
             L[lookup[d], op.cell_id] = v
-    areas = np.array([op.measure for op in ops])
+    areas = mesh.cell_areas
 
     best = None
     for pattern in itertools.product(("lo", "hi", "free"), repeat=nc):

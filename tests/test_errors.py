@@ -18,7 +18,7 @@ def test_energy_error_zero_for_interpolant():
     mesh = cached_cartesian(3)
     space = HhoSpace(mesh, 1, dirichlet=True)
     v = lambda p: np.sin(np.pi * p[:, 0]) * np.sin(np.pi * p[:, 1])
-    vec = reduce_function(space, v, include_boundary=True)
+    vec = reduce_function(space, v)
     assert energy_error(space, vec, v) < 1e-12
 
 

@@ -5,7 +5,8 @@ function or class and each method that is not a dunder.  A name counts as
 used when some ``ast.Name`` or ``ast.Attribute`` in the package (outside
 ``__init__.py``, which only re-exports) or in ``bench/`` spells it.  The
 match is by spelling, so it can miss dead code that shares a name with
-something live, but it never flags code that runs.
+something live, but it never flags code that runs.  The definitions that
+only ``bench/`` calls are named in ``BENCH_ONLY``.
 """
 
 import ast
@@ -22,6 +23,16 @@ ALLOWED = {
                  "its methods are allowed with it",
 }
 
+# called from bench/ and from no library code; ``run_experiment`` solves a
+# level on the mesh it has checked, so only the benchmark asks ``run_level``
+# to build the mesh too.  Once the benchmark reads the library's own records
+# (ROADMAP item 2), ROADMAP item 6 can delete the other three.
+BENCH_ONLY = {"HhoSpace.local_ops", "ExperimentConfig.build_problem",
+              "ConvergenceReport.final_rate", "run_level"}
+
+LIBRARY = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+BENCH = list((ROOT / "bench").glob("*.py"))
+
 
 def _definitions():
     """``(qualified name, name)`` of every checked definition."""
@@ -37,9 +48,7 @@ def _definitions():
                         yield f"{node.name}.{item.name}", item.name
 
 
-def _used_names():
-    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    files += (ROOT / "bench").glob("*.py")
+def _used_names(files):
     names = set()
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
@@ -51,7 +60,7 @@ def _used_names():
 
 
 def test_every_library_definition_has_a_caller():
-    used = _used_names()
+    used = _used_names(LIBRARY + BENCH)
     unused = [qualified for qualified, name in _definitions()
               if name not in used and qualified.split(".")[0] not in ALLOWED]
     assert unused == [], f"defined in src/ but used only by tests: {unused}"
@@ -60,3 +69,10 @@ def test_every_library_definition_has_a_caller():
 def test_allowlist_names_existing_definitions():
     defined = {qualified for qualified, _ in _definitions()}
     assert set(ALLOWED) <= defined
+
+
+def test_bench_only_definitions_are_named():
+    in_library, in_bench = _used_names(LIBRARY), _used_names(BENCH)
+    bench_only = {qualified for qualified, name in _definitions()
+                  if name not in in_library and name in in_bench}
+    assert bench_only == BENCH_ONLY
