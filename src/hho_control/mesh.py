@@ -253,8 +253,8 @@ class Mesh:
 
 def make_cartesian(n):
     """Uniform n-by-n grid of axis-aligned square cells covering (0, 1)^2."""
-    if n < 1:
-        raise MeshGenerationError("n must be >= 1")
+    if not (is_count(n) and n >= 1):
+        raise MeshGenerationError(f"n must be a positive integer, got {n!r}")
     coords = np.linspace(0.0, 1.0, n + 1)
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
     vertices = np.column_stack([xx.ravel(), yy.ravel()])
@@ -274,22 +274,31 @@ def _circumcenters(tri):
                              b[:, 0] * cc - c[:, 0] * bb), axis=1) / d[:, None]
 
 
-def _clipped_voronoi(points):
-    """Voronoi cells of points in (0,1)^2, clipped exactly to the square.
+def _delaunay_stars(points):
+    """Delaunay triangles at each seed of points in (0,1)^2 and their mirrors.
 
-    The seeds within delta of a wall are mirrored across it, and the cell
-    vertices are the circumcenters of the Delaunay triangles of the seeds and
-    their mirrors.  No mirror is nearer to a point of the square than its own
-    seed, so a seed's region, cut to the square, is always its clipped cell;
-    when every seed's region is bounded and its circumcenters lie in the
-    square (to 1e-9), the regions are the clipped cells.  Otherwise delta is
-    doubled, from 2/sqrt(N), and the diagram is built again; once delta >= 1
-    every seed is mirrored across every wall and the 5N points tile the
-    square exactly.  Returns the circumcenters and the CSR table ``(ptr,
-    ids)`` of the seeds' regions, each sorted by angle about its seed.  A
-    cell whose seed meets a cocircular quadruple (for instance two seeds and
-    their mirrors) lists the circumcenters of both triangles of that
-    quadruple, which coincide to round-off.
+    The seeds within delta of a wall are mirrored across it, and the sites
+    (seeds, then mirrors) are triangulated by Qhull with joggled input
+    (``QJ``): every facet comes out a triangle and no cocircular facets are
+    merged.  A cocircular quadruple (for instance two seeds and their
+    mirrors) then gets one of its two diagonals, and both of its triangles
+    have the same circumcenter to round-off, so the choice moves no cell.
+    The circumcenters are computed from the sites themselves, not the
+    joggled points.  No mirror is nearer to a point of the square than its
+    own seed, so a seed's Voronoi region, cut to the square, is always its
+    clipped cell; when every seed's region is bounded and its circumcenters
+    lie in the square (to 1e-9), the regions are the clipped cells.
+    Otherwise delta is doubled, from 2/sqrt(N), and the sites are
+    triangulated again; once delta >= 1 every seed is mirrored across every
+    wall and the 5N points tile the square exactly.
+
+    Returns the circumcenters and, per (seed, triangle at that seed) pair,
+    the arrays ``seed``, ``simplex`` and ``following``: the triangle across
+    the triangle's next edge at the seed in counter-clockwise order, so the
+    circumcenters of ``simplex`` then ``following`` run counter-clockwise
+    along the seed's cell.  Raises ``MeshGenerationError`` for a seed whose
+    region stays unbounded, has fewer than three triangles or a non-finite
+    circumcenter (a flat triangle).
     """
     from scipy.spatial import Delaunay, QhullError
 
@@ -303,32 +312,74 @@ def _clipped_voronoi(points):
             mirrors.append(r)
         sites = np.vstack([points] + mirrors)
         try:
-            tri = Delaunay(sites)
+            tri = Delaunay(sites, qhull_options="QJ")
         except QhullError:      # the seeds and their mirrors are collinear
             if delta >= 1.0:
                 raise
             delta *= 2.0
             continue
-        centers = _circumcenters(sites[tri.simplices])
-        seed = tri.simplices.ravel()
-        own = seed < n
-        seed, simplex = seed[own], np.repeat(np.arange(len(centers)), 3)[own]
-        unbounded = np.isin(np.arange(n), tri.convex_hull)
+        corners = sites[tri.simplices]
+        centers = _circumcenters(corners)
+        simplex, corner = np.nonzero(tri.simplices < n)
+        seed = tri.simplices[simplex, corner]
+        on_hull = np.zeros(len(sites), dtype=bool)
+        on_hull[tri.convex_hull] = True
+        unbounded = on_hull[:n]
         outside = ~((centers[simplex] >= -1e-9)
                     & (centers[simplex] <= 1.0 + 1e-9)).all(1)
         if delta >= 1.0 or not (unbounded.any() or outside.any()):
             break
         delta *= 2.0
-    ang = np.arctan2(centers[simplex, 1] - points[seed, 1],
-                     centers[simplex, 0] - points[seed, 0])
-    order = np.lexsort((ang, seed))
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(seed, minlength=n))))
-    bad = (np.diff(ptr) < 3) | unbounded
+    bad = (np.bincount(seed, minlength=n) < 3) | unbounded
     bad[seed[~np.isfinite(centers[simplex]).all(1)]] = True
     if bad.any():
         raise MeshGenerationError(
             f"degenerate Voronoi cell for seed {np.argmax(bad)}")
+    # the next edge at corner i is the one to corner i + 2 on a
+    # counter-clockwise triangle, to corner i + 1 on a clockwise one; the
+    # neighbour across it is opposite the remaining corner
+    ccw = twice_area(corners[:, 0], corners[:, 1], corners[:, 2]) > 0.0
+    side = (corner + np.where(ccw[simplex], 1, 2)) % 3
+    following = tri.neighbors[simplex, side]
+    return centers, seed, simplex, following
+
+
+def _clipped_voronoi(points):
+    """Voronoi cells of points in (0,1)^2, clipped exactly to the square.
+
+    Returns the circumcenters of ``_delaunay_stars`` and the CSR table
+    ``(ptr, ids)`` of the seeds' cells, each sorted by angle about its seed.
+    A cell whose seed meets a cocircular quadruple lists the circumcenters
+    of the quadruple's triangles at the seed; whichever diagonal the joggle
+    picked, they coincide to round-off, and ``make_voronoi`` merges them.
+    """
+    centers, seed, simplex, _ = _delaunay_stars(points)
+    ang = np.arctan2(centers[simplex, 1] - points[seed, 1],
+                     centers[simplex, 0] - points[seed, 0])
+    order = np.lexsort((ang, seed))
+    counts = np.bincount(seed, minlength=len(points))
+    ptr = np.concatenate(([0], np.cumsum(counts)))
     return centers, ptr, simplex[order]
+
+
+def _lloyd_round(points):
+    """Centroids of the clipped Voronoi cells of points in (0,1)^2.
+
+    Each cell is the fan of the triangles (p, c_T, c_N) about its seed p,
+    one per Delaunay triangle T at p, where N follows T counter-clockwise
+    about p (``_delaunay_stars``) and c are circumcenters.  The signed areas
+    and first moments are summed per seed by ``np.bincount``, so no cell is
+    sorted by angle; the fan triangles of coincident circumcenters have no
+    area.
+    """
+    centers, seed, simplex, following = _delaunay_stars(points)
+    p = points[seed]
+    a, b = centers[simplex] - p, centers[following] - p
+    w = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]       # twice the fan area
+    n = len(points)
+    moments = np.column_stack([np.bincount(seed, w * (a[:, d] + b[:, d]), n)
+                               for d in (0, 1)])
+    return points + moments / (3.0 * np.bincount(seed, w, n))[:, None]
 
 
 def _snap_to_walls(vertices, tol=1e-9):
@@ -398,7 +449,12 @@ def is_real(value):
 
 
 def _lloyd_seeds(n_seeds, rng_seed, lloyd_iters):
-    """Jittered grid seeds after ``lloyd_iters`` moves to their cell centroids."""
+    """Jittered grid seeds after ``lloyd_iters`` moves to their cell centroids.
+
+    Each move is one ``_lloyd_round``: the centroids come straight from the
+    fan triangles of the Delaunay triangles at each seed, with no cell
+    sorted by angle.
+    """
     rng = np.random.default_rng(rng_seed)
     m = math.ceil(math.sqrt(n_seeds))
     centers = (np.arange(m) + 0.5) / m
@@ -410,10 +466,7 @@ def _lloyd_seeds(n_seeds, rng_seed, lloyd_iters):
         keep = np.sort(rng.choice(len(seeds), size=n_seeds, replace=False))
         seeds = seeds[keep]
     for _ in range(lloyd_iters):
-        vor_vertices, ptr, regions = _clipped_voronoi(seeds)
-        seeds = np.empty((n_seeds, 2))
-        for at, idx in loop_groups(ptr):
-            seeds[at] = _areas_centroids(vor_vertices[regions[idx]])[1]
+        seeds = _lloyd_round(seeds)
     return seeds
 
 
@@ -421,16 +474,23 @@ def make_voronoi(n_seeds, rng_seed=42, lloyd_iters=10):
     """Voronoi-like polygonal mesh of (0,1)^2 from Lloyd-relaxed jittered seeds.
 
     Deterministic for fixed (n_seeds, rng_seed, lloyd_iters): the jitter uses
-    a seeded generator and the diagram construction has no randomness.  The
-    cells come from ``_clipped_voronoi`` (Delaunay circumcenters of the seeds
-    and their near-wall mirrors, widened until the cells close inside the
-    square); their vertices are snapped onto the walls, merged where they
-    coincide, and short edges are collapsed.
+    a seeded generator, and Qhull seeds the generator of its joggle the same
+    way for every triangulation, so earlier calls in the process change
+    nothing.  The Lloyd rounds take centroids from the Delaunay fans
+    (``_lloyd_round``); the cells come from ``_clipped_voronoi`` (Delaunay
+    circumcenters of the seeds and their near-wall mirrors, widened until
+    the cells close inside the square).  The joggle triangulates a
+    cocircular tie either way, and both ways give the same circumcenter, so
+    only the numbering of coincident circumcenters depends on it.  The
+    cells' vertices are snapped onto the walls, merged where they coincide,
+    and short edges are collapsed.
     """
-    if n_seeds < 1:
-        raise MeshGenerationError("n_seeds must be >= 1")
-    if lloyd_iters < 0:
-        raise MeshGenerationError("lloyd_iters must be >= 0")
+    if not (is_count(n_seeds) and n_seeds >= 1):
+        raise MeshGenerationError(
+            f"n_seeds must be a positive integer, got {n_seeds!r}")
+    if not is_count(lloyd_iters):
+        raise MeshGenerationError(
+            f"lloyd_iters must be a non-negative integer, got {lloyd_iters!r}")
     if not is_count(rng_seed):
         raise MeshGenerationError(
             f"rng_seed must be a non-negative integer, got {rng_seed!r}")

@@ -15,7 +15,8 @@ process, on first use, and shared read-only; the quadrature and monomial
 functions work on stacked arrays so that local kernels of many cells are
 built in one call.  Monomials and their gradients are gathered from power
 tables of each coordinate, filled by repeated multiplication (the bits of a
-cumulative product) rather than by a generic power.
+cumulative product) rather than by a generic power; the gradients' x and y
+components are written straight into one C-order table.
 """
 
 from __future__ import annotations
@@ -227,15 +228,18 @@ def monomial_values(loc, degree):
 def monomial_grads(loc, degree, scale):
     """Gradients ``(..., n, dim, 2)`` of the monomials of cells of size ``scale``.
 
-    ``scale`` broadcasts against the leading axes of ``loc``.
+    ``scale`` broadcasts against the leading axes of ``loc``.  The x and y
+    components are written into one preallocated C-order table, so later
+    products see one memory layout without a stacking copy.
     """
     e = np.asarray(monomial_exponents(degree))
     a, b = e[:, 0], e[:, 1]
     px, py = _power_tables(loc, degree)
     scale = np.asarray(scale)[..., None, None]
-    gx = a * px[..., np.maximum(a - 1, 0)] * py[..., b] / scale
-    gy = b * px[..., a] * py[..., np.maximum(b - 1, 0)] / scale
-    return np.ascontiguousarray(np.stack([gx, gy], axis=-1))
+    g = np.empty(loc.shape[:-1] + (len(e), 2))
+    g[..., 0] = a * px[..., np.maximum(a - 1, 0)] * py[..., b] / scale
+    g[..., 1] = b * px[..., a] * py[..., np.maximum(b - 1, 0)] / scale
+    return g
 
 
 class CellBasis:

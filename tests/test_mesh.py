@@ -62,16 +62,34 @@ def test_interior_normals_opposite_and_shape_surrogate(seeds):
 
 
 def test_voronoi_determinism():
+    from scipy.spatial import Delaunay
+
     a = write_mesh(make_voronoi(16, rng_seed=123, lloyd_iters=4))
     b = write_mesh(make_voronoi(16, rng_seed=123, lloyd_iters=4))
     c = write_mesh(make_voronoi(16, rng_seed=np.int64(123), lloyd_iters=4))
-    assert a == b == c
+    # Qhull's joggle must not carry state from unrelated triangulations
+    for k in range(3):
+        Delaunay(np.random.default_rng(k).uniform(size=(40 + k, 2)),
+                 qhull_options="QJ")
+    d = write_mesh(make_voronoi(16, rng_seed=123, lloyd_iters=4))
+    assert a == b == c == d
 
 
 @pytest.mark.parametrize("seed", [-3, True, 1.5, None])
 def test_voronoi_seed_must_be_a_non_negative_integer(seed):
     with pytest.raises(MeshGenerationError, match="rng_seed"):
         make_voronoi(16, rng_seed=seed)
+
+
+@pytest.mark.parametrize("name, build", [
+    ("n_seeds", lambda v: make_voronoi(v)),
+    ("lloyd_iters", lambda v: make_voronoi(16, lloyd_iters=v)),
+    ("n", lambda v: make_cartesian(v)),
+])
+@pytest.mark.parametrize("value", [True, False, 2.5, 16.0, "16", None, -1])
+def test_generator_counts_must_be_integers(name, build, value):
+    with pytest.raises(MeshGenerationError, match=name):
+        build(value)
 
 
 def test_voronoi_partition_of_unity():
@@ -118,9 +136,9 @@ def test_clipped_cells_widen_the_mirror_band_until_they_close(
 
     calls = []
 
-    def counted(sites):
+    def counted(sites, **options):
         calls.append(len(sites))
-        return delaunay(sites)
+        return delaunay(sites, **options)
 
     delaunay = scipy.spatial.Delaunay
     monkeypatch.setattr(scipy.spatial, "Delaunay", counted)

@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hho_control import (MeshError, MeshGenerationError,  # noqa: E402
                          make_cartesian, make_voronoi, read_mesh, write_mesh)
-from hho_control.mesh import _lloyd_seeds  # noqa: E402
+from hho_control.mesh import (_areas_centroids, _lloyd_round,  # noqa: E402
+                              _lloyd_seeds)
 from helpers import (cell_polygon, clipped_voronoi_mismatch,  # noqa: E402
-                     polygon_area, polygon_centroid, polygon_diameter)
+                     clipped_voronoi_oracle, polygon_area, polygon_centroid,
+                     polygon_diameter)
 
 @settings(max_examples=30)
 @given(st.one_of(
@@ -106,13 +108,29 @@ LATTICE_SEEDS = st.lists(st.tuples(st.integers(1, 199), st.integers(1, 199)),
                              lambda pts: np.array(pts) / 200.0)
 
 
-@settings(max_examples=60)
-@given(st.one_of(
+SEED_SETS = st.one_of(
     LATTICE_SEEDS,
     st.builds(lambda n, seed: np.random.default_rng(seed).uniform(
-        size=(n, 2)), st.integers(2, 300), st.integers(0, 2 ** 32 - 1))))
+        size=(n, 2)), st.integers(2, 300), st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60)
+@given(SEED_SETS)
 def test_clipped_cells_match_the_mirrored_voronoi_oracle(seeds):
     assert clipped_voronoi_mismatch(seeds) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(SEED_SETS)
+def test_lloyd_fan_centroids_match_the_mirrored_voronoi_oracle(seeds):
+    """The Delaunay fans of a Lloyd round give each oracle cell's centroid.
+
+    On the lattice, exact cocircular ties are frequent, and the joggled
+    triangulation picks one diagonal of each.
+    """
+    want = np.array([_areas_centroids(loop[None])[1][0]
+                     for loop in clipped_voronoi_oracle(seeds)])
+    assert np.abs(_lloyd_round(seeds) - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [16, 64, 256, 1024])

@@ -5,8 +5,9 @@ from hho_control import HhoSpace, make_cartesian
 from hho_control.hho_core import _face_projections
 from hho_control.mesh import loop_groups
 from hho_control.poly import (CellBasis, _gauss_legendre, _power_tables,
-                              face_rule, monomial_exponents, polygon_rules,
-                              reference_face_table, segment_rule)
+                              face_rule, monomial_exponents, monomial_grads,
+                              polygon_rules, reference_face_table,
+                              segment_rule)
 from helpers import (cached_voronoi, cell_polygon, cell_quadrature,
                      make_cell_basis, polygon_centroid,
                      polygon_monomial_integral, polygon_quadrature,
@@ -199,6 +200,34 @@ def test_power_tables_are_sequential_products(degree):
             assert (np.abs(tab[..., p] - power)
                     <= 4 * np.spacing(np.abs(power))).all(), p
             seq = seq * c
+
+
+def stacked_grads(loc, degree, scale):
+    """The gradient table as two gathered components stacked and copied."""
+    e = np.asarray(monomial_exponents(degree))
+    a, b = e[:, 0], e[:, 1]
+    px, py = _power_tables(loc, degree)
+    scale = np.asarray(scale)[..., None, None]
+    gx = a * px[..., np.maximum(a - 1, 0)] * py[..., b] / scale
+    gy = b * px[..., a] * py[..., np.maximum(b - 1, 0)] / scale
+    return np.ascontiguousarray(np.stack([gx, gy], axis=-1))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("shape, scale", [
+    ((9, 2), 0.37),                                   # flat points, one cell
+    ((4, 9, 2), 0.37),                                # stacked, one size
+    ((4, 9, 2), np.array([0.37, 1.0, 2e-3, 5.5])),    # stacked, per cell
+])
+def test_monomial_grads_table_has_the_bits_of_the_stacked_formula(
+        degree, shape, scale):
+    loc = np.random.default_rng(degree).uniform(-1.5, 1.5, shape)
+    loc.reshape(-1)[:4] = [0.0, -0.0, 1e-300, -3.7]
+    g = monomial_grads(loc, degree, scale)
+    want = stacked_grads(loc, degree, scale)
+    assert g.shape == shape[:-1] + (len(monomial_exponents(degree)), 2)
+    assert g.flags.c_contiguous
+    assert g.tobytes() == want.tobytes()
 
 
 def test_monomial_exponent_order():
