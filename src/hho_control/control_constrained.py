@@ -2,11 +2,12 @@
 
 wc1 (piecewise constant controls) and wc2 (variational discretization,
 Hinze, Comput. Optim. Appl. 30 (2005) 45-61) share the loop.  The control
-is carried by its values u at every cell quadrature node; Q
-(``NodeTable.cell_vals``) maps a DOF vector to its cell polynomials at the
-nodes and W holds the node weights.  The discrete optimality condition is
-the fixed point u = P(-Q phi / lambda), P the clamp onto the box and phi
-the adjoint of the state of u.  On the k = 0 space of wc1 the adjoint cell
+is carried by its values u at every cell quadrature node; Q maps a DOF
+vector to its cell polynomials at the nodes (``NodeTable.values``), W holds
+the node weights and the load Q^T W u is the cell moments of u
+(``NodeTable.moments``), both applied class by class.  The discrete
+optimality condition is the fixed point u = P(-Q phi / lambda), P the clamp
+onto the box and phi the adjoint of the state of u.  On the k = 0 space of wc1 the adjoint cell
 unknown is constant per cell, so every node of a cell carries the same value
 and the clamp is wc1's P(-mean phi_T / lambda).
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .control_unconstrained import CellPolyControl, check_scheme
 from .hho_core import (OptimalitySystem, SolverError, cell_load_vector,
-                       linear_response, reduced_hessian_cg)
+                       linear_response, node_load_vector, reduced_hessian_cg)
 from .mesh import is_count, is_real
 
 # residual reduction of each CG solve; a wc2 Cartesian 32 level took 38 LU
@@ -105,10 +106,11 @@ class ClampedAdjointControl:
     """Variational-discretization control u(x) = P_box(-phi_T(x) / lambda).
 
     Stored as its values at the space's ``NodeTable`` nodes (``samples``, one
-    flat array in node order); evaluation anywhere (``at_points``)
-    uses the clamp formula on the adjoint cell polynomial, which is what the
-    samples are.  The clamp kinks along the active-set boundary
-    (``has_kinks``), which the control error integrates with a refined rule.
+    flat array in node order); evaluation at other points (``at_basis``,
+    given the cell basis there) uses the clamp formula on the adjoint cell
+    polynomial, which is what the samples are.  The clamp kinks along the
+    active-set boundary (``has_kinks``), which the control error integrates
+    with a refined rule.
     """
 
     has_kinks = True
@@ -120,10 +122,15 @@ class ClampedAdjointControl:
         self.box = box
         self.samples = samples
 
-    def at_points(self, cells, points):
-        """Values at stacked points ``(n, q, 2)``, one row per cell of ``cells``."""
-        basis = self.space.nodes().basis_at(cells, points)
-        phi = (basis @ self.space.cell_blocks(self.phi)[cells][..., None])[..., 0]
+    def at_basis(self, cells, basis):
+        """Values of ``cells`` ``(C, s)`` where each row's cell basis is ``basis``.
+
+        ``basis`` ``(C, q, dim)`` holds one basis table per row of ``cells``,
+        shared by the row's cells (a kernel class); the values are
+        ``(C, s, q)``.
+        """
+        coeffs = self.space.cell_blocks(self.phi)[cells][..., None]
+        phi = (basis[:, None] @ coeffs)[..., 0]
         return project_box(-phi / self.lam, self.box)
 
     def _unclamped(self):
@@ -136,9 +143,9 @@ class ClampedAdjointControl:
 
     def kinked_cells(self):
         """Cells whose nodes straddle a bound: the active-set boundary crosses them."""
-        w, starts = self._unclamped(), self.space.nodes().starts
-        lo, hi = np.minimum.reduceat(w, starts), np.maximum.reduceat(w, starts)
-        crosses = np.zeros(len(starts), dtype=bool)
+        w, nodes = self._unclamped(), self.space.nodes()
+        lo, hi = (nodes.reduce_cells(f, w) for f in (np.minimum, np.maximum))
+        crosses = np.zeros(len(lo), dtype=bool)
         for bound in (self.box.u_a, self.box.u_b):
             crosses |= (lo < bound) & (bound < hi)
         return np.nonzero(crosses)[0]
@@ -165,9 +172,10 @@ class ConstrainedSolution:
     history: list | None = None
 
 
-def _w_norm(v, w, starts):
+def _w_norm(v, nodes):
     """W-weighted L2 norm of a node array, cell sums added smallest first."""
-    return float(np.sqrt(np.sum(np.sort(np.add.reduceat(w * v * v, starts)))))
+    return float(np.sqrt(np.sum(np.sort(
+        nodes.reduce_cells(np.add, nodes.weights * v * v)))))
 
 
 def _active_set_newton(space, prob, cfg, keep_history, scheme):
@@ -189,10 +197,13 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
     F_f = cell_load_vector(space, prob.f)
     F_yd = cell_load_vector(space, prob.y_d)
     nodes = space.nodes()
-    Q, w, starts = nodes.cell_vals, nodes.weights, nodes.starts
+    w = nodes.weights
 
-    def load(u):
-        return Q.T @ (w * u)
+    def load(u):  # Q^T W u
+        return node_load_vector(space, u)
+
+    def Q(phi):
+        return nodes.values("Vl", space.cell_blocks(phi))
 
     def solve_pde(u, y, phi):
         # one refinement step from the carried state and adjoint
@@ -216,29 +227,29 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
         # on the free nodes the residual -(u + Q phi / lambda) is P(z) - u
         try:
             u, y, phi, steps = reduced_hessian_cg(
-                system, M, load, lambda phi: (Q @ phi) / lam,
+                system, M, load, lambda phi: Q(phi) / lam,
                 lambda a, b: np.einsum("i,i,i->", w, a, b), u, y, phi,
                 CG_REDUCTION, cfg.max_iters, free=~(lo | hi))
         except SolverError as exc:
             raise PgdIterationError(f"{scheme}: {exc}", exc.residual) from None
         cg_steps += steps
 
-        z = -(Q @ phi) / lam
+        z = -Q(phi) / lam
         settled = (np.array_equal(lo, z < box.u_a)
                    and np.array_equal(hi, z > box.u_b))
         if settled:
             # the active set stopped changing: restore the accuracy the
             # carried vectors lost to the unrefined solves
             y, phi = solve_pde(u, y, phi)
-            z = -(Q @ phi) / lam
+            z = -Q(phi) / lam
         lo, hi = z < box.u_a, z > box.u_b
         clamp = project_box(z, box)
-        residual = _w_norm(clamp - u, w, starts)
+        residual = _w_norm(clamp - u, nodes)
         if keep_history:
             history.append(clamp)
         # stop below the resolution of u, or below tol once the residual
         # stops shrinking or the last step allowed is taken
-        if settled and (residual <= _EPS * _w_norm(u, w, starts) or (
+        if settled and (residual <= _EPS * _w_norm(u, nodes) or (
                 residual <= cfg.tol
                 and (not residual < last or it == cfg.max_iters))):
             break

@@ -9,12 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import poly
 from .hho_core import (NonFiniteError, h1h_seminorm_sq, reconstruct_all,
                        reduce_function, sorted_sum)
-from .mesh import loop_groups
 
 
 def _require_finite(values, what):
@@ -37,37 +33,29 @@ def l2_error_reconstruction(space, vec, v_exact):
     return math.sqrt(sorted_sum(t.cell_integrals(diff_sq)))
 
 
-# kinked cells refined at once: bounds the stacked tables of the refined rule
-KINK_CHUNK = 32
-
-
 def l2_error_control(solution, u_exact):
     """L2 error of the scheme's control against the exact control.
 
     For a control whose ``has_kinks`` is set (the variational-discretization
     clamp of wc2) the cells crossed by the active-set boundary are integrated
     with a rule of four times the standard exactness to limit the quadrature
-    crime near the free boundary: the ``poly.polygon_rules`` of each group of
-    equal vertex count, with one ``u_exact`` call per chunk.
+    crime near the free boundary.  The rule and the cell basis at its points
+    are built once per kernel class among those cells
+    (``NodeTable.class_rules``); per cell only the coefficient product and
+    the ``u_exact`` values remain, one ``u_exact`` call per batch of classes.
     """
     control = solution.control
     space = control.space
-    mesh = space.mesh
     t = space.nodes()
     contribs = t.cell_integrals((u_exact(t.points) - control.at_nodes()) ** 2)
-    kinked = control.kinked_cells() if control.has_kinks else []
-    for start in range(0, len(kinked), KINK_CHUNK):
-        chunk = kinked[start:start + KINK_CHUNK]
-        rules = [(chunk[at[sel]], pts, w)
-                 for at, idx in loop_groups(mesh.cell_ptr, chunk)
-                 for sel, pts, w in poly.polygon_rules(
-                     mesh.vertices[mesh.cell_vertex_ids[idx]],
-                     mesh.cell_centroids[chunk[at]], 8 * (space.face_degree + 2))]
-        exact = u_exact(np.concatenate([pts.reshape(-1, 2) for _, pts, _ in rules]))
-        sizes = np.cumsum([w.size for *_, w in rules])
-        for (cells, pts, w), u in zip(rules, np.split(exact, sizes)):
-            d = u.reshape(w.shape) - control.at_points(cells, pts)
-            contribs[cells] = (w[:, None, :] @ (d ** 2)[..., None])[:, 0, 0]
+    if control.has_kinks:
+        centroids = space.mesh.cell_centroids
+        for cells, pts, w, basis in t.class_rules(
+                space.mesh, control.kinked_cells(), 8 * (space.face_degree + 2)):
+            at = pts[:, None] + centroids[cells][:, :, None, :]
+            u = u_exact(at.reshape(-1, 2)).reshape(at.shape[:-1])
+            d = u - control.at_basis(cells, basis)
+            contribs[cells] = (w[:, None, None, :] @ (d ** 2)[..., None])[..., 0, 0]
     return math.sqrt(sorted_sum(contribs))
 
 

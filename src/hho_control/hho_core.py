@@ -13,7 +13,10 @@ operators: ``HhoSpace.local_ops()`` lists, for inspection, one record per
 cell that holds the same entries under the same names.  Every face shares
 the basis, mass and projection of ``poly.reference_face_table``.  A
 per-space ``NodeTable`` stacks the quadrature nodes of every cell, so loads,
-projections, norms and errors evaluate a function once on all nodes.
+projections, norms and errors evaluate a function once on all nodes.  Its
+nodes are laid out class-major (kernel group, kernel row, cell), and it
+applies each congruence class's basis and weight tables to all of the
+class's cells in one broadcast product.
 Per-cell matrices are scattered into global sparse matrices by one triplet
 helper.  ``OptimalitySystem`` is the one solve path of the package: one
 space and one real or complex matrix, factored once in a nested-dissection
@@ -404,57 +407,78 @@ def _views(groups, cell_ids):
     return [ops[c] for c in cell_ids]
 
 
-class NodeTable:
-    """Quadrature nodes of every cell of a space, stacked cell after cell.
+def _runs_of(labels, items):
+    """``items`` grouped by their ``labels``, as runs of equally large groups.
 
-    ``points``, ``weights``, ``starts`` (the first node of each cell) and
-    ``counts`` describe the nodes.  ``cell_vals`` is the CSR matrix that maps
-    a full DOF vector to its cell polynomials at the nodes; each row holds
-    ``cell_dim`` contiguous int32 columns.  ``values``, ``moments`` and
-    ``cell_integrals`` apply a kernel's basis table group by group, with
-    stacked products that give each cell the same bits as a product of its
-    own kernel would; ``basis_at`` evaluates the cell bases of given cells at
-    other points with the bits of each cell's own basis.
+    The groups come in ascending label order, each keeping its items' order;
+    consecutive groups that hold equally many items form one run, yielded as
+    ``(run_labels, members)`` with ``members`` ``(len(run_labels), size)``.
+    """
+    if not len(labels):
+        return
+    order = np.argsort(labels, kind="stable")
+    uniq, sizes = np.unique(labels, return_counts=True)
+    cuts = np.flatnonzero(np.diff(sizes)) + 1
+    start = 0
+    for run, size in zip(np.split(uniq, cuts), sizes[np.r_[0, cuts]]):
+        end = start + len(run) * size
+        yield run, items[order[start:end]].reshape(len(run), size)
+        start = end
+
+
+class NodeTable:
+    """Quadrature nodes of every cell of a space, laid out class by class.
+
+    The nodes come kernel group by kernel group, within a group kernel row by
+    kernel row (one congruence class), within a class cell by cell (cells
+    ascending), and each cell's nodes are contiguous.  ``points``,
+    ``weights``, ``starts`` (the first node of each cell) and ``counts``
+    describe the nodes; ``group_of`` and ``row_of`` name each cell's kernel
+    group and row.  Consecutive rows of a group whose classes hold equally
+    many cells form a run, whose nodes are one block ``(rows, cells, nodes)``.
+    ``values``, ``moments`` and ``cell_integrals`` apply each run's
+    ``Vl``/``Vr``/``qw`` rows as per-cell products broadcast over the class's
+    cells (``V[:, None] @ c[..., None]``), on reshaped views of the node
+    arrays and with no gather of kernel rows: each cell gets the bits of a
+    product of its own kernel row.  ``reduce_cells`` reduces node values per
+    cell with boundaries that ascend in node order.  ``class_rules`` gives
+    the kernel classes of some cells a rule of their own and the cell basis
+    at its points, once per class.
     """
 
     def __init__(self, space):
         # no reference back to the space: a cycle would keep a finished
         # level's tables alive until the garbage collector runs
         self.groups = space.kernel_groups()
-        self._layout = space.cell_dof_start, space.cell_dim, space.n_dofs
+        centroids = space.mesh.cell_centroids
         nc = space.mesh.n_cells
-        self.counts = np.zeros(nc, dtype=np.intp)
-        self.centroids = np.empty((nc, 2))
+        self.counts = np.empty(nc, dtype=np.intp)
+        self.starts = np.empty(nc, dtype=np.intp)
         self.group_of = np.empty(nc, dtype=np.intp)
         self.row_of = np.empty(nc, dtype=np.intp)
+        self._runs, order, start = [], [], 0
         for i, g in enumerate(self.groups):
             self.counts[g.cells] = g.n_nodes
-            self.centroids[g.cells] = g.centroids
             self.group_of[g.cells], self.row_of[g.cells] = i, g.rows
-        self.starts = np.concatenate(([0], np.cumsum(self.counts)[:-1]))
-        n_nodes = int(self.counts.sum())
-        self.points = np.empty((n_nodes, 2))
-        self.weights = np.empty(n_nodes)
-        for g in self.groups:
-            at = self._nodes_of(g)
-            self.points[at] = g.kernels["qp"][g.rows] + g.centroids[:, None, :]
-            self.weights[at] = g.kernels["qw"][g.rows]
-
-    def _nodes_of(self, g):
-        return self.starts[g.cells, None] + np.arange(g.n_nodes)
-
-    @functools.cached_property
-    def cell_vals(self):
-        cell_dof_start, dim, n_dofs = self._layout
-        n = len(self.weights)
-        data = np.empty((n, dim))
-        for g in self.groups:
-            data[self._nodes_of(g)] = g.kernels["Vl"][g.rows]
-        # cell DOFs are contiguous, so each row's columns are its cell's block
-        first = np.repeat(cell_dof_start, self.counts).astype(np.int32)
-        cols = (first[:, None] + np.arange(dim, dtype=np.int32)).ravel()
-        indptr = np.arange(0, n * dim + 1, dim, dtype=np.int32)
-        return sp.csr_matrix((data.ravel(), cols, indptr), shape=(n, n_dofs))
+            for rows, cells in _runs_of(g.rows, g.cells):
+                at = slice(start, start + cells.size * g.n_nodes)
+                # every row of a group has a cell, so a run's rows are a range
+                self._runs.append((g.kernels, slice(rows[0], rows[-1] + 1),
+                                   cells, at))
+                self.starts[cells] = start + g.n_nodes * np.arange(
+                    cells.size).reshape(cells.shape)
+                order.append(cells.ravel())
+                start = at.stop
+        # the cells in node order and their first nodes, ascending
+        self._order = np.concatenate(order)
+        self._bounds = self.starts[self._order]
+        self.points = np.empty((start, 2))
+        self.weights = np.empty(start)
+        for k, rows, cells, at in self._runs:
+            self.points[at] = (k["qp"][rows][:, None]
+                               + centroids[cells][:, :, None, :]).reshape(-1, 2)
+            self.weights[at] = np.broadcast_to(
+                k["qw"][rows][:, None], cells.shape + k["qw"].shape[-1:]).ravel()
 
     def values(self, table, coeffs):
         """Node values of per-cell coefficients ``(n_cells, dim)``.
@@ -462,41 +486,61 @@ class NodeTable:
         ``table`` names the basis: ``"Vl"`` (cell) or ``"Vr"`` (reconstruction).
         """
         out = np.empty(len(self.weights))
-        for g in self.groups:
-            out[self._nodes_of(g)] = (g.kernels[table][g.rows]
-                                      @ coeffs[g.cells][..., None])[..., 0]
+        for k, rows, cells, at in self._runs:
+            out[at] = (k[table][rows][:, None] @ coeffs[cells][..., None]).ravel()
         return out
 
     def moments(self, table, values):
         """Per-cell moments ``(w * values, basis_i)_T``, ``(n_cells, dim)``."""
         wv = self.weights * values
-        out = None
-        for g in self.groups:
-            V = g.kernels[table][g.rows]
-            if out is None:
-                out = np.empty((len(self.counts), V.shape[-1]))
-            out[g.cells] = (_mT(V) @ wv[self._nodes_of(g)][..., None])[..., 0]
-        return out
-
-    def basis_at(self, cells, points):
-        """Cell basis of each of ``cells`` at its row of ``points`` (n, q, 2)."""
-        out = np.empty(points.shape[:-1] + self.groups[0].kernels["Vl"].shape[-1:])
-        for i, g in enumerate(self.groups):
-            at = np.nonzero(self.group_of[cells] == i)[0]
-            k, rows = g.kernels, self.row_of[cells[at]]
-            out[at] = _basis_at(points[at], k["cell_degree"],
-                                None if k["Ql"] is None else k["Ql"][rows],
-                                self.centroids[cells[at]], k["h"][rows])
+        out = np.empty((len(self.counts), self.groups[0].kernels[table].shape[-1]))
+        for k, rows, cells, at in self._runs:
+            out[cells] = (_mT(k[table][rows])[:, None]
+                          @ wv[at].reshape(cells.shape + (-1, 1)))[..., 0]
         return out
 
     def cell_integrals(self, values):
         """Quadrature of node values over each cell."""
         out = np.empty(len(self.counts))
-        for g in self.groups:
-            at = self._nodes_of(g)
-            out[g.cells] = (self.weights[at][:, None, :]
-                            @ values[at][..., None])[:, 0, 0]
+        for k, rows, cells, at in self._runs:
+            out[cells] = (k["qw"][rows][:, None, None, :]
+                          @ values[at].reshape(cells.shape + (-1, 1)))[..., 0, 0]
         return out
+
+    def reduce_cells(self, ufunc, values):
+        """``ufunc.reduceat`` of node values over each cell's nodes, per cell."""
+        out = np.empty(len(self.counts), dtype=values.dtype)
+        out[self._order] = ufunc.reduceat(values, self._bounds)
+        return out
+
+    def class_rules(self, mesh, cells, exactness):
+        """Rules of exactness ``exactness`` on the kernel classes of ``cells``.
+
+        Each class gets ``poly.polygon_rules`` of its first cell's polygon,
+        in coordinates relative to that cell's centroid, and the cell basis
+        at those points, shared by every cell of ``cells`` in the class.
+        Yields ``(members, points, weights, basis)`` per batch of classes
+        that hold equally many of ``cells``: ``members`` ``(C, s)``,
+        ``points`` ``(C, q, 2)`` relative to each member's centroid,
+        ``weights`` ``(C, q)`` and ``basis`` ``(C, q, dim)``.
+        """
+        cells = np.asarray(cells, dtype=np.intp)
+        for i, g in enumerate(self.groups):
+            k = g.kernels
+            mine = cells[self.group_of[cells] == i]
+            for rows, members in _runs_of(self.row_of[mine], mine):
+                first = members[:, 0]
+                # the cells of a kernel group share their face count
+                (_, idx), = loop_groups(mesh.cell_ptr, first)
+                polys = (mesh.vertices[mesh.cell_vertex_ids[idx]]
+                         - mesh.cell_centroids[first][:, None, :])
+                zero = np.zeros((len(first), 2))
+                for sel, pts, w in poly.polygon_rules(polys, zero, exactness):
+                    r = rows[sel]
+                    basis = _basis_at(pts, k["cell_degree"],
+                                      None if k["Ql"] is None else k["Ql"][r],
+                                      zero[sel], k["h"][r])
+                    yield members[sel], pts, w, basis
 
 
 def sorted_sum(contribs):
@@ -565,12 +609,16 @@ def h1h_seminorm_sq(space, vec):
 # Loads and global assembly
 # ---------------------------------------------------------------------------
 
+def node_load_vector(space, values):
+    """Load of values at the ``NodeTable`` nodes tested against cell polynomials."""
+    vec = np.zeros(space.n_dofs)
+    vec[:space.n_cell_dofs] = space.nodes().moments("Vl", values).ravel()
+    return vec
+
+
 def cell_load_vector(space, f):
     """Load tested against cell polynomials: (f, w_T)."""
-    t = space.nodes()
-    vec = np.zeros(space.n_dofs)
-    vec[:space.n_cell_dofs] = t.moments("Vl", f(t.points)).ravel()
-    return vec
+    return node_load_vector(space, f(space.nodes().points))
 
 
 def recon_load_vector(space, f):
@@ -711,13 +759,15 @@ class OptimalitySystem:
 
     def __init__(self, space, matrix):
         self.space = space
-        act, fix = space.active_dofs, space.fixed_dofs
-        self._lift = matrix[act][:, fix]
-        matrix = matrix[act][:, act].tocsc()
+        act = space.active_dofs
+        # one gather of the active rows gives the lift and the system; it is
+        # dropped before the factorization, whose fill sets the peak memory
+        rows = sp.csr_matrix(matrix)[act]
+        self._lift, self._matrix = rows[:, space.fixed_dofs], rows[:, act]
+        del rows
         self._order = nested_dissection(space)
         # the assembled matrix in double and, over the same indices, in
         # extended precision for the residuals of iterates near the solution
-        self._matrix = sp.csr_matrix(matrix)
         self._matrix_ld = sp.csr_matrix(
             (self._matrix.data.astype(
                 np.promote_types(self._matrix.dtype, np.longdouble)),
@@ -725,7 +775,7 @@ class OptimalitySystem:
             shape=self._matrix.shape)
         self.residual = None
         self.refinement = None
-        matrix = matrix[self._order][:, self._order].tocsc()
+        matrix = self._matrix[self._order][:, self._order].tocsc()
         try:
             self._lu = spla.splu(matrix, permc_spec="NATURAL",
                                  diag_pivot_thresh=0.0,

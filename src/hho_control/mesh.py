@@ -408,6 +408,8 @@ def _collapse_short_edges(vertices, ptr, ids, rel_tol=0.02, max_rounds=20):
     conforming partition while enforcing the shape-regularity surrogate.
     Each round visits the short edges in order of first traversal and skips
     those at a vertex merged before, so all its lengths are taken at its start.
+    The merged-away endpoints are then dropped from the vertex table, and the
+    vertices left keep their order.
     """
     for _ in range(max_rounds):
         diam = np.empty(len(ptr) - 1)
@@ -434,7 +436,9 @@ def _collapse_short_edges(vertices, ptr, ids, rel_tol=0.02, max_rounds=20):
         ptr, ids = _drop_repeats(ptr, remap[ids])
         if (np.diff(ptr) < 3).any():
             raise MeshGenerationError("short-edge collapse degenerated a cell")
-    return vertices, ptr, ids
+    used = np.zeros(len(vertices), dtype=bool)
+    used[ids] = True
+    return vertices[used], ptr, np.cumsum(used)[ids] - 1
 
 
 def is_count(value):

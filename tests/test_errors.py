@@ -122,7 +122,12 @@ def test_error_bitwise_reproducible():
 
 
 def _wc2_control_error_cell_by_cell(solution, u_exact):
-    """wc2 control error with each kinked cell's own ``single_polygon_rule``."""
+    """wc2 control error with each kinked cell's own ``single_polygon_rule``.
+
+    The rule is built on the cell's own polygon and the basis is the cell's
+    ``CellBasis``, one cell at a time: nothing is shared within a kernel
+    class, as ``l2_error_control`` shares it.
+    """
     control = solution.control
     space = control.space
     kinked = set(control.kinked_cells().tolist())
@@ -148,7 +153,23 @@ def test_wc2_control_error_matches_cell_by_cell_refinement(family, n):
     assert len(sol.control.kinked_cells()) > 0
     got = l2_error_control(sol, prob.exact.u)
     ref = _wc2_control_error_cell_by_cell(sol, prob.exact.u)
-    assert abs(got - ref) <= 1e-12 * ref
+    assert abs(got - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("family, n", [("cartesian", 16), ("voronoi", 64)])
+def test_wc2_kinked_cells_are_the_cells_whose_nodes_straddle_a_bound(family, n):
+    mesh = cached_cartesian(n) if family == "cartesian" else cached_voronoi(n)
+    space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
+    sol = solve_wc2(space, problem_from_preset("wc-default"))
+    control, nodes = sol.control, space.nodes()
+    z = -nodes.values("Vl", space.cell_blocks(sol.phi)) / control.lam
+    want = [c for c in range(mesh.n_cells)
+            if any(z[nodes.starts[c]:nodes.starts[c] + nodes.counts[c]].min()
+                   < bound <
+                   z[nodes.starts[c]:nodes.starts[c] + nodes.counts[c]].max()
+                   for bound in (control.box.u_a, control.box.u_b))]
+    assert len(want) > 0
+    assert control.kinked_cells().tolist() == want
 
 
 def test_eoc_simple_ratios():

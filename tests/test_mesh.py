@@ -61,6 +61,14 @@ def test_interior_normals_opposite_and_shape_surrogate(seeds):
             assert m.face_lengths[fid] >= 0.01 * m.cell_diameters[c]
 
 
+@pytest.mark.parametrize("seeds, rng_seed", [(64, 1), (256, 42), (1024, 42)])
+def test_every_voronoi_vertex_is_used_by_a_cell(seeds, rng_seed):
+    # these meshes collapse short edges; the merged-away endpoints must not
+    # stay in the vertex table, where write_mesh would write them
+    m = make_voronoi(seeds, rng_seed=rng_seed)
+    assert np.array_equal(np.unique(m.cell_vertex_ids), np.arange(m.n_vertices))
+
+
 def test_voronoi_determinism():
     from scipy.spatial import Delaunay
 
