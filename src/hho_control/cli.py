@@ -184,14 +184,19 @@ def _solve_level(cfg, prob, level, mesh):
     solve = {"uc1": solve_uc1, "uc2": solve_uc2, "uc31": solve_uc31,
              "uc32": solve_uc32, "wc1": solve_wc1, "wc2": solve_wc2}[cfg.scheme]
     sol = solve(space, prob, cfg.pgd) if bounded else solve(space, prob)
-    exact = prob.exact
+    # the exact triple at the space's nodes, sampled once by the solve with
+    # its loads; the control's space has these nodes too (a NodeTable
+    # depends on the mesh and face degree only)
+    exact, at = prob.exact, sol.exact_at_nodes
     return ErrorRecord(
         level=level, h=mesh.max_diameter(), n_cells=mesh.n_cells,
-        err_u_l2=l2_error_control(sol, exact.u),
-        err_y_energy=energy_error(space, sol.y, exact.y),
-        err_phi_energy=energy_error(space, sol.phi, exact.phi),
-        err_y_l2_recon=l2_error_reconstruction(space, sol.y, exact.y),
-        err_phi_l2_recon=l2_error_reconstruction(space, sol.phi, exact.phi),
+        err_u_l2=l2_error_control(sol, exact.u, at_nodes=at.u),
+        err_y_energy=energy_error(space, sol.y, exact.y, at_nodes=at.y),
+        err_phi_energy=energy_error(space, sol.phi, exact.phi, at_nodes=at.phi),
+        err_y_l2_recon=l2_error_reconstruction(space, sol.y, exact.y,
+                                               at_nodes=at.y),
+        err_phi_l2_recon=l2_error_reconstruction(space, sol.phi, exact.phi,
+                                                 at_nodes=at.phi),
         iters=getattr(sol, "iterations", None))
 
 

@@ -41,9 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control_unconstrained import CellPolyControl, check_scheme
-from .hho_core import (OptimalitySystem, SolverError, cell_load_vector,
-                       linear_response, node_load_vector, reduced_hessian_cg)
+from .control_unconstrained import (CellPolyControl, ExactTriple,
+                                    check_scheme, load_vectors)
+from .hho_core import (OptimalitySystem, SolverError, linear_response,
+                       node_load_vector, reduced_hessian_cg)
 from .mesh import is_count, is_real
 
 # residual reduction of each CG solve; a wc2 Cartesian 32 level took 38 LU
@@ -105,22 +106,23 @@ class PgdIterationError(Exception):
 class ClampedAdjointControl:
     """Variational-discretization control u(x) = P_box(-phi_T(x) / lambda).
 
-    Stored as its values at the space's ``NodeTable`` nodes (``samples``, one
-    flat array in node order); evaluation at other points (``at_basis``,
-    given the cell basis there) uses the clamp formula on the adjoint cell
-    polynomial, which is what the samples are.  The clamp kinks along the
+    Carries ``unclamped``, the values -phi_T / lambda at the space's
+    ``NodeTable`` nodes (one flat array in node order, the Newton loop's
+    last z), whose clamp is the control there (``at_nodes``); evaluation at
+    other points (``at_basis``, given the cell basis there) uses the clamp
+    formula on the adjoint cell polynomial.  The clamp kinks along the
     active-set boundary (``has_kinks``), which the control error integrates
     with a refined rule.
     """
 
     has_kinks = True
 
-    def __init__(self, space, phi, lam, box, samples):
+    def __init__(self, space, phi, lam, box, unclamped):
         self.space = space
         self.phi = phi
         self.lam = lam
         self.box = box
-        self.samples = samples
+        self.unclamped = unclamped
 
     def at_basis(self, cells, basis):
         """Values of ``cells`` ``(C, s)`` where each row's cell basis is ``basis``.
@@ -133,17 +135,13 @@ class ClampedAdjointControl:
         phi = (basis[:, None] @ coeffs)[..., 0]
         return project_box(-phi / self.lam, self.box)
 
-    def _unclamped(self):
-        return -self.space.nodes().values(
-            "Vl", self.space.cell_blocks(self.phi)) / self.lam
-
     def at_nodes(self):
         """Values at the nodes of the space's ``NodeTable``."""
-        return project_box(self._unclamped(), self.box)
+        return project_box(self.unclamped, self.box)
 
     def kinked_cells(self):
         """Cells whose nodes straddle a bound: the active-set boundary crosses them."""
-        w, nodes = self._unclamped(), self.space.nodes()
+        w, nodes = self.unclamped, self.space.nodes()
         lo, hi = (nodes.reduce_cells(f, w) for f in (np.minimum, np.maximum))
         crosses = np.zeros(len(lo), dtype=bool)
         for bound in (self.box.u_a, self.box.u_b):
@@ -159,7 +157,8 @@ class ConstrainedSolution:
     all of them and ``final_increment`` is the last fixed-point residual.
     With ``keep_history``, ``history`` holds the control at the nodes of
     ``space.nodes()`` at the start and the clamp P(-Q phi / lambda) after
-    each Newton step, each inside the box.
+    each Newton step, each inside the box.  ``exact_at_nodes`` is the
+    exact triple at those nodes, sampled with the loads (``load_vectors``).
     """
 
     scheme: str
@@ -170,6 +169,7 @@ class ConstrainedSolution:
     final_increment: float
     cg_steps: int
     history: list | None = None
+    exact_at_nodes: ExactTriple | None = None
 
 
 def _w_norm(v, nodes):
@@ -181,21 +181,22 @@ def _w_norm(v, nodes):
 def _active_set_newton(space, prob, cfg, keep_history, scheme):
     """Primal-dual active-set Newton loop over the control's node values.
 
-    Returns ``(clamp, y, phi, iterations, residual, cg_steps, history)``:
-    the clamp P(-Q phi / lambda) at the nodes of ``space.nodes()``, the
-    state and adjoint of the last iterate, and every iterate's clamp (node
-    arrays too) when ``keep_history`` is set.
+    Returns ``(z, y, phi, iterations, residual, cg_steps, history,
+    exact)``: the unclamped z = -Q phi / lambda at the nodes of
+    ``space.nodes()``, whose clamp is the control, the state and adjoint of
+    the last iterate, every iterate's clamp (node arrays too) when
+    ``keep_history`` is set, and the exact triple at the nodes
+    (``load_vectors``).
     """
     check_scheme(scheme, space.face_degree, prob.bounds, space)
     cfg = cfg or PgdConfig()
     box = AdmissibleBox(*prob.bounds)
     lam = prob.lam
+    F_f, F_yd, exact = load_vectors(space, prob)
     # the state carries the boundary data, the adjoint is zero on it
     system = OptimalitySystem(space, space.stiffness_matrix())
     g = space.boundary_values(prob.state_boundary)
     M = space.cell_mass_matrix()
-    F_f = cell_load_vector(space, prob.f)
-    F_yd = cell_load_vector(space, prob.y_d)
     nodes = space.nodes()
     w = nodes.weights
 
@@ -263,13 +264,15 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
         raise PgdIterationError(
             f"{scheme} did not converge in {cfg.max_iters} Newton steps "
             f"(last residual {residual:.3e})", residual)
-    return clamp, y, phi, it, residual, cg_steps, history
+    return z, y, phi, it, residual, cg_steps, history, exact
 
 
 def solve_wc1(space, prob, cfg=None, keep_history=False):
     """Lowest-order scheme: piecewise constant control, k = 0 state/adjoint."""
-    u, y, phi, *rest = _active_set_newton(space, prob, cfg, keep_history, "wc1")
-    control = CellPolyControl(space, u[space.nodes().starts][:, None], "cell")
+    z, y, phi, *rest = _active_set_newton(space, prob, cfg, keep_history,
+                                          "wc1")
+    u = project_box(z[space.nodes().starts], AdmissibleBox(*prob.bounds))
+    control = CellPolyControl(space, u[:, None], "cell")
     return ConstrainedSolution("wc1", y, phi, control, *rest)
 
 
@@ -277,10 +280,11 @@ def solve_wc2(space, prob, cfg=None, keep_history=False):
     """Variational discretization on the mixed-order space V^{1+}.
 
     The control is never discretized: it is the pointwise clamp of the adjoint
-    cell polynomial, carried as samples at the cell quadrature nodes, which is
-    exact for every load the scheme needs.
+    cell polynomial, carried by its unclamped values at the cell quadrature
+    nodes, which is exact for every load the scheme needs.
     """
-    u, y, phi, *rest = _active_set_newton(space, prob, cfg, keep_history, "wc2")
+    z, y, phi, *rest = _active_set_newton(space, prob, cfg, keep_history,
+                                          "wc2")
     control = ClampedAdjointControl(space, phi, prob.lam,
-                                    AdmissibleBox(*prob.bounds), u)
+                                    AdmissibleBox(*prob.bounds), z)
     return ConstrainedSolution("wc2", y, phi, control, *rest)

@@ -15,12 +15,13 @@ control by ``reduced_hessian_cg``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .hho_core import (HhoSpace, OptimalitySystem, SolverError,
-                       cell_load_vector, recon_load_vector, reconstruct_all,
+                       node_load_vector, recon_load_vector, reconstruct_all,
                        reduced_hessian_cg, scatter_blocks)
 from .mesh import is_real
 
@@ -31,18 +32,39 @@ class UnsupportedDegreeError(ValueError):
     """A face degree k that the scheme's rule (``SCHEMES``) does not admit."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExactTriple:
-    """Closed-form optimal triple for manufactured-solution studies."""
+    """Optimal triple of a manufactured-solution study.
+
+    The closed forms (callables) of a problem, or their values at a point
+    set (arrays, in a ``FieldSample``).
+    """
 
     y: callable
     phi: callable
     u: callable
 
 
-@dataclass
+class FieldSample(NamedTuple):
+    """A problem's fields at one point set (``ControlProblem.sample``).
+
+    ``exact`` holds the values of the exact triple, None for a problem
+    without ``exact``.
+    """
+
+    f: np.ndarray
+    y_d: np.ndarray
+    exact: ExactTriple | None
+
+
+@dataclass(frozen=True)
 class ControlProblem:
-    """Data of the tracking problem: source, target, weight, optional bounds."""
+    """Data of the tracking problem: source, target, weight, optional bounds.
+
+    Frozen: the exact control and ``sampler`` read the weight and bounds
+    the problem was checked with.  ``sampler`` (``make_problem`` sets it)
+    returns ``sample``'s ``FieldSample`` with the bits of the callables.
+    """
 
     f: callable
     y_d: callable
@@ -50,6 +72,7 @@ class ControlProblem:
     bounds: tuple | None = None
     exact: ExactTriple | None = None
     state_boundary: callable | None = None
+    sampler: callable | None = None
 
     def __post_init__(self):
         from .control_constrained import AdmissibleBox  # it imports this module
@@ -60,6 +83,33 @@ class ControlProblem:
             if np.shape(self.bounds) != (2,):
                 raise ValueError(f"bounds must be a pair, got {self.bounds!r}")
             AdmissibleBox(*self.bounds)
+
+    def sample(self, points):
+        """``FieldSample`` of f, y_d and the exact y, phi and u at ``points``.
+
+        Through ``sampler`` when set, else one call of each callable.
+        """
+        if self.sampler is not None:
+            return self.sampler(points)
+        ex = self.exact
+        exact = None if ex is None else ExactTriple(ex.y(points),
+                                                    ex.phi(points), ex.u(points))
+        return FieldSample(self.f(points), self.y_d(points), exact)
+
+
+def load_vectors(space, prob, load=node_load_vector):
+    """``load`` of f and y_d from one ``prob.sample`` at ``space.nodes()``.
+
+    ``load`` is ``node_load_vector`` or ``recon_load_vector``.  Returns
+    ``(F_f, F_yd, exact)``, ``exact`` the sample's ``ExactTriple`` of node
+    arrays: a solver keeps it on its solution, so the errors of a level
+    reuse it, and the sampled f and y_d are dropped here.  The uc solvers
+    call this after their factorization, whose fill sets their peak memory;
+    the wc loop calls it before, since its peak comes later, in the loop
+    (measured on wc2 Cartesian 32, sampling first keeps that peak lowest).
+    """
+    sample = prob.sample(space.nodes().points)
+    return load(space, sample.f), load(space, sample.y_d), sample.exact
 
 
 # scheme -> ((lowest, highest or None) face degree k, cell degree k + 1
@@ -116,7 +166,9 @@ class OptimalitySolution:
     right-hand side (for uc1, uc2 and uc31 the real and imaginary parts of
     the complex system's residual, see ``_solve_two_field``);
     ``refinement`` the solve's iterative-refinement steps and final
-    relative residual (``OptimalitySystem.refinement``).
+    relative residual (``OptimalitySystem.refinement``);
+    ``exact_at_nodes`` the exact triple at the nodes of ``space.nodes()``,
+    sampled with the loads (``load_vectors``).
     """
 
     scheme: str
@@ -126,6 +178,7 @@ class OptimalitySolution:
     control_hat: np.ndarray | None = None
     residuals: dict = field(default_factory=dict)
     refinement: dict = field(default_factory=dict)
+    exact_at_nodes: ExactTriple | None = None
 
 
 def _solve_two_field(space, prob, scheme, recon=False):
@@ -146,9 +199,10 @@ def _solve_two_field(space, prob, scheme, recon=False):
     if recon:
         C, load = space.recon_mass_matrix(), recon_load_vector
     else:
-        C, load = space.cell_mass_matrix(), cell_load_vector
+        C, load = space.cell_mass_matrix(), node_load_vector
     system = OptimalitySystem(space, space.stiffness_matrix() - 1j / s * C)
-    z = system.solve(load(space, prob.f) - 1j / s * load(space, prob.y_d),
+    F_f, F_yd, exact = load_vectors(space, prob, load)
+    z = system.solve(F_f - 1j / s * F_yd,
                      space.boundary_values(prob.state_boundary))
     y, phi = z.real.copy(), s * z.imag
     r = system.residual
@@ -164,7 +218,8 @@ def _solve_two_field(space, prob, scheme, recon=False):
         control = CellPolyControl(space, -space.cell_blocks(phi) / lam, "cell")
     return OptimalitySolution(scheme, y, phi, control, control_hat=u_hat,
                               residuals=residuals,
-                              refinement=system.refinement)
+                              refinement=system.refinement,
+                              exact_at_nodes=exact)
 
 
 def solve_uc1(space, prob):
@@ -235,8 +290,7 @@ def solve_uc32(space, prob):
     pde = OptimalitySystem(space, A)
     mass = OptimalitySystem(control_space, C)
 
-    F_f = cell_load_vector(space, prob.f)
-    F_yd = cell_load_vector(space, prob.y_d)
+    F_f, F_yd, exact = load_vectors(space, prob)
     g = space.boundary_values(prob.state_boundary)
     y = pde.solve(F_f, g)
     phi = pde.solve(M @ y - F_yd)
@@ -260,4 +314,5 @@ def solve_uc32(space, prob):
                               reconstruct_all(control_space, u_hat), "recon")
     return OptimalitySolution("uc32", y, phi, control, control_hat=u_hat,
                               residuals=residuals,
-                              refinement=dict(pde.refinement, cg_steps=steps))
+                              refinement=dict(pde.refinement, cg_steps=steps),
+                              exact_at_nodes=exact)

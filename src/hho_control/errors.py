@@ -19,35 +19,44 @@ def _require_finite(values, what):
         raise NonFiniteError(f"{what} must be finite, got {bad[0]!r}")
 
 
-def energy_error(space, vec, v_exact):
-    """Discrete H1-like distance || I_h v - v_h ||_{1,h}."""
-    ref = reduce_function(space, v_exact)
+def energy_error(space, vec, v_exact, at_nodes=None):
+    """Discrete H1-like distance || I_h v - v_h ||_{1,h}.
+
+    ``at_nodes`` (here and below) holds the exact function at the nodes of
+    the space's ``NodeTable`` when the caller has sampled it there; without
+    it the function is sampled here.
+    """
+    ref = reduce_function(space, v_exact, at_nodes)
     return math.sqrt(h1h_seminorm_sq(space, space.dof_vector(vec) - ref))
 
 
-def l2_error_reconstruction(space, vec, v_exact):
+def l2_error_reconstruction(space, vec, v_exact, at_nodes=None):
     """L2 distance between the exact function and the reconstruction R v."""
     t = space.nodes()
     approx = t.values("Vr", reconstruct_all(space, vec))
-    diff_sq = (v_exact(t.points) - approx) ** 2
-    return math.sqrt(sorted_sum(t.cell_integrals(diff_sq)))
+    exact = v_exact(t.points) if at_nodes is None else at_nodes
+    return math.sqrt(sorted_sum(t.cell_integrals((exact - approx) ** 2)))
 
 
-def l2_error_control(solution, u_exact):
+def l2_error_control(solution, u_exact, at_nodes=None):
     """L2 error of the scheme's control against the exact control.
 
-    For a control whose ``has_kinks`` is set (the variational-discretization
-    clamp of wc2) the cells crossed by the active-set boundary are integrated
-    with a rule of four times the standard exactness to limit the quadrature
-    crime near the free boundary.  The rule and the cell basis at its points
-    are built once per kernel class among those cells
+    ``at_nodes`` is u_exact at the nodes of the control's space.  For a
+    control whose ``has_kinks`` is set (the variational-discretization
+    clamp of wc2) the cells crossed by the active-set boundary are
+    integrated with a rule of four times the standard exactness to limit
+    the quadrature crime near the free boundary.  The rule and the cell
+    basis at its points are built once per kernel class among those cells
     (``NodeTable.class_rules``); per cell only the coefficient product and
-    the ``u_exact`` values remain, one ``u_exact`` call per batch of classes.
+    the ``u_exact`` values remain.  ``u_exact`` is called once per batch of
+    classes on the refined points, and once on the nodes unless
+    ``at_nodes`` is given.
     """
     control = solution.control
     space = control.space
     t = space.nodes()
-    contribs = t.cell_integrals((u_exact(t.points) - control.at_nodes()) ** 2)
+    exact = u_exact(t.points) if at_nodes is None else at_nodes
+    contribs = t.cell_integrals((exact - control.at_nodes()) ** 2)
     if control.has_kinks:
         centroids = space.mesh.cell_centroids
         for cells, pts, w, basis in t.class_rules(

@@ -443,7 +443,9 @@ class NodeTable:
     product of its own kernel row.  ``reduce_cells`` reduces node values per
     cell with boundaries that ascend in node order.  ``class_rules`` gives
     the kernel classes of some cells a rule of their own and the cell basis
-    at its points, once per class.
+    at its points, once per class.  The nodes depend on the mesh and the
+    face degree only, so the spaces of one mesh and face degree share them
+    (the state and control spaces of uc32, say).
     """
 
     def __init__(self, space):
@@ -560,15 +562,16 @@ def _face_projections(space, f, faces):
     return fv @ poly.reference_face_table(k)[2].T  # P_ref^T
 
 
-def reduce_function(space, f):
+def reduce_function(space, f, at_nodes=None):
     """Global reduction of f: cellwise and facewise L2 projections.
 
     Every face is projected, a Dirichlet space's boundary faces too: a
-    solution carries the lifted trace of its boundary data.
+    solution carries the lifted trace of its boundary data.  ``at_nodes``
+    holds f at ``space.nodes().points`` when the caller has sampled it.
     """
     t = space.nodes()
     vec = np.zeros(space.n_dofs)
-    rhs = t.moments("Vl", f(t.points))
+    rhs = t.moments("Vl", f(t.points) if at_nodes is None else at_nodes)
     cells = vec[:space.n_cell_dofs].reshape(rhs.shape)
     for g in t.groups:
         cells[g.cells] = np.linalg.solve(g.kernels["M_cell"][g.rows],
@@ -621,10 +624,13 @@ def cell_load_vector(space, f):
     return node_load_vector(space, f(space.nodes().points))
 
 
-def recon_load_vector(space, f):
-    """Load tested against reconstructions: (f, R w)."""
+def recon_load_vector(space, values):
+    """Load of values at the ``NodeTable`` nodes tested against reconstructions.
+
+    With the values of f it is (f, R w).
+    """
     t = space.nodes()
-    moments = t.moments("Vr", f(t.points))
+    moments = t.moments("Vr", values)
     vec = np.zeros(space.n_dofs)
     for g in t.groups:
         np.add.at(vec, g.dofs, (_mT(g.kernels["G"][g.rows])

@@ -3,10 +3,16 @@
 A preset prescribes the exact state y and adjoint phi in closed form (values
 and Laplacians); the remaining data follow from the optimality system:
 u = -phi/lambda (clamped onto the box when bounds are given), f = -dy - u and
-y_d = y + dphi, where d denotes the Laplacian.  The trace of y is always
-the state's Dirichlet data, lifted onto the boundary faces: a zero trace
-costs one projection, and no sampled guess can drop a nonzero one.
-Construction self-checks the two PDEs at random sample points.
+y_d = y + dphi, where d denotes the Laplacian.  A field evaluates its value
+and Laplacian together from shared factors (``SmoothFunction.with_laplacian``,
+e.g. one exp(x1 + x2), sin(pi x1) and sin(pi x2) for both), with the bits of
+its separate ``value`` and ``laplacian``.  The problem of ``make_problem``
+samples all five fields at a point set from one evaluation of (y, dy) and one
+of (phi, dphi) (``ControlProblem.sample``), with the bits of its callables
+``f``, ``y_d`` and ``exact``.  The trace of y is always the state's Dirichlet
+data, lifted onto the boundary faces: a zero trace costs one projection, and
+no sampled guess can drop a nonzero one.  Construction self-checks the two
+PDEs at random sample points.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control_constrained import AdmissibleBox, project_box
-from .control_unconstrained import ControlProblem, ExactTriple
+from .control_unconstrained import ControlProblem, ExactTriple, FieldSample
 
 
 class PresetError(ValueError):
@@ -25,19 +31,29 @@ class PresetError(ValueError):
 
 @dataclass(frozen=True)
 class SmoothFunction:
-    """Closed-form scalar field with its Laplacian."""
+    """Closed-form scalar field with its Laplacian.
+
+    ``with_laplacian`` returns ``(value, laplacian)`` from shared factors,
+    bit for bit the values of ``value`` and ``laplacian``.
+    """
 
     value: callable
     laplacian: callable
+    with_laplacian: callable
 
     def __call__(self, points):
         return self.value(points)
 
 
-def _field(value, laplacian):
-    return SmoothFunction(
-        lambda p: value(np.atleast_2d(p)[:, 0], np.atleast_2d(p)[:, 1]),
-        lambda p: laplacian(np.atleast_2d(p)[:, 0], np.atleast_2d(p)[:, 1]))
+def _field(value, both):
+    """Field of ``value(x1, x2)`` and ``both(x1, x2) = (value, Laplacian)``."""
+    def coords(p):
+        p = np.atleast_2d(p)
+        return p[:, 0], p[:, 1]
+
+    return SmoothFunction(lambda p: value(*coords(p)),
+                          lambda p: both(*coords(p))[1],
+                          lambda p: both(*coords(p)))
 
 
 _PI = np.pi
@@ -45,37 +61,42 @@ _PI = np.pi
 
 def _exp_sin_sin(scale):
     # scale * exp(x1+x2) sin(pi x1) sin(pi x2) and its Laplacian
+    def factors(x, y):
+        return scale * np.exp(x + y), np.sin(_PI * x), np.sin(_PI * y)
+
     def value(x, y):
-        return scale * np.exp(x + y) * np.sin(_PI * x) * np.sin(_PI * y)
+        e, s1, s2 = factors(x, y)
+        return e * s1 * s2
 
-    def lap(x, y):
-        e = scale * np.exp(x + y)
-        s1, s2 = np.sin(_PI * x), np.sin(_PI * y)
+    def both(x, y):
+        e, s1, s2 = factors(x, y)
         c1, c2 = np.cos(_PI * x), np.cos(_PI * y)
-        return e * ((2.0 - 2.0 * _PI ** 2) * s1 * s2
-                    + 2.0 * _PI * (c1 * s2 + s1 * c2))
+        return e * s1 * s2, e * ((2.0 - 2.0 * _PI ** 2) * s1 * s2
+                                 + 2.0 * _PI * (c1 * s2 + s1 * c2))
 
-    return _field(value, lap)
+    return _field(value, both)
 
 
 def _sin2pi_sin2pi(scale):
     def value(x, y):
         return scale * np.sin(2 * _PI * x) * np.sin(2 * _PI * y)
 
-    def lap(x, y):
-        return -8.0 * _PI ** 2 * value(x, y)
+    def both(x, y):
+        v = value(x, y)
+        return v, -8.0 * _PI ** 2 * v
 
-    return _field(value, lap)
+    return _field(value, both)
 
 
 def _exp_sum(scale):
     def value(x, y):
         return scale * np.exp(x + y)
 
-    def lap(x, y):
-        return 2.0 * scale * np.exp(x + y)
+    def both(x, y):
+        e = np.exp(x + y)
+        return scale * e, 2.0 * scale * e
 
-    return _field(value, lap)
+    return _field(value, both)
 
 
 @dataclass(frozen=True)
@@ -148,16 +169,30 @@ def parse_expression(text):
     lap = sympy.diff(expr, x1, 2) + sympy.diff(expr, x2, 2)
     f_val = sympy.lambdify((x1, x2), expr, "numpy")
     f_lap = sympy.lambdify((x1, x2), lap, "numpy")
-    return _field(lambda x, y: np.broadcast_to(f_val(x, y), np.shape(x)).astype(float),
-                  lambda x, y: np.broadcast_to(f_lap(x, y), np.shape(x)).astype(float))
+
+    def value(x, y):
+        return np.broadcast_to(f_val(x, y), np.shape(x)).astype(float)
+
+    def both(x, y):
+        return value(x, y), np.broadcast_to(f_lap(x, y), np.shape(x)).astype(float)
+
+    return _field(value, both)
 
 
 def make_problem(y, phi, lam, bounds=None, seed=42):
-    """Derive (f, y_d, u) from exact (y, phi) and self-check the PDEs."""
+    """Derive (f, y_d, u) from exact (y, phi) and self-check the PDEs.
+
+    The problem's ``sample`` derives all five fields from one
+    ``with_laplacian`` call of y and one of phi, by the formulas of the
+    callables, so the arrays have the callables' bits.
+    """
+
+    def control(phi_values):
+        raw = -phi_values / lam
+        return raw if box is None else project_box(raw, box)
 
     def u_exact(p):
-        raw = -phi.value(p) / lam
-        return raw if box is None else project_box(raw, box)
+        return control(phi.value(p))
 
     def f(p):
         return -y.laplacian(p) - u_exact(p)
@@ -165,11 +200,18 @@ def make_problem(y, phi, lam, bounds=None, seed=42):
     def y_d(p):
         return y.value(p) + phi.laplacian(p)
 
+    def sample(p):
+        y_p, lap_y = y.with_laplacian(p)
+        phi_p, lap_phi = phi.with_laplacian(p)
+        u = control(phi_p)
+        return FieldSample(f=-lap_y - u, y_d=y_p + lap_phi,
+                           exact=ExactTriple(y=y_p, phi=phi_p, u=u))
+
     try:
         prob = ControlProblem(
             f=f, y_d=y_d, lam=lam, bounds=bounds,
             exact=ExactTriple(y=y.value, phi=phi.value, u=u_exact),
-            state_boundary=y.value)
+            state_boundary=y.value, sampler=sample)
     except ValueError as exc:
         raise PresetError(str(exc)) from None
     # u_exact reads the box, made once ControlProblem has checked the bounds

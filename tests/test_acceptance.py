@@ -301,7 +301,10 @@ def test_criterion_9_oracle_equivalence():
         space = HhoSpace(small, k, dirichlet=True)
         act, fix = space.active_dofs, space.fixed_dofs
         if scheme == "uc31":
-            C_full, load = dense_recon_mass(space), recon_load_vector
+            C_full = dense_recon_mass(space)
+
+            def load(space, f):
+                return recon_load_vector(space, f(space.nodes().points))
             sol = solve_uc31(space, prob)
         else:
             C_full, load = dense_cell_mass(space), cell_load_vector

@@ -308,7 +308,7 @@ def test_wc2_single_cell_matches_pointwise_clamp_oracle():
     op = space.local_ops()[0]
     phi_q = op.Vl @ space.cell_blocks(sol.phi)[0]
     clamp = np.clip(-phi_q / prob.lam, box.u_a, box.u_b)
-    samples = sol.control.samples[:len(op.qw)]  # cell 0's nodes come first
+    samples = sol.control.at_nodes()[:len(op.qw)]  # cell 0's nodes come first
     assert np.abs(samples - clamp).max() < 1e-8
 
     # independent minimizer of the sampled quadratic via a bound-constrained

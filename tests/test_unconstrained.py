@@ -114,8 +114,9 @@ def test_uc31_matches_dense_kkt_oracle():
     B = dense_recon_mass(space)
     from hho_control.hho_core import recon_load_vector
 
-    F_f = recon_load_vector(space, prob.f)
-    F_yd = recon_load_vector(space, prob.y_d)
+    points = space.nodes().points
+    F_f = recon_load_vector(space, prob.f(points))
+    F_yd = recon_load_vector(space, prob.y_d(points))
     n = len(act)
     K = np.zeros((2 * n, 2 * n))
     K[:n, :n] = A[np.ix_(act, act)]
@@ -205,14 +206,18 @@ def test_uc32_errors_stable_under_last_bit_load_changes(monkeypatch):
     prob = cfg.build_problem()
     base = cli.run_level(cfg, prob, 16)
     rng = np.random.default_rng(3)
-    loads = control_unconstrained.cell_load_vector
+    loads = control_unconstrained.load_vectors
+    calls = []
 
-    def perturbed(space, f):
-        v = loads(space, f)
-        return v * (1.0 + 1e-15 * rng.standard_normal(v.shape))
+    def perturbed(*args, **kwargs):
+        calls.append(1)
+        *vectors, exact = loads(*args, **kwargs)
+        return (*(v * (1.0 + 1e-15 * rng.standard_normal(v.shape))
+                  for v in vectors), exact)
 
-    monkeypatch.setattr(control_unconstrained, "cell_load_vector", perturbed)
+    monkeypatch.setattr(control_unconstrained, "load_vectors", perturbed)
     got = cli.run_level(cfg, prob, 16)
+    assert calls == [1]
     for q in QUANTITIES:
         assert abs(getattr(got, q) - getattr(base, q)) <= 1e-10 * getattr(base, q)
 
