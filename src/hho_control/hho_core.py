@@ -19,11 +19,13 @@ applies each congruence class's basis and weight tables to all of the
 class's cells in one broadcast product.
 Per-cell matrices are scattered into global sparse matrices by one triplet
 helper.  ``OptimalitySystem`` is the one solve path of the package: one
-space and one real or complex matrix, factored once in a nested-dissection
-order without pivoting, refined against the assembled matrix and checked.
-It solves the Poisson problem and the complex uc1, uc2 and uc31 systems,
-and its plain ``lu_solve`` runs the ``reduced_hessian_cg`` of uc32, wc1 and
-wc2.
+space and one real or complex matrix whose cell unknowns are eliminated
+cell by cell (static condensation), leaving the face Schur complement,
+summed face pair by face pair, to factor once in a nested-dissection order
+without pivoting; every solve is refined against the assembled matrix and
+checked.  It solves the Poisson
+problem and the complex uc1, uc2 and uc31 systems, and its plain
+``lu_solve`` runs the ``reduced_hessian_cg`` of uc32, wc1 and wc2.
 """
 
 from __future__ import annotations
@@ -644,15 +646,30 @@ def scatter_blocks(shape, triplets):
     A triplet is one block with 1D index arrays, or a stack of blocks
     ``(..., nr, nc)`` with index arrays ``(..., nr)`` and ``(..., nc)``.
     """
-    rows, cols, vals = [], [], []
-    for r, c, block in triplets:
-        r, c = np.asarray(r), np.asarray(c)
-        rows.append(np.broadcast_to(r[..., :, None], block.shape).ravel())
-        cols.append(np.broadcast_to(c[..., None, :], block.shape).ravel())
-        vals.append(block.ravel())
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=shape).tocsr()
+    triplets = list(triplets)
+    rows, cols = _block_indices(shape, [(r, c) for r, c, _ in triplets])
+    vals = np.concatenate([block.ravel() for _, _, block in triplets])
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+
+
+def _block_indices(shape, pairs):
+    """Row and column indices of every entry of stacked blocks, flat.
+
+    ``pairs`` holds ``(row_dofs, col_dofs)`` index arrays ``(..., nr)`` and
+    ``(..., nc)`` of stacks of ``(..., nr, nc)`` blocks of a matrix of
+    ``shape``; the entries are listed block by block, each row by row.  The
+    indices are int32 where ``shape`` allows.
+    """
+    pairs = [(np.asarray(r)[..., :, None], np.asarray(c)[..., None, :])
+             for r, c in pairs]
+    shapes = [np.broadcast_shapes(r.shape, c.shape) for r, c in pairs]
+    ends = np.cumsum([0] + [np.prod(s, dtype=int) for s in shapes])
+    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.intp
+    rows, cols = np.empty(ends[-1], dtype=index), np.empty(ends[-1], dtype=index)
+    for (r, c), s, start, end in zip(pairs, shapes, ends, ends[1:]):
+        rows[start:end].reshape(s)[...] = r
+        cols[start:end].reshape(s)[...] = c
+    return rows, cols
 
 
 def median_bisection(points):
@@ -668,16 +685,19 @@ def median_bisection(points):
     """
     n = len(points)
     leaf = np.zeros(n, dtype=np.int64)
+    order = np.arange(n)  # the points by part, as each split leaves them
     depth = 0
     while n:
         counts = np.bincount(leaf)
         if counts.max() == 1:
             break
-        lo = np.full((len(counts), 2), np.inf)
-        hi = np.full((len(counts), 2), -np.inf)
-        np.minimum.at(lo, leaf, points)
-        np.maximum.at(hi, leaf, points)
-        axis = np.argmax(hi - lo, axis=1)
+        parts = np.flatnonzero(counts)
+        starts = (np.cumsum(counts) - counts)[parts]
+        by_part = points[order]
+        span = (np.maximum.reduceat(by_part, starts)
+                - np.minimum.reduceat(by_part, starts))
+        axis = np.zeros(len(counts), dtype=np.intp)
+        axis[parts] = np.argmax(span, axis=1)
         order = np.lexsort((points[np.arange(n), axis[leaf]], leaf))
         rank = np.empty(n, dtype=np.int64)
         rank[order] = np.arange(n) - (np.cumsum(counts) - counts)[leaf[order]]
@@ -687,18 +707,18 @@ def median_bisection(points):
 
 
 def nested_dissection(space):
-    """Nested-dissection order of the active DOFs of ``space``.
+    """Nested-dissection order of the active face DOFs of ``space``.
 
     The cells are bisected at coordinate medians of their centroids
-    (``median_bisection``).  A cell's DOFs belong to its leaf; a face's DOFs
-    to the lowest part holding both its cells, so the faces whose two cells
-    fall in different halves of a part form that part's separator.  Cell
-    DOFs couple only through their own faces, and all faces of a cell lie on
-    the path from its leaf to the root, so eliminating each part's halves
-    before its separator creates no fill between the halves.  The order
-    lists the parts in postorder (both halves, then the separator); within a
-    part by DOF index.  Returns the permutation of positions in the active
-    vector.
+    (``median_bisection``).  A face's DOFs belong to the lowest part holding
+    both its cells, so the faces whose two cells fall in different halves of
+    a part form that part's separator.  A cell's condensed block couples
+    only its own faces, and all faces of a cell lie on the path from its
+    leaf to the root, so eliminating each part's halves before its
+    separator creates no fill between the halves.  The order lists the
+    parts in postorder (both halves, then the separator); within a part by
+    DOF index.  Returns the permutation of positions in the active face
+    vector (the active vector after its ``n_cell_dofs`` cell entries).
     """
     mesh = space.mesh
     leaf, depth = median_bisection(mesh.cell_centroids)
@@ -706,15 +726,12 @@ def nested_dissection(space):
     a = leaf[c0]
     # levels from the leaves up to the lowest part holding both cells
     up = np.frexp(a ^ leaf[np.where(c1 < 0, c0, c1)])[1]
-
-    def postorder(code, up):
-        # by the part's last leaf, then deeper parts first: both halves of
-        # a part come before its separator
-        return ((((code >> up) + 1) << up) - 1) * (depth + 1) + up
-
-    key = np.concatenate((np.repeat(postorder(leaf, 0), space.cell_dim),
-                          np.repeat(postorder(a, up), space.face_dim)))
-    return np.argsort(key[space.active_dofs], kind="stable")
+    # by the part's last leaf, then deeper parts first: both halves of a
+    # part come before its separator
+    key = np.repeat(((((a >> up) + 1) << up) - 1) * (depth + 1) + up,
+                    space.face_dim)
+    faces = space.active_dofs[space.n_cell_dofs:] - space.n_cell_dofs
+    return np.argsort(key[faces], kind="stable")
 
 
 _EPS = np.finfo(float).eps
@@ -729,14 +746,25 @@ class OptimalitySystem:
     off before the single factorization; at each solve the fixed columns
     times the given fixed values move into the right-hand side (the lift).
 
-    Factorization.  The system is factored in the ``nested_dissection``
-    order (George, SIAM J. Numer. Anal. 10 (1973) 345-363), with SuperLU
-    told to keep it (``permc_spec="NATURAL"``, ``SymmetricMode``) and to
-    pivot on the diagonal (``diag_pivot_thresh=0``).  Every matrix factored
-    here has a positive definite Hermitian part: the stiffness, the pinned
-    uc32 control mass, and the complex uc matrix A - i C / sqrt(lam), whose
-    Hermitian part is A.  LU without pivoting then exists and is stable
-    (Golub & Van Loan, Linear Algebra Appl. 28 (1979) 85-97).
+    Factorization.  The matrix is an assembly of cell blocks, so a cell's
+    unknowns couple only with its own faces; the cell DOFs come first and
+    are never fixed.  They are eliminated cell by cell (static
+    condensation; Di Pietro & Droniou, The Hybrid High-Order Method for
+    Polytopal Meshes, Springer 2020): the cell blocks K_TT are inverted as
+    one batch into the block-diagonal D = K_TT^{-1}, and only the face
+    Schur complement S = K_FF - K_FT D K_TF is factored, in the
+    ``nested_dissection`` order of the active faces (George, SIAM J.
+    Numer. Anal. 10 (1973) 345-363), with SuperLU told to keep it
+    (``permc_spec="NATURAL"``, ``SymmetricMode``) and to pivot on the
+    diagonal (``diag_pivot_thresh=0``).  A solve takes y = D b_T, the
+    faces x_F = S^{-1}(b_F - K_FT y) and the cells x_T = y - D K_TF x_F,
+    with K_FT and K_TF the off-diagonal blocks of the active matrix.  Every
+    matrix factored here has a positive definite Hermitian part: the
+    stiffness, the pinned uc32 control mass, and the complex uc matrix
+    A - i C / sqrt(lam), whose Hermitian part is A.  The cell blocks and S
+    inherit that property, so their LU without pivoting exists and is
+    stable (Golub & Van Loan, Linear Algebra Appl. 28 (1979) 85-97).  A
+    cell block that cannot be inverted fails with an infinite residual.
 
     Refinement (Demmel et al., ACM TOMS 32 (2006) 325-351).  Every solve is
     refined against the assembled matrix: the residual b - K x is summed in
@@ -766,12 +794,12 @@ class OptimalitySystem:
     def __init__(self, space, matrix):
         self.space = space
         act = space.active_dofs
+        full = sp.csr_matrix(matrix)
         # one gather of the active rows gives the lift and the system; it is
         # dropped before the factorization, whose fill sets the peak memory
-        rows = sp.csr_matrix(matrix)[act]
+        rows = full[act]
         self._lift, self._matrix = rows[:, space.fixed_dofs], rows[:, act]
         del rows
-        self._order = nested_dissection(space)
         # the assembled matrix in double and, over the same indices, in
         # extended precision for the residuals of iterates near the solution
         self._matrix_ld = sp.csr_matrix(
@@ -781,14 +809,93 @@ class OptimalitySystem:
             shape=self._matrix.shape)
         self.residual = None
         self.refinement = None
-        matrix = self._matrix[self._order][:, self._order].tocsc()
+        nt = space.n_cell_dofs
+        self._order = nested_dissection(space)
+        # the off-diagonal blocks of the active matrix, faces in index order
+        self._K_TF = self._matrix[:nt, nt:]
+        self._K_FT = self._matrix[nt:, :nt]
+        schur = self._condense(full)
         try:
-            self._lu = spla.splu(matrix, permc_spec="NATURAL",
+            self._lu = spla.splu(schur, permc_spec="NATURAL",
                                  diag_pivot_thresh=0.0,
                                  options=dict(SymmetricMode=True))
         except RuntimeError as exc:  # exactly singular
             raise SolverError(f"factorization failed: {exc}",
                               residual=np.inf) from None
+
+    def _condense(self, full):
+        """Set the cell inverse D = K_TT^{-1}; return the face system S.
+
+        S = K_FF - sum over the cells of F = K_FT D K_TF, over the active
+        faces in the face order (``nested_dissection`` keeps each face's
+        DOFs together).  S is summed face pair by face pair, one (face_dim,
+        face_dim) block each, straight into the sorted CSC layout, so its
+        pairs are found before any value is read.  Then one gather reads
+        every cell block K_TT, every cell's K_TF and K_FT and K_FF at the
+        pairs of S from ``full`` (the full-size matrix); the K_TT are
+        inverted as one batch and F is formed group by group.  Returns S.
+        """
+        space, groups = self.space, self.space.kernel_groups()
+        nt, dl, fd = space.n_cell_dofs, space.cell_dim, space.face_dim
+        nf = len(self._order) // fd
+        # the active faces in the face order, then the fixed faces
+        active = (space.active_dofs[nt::fd] - nt) // fd
+        face = np.concatenate((active[self._order[::fd] // fd],
+                               (space.fixed_dofs[::fd] - nt) // fd))
+        at = np.empty(len(face), dtype=np.intp)
+        at[face] = np.arange(len(face))
+        cells = np.arange(nt).reshape(-1, dl)
+        index, cols, rows = [(cells, cells)], [], []
+        for g in groups:
+            cell, faces = g.dofs[:, :dl], g.dofs[:, dl:]
+            index += [(cell, faces), (faces, cell)]
+            # the (column face, row face) pair of each block of F^T
+            col, row = np.broadcast_arrays(at[g.face_ids][:, :, None],
+                                           at[g.face_ids][:, None, :])
+            cols.append(col.ravel())
+            rows.append(row.ravel())
+        cols, rows = np.concatenate(cols), np.concatenate(rows)
+        n_blocks = len(cols)
+        # the blocks of active pairs, by column face, then row face
+        keep = np.flatnonzero((cols < nf) & (rows < nf))
+        by_pair = keep[np.argsort(cols[keep] * nf + rows[keep])]
+        cols, rows = cols[by_pair], rows[by_pair]
+        first = np.flatnonzero(np.diff(cols * nf + rows, prepend=-1))
+        count = np.diff(first, append=len(by_pair))
+        cols, rows = cols[first], rows[first]
+        dofs = nt + face[:, None] * fd + np.arange(fd)
+        index.append((np.take(dofs, rows, 0), np.take(dofs, cols, 0)))
+        values = np.asarray(full[_block_indices(full.shape, index)]).ravel()
+        try:
+            D = np.linalg.inv(values[:nt * dl].reshape(-1, dl, dl))
+        except np.linalg.LinAlgError:
+            raise SolverError("a cell block is singular",
+                              residual=np.inf) from None
+        self._D = sp.bsr_matrix((D, np.arange(len(D)), np.arange(len(D) + 1)),
+                                shape=(nt, nt))
+        blocks = np.empty((n_blocks, fd, fd), D.dtype)  # F^T, by group
+        read, put = nt * dl, 0
+        for g in groups:
+            (B, w), m = g.dofs[:, dl:].shape, g.face_ids.shape[1]
+            K_TF = values[read:read + B * dl * w].reshape(B, dl, w)
+            K_FT = values[read + K_TF.size:read + 2 * K_TF.size]
+            read += 2 * K_TF.size
+            F = K_FT.reshape(B, w, dl) @ (np.take(D, g.cells, 0) @ K_TF)
+            blocks[put:put + B * m * m].reshape(B, m, m, fd, fd)[...] = (
+                F.reshape(B, m, fd, m, fd).transpose(0, 3, 1, 4, 2))
+            put += B * m * m
+        F = np.take(blocks, by_pair[first], 0)
+        for k in range(1, count.max(initial=1)):  # a face's two cells
+            more = np.flatnonzero(count > k)
+            F[more] += np.take(blocks, by_pair[first[more] + k], 0)
+        del blocks
+        S_T = np.subtract(_mT(values[read:].reshape(F.shape)), F, out=F)
+        # CSR of S^T, read as CSC of S
+        S_T = sp.bsr_matrix(
+            (S_T, rows, np.searchsorted(cols, np.arange(nf + 1))),
+            shape=(nf * fd, nf * fd)).tocsr()
+        return sp.csc_matrix((S_T.data, S_T.indices, S_T.indptr),
+                             shape=S_T.shape)
 
     def _residual(self, b, x, extended=True):
         """b - K x for the assembled K, summed in extended precision if asked."""
@@ -799,15 +906,22 @@ class OptimalitySystem:
         return r.astype(self._matrix.dtype)
 
     def lu_solve(self, b):
-        """K^{-1} b through the permuted factorization, unrefined.
+        """K^{-1} b through the condensed factorization, unrefined.
 
         ``b`` and the result are vectors over the active DOFs: no lift, no
-        refinement and no residual check.  This is the one plain solve, for
-        inner iterations (``reduced_hessian_cg``) that apply K^{-1} many
-        times and are corrected by a refined ``solve``.
+        refinement and no residual check.  The faces solve S x_F = b_F -
+        K_FT D b_T, then the cells take x_T = D (b_T - K_TF x_F).  This is
+        the one plain solve, for inner iterations (``reduced_hessian_cg``)
+        that apply K^{-1} many times and are corrected by a refined
+        ``solve``.
         """
-        x = np.empty_like(b)
-        x[self._order] = self._lu.solve(b[self._order])
+        nt = self.space.n_cell_dofs
+        y = self._D @ b[:nt]
+        r = b[nt:] - self._K_FT @ y
+        x_F = self._lu.solve(r[self._order])
+        x = np.empty(len(b), dtype=x_F.dtype)
+        x[nt + self._order] = x_F
+        x[:nt] = y - self._D @ (self._K_TF @ x[nt:])
         return x
 
     def solve(self, load, fixed=None, start=None):

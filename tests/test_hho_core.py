@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hho_control import HhoSpace, make_cartesian, solve_poisson
 from hho_control.errors import energy_error, eoc, l2_error_reconstruction
 from hho_control.hho_core import (NonFiniteError, OptimalitySystem, _build,
                                   _grad_grams, _views, cell_load_vector,
                                   h1h_seminorm_sq, reconstruct_all,
-                                  reduce_function)
+                                  reduce_function, scatter_blocks)
 from hho_control.poly import monomial_grads, space_dimension
 from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
                      cell_face_ids, cell_normals, dense_face_schur,
@@ -299,6 +300,67 @@ def test_condensed_schur_spd():
     mesh = cached_cartesian(4)
     space = HhoSpace(mesh, 1, dirichlet=True)
     np.linalg.cholesky(dense_face_schur(space))  # raises if not SPD
+
+
+@pytest.mark.parametrize("k, cell_degree", [(0, 0), (1, 1), (1, 2)])
+@pytest.mark.parametrize("mesh_name", ["cartesian", "voronoi"])
+def test_factored_matrix_is_the_dense_face_schur_complement(
+        k, cell_degree, mesh_name, monkeypatch):
+    # the one matrix handed to SuperLU is the face Schur complement of the
+    # active stiffness, eliminated densely, taken in the face order
+    from hho_control import hho_core
+
+    factored, splu = [], hho_core.spla.splu
+    monkeypatch.setattr(hho_core.spla, "splu",
+                        lambda m, **kw: factored.append(m) or splu(m, **kw))
+    mesh = {"cartesian": cached_cartesian(4),
+            "voronoi": cached_voronoi(16)}[mesh_name]
+    space = HhoSpace(mesh, k, cell_degree=cell_degree, dirichlet=True)
+    OptimalitySystem(space, space.stiffness_matrix())
+    order = hho_core.nested_dissection(space)
+    want = dense_face_schur(space)[np.ix_(order, order)]
+    got, = factored
+    assert got.shape == want.shape
+    assert np.abs(got.toarray() - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", ["dirichlet-stiffness", "complex", "free",
+                                  "nonsymmetric"])
+def test_lu_solve_matches_the_dense_solve(case):
+    # cell elimination, face solve and cell recovery give K^{-1} b over the
+    # active DOFs, for a real, a complex, a non-Dirichlet and a
+    # nonsymmetric matrix (whose S differs from S^T)
+    space = HhoSpace(cached_voronoi(16), 1, dirichlet=case != "free")
+    A, M = space.stiffness_matrix(), space.cell_mass_matrix()
+    rng = np.random.default_rng(3)
+    # a skew-symmetric cell assembly: the Hermitian part stays A
+    R = [(g.dofs, rng.standard_normal(g.dofs.shape + g.dofs.shape[-1:]))
+         for g in space.kernel_groups()]
+    skew = scatter_blocks(A.shape, [(d, d, r - np.swapaxes(r, 1, 2))
+                                    for d, r in R])
+    K = {"dirichlet-stiffness": A, "complex": A - 1j / np.sqrt(1e-2) * M,
+         "free": A + M, "nonsymmetric": A + skew}[case]
+    act = space.active_dofs
+    dense = K.toarray()[np.ix_(act, act)]
+    b = rng.standard_normal(len(act))
+    if case == "complex":
+        b = b + 1j * rng.standard_normal(len(act))
+    want = np.linalg.solve(dense, b)
+    got = OptimalitySystem(space, K).lu_solve(b)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_singular_cell_block_raises_solver_error():
+    # a matrix whose cell-cell blocks are zero cannot eliminate its cells:
+    # the failure is a SolverError with an infinite residual
+    from hho_control import SolverError
+
+    space = HhoSpace(cached_cartesian(2), 1, dirichlet=True)
+    A = space.stiffness_matrix()
+    cells = sp.diags((np.arange(space.n_dofs) < space.n_cell_dofs) * 1.0)
+    with pytest.raises(SolverError) as err:
+        OptimalitySystem(space, A - cells @ A @ cells)
+    assert err.value.residual == np.inf
 
 
 def test_solver_failure_reports_residual():

@@ -69,17 +69,27 @@ def test_nested_dissection_orders_separators_after_their_halves(
         mesh = voronoi_with_l_cell()
     space = HhoSpace(mesh, k, dirichlet=dirichlet)
     perm = nested_dissection(space)
-    assert sorted(perm) == list(range(len(space.active_dofs)))
-    pos = np.empty_like(perm)
-    pos[perm] = np.arange(len(perm))
+    nc = space.n_cell_dofs
+    assert sorted(perm) == list(range(len(space.active_dofs) - nc))
+    # the elimination order: the cell DOFs (condensed first), then the
+    # active face DOFs in the order ``perm``
+    pos = np.arange(len(space.active_dofs))
+    pos[nc + perm] = nc + np.arange(len(perm))
 
-    # each split halves its part at the median, the odd cell going low
-    leaf, depth = median_bisection(mesh.cell_centroids)
+    # each split halves its part at the median, the odd cell going low,
+    # across the longer side of the part's bounding box
+    points = mesh.cell_centroids
+    leaf, depth = median_bisection(points)
     for up in range(1, depth + 1):
         for code in np.unique(leaf >> up):
-            low = np.sum(leaf >> (up - 1) == 2 * code)
-            high = np.sum(leaf >> (up - 1) == 2 * code + 1)
-            assert low - high in ((0, 1) if low + high > 1 else (1,))
+            low = points[leaf >> (up - 1) == 2 * code]
+            high = points[leaf >> (up - 1) == 2 * code + 1]
+            assert len(low) - len(high) in ((0, 1) if len(low) + len(high) > 1
+                                            else (1,))
+            if len(high):
+                both = np.vstack((low, high))
+                axis = np.argmax(both.max(axis=0) - both.min(axis=0))
+                assert low[:, axis].max() <= high[:, axis].min()
 
     # the part of a cell is its leaf; of a face, the lowest part that holds
     # both its cells (its separator), found here one level at a time
@@ -98,7 +108,7 @@ def test_nested_dissection_orders_separators_after_their_halves(
     first = {}
     for d, (code, up) in enumerate(parts):
         if d in at and up > 0:
-            first[code, up] = min(first.get((code, up), len(perm)), pos[at[d]])
+            first[code, up] = min(first.get((code, up), len(pos)), pos[at[d]])
     for d, (code, up) in enumerate(parts):
         if d not in at:
             continue

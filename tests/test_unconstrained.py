@@ -242,9 +242,10 @@ def test_uc1_lambda_sweep_passes_residual_gate(scheme, lam):
     assert sol.refinement["residual"] <= 1e-14
 
 
-def test_uc1_factors_one_matrix_over_the_active_dofs(monkeypatch):
-    # state and adjoint are one complex unknown: one factorization of n
-    # rows, not of the 2n rows of the real two-field block system
+def test_uc1_factors_one_matrix_over_the_active_face_dofs(monkeypatch):
+    # state and adjoint are one complex unknown, and the cells are
+    # eliminated: one complex factorization over the n_F active face DOFs,
+    # not of the 2 n_F rows of a real two-field face system
     from hho_control import hho_core
 
     shapes, splu = [], hho_core.spla.splu
@@ -256,7 +257,7 @@ def test_uc1_factors_one_matrix_over_the_active_dofs(monkeypatch):
     monkeypatch.setattr(hho_core.spla, "splu", recording)
     space = HhoSpace(cached_cartesian(4), 1, dirichlet=True)
     solve_uc1(space, problem_from_preset("uc1-default"))
-    n = len(space.active_dofs)
+    n = len(space.active_dofs) - space.n_cell_dofs
     assert shapes == [((n, n), "c")]
 
 
