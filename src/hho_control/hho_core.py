@@ -20,9 +20,10 @@ class's cells in one broadcast product.
 Per-cell matrices are scattered into global sparse matrices by one triplet
 helper.  ``OptimalitySystem`` is the one solve path of the package: one
 space and one real or complex matrix whose cell unknowns are eliminated
-cell by cell (static condensation), leaving the face Schur complement,
-summed face pair by face pair, to factor once in a nested-dissection order
-without pivoting; every solve is refined against the assembled matrix and
+cell by cell (static condensation), leaving the face Schur complement
+K_FF - K_FT K_TT^{-1} K_TF, formed by sparse products of the blocks of the
+active matrix, to factor once in a nested-dissection order without
+pivoting; every solve is refined against the assembled matrix and
 checked.  It solves the Poisson
 problem and the complex uc1, uc2 and uc31 systems, and its plain
 ``lu_solve`` runs the ``reduced_hessian_cg`` of uc32, wc1 and wc2.
@@ -645,31 +646,19 @@ def scatter_blocks(shape, triplets):
 
     A triplet is one block with 1D index arrays, or a stack of blocks
     ``(..., nr, nc)`` with index arrays ``(..., nr)`` and ``(..., nc)``.
+    The indices are int32 where ``shape`` allows.
     """
-    triplets = list(triplets)
-    rows, cols = _block_indices(shape, [(r, c) for r, c, _ in triplets])
-    vals = np.concatenate([block.ravel() for _, _, block in triplets])
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
-
-
-def _block_indices(shape, pairs):
-    """Row and column indices of every entry of stacked blocks, flat.
-
-    ``pairs`` holds ``(row_dofs, col_dofs)`` index arrays ``(..., nr)`` and
-    ``(..., nc)`` of stacks of ``(..., nr, nc)`` blocks of a matrix of
-    ``shape``; the entries are listed block by block, each row by row.  The
-    indices are int32 where ``shape`` allows.
-    """
-    pairs = [(np.asarray(r)[..., :, None], np.asarray(c)[..., None, :])
-             for r, c in pairs]
-    shapes = [np.broadcast_shapes(r.shape, c.shape) for r, c in pairs]
+    triplets = [(np.asarray(r)[..., :, None], np.asarray(c)[..., None, :],
+                 block) for r, c, block in triplets]
+    shapes = [np.broadcast_shapes(r.shape, c.shape) for r, c, _ in triplets]
     ends = np.cumsum([0] + [np.prod(s, dtype=int) for s in shapes])
     index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.intp
     rows, cols = np.empty(ends[-1], dtype=index), np.empty(ends[-1], dtype=index)
-    for (r, c), s, start, end in zip(pairs, shapes, ends, ends[1:]):
+    for (r, c, _), s, start, end in zip(triplets, shapes, ends, ends[1:]):
         rows[start:end].reshape(s)[...] = r
         cols[start:end].reshape(s)[...] = c
-    return rows, cols
+    vals = np.concatenate([block.ravel() for _, _, block in triplets])
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 def median_bisection(points):
@@ -750,16 +739,17 @@ class OptimalitySystem:
     unknowns couple only with its own faces; the cell DOFs come first and
     are never fixed.  They are eliminated cell by cell (static
     condensation; Di Pietro & Droniou, The Hybrid High-Order Method for
-    Polytopal Meshes, Springer 2020): the cell blocks K_TT are inverted as
-    one batch into the block-diagonal D = K_TT^{-1}, and only the face
-    Schur complement S = K_FF - K_FT D K_TF is factored, in the
-    ``nested_dissection`` order of the active faces (George, SIAM J.
-    Numer. Anal. 10 (1973) 345-363), with SuperLU told to keep it
+    Polytopal Meshes, Springer 2020).  The active matrix is permuted once,
+    its faces into the ``nested_dissection`` order of the active faces
+    (George, SIAM J. Numer. Anal. 10 (1973) 345-363), and split into the
+    blocks K_TT, K_TF, K_FT and K_FF by slicing.  The cell blocks K_TT are
+    inverted as one batch into the block-diagonal D = K_TT^{-1}, and only
+    the face Schur complement S = K_FF - K_FT (D K_TF), formed by two
+    sparse products, is factored, with SuperLU told to keep its order
     (``permc_spec="NATURAL"``, ``SymmetricMode``) and to pivot on the
     diagonal (``diag_pivot_thresh=0``).  A solve takes y = D b_T, the
-    faces x_F = S^{-1}(b_F - K_FT y) and the cells x_T = y - D K_TF x_F,
-    with K_FT and K_TF the off-diagonal blocks of the active matrix.  Every
-    matrix factored here has a positive definite Hermitian part: the
+    faces x_F = S^{-1}(b_F - K_FT y) and the cells x_T = y - D K_TF x_F.
+    Every matrix factored here has a positive definite Hermitian part: the
     stiffness, the pinned uc32 control mass, and the complex uc matrix
     A - i C / sqrt(lam), whose Hermitian part is A.  The cell blocks and S
     inherit that property, so their LU without pivoting exists and is
@@ -794,10 +784,9 @@ class OptimalitySystem:
     def __init__(self, space, matrix):
         self.space = space
         act = space.active_dofs
-        full = sp.csr_matrix(matrix)
         # one gather of the active rows gives the lift and the system; it is
         # dropped before the factorization, whose fill sets the peak memory
-        rows = full[act]
+        rows = sp.csr_matrix(matrix)[act]
         self._lift, self._matrix = rows[:, space.fixed_dofs], rows[:, act]
         del rows
         # the assembled matrix in double and, over the same indices, in
@@ -809,12 +798,25 @@ class OptimalitySystem:
             shape=self._matrix.shape)
         self.residual = None
         self.refinement = None
-        nt = space.n_cell_dofs
+        nt, dl = space.n_cell_dofs, space.cell_dim
         self._order = nested_dissection(space)
-        # the off-diagonal blocks of the active matrix, faces in index order
-        self._K_TF = self._matrix[:nt, nt:]
-        self._K_FT = self._matrix[nt:, :nt]
-        schur = self._condense(full)
+        # the active matrix, cells first and faces in the face order
+        perm = np.concatenate((np.arange(nt), nt + self._order))
+        K = self._matrix[perm][:, perm]
+        # the cell blocks K_TT, zero where the matrix has no entry
+        K_TT = K[:nt, :nt].tocoo()
+        blocks = np.zeros((nt // dl, dl, dl), K.dtype)
+        blocks[K_TT.row // dl, K_TT.row % dl, K_TT.col % dl] = K_TT.data
+        try:
+            D = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError:
+            raise SolverError("a cell block is singular",
+                              residual=np.inf) from None
+        self._D = sp.bsr_matrix((D, np.arange(len(D)), np.arange(len(D) + 1)),
+                                shape=(nt, nt))
+        self._K_TF, self._K_FT = K[:nt, nt:], K[nt:, :nt]
+        schur = (K[nt:, nt:] - self._K_FT @ (self._D @ self._K_TF)).tocsc()
+        del K
         try:
             self._lu = spla.splu(schur, permc_spec="NATURAL",
                                  diag_pivot_thresh=0.0,
@@ -822,80 +824,6 @@ class OptimalitySystem:
         except RuntimeError as exc:  # exactly singular
             raise SolverError(f"factorization failed: {exc}",
                               residual=np.inf) from None
-
-    def _condense(self, full):
-        """Set the cell inverse D = K_TT^{-1}; return the face system S.
-
-        S = K_FF - sum over the cells of F = K_FT D K_TF, over the active
-        faces in the face order (``nested_dissection`` keeps each face's
-        DOFs together).  S is summed face pair by face pair, one (face_dim,
-        face_dim) block each, straight into the sorted CSC layout, so its
-        pairs are found before any value is read.  Then one gather reads
-        every cell block K_TT, every cell's K_TF and K_FT and K_FF at the
-        pairs of S from ``full`` (the full-size matrix); the K_TT are
-        inverted as one batch and F is formed group by group.  Returns S.
-        """
-        space, groups = self.space, self.space.kernel_groups()
-        nt, dl, fd = space.n_cell_dofs, space.cell_dim, space.face_dim
-        nf = len(self._order) // fd
-        # the active faces in the face order, then the fixed faces
-        active = (space.active_dofs[nt::fd] - nt) // fd
-        face = np.concatenate((active[self._order[::fd] // fd],
-                               (space.fixed_dofs[::fd] - nt) // fd))
-        at = np.empty(len(face), dtype=np.intp)
-        at[face] = np.arange(len(face))
-        cells = np.arange(nt).reshape(-1, dl)
-        index, cols, rows = [(cells, cells)], [], []
-        for g in groups:
-            cell, faces = g.dofs[:, :dl], g.dofs[:, dl:]
-            index += [(cell, faces), (faces, cell)]
-            # the (column face, row face) pair of each block of F^T
-            col, row = np.broadcast_arrays(at[g.face_ids][:, :, None],
-                                           at[g.face_ids][:, None, :])
-            cols.append(col.ravel())
-            rows.append(row.ravel())
-        cols, rows = np.concatenate(cols), np.concatenate(rows)
-        n_blocks = len(cols)
-        # the blocks of active pairs, by column face, then row face
-        keep = np.flatnonzero((cols < nf) & (rows < nf))
-        by_pair = keep[np.argsort(cols[keep] * nf + rows[keep])]
-        cols, rows = cols[by_pair], rows[by_pair]
-        first = np.flatnonzero(np.diff(cols * nf + rows, prepend=-1))
-        count = np.diff(first, append=len(by_pair))
-        cols, rows = cols[first], rows[first]
-        dofs = nt + face[:, None] * fd + np.arange(fd)
-        index.append((np.take(dofs, rows, 0), np.take(dofs, cols, 0)))
-        values = np.asarray(full[_block_indices(full.shape, index)]).ravel()
-        try:
-            D = np.linalg.inv(values[:nt * dl].reshape(-1, dl, dl))
-        except np.linalg.LinAlgError:
-            raise SolverError("a cell block is singular",
-                              residual=np.inf) from None
-        self._D = sp.bsr_matrix((D, np.arange(len(D)), np.arange(len(D) + 1)),
-                                shape=(nt, nt))
-        blocks = np.empty((n_blocks, fd, fd), D.dtype)  # F^T, by group
-        read, put = nt * dl, 0
-        for g in groups:
-            (B, w), m = g.dofs[:, dl:].shape, g.face_ids.shape[1]
-            K_TF = values[read:read + B * dl * w].reshape(B, dl, w)
-            K_FT = values[read + K_TF.size:read + 2 * K_TF.size]
-            read += 2 * K_TF.size
-            F = K_FT.reshape(B, w, dl) @ (np.take(D, g.cells, 0) @ K_TF)
-            blocks[put:put + B * m * m].reshape(B, m, m, fd, fd)[...] = (
-                F.reshape(B, m, fd, m, fd).transpose(0, 3, 1, 4, 2))
-            put += B * m * m
-        F = np.take(blocks, by_pair[first], 0)
-        for k in range(1, count.max(initial=1)):  # a face's two cells
-            more = np.flatnonzero(count > k)
-            F[more] += np.take(blocks, by_pair[first[more] + k], 0)
-        del blocks
-        S_T = np.subtract(_mT(values[read:].reshape(F.shape)), F, out=F)
-        # CSR of S^T, read as CSC of S
-        S_T = sp.bsr_matrix(
-            (S_T, rows, np.searchsorted(cols, np.arange(nf + 1))),
-            shape=(nf * fd, nf * fd)).tocsr()
-        return sp.csc_matrix((S_T.data, S_T.indices, S_T.indptr),
-                             shape=S_T.shape)
 
     def _residual(self, b, x, extended=True):
         """b - K x for the assembled K, summed in extended precision if asked."""
@@ -917,11 +845,10 @@ class OptimalitySystem:
         """
         nt = self.space.n_cell_dofs
         y = self._D @ b[:nt]
-        r = b[nt:] - self._K_FT @ y
-        x_F = self._lu.solve(r[self._order])
+        x_F = self._lu.solve(b[nt + self._order] - self._K_FT @ y)
         x = np.empty(len(b), dtype=x_F.dtype)
         x[nt + self._order] = x_F
-        x[:nt] = y - self._D @ (self._K_TF @ x[nt:])
+        x[:nt] = y - self._D @ (self._K_TF @ x_F)
         return x
 
     def solve(self, load, fixed=None, start=None):

@@ -17,6 +17,7 @@ PDEs at random sample points.
 
 from __future__ import annotations
 
+import ast
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,13 +145,52 @@ def get_preset(preset_id):
     return _PRESETS[key]
 
 
+_NAMES = ("x1", "x2", "pi")
+_FUNCTIONS = ("sin", "cos", "exp")
+_OPERATORS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
+
+
+def _check_syntax(text):
+    """Raise PresetError unless ``text`` is an expression of the grammar.
+
+    The grammar: the names x1, x2 and pi, numeric literals, ``+ - * / **``,
+    unary signs and sin, cos and exp of one argument.  The check reads the
+    syntax tree of the text (stdlib ``ast``) and evaluates nothing.
+    """
+    try:
+        stack = [ast.parse(text.strip(), mode="eval").body]
+    # the parser raises MemoryError on a text nested too deeply for it
+    except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+        raise PresetError(f"cannot parse expression {text!r}: {exc}") from None
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.BinOp) and isinstance(node.op, _OPERATORS):
+            stack += [node.left, node.right]
+        elif (isinstance(node, ast.UnaryOp)
+              and isinstance(node.op, (ast.UAdd, ast.USub))):
+            stack.append(node.operand)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in _FUNCTIONS and len(node.args) == 1
+              and not node.keywords):
+            stack.append(node.args[0])
+        elif not (isinstance(node, ast.Name) and node.id in _NAMES
+                  or isinstance(node, ast.Constant)
+                  and type(node.value) in (int, float)):
+            raise PresetError(f"disallowed term {ast.unparse(node)!r} in "
+                              f"expression {text!r}")
+
+
 def parse_expression(text):
     """Closed-form expression in x1, x2 (sums/products/sin/cos/exp/powers).
 
-    The Laplacian is computed symbolically; anything outside the whitelist is
-    rejected so configs cannot smuggle arbitrary code.  sympy is imported
-    here, so that preset runs never load it.
+    The text is checked against the grammar (``_check_syntax``) before
+    sympy reads it: ``sympy.sympify`` evaluates its input as Python, so
+    this check is what keeps a config from running code.  The Laplacian is
+    computed symbolically; a term that evaluates outside the same whitelist
+    (such as ``1/0``) is rejected too.  sympy is imported here, so that
+    preset runs never load it.
     """
+    _check_syntax(text)
     import sympy
 
     x1, x2 = sympy.symbols("x1 x2")

@@ -264,14 +264,15 @@ def reduce_reconstruct_stabilize(space, f):
         yield op, local, err, stabilization(op, local)
 
 
-def dense_face_schur(space):
-    """Face Schur complement of the active stiffness, eliminated densely.
+def dense_face_schur(space, matrix):
+    """Face Schur complement of the active ``matrix``, eliminated densely.
 
-    Cell DOFs come first in the layout and are never fixed, so the active
-    matrix splits into its cell and face blocks at ``n_cell_dofs``.
+    ``matrix`` is a full-size matrix over the DOFs of ``space``.  Cell DOFs
+    come first in the layout and are never fixed, so the active matrix
+    splits into its cell and face blocks at ``n_cell_dofs``.
     """
     act = space.active_dofs
-    A = space.stiffness_matrix().toarray()[np.ix_(act, act)]
+    A = matrix.toarray()[np.ix_(act, act)]
     nc = space.n_cell_dofs
     return A[nc:, nc:] - A[nc:, :nc] @ np.linalg.solve(A[:nc, :nc], A[:nc, nc:])
 

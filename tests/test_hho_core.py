@@ -299,15 +299,25 @@ def test_norm_consistency():
 def test_condensed_schur_spd():
     mesh = cached_cartesian(4)
     space = HhoSpace(mesh, 1, dirichlet=True)
-    np.linalg.cholesky(dense_face_schur(space))  # raises if not SPD
+    # raises if not SPD
+    np.linalg.cholesky(dense_face_schur(space, space.stiffness_matrix()))
 
 
-@pytest.mark.parametrize("k, cell_degree", [(0, 0), (1, 1), (1, 2)])
+@pytest.mark.parametrize("k, cell_degree, case", [
+    pytest.param(0, 0, "stiffness", id="0-0"),
+    pytest.param(1, 1, "stiffness", id="1-1"),
+    pytest.param(1, 2, "stiffness", id="1-2"),
+    pytest.param(0, 0, "complex", id="0-0-complex"),
+    pytest.param(1, 1, "complex", id="1-1-complex"),
+    pytest.param(1, 1, "free", id="1-1-free"),
+    pytest.param(1, 2, "free", id="1-2-free")])
 @pytest.mark.parametrize("mesh_name", ["cartesian", "voronoi"])
 def test_factored_matrix_is_the_dense_face_schur_complement(
-        k, cell_degree, mesh_name, monkeypatch):
+        k, cell_degree, case, mesh_name, monkeypatch):
     # the one matrix handed to SuperLU is the face Schur complement of the
-    # active stiffness, eliminated densely, taken in the face order
+    # active matrix, eliminated densely, taken in the face order: for the
+    # Dirichlet stiffness, the complex uc1 matrix A - iC/sqrt(lam) and the
+    # non-Dirichlet A + M
     from hho_control import hho_core
 
     factored, splu = [], hho_core.spla.splu
@@ -315,10 +325,14 @@ def test_factored_matrix_is_the_dense_face_schur_complement(
                         lambda m, **kw: factored.append(m) or splu(m, **kw))
     mesh = {"cartesian": cached_cartesian(4),
             "voronoi": cached_voronoi(16)}[mesh_name]
-    space = HhoSpace(mesh, k, cell_degree=cell_degree, dirichlet=True)
-    OptimalitySystem(space, space.stiffness_matrix())
+    space = HhoSpace(mesh, k, cell_degree=cell_degree,
+                     dirichlet=case != "free")
+    A, M = space.stiffness_matrix(), space.cell_mass_matrix()
+    K = {"stiffness": A, "complex": A - 1j / np.sqrt(1e-2) * M,
+         "free": A + M}[case]
+    OptimalitySystem(space, K)
     order = hho_core.nested_dissection(space)
-    want = dense_face_schur(space)[np.ix_(order, order)]
+    want = dense_face_schur(space, K)[np.ix_(order, order)]
     got, = factored
     assert got.shape == want.shape
     assert np.abs(got.toarray() - want).max() <= 1e-12 * np.abs(want).max()

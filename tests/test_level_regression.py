@@ -21,7 +21,9 @@ move was 1.8e-12 relative, again in the Cartesian ``err_y_l2_recon``.  The
 Voronoi pin was recorded again when the Lloyd rounds came to take their
 centroids from the Delaunay fans, on joggled triangulations: the seeds moved
 by round-off, and the largest move was 1.8e-12 relative, in
-``err_y_l2_recon``.  A refactor of the
+``err_y_l2_recon``.  They held unrecorded when the face Schur complement
+came to be formed by sparse products of the active matrix's blocks instead
+of being summed face pair by face pair.  A refactor of the
 kernel, load, solve or error layers must reproduce them to 1e-12 relative.
 """
 

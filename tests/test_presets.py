@@ -78,10 +78,27 @@ def test_expression_symbolic_laplacian_trig():
 
 
 def test_expression_rejects_disallowed_terms():
+    for text in ["log(x1)", "__import__('os')", "x3", "sin", "sin(x1, x2)",
+                 "sin(x=x1)", "x1^2", "x1 % 2", "1j*x1", "True*x1", "'x1'",
+                 "x1.real", "[x1][0]", "x1 if x2 else x1", "lambda: x1",
+                 "(x1 := 2)", "x1 < x2", "E*x1", "", "x1,",
+                 "-" * 100000 + "x1"]:
+        with pytest.raises(PresetError):
+            parse_expression(text)
+
+
+def test_expression_is_checked_before_sympy_evaluates_it(tmp_path):
+    # sympify runs its text as Python: a call that would parse as x1 once
+    # wrote this file and passed.  Every term of the grammar still parses.
+    target = tmp_path / "written"
     with pytest.raises(PresetError):
-        parse_expression("log(x1)")
-    with pytest.raises(PresetError):
-        parse_expression("__import__('os')")
+        parse_expression(f"__import__('pathlib').Path({str(target)!r})"
+                         f".write_text('x') and x1")
+    assert not target.exists()
+    field = parse_expression(" -x1**(-2.5e-1) + +3*pi/exp(cos(x2)) - sin(1)")
+    x1, x2 = 0.3, 0.6
+    want = -x1 ** -0.25 + 3 * np.pi / np.exp(np.cos(x2)) - np.sin(1)
+    assert abs(field(np.array([[x1, x2]]))[0] - want) < 1e-14
 
 
 def test_inline_problem_self_check():
