@@ -185,8 +185,7 @@ def _solve_level(cfg, prob, level, mesh):
              "uc32": solve_uc32, "wc1": solve_wc1, "wc2": solve_wc2}[cfg.scheme]
     sol = solve(space, prob, cfg.pgd) if bounded else solve(space, prob)
     # the exact triple at the space's nodes, sampled once by the solve with
-    # its loads; the control's space has these nodes too (a NodeTable
-    # depends on the mesh and face degree only)
+    # its loads; every control is evaluated on this space
     exact, at = prob.exact, sol.exact_at_nodes
     return ErrorRecord(
         level=level, h=mesh.max_diameter(), n_cells=mesh.n_cells,

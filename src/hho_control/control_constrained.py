@@ -7,9 +7,11 @@ vector to its cell polynomials at the nodes (``NodeTable.values``), W holds
 the node weights and the load Q^T W u is the cell moments of u
 (``NodeTable.moments``), both applied class by class.  The discrete
 optimality condition is the fixed point u = P(-Q phi / lambda), P the clamp
-onto the box and phi the adjoint of the state of u.  On the k = 0 space of wc1 the adjoint cell
-unknown is constant per cell, so every node of a cell carries the same value
-and the clamp is wc1's P(-mean phi_T / lambda).
+onto the box and phi the adjoint of the state of u.  Both schemes return
+that clamp as a ``ClampedAdjointControl``.  On the k = 0 space of wc1 the
+adjoint cell unknown is constant per cell, so every node of a cell carries
+the same value, the clamp is wc1's P(-mean phi_T / lambda) and no cell is
+kinked.
 
 The loop is the primal-dual active-set method (Hintermueller, Ito &
 Kunisch, SIAM J. Optim. 13 (2002) 865-888), a semismooth Newton method for
@@ -41,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control_unconstrained import (CellPolyControl, ExactTriple,
-                                    check_scheme, load_vectors)
+from .control_unconstrained import ExactTriple, check_scheme, load_vectors
 from .hho_core import (OptimalitySystem, SolverError, linear_response,
                        node_load_vector, reduced_hessian_cg)
 from .mesh import is_count, is_real
@@ -104,7 +105,7 @@ class PgdIterationError(Exception):
 
 
 class ClampedAdjointControl:
-    """Variational-discretization control u(x) = P_box(-phi_T(x) / lambda).
+    """Control u(x) = P_box(-phi_T(x) / lambda) of wc1 and wc2.
 
     Carries ``unclamped``, the values -phi_T / lambda at the space's
     ``NodeTable`` nodes (one flat array in node order, the Newton loop's
@@ -181,12 +182,10 @@ def _w_norm(v, nodes):
 def _active_set_newton(space, prob, cfg, keep_history, scheme):
     """Primal-dual active-set Newton loop over the control's node values.
 
-    Returns ``(z, y, phi, iterations, residual, cg_steps, history,
-    exact)``: the unclamped z = -Q phi / lambda at the nodes of
-    ``space.nodes()``, whose clamp is the control, the state and adjoint of
-    the last iterate, every iterate's clamp (node arrays too) when
-    ``keep_history`` is set, and the exact triple at the nodes
-    (``load_vectors``).
+    Returns the ``ConstrainedSolution`` of ``scheme``: the state and adjoint
+    of the last iterate and the control P(z), the clamp of its unclamped
+    z = -Q phi / lambda at the nodes of ``space.nodes()``
+    (``ClampedAdjointControl``).
     """
     check_scheme(scheme, space.face_degree, prob.bounds, space)
     cfg = cfg or PgdConfig()
@@ -264,16 +263,18 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
         raise PgdIterationError(
             f"{scheme} did not converge in {cfg.max_iters} Newton steps "
             f"(last residual {residual:.3e})", residual)
-    return z, y, phi, it, residual, cg_steps, history, exact
+    control = ClampedAdjointControl(space, phi, lam, box, z)
+    return ConstrainedSolution(scheme, y, phi, control, it, residual,
+                               cg_steps, history, exact)
 
 
 def solve_wc1(space, prob, cfg=None, keep_history=False):
-    """Lowest-order scheme: piecewise constant control, k = 0 state/adjoint."""
-    z, y, phi, *rest = _active_set_newton(space, prob, cfg, keep_history,
-                                          "wc1")
-    u = project_box(z[space.nodes().starts], AdmissibleBox(*prob.bounds))
-    control = CellPolyControl(space, u[:, None], "cell")
-    return ConstrainedSolution("wc1", y, phi, control, *rest)
+    """Lowest-order scheme: piecewise constant control, k = 0 state/adjoint.
+
+    The control is the clamp of the adjoint cell constant, so it is
+    constant on each cell and no cell is kinked.
+    """
+    return _active_set_newton(space, prob, cfg, keep_history, "wc1")
 
 
 def solve_wc2(space, prob, cfg=None, keep_history=False):
@@ -283,8 +284,4 @@ def solve_wc2(space, prob, cfg=None, keep_history=False):
     cell polynomial, carried by its unclamped values at the cell quadrature
     nodes, which is exact for every load the scheme needs.
     """
-    z, y, phi, *rest = _active_set_newton(space, prob, cfg, keep_history,
-                                          "wc2")
-    control = ClampedAdjointControl(space, phi, prob.lam,
-                                    AdmissibleBox(*prob.bounds), z)
-    return ConstrainedSolution("wc2", y, phi, control, *rest)
+    return _active_set_newton(space, prob, cfg, keep_history, "wc2")

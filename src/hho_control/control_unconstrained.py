@@ -310,8 +310,10 @@ def solve_uc32(space, prob):
     if not np.linalg.norm(parts[2]) <= OptimalitySystem.RESIDUAL_TOL * rhs:
         raise SolverError(f"uc32 control residual {residuals['control']:.3e} "
                           "exceeds 1e-10", residual=residuals["control"])
-    control = CellPolyControl(control_space,
-                              reconstruct_all(control_space, u_hat), "recon")
+    # R u_hat on the state space's nodes, whose Vr is the control's
+    # reconstruction basis (degree k + 1)
+    control = CellPolyControl(space, reconstruct_all(control_space, u_hat),
+                              "recon")
     return OptimalitySolution("uc32", y, phi, control, control_hat=u_hat,
                               residuals=residuals,
                               refinement=dict(pde.refinement, cg_steps=steps),

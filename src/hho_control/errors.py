@@ -42,8 +42,8 @@ def l2_error_control(solution, u_exact, at_nodes=None):
     """L2 error of the scheme's control against the exact control.
 
     ``at_nodes`` is u_exact at the nodes of the control's space.  For a
-    control whose ``has_kinks`` is set (the variational-discretization
-    clamp of wc2) the cells crossed by the active-set boundary are
+    control whose ``has_kinks`` is set (the clamp of wc1 and wc2; wc1's has
+    no kinked cell) the cells crossed by the active-set boundary are
     integrated with a rule of four times the standard exactness to limit
     the quadrature crime near the free boundary.  The rule and the cell
     basis at its points are built once per kernel class among those cells

@@ -22,10 +22,10 @@ helper.  ``OptimalitySystem`` is the one solve path of the package: one
 space and one real or complex matrix whose cell unknowns are eliminated
 cell by cell (static condensation), leaving the face Schur complement
 K_FF - K_FT K_TT^{-1} K_TF, formed by sparse products of the blocks of the
-active matrix, to factor once in a nested-dissection order without
-pivoting; every solve is refined against the assembled matrix and
-checked.  It solves the Poisson
-problem and the complex uc1, uc2 and uc31 systems, and its plain
+active matrix, to factor once without pivoting in a nested-dissection
+order, whose parts come from the Morton key of the cell centroids; every
+solve is refined against the assembled matrix and checked.  It solves the
+Poisson problem and the complex uc1, uc2 and uc31 systems, and its plain
 ``lu_solve`` runs the ``reduced_hessian_cg`` of uc32, wc1 and wc2.
 """
 
@@ -661,65 +661,46 @@ def scatter_blocks(shape, triplets):
     return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
-def median_bisection(points):
-    """Recursive median bisection of ``points`` (n, 2) down to single points.
-
-    Returns ``(leaf, depth)``: the tree is complete of depth ``depth`` and
-    ``leaf[i]`` is the path of point i from the root, one bit per level, 1
-    for the upper half.  Each level splits every part of two or more points
-    at the median of their coordinate along the longer side of the part's
-    bounding box (ties by index; the lower half takes the odd point); a part
-    of one point passes to its lower child.  The work is vectorized per
-    level, never per part.
-    """
-    n = len(points)
-    leaf = np.zeros(n, dtype=np.int64)
-    order = np.arange(n)  # the points by part, as each split leaves them
-    depth = 0
-    while n:
-        counts = np.bincount(leaf)
-        if counts.max() == 1:
-            break
-        parts = np.flatnonzero(counts)
-        starts = (np.cumsum(counts) - counts)[parts]
-        by_part = points[order]
-        span = (np.maximum.reduceat(by_part, starts)
-                - np.minimum.reduceat(by_part, starts))
-        axis = np.zeros(len(counts), dtype=np.intp)
-        axis[parts] = np.argmax(span, axis=1)
-        order = np.lexsort((points[np.arange(n), axis[leaf]], leaf))
-        rank = np.empty(n, dtype=np.int64)
-        rank[order] = np.arange(n) - (np.cumsum(counts) - counts)[leaf[order]]
-        leaf = 2 * leaf + (2 * rank >= counts[leaf])
-        depth += 1
-    return leaf, depth
-
-
 def nested_dissection(space):
     """Nested-dissection order of the active face DOFs of ``space``.
 
-    The cells are bisected at coordinate medians of their centroids
-    (``median_bisection``).  A face's DOFs belong to the lowest part holding
-    both its cells, so the faces whose two cells fall in different halves of
-    a part form that part's separator.  A cell's condensed block couples
-    only its own faces, and all faces of a cell lie on the path from its
-    leaf to the root, so eliminating each part's halves before its
-    separator creates no fill between the halves.  The order lists the
-    parts in postorder (both halves, then the separator); within a part by
-    DOF index.  Returns the permutation of positions in the active face
-    vector (the active vector after its ``n_cell_dofs`` cell entries).
+    The cells are cut at the middle lines of the mesh's bounding box, then
+    of each half, and so on (George, SIAM J. Numer. Anal. 10 (1973)
+    345-363), x before y at each level.  That recursion is the Z-order
+    (Morton) key of the centroids: quantized to a 2^b x 2^b grid over the
+    vertex bounding box, with b = ceil(log2(n_cells) / 2) + 1, a cell's leaf
+    interleaves the bits of its grid column and row, x bit above y bit, and
+    the leaf's bits are the path of the cell from the root, one bit per
+    level of depth 2b, 1 for the upper half; cells in one grid square share
+    a leaf.  A face's DOFs belong to the lowest part holding both its
+    cells, so the faces whose two cells fall in different halves of a part
+    form that part's separator.  A cell's condensed block couples only its
+    own faces, and all faces of a cell lie on the path from its leaf to the
+    root, so eliminating each part's halves before its separator creates
+    no fill between the halves.  The order lists the parts in postorder
+    (both halves, then the separator); within a part by DOF index.  Returns
+    the permutation of positions in the active face vector (the active
+    vector after its ``n_cell_dofs`` cell entries).
     """
     mesh = space.mesh
-    leaf, depth = median_bisection(mesh.cell_centroids)
+    faces = space.active_dofs[space.n_cell_dofs:] - space.n_cell_dofs
+    if mesh.n_cells < 2:  # one part: nothing to dissect
+        return np.arange(len(faces))
+    bits = ((mesh.n_cells - 1).bit_length() + 1) // 2 + 1  # ceil(log2 n / 2) + 1
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
+    grid = np.minimum((mesh.cell_centroids - lo) / (hi - lo) * 2 ** bits,
+                      2 ** bits - 1).astype(np.int64)
+    leaf = np.zeros(mesh.n_cells, dtype=np.int64)
+    for bit in reversed(range(bits)):
+        leaf = leaf << 2 | (grid >> bit & 1) @ np.array([2, 1])
     c0, c1 = mesh.face_cells.T
     a = leaf[c0]
     # levels from the leaves up to the lowest part holding both cells
     up = np.frexp(a ^ leaf[np.where(c1 < 0, c0, c1)])[1]
     # by the part's last leaf, then deeper parts first: both halves of a
     # part come before its separator
-    key = np.repeat(((((a >> up) + 1) << up) - 1) * (depth + 1) + up,
+    key = np.repeat(((((a >> up) + 1) << up) - 1) * (2 * bits + 1) + up,
                     space.face_dim)
-    faces = space.active_dofs[space.n_cell_dofs:] - space.n_cell_dofs
     return np.argsort(key[faces], kind="stable")
 
 
@@ -741,8 +722,10 @@ class OptimalitySystem:
     condensation; Di Pietro & Droniou, The Hybrid High-Order Method for
     Polytopal Meshes, Springer 2020).  The active matrix is permuted once,
     its faces into the ``nested_dissection`` order of the active faces
-    (George, SIAM J. Numer. Anal. 10 (1973) 345-363), and split into the
-    blocks K_TT, K_TF, K_FT and K_FF by slicing.  The cell blocks K_TT are
+    (George, SIAM J. Numer. Anal. 10 (1973) 345-363: the cells are cut at
+    the middle lines of each part, read off the Morton key of their
+    centroids), and split into the blocks K_TT, K_TF, K_FT and K_FF by
+    slicing.  The cell blocks K_TT are
     inverted as one batch into the block-diagonal D = K_TT^{-1}, and only
     the face Schur complement S = K_FF - K_FT (D K_TF), formed by two
     sparse products, is factored, with SuperLU told to keep its order

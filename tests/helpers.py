@@ -20,7 +20,8 @@ kernel entries.  ``face_gauss`` builds one face's Gauss rule and face
 basis from its endpoints alone.  ``l2_error_cells``, ``vi_residual_wc1`` and
 ``reduced_cost`` are not oracles either: they evaluate the L2 error of the
 cell polynomials, the wc1 variational inequality and the reduced cost of a
-control load with the library's kernels and solve.
+control load with the library's kernels and solve.  ``wc1_cell_control``
+reads the per-cell value of a wc1 control off its node values.
 """
 
 import functools
@@ -362,6 +363,15 @@ def l2_error_cells(space, vec, v_exact):
     return math.sqrt(sorted_sum(t.cell_integrals(diff_sq)))
 
 
+def wc1_cell_control(solution):
+    """The wc1 control on each cell, checked to be one value at all its nodes."""
+    control = solution.control
+    nodes, u = control.space.nodes(), control.at_nodes()
+    lo, hi = (nodes.reduce_cells(f, u) for f in (np.minimum, np.maximum))
+    assert np.array_equal(lo, hi)
+    return lo
+
+
 def vi_residual_wc1(space, solution, prob):
     """Worst value of (phi_T + lambda u, v - u) over the extreme directions.
 
@@ -369,7 +379,7 @@ def vi_residual_wc1(space, solution, prob):
     are v = u_a and v = u_b; the discrete variational inequality holds when
     the minimum is nonnegative (up to the fixed-point tolerance).
     """
-    u = solution.control.coeffs[:, 0]
+    u = wc1_cell_control(solution)
     phi = space.cell_blocks(solution.phi)
     worst = np.inf
     for g in space.kernel_groups():

@@ -102,6 +102,32 @@ def test_unknown_scheme_rejected():
         parse_config("scheme = uc9\ndegree = 0\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("scheme = uc1\ndegree = 0\npreset = uc1-default\n"
+     "mesh_family = hexagons\n", "unknown mesh family 'hexagons'"),
+    ("scheme = uc1\ndegree = 0\nexact_y = x1\n",
+     "inline problems need both exact_y and exact_phi"),
+    ("scheme = uc1\ndegree = 0\nexact_phi = x1\n",
+     "inline problems need both exact_y and exact_phi"),
+    ("scheme = uc1\ndegree = 0\n",
+     "a preset id or inline exact functions are required"),
+    ("scheme = uc1\ndegree 0\n", "line 2: expected 'key = value'"),
+    ("scheme = uc1\n = 0\n", "line 2: expected 'key = value'"),
+    ("# a comment\nscheme = uc1\ndegree =\n",
+     "line 3: expected 'key = value'"),
+    ("scheme = uc1\ndegree = 0\nscheme = uc2\n",
+     "line 3: duplicate key 'scheme'"),
+    ("scheme = uc1\npreset = uc1-default\n",
+     "config requires at least 'scheme' and 'degree'"),
+    ("degree = 0\npreset = uc1-default\n",
+     "config requires at least 'scheme' and 'degree'"),
+], ids=["mesh-family", "only-y", "only-phi", "no-problem", "no-equals",
+        "no-key", "no-value", "duplicate", "no-degree", "no-scheme"])
+def test_malformed_config_document_rejected(text, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(text)
+
+
 def test_bounds_on_unconstrained_rejected():
     with pytest.raises(ConfigError, match="not admissible"):
         parse_config("scheme = uc1\ndegree = 0\npreset = uc1-default\n"

@@ -13,7 +13,7 @@ from hho_control.hho_core import cell_load_vector
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, cell_dofs,
                      dense_cell_mass, dense_stiffness, reduced_cost,
-                     vi_residual_wc1)
+                     vi_residual_wc1, wc1_cell_control)
 
 ZERO = lambda p: np.zeros(len(np.atleast_2d(p)))
 BOX = AdmissibleBox(-250.0, -10.0)
@@ -53,7 +53,7 @@ def test_wc1_zero_data_feasible_zero():
     space = HhoSpace(mesh, 0, dirichlet=True)
     prob = ControlProblem(f=ZERO, y_d=ZERO, lam=1e-2, bounds=(-1.0, 1.0))
     sol = solve_wc1(space, prob)
-    assert np.abs(sol.control.coeffs[:, 0]).max() == 0.0
+    assert np.abs(wc1_cell_control(sol)).max() == 0.0
     assert np.abs(sol.y).max() == 0.0
 
 
@@ -128,9 +128,11 @@ def test_wc1_variational_inequality_at_convergence():
     assert worst >= -10.0 * cfg.tol * 1e2
     assert sol.iterations <= cfg.max_iters
     assert sol.final_increment <= cfg.tol
+    # the clamp of a cell constant: the box binds, yet no cell is kinked
+    assert len(sol.control.kinked_cells()) == 0
 
     # the grouped evaluation repeats the cell-by-cell one bit for bit
-    u, ref = sol.control.coeffs[:, 0], np.inf
+    u, ref = wc1_cell_control(sol), np.inf
     for op in space.local_ops():
         i = op.cell_id
         grad = ((op.qw @ op.Vl) @ space.cell_blocks(sol.phi)[i]
@@ -203,7 +205,7 @@ def test_wc1_matches_active_set_enumeration_oracle():
             best = candidate
             break
     assert best is not None, "enumeration oracle found no admissible pattern"
-    assert np.abs(sol.control.coeffs[:, 0] - best[2 * n:]).max() < 1e-8
+    assert np.abs(wc1_cell_control(sol) - best[2 * n:]).max() < 1e-8
     assert np.abs(sol.y[act] - best[:n]).max() < 1e-8
 
 

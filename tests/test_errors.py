@@ -198,6 +198,8 @@ def test_eoc_validates_inputs():
         eoc([1.0, 0.5], [0.5, 1.0])
     with pytest.raises(ValueError):
         eoc([1.0], [1.0, 0.5])
+    with pytest.raises(ValueError, match="nonnegative"):
+        eoc([1.0, -0.5], [1.0, 0.5])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -190,9 +190,15 @@ def test_run_level_equals_the_public_calls(kwargs, tmp_path):
 
 
 def test_uc32_control_space_shares_the_state_nodes():
-    # uc32's control lives on a second space; run_level measures its error
-    # with u sampled on the state space's nodes, which must be its nodes too
-    mesh = make_cartesian(4)
-    state = HhoSpace(mesh, 2, cell_degree=3, dirichlet=True)
-    control = HhoSpace(mesh, 2, dirichlet=False)
-    assert np.array_equal(state.nodes().points, control.nodes().points)
+    # uc32 reconstructs its control on a second space and evaluates it on
+    # the state space's node table, with the state's Vr: the two tables
+    # must have the same points, weights and reconstruction basis
+    for mesh in (make_cartesian(4), make_voronoi(16)):
+        state = HhoSpace(mesh, 2, cell_degree=3, dirichlet=True)
+        control = HhoSpace(mesh, 2, dirichlet=False)
+        a, b = state.nodes(), control.nodes()
+        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a.weights, b.weights)
+        coeffs = np.random.default_rng(0).standard_normal(
+            (mesh.n_cells, state.recon_dim))
+        assert np.array_equal(a.values("Vr", coeffs), b.values("Vr", coeffs))

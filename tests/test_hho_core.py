@@ -544,6 +544,19 @@ def test_negative_or_non_integer_degree_rejected():
     assert HhoSpace(mesh, np.int64(1), dirichlet=True).face_degree == 1
 
 
+def test_cell_degree_must_be_the_face_degree_or_one_above():
+    mesh = cached_cartesian(2)
+    for k, cell_degree in [(1, 0), (1, 3), (0, 2)]:
+        with pytest.raises(ValueError, match="face_degree or face_degree"):
+            HhoSpace(mesh, k, cell_degree=cell_degree)
+
+
+def test_solve_poisson_requires_a_dirichlet_space():
+    with pytest.raises(ValueError, match="requires a Dirichlet space"):
+        solve_poisson(HhoSpace(cached_cartesian(2), 1),
+                      lambda p: np.zeros(len(p)))
+
+
 def _einsum_grad_grams(Gl, Gr, w):
     """The three-operand einsum products the batched matmuls replaced."""
     return (np.einsum("bnid,bn,bnjd->bij", Gl, w, Gl),

@@ -10,9 +10,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from hho_control import HhoSpace, Mesh, make_voronoi  # noqa: E402
-from hho_control.hho_core import (median_bisection,  # noqa: E402
-                                  nested_dissection, reconstruct_all,
-                                  reduce_function)
+from hho_control.hho_core import (nested_dissection,  # noqa: E402
+                                  reconstruct_all, reduce_function)
 from hho_control.poly import monomial_exponents  # noqa: E402
 from helpers import voronoi_with_l_cell  # noqa: E402
 
@@ -76,20 +75,27 @@ def test_nested_dissection_orders_separators_after_their_halves(
     pos = np.arange(len(space.active_dofs))
     pos[nc + perm] = nc + np.arange(len(perm))
 
-    # each split halves its part at the median, the odd cell going low,
-    # across the longer side of the part's bounding box
+    # the leaf of a cell: its centroid on the 2^b x 2^b grid over the vertex
+    # bounding box, the column and row bits interleaved, x bit above y bit
+    bits = int(np.ceil(np.log2(mesh.n_cells) / 2)) + 1
+    depth = 2 * bits
+    lo, hi = mesh.vertices.min(axis=0), mesh.vertices.max(axis=0)
     points = mesh.cell_centroids
-    leaf, depth = median_bisection(points)
+
+    def morton(centroid):
+        col, row = (format(min(int(v), 2 ** bits - 1), f"0{bits}b")
+                    for v in (centroid - lo) / (hi - lo) * 2 ** bits)
+        return int("".join(x + y for x, y in zip(col, row)), 2)
+
+    leaf = np.array([morton(c) for c in points])
+    # each split cuts its part at a middle line: y at the levels of the low
+    # bits of each pair, x at the high bits
     for up in range(1, depth + 1):
         for code in np.unique(leaf >> up):
             low = points[leaf >> (up - 1) == 2 * code]
             high = points[leaf >> (up - 1) == 2 * code + 1]
-            assert len(low) - len(high) in ((0, 1) if len(low) + len(high) > 1
-                                            else (1,))
-            if len(high):
-                both = np.vstack((low, high))
-                axis = np.argmax(both.max(axis=0) - both.min(axis=0))
-                assert low[:, axis].max() <= high[:, axis].min()
+            if len(low) and len(high):
+                assert low[:, up % 2].max() <= high[:, up % 2].min()
 
     # the part of a cell is its leaf; of a face, the lowest part that holds
     # both its cells (its separator), found here one level at a time

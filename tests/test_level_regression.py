@@ -23,7 +23,9 @@ centroids from the Delaunay fans, on joggled triangulations: the seeds moved
 by round-off, and the largest move was 1.8e-12 relative, in
 ``err_y_l2_recon``.  They held unrecorded when the face Schur complement
 came to be formed by sparse products of the active matrix's blocks instead
-of being summed face pair by face pair.  A refactor of the
+of being summed face pair by face pair, and when the parts of the
+nested dissection came to be read off the Morton key of the cell centroids
+instead of median bisections.  A refactor of the
 kernel, load, solve or error layers must reproduce them to 1e-12 relative.
 """
 

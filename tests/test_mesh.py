@@ -217,6 +217,22 @@ def test_nonfinite_coordinate_reports_line():
         read_mesh(text)
 
 
+@pytest.mark.parametrize("vertices", [[0.0, 1.0, 2.0], np.zeros((3, 3)),
+                                      np.zeros((1, 3, 2))])
+def test_mesh_rejects_vertices_that_are_not_n_by_2(vertices):
+    with pytest.raises(MeshError, match=r"\(n, 2\) array"):
+        Mesh(vertices, [[0, 1, 2]])
+
+
+@pytest.mark.parametrize("cell", ["2 0 1", "3 0 1", "4 0 1 2", "3 0 1 2 0"])
+def test_malformed_cell_line_reports_line(cell):
+    # too few vertices, or a count that does not match the ids that follow
+    text = f"poly-mesh 1\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n{cell}\n"
+    with pytest.raises(MeshFormatError,
+                       match="line 7: expected '<n_vertices> <id_1>"):
+        read_mesh(text)
+
+
 def test_mesh_rejects_nonfinite_vertices():
     vertices = [[0.0, 0.0], [1.0, 0.0], [1.0, np.inf], [0.0, 1.0]]
     with pytest.raises(MeshError, match="finite"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hho_control.cli import ExperimentConfig, run_level
+from hho_control.cli import ConfigError, ExperimentConfig, run_level
 from hho_control.control_unconstrained import ControlProblem
 from hho_control.presets import (PresetError, get_preset, make_problem,
                                  parse_expression, preset_ids,
@@ -99,6 +99,29 @@ def test_expression_is_checked_before_sympy_evaluates_it(tmp_path):
     x1, x2 = 0.3, 0.6
     want = -x1 ** -0.25 + 3 * np.pi / np.exp(np.cos(x2)) - np.sin(1)
     assert abs(field(np.array([[x1, x2]]))[0] - want) < 1e-14
+
+
+def test_expression_that_evaluates_to_infinity_is_rejected():
+    # x1/0 passes the grammar; sympy evaluates it to zoo*x1, which the
+    # whitelist walk rejects
+    with pytest.raises(PresetError, match="disallowed term zoo"):
+        parse_expression("x1/0")
+
+
+@pytest.mark.parametrize("exact_y, exact_phi", [("exp(1000)*x1", "x1"),
+                                                ("x1", "exp(1000)*x1")])
+def test_non_finite_data_fail_the_self_check_at_construction(exact_y,
+                                                             exact_phi):
+    # exp(1000) overflows at every sample point.  A NaN residual once passed
+    # the self-check, and the run failed only at its first level.  The
+    # overflow raises no warning, which ``filterwarnings = error`` would
+    # turn into an exception.
+    y, phi = parse_expression(exact_y), parse_expression(exact_phi)
+    with pytest.raises(PresetError, match="not finite"):
+        make_problem(y, phi, 1e-2)
+    with pytest.raises(ConfigError, match="not finite"):
+        ExperimentConfig(scheme="uc1", degree=1, exact_y=exact_y,
+                         exact_phi=exact_phi)
 
 
 def test_inline_problem_self_check():

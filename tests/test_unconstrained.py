@@ -63,6 +63,18 @@ def test_degree_guards():
         solve_uc32(HhoSpace(mesh, 1, cell_degree=2, dirichlet=True), prob)
 
 
+def test_space_of_the_wrong_layout_rejected():
+    # uc1 needs the zero-trace equal-order space, uc32 the mixed-order one
+    mesh = cached_cartesian(2)
+    prob = zero_problem()
+    for solve, space in [
+            (solve_uc1, HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)),
+            (solve_uc1, HhoSpace(mesh, 1)),
+            (solve_uc32, HhoSpace(mesh, 2, dirichlet=True))]:
+        with pytest.raises(ValueError, match="requires the zero-trace space"):
+            solve(space, prob)
+
+
 def test_bounds_rejected():
     mesh = cached_cartesian(2)
     prob = ControlProblem(f=ZERO, y_d=ZERO, lam=1e-2, bounds=(-1.0, 1.0))
@@ -135,7 +147,7 @@ def test_uc32_matches_dense_kkt_oracle():
     space = HhoSpace(mesh, 2, cell_degree=3, dirichlet=True)
     prob = problem_from_preset("uc32-default")
     sol = solve_uc32(space, prob)
-    control_space = sol.control.space
+    control_space = HhoSpace(mesh, 2, dirichlet=False)
 
     from hho_control.control_unconstrained import _cross_coupling
 
