@@ -142,19 +142,22 @@ def check_scheme(name, k, bounds, space=None):
 
 
 class CellPolyControl:
-    """Piecewise polynomial control in the cell or reconstruction basis."""
+    """Piecewise polynomial control in the cell or reconstruction basis.
+
+    ``basis`` names its ``NodeTable`` table: "Vl" (cell) or "Vr"
+    (reconstruction).
+    """
 
     has_kinks = False
 
     def __init__(self, space, coeffs, basis):
         self.space = space
         self.coeffs = np.asarray(coeffs)
-        self.basis = basis  # 'cell' | 'recon'
+        self.basis = basis
 
     def at_nodes(self):
         """Values at the nodes of the space's ``NodeTable``."""
-        return self.space.nodes().values(
-            "Vl" if self.basis == "cell" else "Vr", self.coeffs)
+        return self.space.nodes().values(self.basis, self.coeffs)
 
 
 @dataclass
@@ -212,10 +215,10 @@ def _solve_two_field(space, prob, scheme, recon=False):
 
     if recon:
         u_hat = -phi / lam
-        control = CellPolyControl(space, reconstruct_all(space, u_hat), "recon")
+        control = CellPolyControl(space, reconstruct_all(space, u_hat), "Vr")
     else:
         u_hat = None
-        control = CellPolyControl(space, -space.cell_blocks(phi) / lam, "cell")
+        control = CellPolyControl(space, -space.cell_blocks(phi) / lam, "Vl")
     return OptimalitySolution(scheme, y, phi, control, control_hat=u_hat,
                               residuals=residuals,
                               refinement=system.refinement,
@@ -313,7 +316,7 @@ def solve_uc32(space, prob):
     # R u_hat on the state space's nodes, whose Vr is the control's
     # reconstruction basis (degree k + 1)
     control = CellPolyControl(space, reconstruct_all(control_space, u_hat),
-                              "recon")
+                              "Vr")
     return OptimalitySolution("uc32", y, phi, control, control_hat=u_hat,
                               residuals=residuals,
                               refinement=dict(pde.refinement, cg_steps=steps),

@@ -558,11 +558,16 @@ def sorted_sum(contribs):
 # ---------------------------------------------------------------------------
 
 def _face_projections(space, f, faces):
-    """L2 projections of f onto P_k(F) of ``faces``, one row per face."""
+    """L2 projections of f onto P_k(F) of ``faces``, one row per face.
+
+    f is evaluated and projected with numpy's warnings off: data that are
+    not finite on a face give non-finite rows, which the callers check.
+    """
     k = space.face_degree
     pts, _ = poly.face_rule(space.mesh.face_points[faces], k)
-    fv = f(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    return fv @ poly.reference_face_table(k)[2].T  # P_ref^T
+    with np.errstate(all="ignore"):
+        fv = f(pts.reshape(-1, 2)).reshape(pts.shape[:2])
+        return fv @ poly.reference_face_table(k)[2].T  # P_ref^T
 
 
 def reduce_function(space, f, at_nodes=None):

@@ -382,11 +382,10 @@ def _lloyd_round(points):
     return points + moments / (3.0 * np.bincount(seed, w, n))[:, None]
 
 
-def _snap_to_walls(vertices, tol=1e-9):
+def _snap_to_walls(vertices):
     v = vertices.copy()
     for wall in (0.0, 1.0):
-        v[np.abs(v[:, 0] - wall) < tol, 0] = wall
-        v[np.abs(v[:, 1] - wall) < tol, 1] = wall
+        v[np.abs(v - wall) < 1e-9] = wall
     return v
 
 
@@ -400,18 +399,19 @@ def _merge_endpoint(pa, pb):
     return p
 
 
-def _collapse_short_edges(vertices, ptr, ids, rel_tol=0.02, max_rounds=20):
-    """Merge edge endpoints wherever h_F < rel_tol * h_T of an adjacent cell.
+def _collapse_short_edges(vertices, ptr, ids):
+    """Merge edge endpoints wherever h_F < 0.02 h_T of an adjacent cell.
 
-    Near-cocircular seeds produce arbitrarily short Voronoi edges; collapsing
-    them globally (every loop sees the merged vertex) keeps the cells a
-    conforming partition while enforcing the shape-regularity surrogate.
+    At most 20 rounds.  Near-cocircular seeds produce arbitrarily short
+    Voronoi edges; collapsing them globally (every loop sees the merged
+    vertex) keeps the cells a conforming partition while enforcing the
+    shape-regularity surrogate.
     Each round visits the short edges in order of first traversal and skips
     those at a vertex merged before, so all its lengths are taken at its start.
     The merged-away endpoints are then dropped from the vertex table, and the
     vertices left keep their order.
     """
-    for _ in range(max_rounds):
+    for _ in range(20):
         diam = np.empty(len(ptr) - 1)
         for at, idx in loop_groups(ptr):
             diam[at] = _diameters(vertices[ids[idx]])
@@ -423,7 +423,7 @@ def _collapse_short_edges(vertices, ptr, ids, rel_tol=0.02, max_rounds=20):
         np.maximum.at(scale, inverse, np.repeat(diam, np.diff(ptr)))
         a, b = lo[first], hi[first]
         d = vertices[a] - vertices[b]
-        short = np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) < rel_tol * scale)
+        short = np.flatnonzero(np.hypot(d[:, 0], d[:, 1]) < 0.02 * scale)
         remap = np.arange(len(vertices))
         touched = np.zeros(len(vertices), dtype=bool)
         for k in short[np.argsort(first[short])]:

@@ -3,16 +3,17 @@
 A preset prescribes the exact state y and adjoint phi in closed form (values
 and Laplacians); the remaining data follow from the optimality system:
 u = -phi/lambda (clamped onto the box when bounds are given), f = -dy - u and
-y_d = y + dphi, where d denotes the Laplacian.  A field evaluates its value
-and Laplacian together from shared factors (``SmoothFunction.with_laplacian``,
-e.g. one exp(x1 + x2), sin(pi x1) and sin(pi x2) for both), with the bits of
-its separate ``value`` and ``laplacian``.  The problem of ``make_problem``
-samples all five fields at a point set from one evaluation of (y, dy) and one
-of (phi, dphi) (``ControlProblem.sample``), with the bits of its callables
-``f``, ``y_d`` and ``exact``.  The trace of y is always the state's Dirichlet
-data, lifted onto the boundary faces: a zero trace costs one projection, and
-no sampled guess can drop a nonzero one.  Construction self-checks the two
-PDEs at random sample points, and data that are not finite there fail it.
+y_d = y + dphi, where d denotes the Laplacian.  A field is one function,
+``SmoothFunction.with_laplacian``, that returns its value and Laplacian
+together from shared factors (e.g. one exp(x1 + x2), sin(pi x1) and
+sin(pi x2) for both); calling the field returns that value.  The problem of
+``make_problem`` has one formula for f, y_d and u, its ``sample`` of all
+five fields from one evaluation of (y, dy) and one of (phi, dphi)
+(``ControlProblem.sample``); its callables ``f``, ``y_d`` and ``exact`` read
+the same formulas.  The trace of y is always the state's Dirichlet data,
+lifted onto the boundary faces: a zero trace costs one projection, and no
+sampled guess can drop a nonzero one.  Construction self-checks the two PDEs
+at random sample points, and data that are not finite there fail it.
 """
 
 from __future__ import annotations
@@ -34,27 +35,23 @@ class PresetError(ValueError):
 class SmoothFunction:
     """Closed-form scalar field with its Laplacian.
 
-    ``with_laplacian`` returns ``(value, laplacian)`` from shared factors,
-    bit for bit the values of ``value`` and ``laplacian``.
+    ``with_laplacian(points)`` returns ``(value, laplacian)`` at an (n, 2)
+    point array, from shared factors; calling the field returns its value.
     """
 
-    value: callable
-    laplacian: callable
     with_laplacian: callable
 
     def __call__(self, points):
-        return self.value(points)
+        return self.with_laplacian(points)[0]
 
 
-def _field(value, both):
-    """Field of ``value(x1, x2)`` and ``both(x1, x2) = (value, Laplacian)``."""
-    def coords(p):
+def _field(both):
+    """Field of ``both(x1, x2) = (value, Laplacian)``."""
+    def with_laplacian(p):
         p = np.atleast_2d(p)
-        return p[:, 0], p[:, 1]
+        return both(p[:, 0], p[:, 1])
 
-    return SmoothFunction(lambda p: value(*coords(p)),
-                          lambda p: both(*coords(p))[1],
-                          lambda p: both(*coords(p)))
+    return SmoothFunction(with_laplacian)
 
 
 _PI = np.pi
@@ -62,42 +59,29 @@ _PI = np.pi
 
 def _exp_sin_sin(scale):
     # scale * exp(x1+x2) sin(pi x1) sin(pi x2) and its Laplacian
-    def factors(x, y):
-        return scale * np.exp(x + y), np.sin(_PI * x), np.sin(_PI * y)
-
-    def value(x, y):
-        e, s1, s2 = factors(x, y)
-        return e * s1 * s2
-
     def both(x, y):
-        e, s1, s2 = factors(x, y)
+        e, s1, s2 = scale * np.exp(x + y), np.sin(_PI * x), np.sin(_PI * y)
         c1, c2 = np.cos(_PI * x), np.cos(_PI * y)
         return e * s1 * s2, e * ((2.0 - 2.0 * _PI ** 2) * s1 * s2
                                  + 2.0 * _PI * (c1 * s2 + s1 * c2))
 
-    return _field(value, both)
+    return _field(both)
 
 
 def _sin2pi_sin2pi(scale):
-    def value(x, y):
-        return scale * np.sin(2 * _PI * x) * np.sin(2 * _PI * y)
-
     def both(x, y):
-        v = value(x, y)
+        v = scale * np.sin(2 * _PI * x) * np.sin(2 * _PI * y)
         return v, -8.0 * _PI ** 2 * v
 
-    return _field(value, both)
+    return _field(both)
 
 
 def _exp_sum(scale):
-    def value(x, y):
-        return scale * np.exp(x + y)
-
     def both(x, y):
         e = np.exp(x + y)
         return scale * e, 2.0 * scale * e
 
-    return _field(value, both)
+    return _field(both)
 
 
 @dataclass(frozen=True)
@@ -207,38 +191,23 @@ def parse_expression(text):
             continue
         raise PresetError(f"disallowed term {node!r} in expression {text!r}")
     lap = sympy.diff(expr, x1, 2) + sympy.diff(expr, x2, 2)
-    f_val = sympy.lambdify((x1, x2), expr, "numpy")
-    f_lap = sympy.lambdify((x1, x2), lap, "numpy")
-
-    def value(x, y):
-        return np.broadcast_to(f_val(x, y), np.shape(x)).astype(float)
-
-    def both(x, y):
-        return value(x, y), np.broadcast_to(f_lap(x, y), np.shape(x)).astype(float)
-
-    return _field(value, both)
+    both = sympy.lambdify((x1, x2), (expr, lap), "numpy")
+    # a constant evaluates to a scalar: broadcast it to the points
+    return _field(lambda x, y: tuple(
+        np.broadcast_to(v, np.shape(x)).astype(float) for v in both(x, y)))
 
 
-def make_problem(y, phi, lam, bounds=None, seed=42):
+def make_problem(y, phi, lam, bounds=None):
     """Derive (f, y_d, u) from exact (y, phi) and self-check the PDEs.
 
-    The problem's ``sample`` derives all five fields from one
-    ``with_laplacian`` call of y and one of phi, by the formulas of the
-    callables, so the arrays have the callables' bits.
+    ``sample`` is the one formula of f = -dy - u and y_d = y + dphi, from
+    one ``with_laplacian`` call of y and one of phi; the callables ``f`` and
+    ``y_d`` read it, and ``exact.u`` and ``sample`` share one clamp.
     """
 
     def control(phi_values):
         raw = -phi_values / lam
         return raw if box is None else project_box(raw, box)
-
-    def u_exact(p):
-        return control(phi.value(p))
-
-    def f(p):
-        return -y.laplacian(p) - u_exact(p)
-
-    def y_d(p):
-        return y.value(p) + phi.laplacian(p)
 
     def sample(p):
         y_p, lap_y = y.with_laplacian(p)
@@ -249,21 +218,23 @@ def make_problem(y, phi, lam, bounds=None, seed=42):
 
     try:
         prob = ControlProblem(
-            f=f, y_d=y_d, lam=lam, bounds=bounds,
-            exact=ExactTriple(y=y.value, phi=phi.value, u=u_exact),
-            state_boundary=y.value, sampler=sample)
+            f=lambda p: sample(p).f, y_d=lambda p: sample(p).y_d, lam=lam,
+            bounds=bounds,
+            exact=ExactTriple(y=y, phi=phi, u=lambda p: control(phi(p))),
+            state_boundary=y, sampler=sample)
     except ValueError as exc:
         raise PresetError(str(exc)) from None
-    # u_exact reads the box, made once ControlProblem has checked the bounds
+    # control reads the box, made once ControlProblem has checked the bounds
     box = None if bounds is None else AdmissibleBox(*bounds)
 
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(0.05, 0.95, size=(32, 2))
+    pts = np.random.default_rng(42).uniform(0.05, 0.95, size=(32, 2))
     # data that overflow fail below as NaN, not as a numpy warning
     with np.errstate(all="ignore"):
-        state_res = np.abs(-y.laplacian(pts) - f(pts) - u_exact(pts))
-        adj_res = np.abs(-phi.laplacian(pts) - y.value(pts) + y_d(pts))
-        bound = 1e-8 * (1.0 + np.abs(y.value(pts)).max())
+        s = sample(pts)
+        lap_y, lap_phi = y.with_laplacian(pts)[1], phi.with_laplacian(pts)[1]
+        state_res = np.abs(-lap_y - s.f - s.exact.u)
+        adj_res = np.abs(-lap_phi - s.exact.y + s.y_d)
+        bound = 1e-8 * (1.0 + np.abs(s.exact.y).max())
     # written so that a NaN residual or bound fails
     if not (state_res.max() <= bound and adj_res.max() <= bound):
         raise PresetError("manufactured data are not finite or fail the PDE "

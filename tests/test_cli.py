@@ -175,6 +175,19 @@ def test_incomplete_run_preserves_partial_csv(tmp_path):
     assert lines[-1] == "# INCOMPLETE"
 
 
+def test_data_singular_on_the_boundary_fail_the_level(tmp_path):
+    # 1/x1 passes the interior self-check and is infinite on x1 = 0: its
+    # face projection once raised a bare RuntimeWarning, which
+    # ``filterwarnings = error`` turns into an exception
+    out = tmp_path / "out"
+    cfg = make_config(degree=1, exact_y="1/x1", exact_phi="x1", preset="",
+                      levels=[2, 4], output_dir=str(out))
+    with pytest.raises(NonFiniteError, match="Dirichlet data must be finite"):
+        run_experiment(cfg)
+    lines = (out / "report.csv").read_text().splitlines()
+    assert lines == [CSV_HEADER, "# INCOMPLETE"]
+
+
 def test_cli_main_run_and_exit_codes(tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["run", "--scheme", "uc1", "--degree", "0", "--mesh",
@@ -417,19 +430,19 @@ def test_nan_error_is_rejected_not_reported():
 
 
 def test_infinite_error_leaves_an_incomplete_report(tmp_path, capsys):
-    # y = sin(pi x2) / x1 is infinite at the face nodes on x1 = 0
+    # y = sin(pi x2) / x1 is infinite at the face nodes on x1 = 0, and the
+    # level fails without a numpy warning
     config = tmp_path / "study.cfg"
     config.write_text("scheme = uc1\ndegree = 0\nlevels = 2,4\nlambda = 0.01\n"
                       "exact_y = x1**(-1)*sin(pi*x2)\n"
                       "exact_phi = sin(pi*x1)*sin(pi*x2)\n")
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):
-        rc = main(["run", "--config", str(config), "--out", str(out)])
+    rc = main(["run", "--config", str(config), "--out", str(out)])
     assert rc == 1
     assert "Dirichlet data must be finite" in capsys.readouterr().err
     lines = (out / "report.csv").read_text().splitlines()
     assert lines == [CSV_HEADER, "# INCOMPLETE"]
-    with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError):
         run_experiment(dataclasses.replace(parse_config(config.read_text()),
                                            output_dir=str(out)))
 

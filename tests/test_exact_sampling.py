@@ -73,11 +73,13 @@ def test_sample_has_the_bits_of_the_callables(pid):
     for name in ("y", "phi", "u"):
         assert np.array_equal(getattr(got.exact, name),
                               getattr(prob.exact, name)(pts)), name
+    # the one formula: f = -dy - u and y_d = y + dphi of one evaluation
+    # of each field
     preset = get_preset(pid)
-    for field in (preset.y, preset.phi):
-        value, lap = field.with_laplacian(pts)
-        assert np.array_equal(value, field.value(pts))
-        assert np.array_equal(lap, field.laplacian(pts))
+    y, lap_y = preset.y.with_laplacian(pts)
+    lap_phi = preset.phi.with_laplacian(pts)[1]
+    assert np.array_equal(got.f, -lap_y - got.exact.u)
+    assert np.array_equal(got.y_d, y + lap_phi)
 
 
 def test_sample_of_bare_callables_calls_each_once():
@@ -103,8 +105,14 @@ def test_inline_fields_evaluate_value_and_laplacian_together():
     field = parse_expression("sin(2*pi*x1)*exp(x2)")
     pts = np.array([[0.3, 0.6], [0.1, 0.9]])
     value, lap = field.with_laplacian(pts)
-    assert np.array_equal(value, field.value(pts))
-    assert np.array_equal(lap, field.laplacian(pts))
+    want = np.sin(2 * np.pi * pts[:, 0]) * np.exp(pts[:, 1])
+    assert np.abs(value - want).max() < 1e-14
+    assert np.abs(lap - (1 - 4 * np.pi ** 2) * want).max() < 1e-12
+    assert np.array_equal(field(pts), value)
+    # a constant value or Laplacian is broadcast to one float per point
+    for text in ("x1", "3"):
+        for part in parse_expression(text).with_laplacian(pts):
+            assert part.shape == (2,) and part.dtype == float
 
 
 def _counted_field(field, name, log, nodes):
@@ -116,9 +124,7 @@ def _counted_field(field, name, log, nodes):
             return fn(p)
         return call
 
-    return SmoothFunction(wrap(field.value, [name]),
-                          wrap(field.laplacian, ["d" + name]),
-                          wrap(field.with_laplacian, [name, "d" + name]))
+    return SmoothFunction(wrap(field.with_laplacian, [name, "d" + name]))
 
 
 @pytest.mark.parametrize("scheme, degree, preset", [
@@ -175,6 +181,11 @@ def _cases():
         kwargs = WORKLOADS.config_kwargs(name, 42)
         kwargs["levels"] = kwargs["levels"][:1]
         yield pytest.param(kwargs, id=f"{name}-first-level")
+    # an inline problem evaluates lambdified sympy expressions
+    yield pytest.param(dict(scheme="wc2", degree=1, bounds=(-250.0, -10.0),
+                            exact_y="sin(2*pi*x1)*sin(2*pi*x2) + x1*x2",
+                            exact_phi="exp(x1+x2)*sin(pi*x1)*sin(pi*x2)",
+                            levels=[8]), id="inline-wc2-cartesian-8")
 
 
 @pytest.mark.parametrize("kwargs", _cases())
