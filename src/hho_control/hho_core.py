@@ -7,7 +7,8 @@ trace residual with an h_T^{-1} weight.  The local operators of a space are
 its kernel groups, and the library applies them only group by group:
 congruent cells share one kernel, and the distinct kernels are built group
 by group (equal face count and quadrature size) with stacked products and
-solves.  The ``_build_kernels`` entry names (``G``, ``A``, ``S_faces``,
+solves, from one monomial table per point set (cell nodes, face nodes).
+The ``_build_kernels`` entry names (``G``, ``A``, ``S_faces``,
 ``M_cell``, ``Vl``, ``qw``, ``fqw`` ...) are the one vocabulary of the local
 operators: ``HhoSpace.local_ops()`` lists, for inspection, one record per
 cell that holds the same entries under the same names.  Every face shares
@@ -31,7 +32,6 @@ Poisson problem and the complex uc1, uc2 and uc31 systems, and its plain
 
 from __future__ import annotations
 
-import functools
 from types import SimpleNamespace
 
 import numpy as np
@@ -195,28 +195,19 @@ def _mT(a):
     return np.swapaxes(a, -1, -2)
 
 
-def _grad_grams(Gl, Gr, w):
+def _grad_grams(Fl, Fr, w):
     """Weighted gradient products of two bases on a stack of cells.
 
-    ``Gl`` ``(B, n, dim_l, 2)`` and ``Gr`` ``(B, n, dim_r, 2)`` hold the
-    basis gradients at the nodes of weights ``w`` ``(B, n)``.  Returns the
-    Gram matrices ``(grad l_i, grad l_j)`` and ``(grad r_i, grad r_j)`` and
-    the cross products ``(grad r_i, grad l_j)``, ``(B, dim_r, dim_l)``.
-    Each gradient stack is flattened to ``(B, dim, 2n)``, with the weights
-    repeated per direction, so every product is one batched matmul.
+    ``Fl`` ``(B, dim_l, 2n)`` and ``Fr`` ``(B, dim_r, 2n)`` hold the basis
+    gradients at the nodes of weights ``w`` ``(B, n)``, flattened function
+    by function with each node's x and y adjacent.  Returns the Gram
+    matrices ``(grad l_i, grad l_j)`` and ``(grad r_i, grad r_j)`` and the
+    cross products ``(grad r_i, grad l_j)``, ``(B, dim_r, dim_l)``.  With
+    the weights repeated per direction, every product is one batched matmul.
     """
-    Fl, Fr = (np.swapaxes(g, 1, 2).reshape(g.shape[0], g.shape[2], -1)
-              for g in (Gl, Gr))
     w2 = np.repeat(w, 2, axis=1)[:, :, None]
     wFl = w2 * _mT(Fl)
     return Fl @ wFl, Fr @ (w2 * _mT(Fr)), Fr @ wFl
-
-
-def _basis_at(points, degree, T, centroids, h):
-    """Basis values ``(B, n, dim)`` of B cells at their points ``(B, n, 2)``."""
-    v = poly.monomial_values((points - centroids[:, None, :]) / h[:, None, None],
-                             degree)
-    return v if T is None else v @ _mT(T)
 
 
 class KernelGroup:
@@ -251,51 +242,60 @@ def _build_kernels(space, pts, w, centroids, h, face_ends, lengths, normals):
     The entries returned are the ones the library reads, plus
     ``recon_degree``, ``Qr`` and ``S_faces``, which the test oracles read; a
     cell's area is ``mesh.cell_areas`` and its basis integrals ``qw @ Vl``.
-    Every product and solve acts on the whole stack, and each is a batched
-    ``matmul`` or ``solve``: the gradient products through ``_grad_grams``,
-    the orthonormalizing transforms as ``T[:, None] @ g``.  Every face shares
-    the basis, mass and projection of ``poly.reference_face_table``.  No cell
-    of a Voronoi mesh shares its kernel, so these BLAS paths set the cost of
-    the local operators there.
+    The bases come from one degree-(k + 1) ``poly.monomial_table`` at the
+    cell nodes and one at the face nodes (the cell basis is its first dim_l
+    columns), ``Ql`` and ``Qr`` from the raw cell-node table.  Every product
+    and solve is batched: a transform is one product per cell, of the values
+    ``(n, dim)`` and of the gradients ``(dim, 2n)``, the layout that
+    ``_grad_grams`` multiplies.  No cell of a Voronoi mesh shares its kernel,
+    so these BLAS paths set the cost of the local operators there.
     """
-    k, l = space.face_degree, space.cell_degree
-    r = k + 1
+    k, l, r = space.face_degree, space.cell_degree, space.face_degree + 1
     B, m = normals.shape[:2]
+    dim_l, dim_r, dim_f = space.cell_dim, space.recon_dim, space.face_dim
+    n_loc = dim_l + m * dim_f
 
-    values = functools.partial(_basis_at, centroids=centroids, h=h)
+    def table(points):
+        V, dV = poly.monomial_table(
+            (points - centroids[:, None, :]) / h[:, None, None], r)
+        return V, dV(h)
 
-    def grads(points, degree, T):
-        local = (points - centroids[:, None, :]) / h[:, None, None]
-        g = poly.monomial_grads(local, degree, h)
-        return g if T is None else T[:, None] @ g
+    # the first dim functions of a table, transformed by T cell by cell
+    def values(V, T, dim):
+        V = V[..., :dim]
+        return np.ascontiguousarray(V) if T is None else V @ _mT(T)
 
-    # the cell and reconstruction bases are orthonormalized from degree 2
-    Ql, Qr = (poly.orthonormal_transform(values(pts, d, None), w) if d >= 2
-              else None for d in (l, r))
-    Vl, Gl = values(pts, l, Ql), grads(pts, l, Ql)
-    Vr, Gr = values(pts, r, Qr), grads(pts, r, Qr)
+    def grads(F, T, dim):
+        F = F[:, :dim].reshape(B, dim, -1)
+        return F if T is None else T @ F
+
+    # the cell and reconstruction bases are orthonormalized from degree 2,
+    # both from the raw table at the cell nodes: one transform if l = r
+    V, F = table(pts)
+    Qr = poly.orthonormal_transform(V, w) if r >= 2 else None
+    Ql = (Qr if l == r else
+          poly.orthonormal_transform(V[..., :dim_l], w) if l >= 2 else None)
+    Vl, Vr = values(V, Ql, dim_l), values(V, Qr, dim_r)
 
     wc = w[:, :, None]
     M_cell = _mT(Vl) @ (wc * Vl)
     M_recon = _mT(Vr) @ (wc * Vr)
     N_lr = _mT(Vl) @ (wc * Vr)
-    K_cell, K_recon, K_rl = _grad_grams(Gl, Gr, w)
+    K_cell, K_recon, K_rl = _grad_grams(grads(F, Ql, dim_l),
+                                        grads(F, Qr, dim_r), w)
     int_cell = (w[:, None, :] @ Vl)[:, 0]
     int_recon = (w[:, None, :] @ Vr)[:, 0]
 
-    dim_l, dim_r, dim_f = Vl.shape[-1], Vr.shape[-1], k + 1
-    n_loc = dim_l + m * dim_f
-
     # Faces, stacked (B, m, ...): quadrature, cell and reconstruction
     # traces, and the normal derivative of the recon basis.  Every face's
-    # basis at its nodes is the reference table V.
-    V, M_ref, P_ref = poly.reference_face_table(k)
+    # basis at its nodes is the reference table V_ref.
+    V_ref, M_ref, P_ref = poly.reference_face_table(k)
     fpts, fw = poly.face_rule(face_ends, k)
     nf = fw.shape[-1]
-    flat = fpts.reshape(B, m * nf, 2)
-    Vl_f = values(flat, l, Ql).reshape(B, m, nf, dim_l)
-    Vr_f = values(flat, r, Qr).reshape(B, m, nf, dim_r)
-    dn = (grads(flat, r, Qr).reshape(B, m, nf, dim_r, 2)
+    V, F = table(fpts.reshape(B, m * nf, 2))
+    Vl_f = values(V, Ql, dim_l).reshape(B, m, nf, dim_l)
+    Vr_f = values(V, Qr, dim_r).reshape(B, m, nf, dim_r)
+    dn = (np.moveaxis(grads(F, Qr, dim_r).reshape(B, dim_r, m, nf, 2), 1, 3)
           @ normals[:, :, None, :, None])[..., 0]
     fwc = fw[..., None]
 
@@ -304,7 +304,7 @@ def _build_kernels(space, pts, w, centroids, h, face_ends, lengths, normals):
     rhs = np.zeros((B, dim_r, n_loc))
     rhs[:, :, :dim_l] = K_rl
     cell_flux = _mT(dn) @ (fwc * Vl_f)
-    face_flux = _mT(dn) @ (fwc * V)
+    face_flux = _mT(dn) @ (fwc * V_ref)
     for j in range(m):
         rhs[:, :, :dim_l] -= cell_flux[:, j]
         rhs[:, :, dim_l + j * dim_f:dim_l + (j + 1) * dim_f] += face_flux[:, j]
@@ -322,9 +322,7 @@ def _build_kernels(space, pts, w, centroids, h, face_ends, lengths, normals):
     # Stabilization S_F = Pi_F(v_T|_F - v_F + ((I - Pi_T^l) R v)|_F): the
     # weights of a face cancel in Pi_F, and its mass matrix is (|F|/2) M_ref.
     P_lr = np.linalg.solve(M_cell, N_lr)          # Pi_T^l on recon coefficients
-    E_cell = np.zeros((dim_l, n_loc))
-    E_cell[:, :dim_l] = np.eye(dim_l)
-    trace_ops = (Vl_f @ E_cell
+    trace_ops = (Vl_f @ np.eye(dim_l, n_loc)       # v_T on the local DOFs
                  + (Vr_f - Vl_f @ P_lr[:, None]) @ G[:, None])
     S_faces = P_ref @ trace_ops
     A_stab = np.zeros((B, n_loc, n_loc))
@@ -542,9 +540,10 @@ class NodeTable:
                 zero = np.zeros((len(first), 2))
                 for sel, pts, w in poly.polygon_rules(polys, zero, exactness):
                     r = rows[sel]
-                    basis = _basis_at(pts, k["cell_degree"],
-                                      None if k["Ql"] is None else k["Ql"][r],
-                                      zero[sel], k["h"][r])
+                    basis = poly.monomial_table(pts / k["h"][r][:, None, None],
+                                                k["cell_degree"])[0]
+                    if k["Ql"] is not None:
+                        basis = basis @ _mT(k["Ql"][r])
                     yield members[sel], pts, w, basis
 
 
@@ -856,7 +855,8 @@ class OptimalitySystem:
             x, cap = self.lu_solve(b), self.MAX_REFINEMENT_STEPS
         else:
             x, cap = space.dof_vector(start)[space.active_dofs], 1
-        r = self._residual(b, x)
+        # K 0 sums to +0, so the residual of a zero start is b, bit for bit
+        r = self._residual(b, x) if x.any() else b.astype(self._matrix.dtype)
         steps, last = 0, np.inf
         while steps < cap:
             d = self.lu_solve(r)

@@ -13,10 +13,10 @@ cells) and applies a collapsed-square Gauss rule per triangle.
 The 1D Gauss-Legendre and reference triangle rules are computed once per
 process, on first use, and shared read-only; the quadrature and monomial
 functions work on stacked arrays so that local kernels of many cells are
-built in one call.  Monomials and their gradients are gathered from power
-tables of each coordinate, filled by repeated multiplication (the bits of a
-cumulative product) rather than by a generic power; the gradients' x and y
-components are written straight into one C-order table.
+built in one call.  ``monomial_table`` gathers monomials and gradients from
+power tables filled once by repeated multiplication (the bits of a
+cumulative product), not by a generic power; in graded order, a lower
+degree's table is its leading columns.
 """
 
 from __future__ import annotations
@@ -216,30 +216,30 @@ def _power_tables(loc, degree):
     return tab[0], tab[1]
 
 
-def monomial_values(loc, degree):
-    """Scaled monomials at local coordinates ``(..., n, 2)``: ``(..., n, dim)``."""
-    e = np.asarray(monomial_exponents(degree))
-    px, py = _power_tables(loc, degree)
-    # gathered columns come back in another memory layout, which would send
-    # later products down another BLAS path: copy to C order
-    return np.ascontiguousarray(px[..., e[:, 0]] * py[..., e[:, 1]])
+def monomial_table(loc, degree):
+    """Scaled monomials and gradients at local coordinates ``(..., n, 2)``.
 
-
-def monomial_grads(loc, degree, scale):
-    """Gradients ``(..., n, dim, 2)`` of the monomials of cells of size ``scale``.
-
-    ``scale`` broadcasts against the leading axes of ``loc``.  The x and y
-    components are written into one preallocated C-order table, so later
-    products see one memory layout without a stacking copy.
+    One fill of the power tables gives the C-order values ``(..., n, dim)``
+    and ``grads(scale)``: the C-order gradients ``(..., dim, n, 2)`` of cells
+    of size ``scale`` (broadcast against the leading axes of ``loc``), made
+    only if called, which flatten to ``(..., dim, 2n)`` without a copy.
     """
-    e = np.asarray(monomial_exponents(degree))
-    a, b = e[:, 0], e[:, 1]
+    a, b = np.asarray(monomial_exponents(degree)).T
     px, py = _power_tables(loc, degree)
-    scale = np.asarray(scale)[..., None, None]
-    g = np.empty(loc.shape[:-1] + (len(e), 2))
-    g[..., 0] = a * px[..., np.maximum(a - 1, 0)] * py[..., b] / scale
-    g[..., 1] = b * px[..., a] * py[..., np.maximum(b - 1, 0)] / scale
-    return g
+
+    def grads(scale):
+        # function-major views of the power tables: each function's nodes
+        # come out contiguous
+        qx, qy = np.swapaxes(px, -1, -2), np.swapaxes(py, -1, -2)
+        scale = np.asarray(scale)[..., None, None]
+        g = np.empty(loc.shape[:-2] + (len(a),) + loc.shape[-2:])
+        g[..., 0] = (a[:, None] * qx[..., np.maximum(a - 1, 0), :]
+                     * qy[..., b, :] / scale)
+        g[..., 1] = (b[:, None] * qx[..., a, :]
+                     * qy[..., np.maximum(b - 1, 0), :] / scale)
+        return g
+
+    return np.ascontiguousarray(px[..., a] * py[..., b]), grads
 
 
 class CellBasis:
@@ -255,8 +255,7 @@ class CellBasis:
         self.degree = int(degree)
         self.center = np.asarray(center, dtype=float)
         self.scale = float(scale)
-        self.exponents = np.asarray(monomial_exponents(degree))
-        self.dimension = len(self.exponents)
+        self.dimension = space_dimension(degree)
         self.transform = transform
         self.mode = "mass-orthonormalized" if transform is not None else "raw-scaled-monomial"
 
@@ -265,17 +264,17 @@ class CellBasis:
 
     def eval(self, points):
         """Value table, shape (n_points, dimension)."""
-        vals = monomial_values(self._local(points), self.degree)
+        vals = monomial_table(self._local(points), self.degree)[0]
         if self.transform is not None:
             vals = vals @ self.transform.T
         return vals
 
     def grad(self, points):
         """Gradient table, shape (n_points, dimension, 2)."""
-        g = monomial_grads(self._local(points), self.degree, self.scale)
+        g = monomial_table(self._local(points), self.degree)[1](self.scale)
         if self.transform is not None:
-            g = np.einsum("ij,njd->nid", self.transform, g)
-        return g
+            g = np.einsum("ij,jnd->ind", self.transform, g)
+        return np.moveaxis(g, 0, 1)
 
 
 def orthonormal_transform(vals, weights):

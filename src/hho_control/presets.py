@@ -4,9 +4,10 @@ A preset prescribes the exact state y and adjoint phi in closed form (values
 and Laplacians); the remaining data follow from the optimality system:
 u = -phi/lambda (clamped onto the box when bounds are given), f = -dy - u and
 y_d = y + dphi, where d denotes the Laplacian.  A field is one function,
-``SmoothFunction.with_laplacian``, that returns its value and Laplacian
-together from shared factors (e.g. one exp(x1 + x2), sin(pi x1) and
-sin(pi x2) for both); calling the field returns that value.  The problem of
+``SmoothFunction.parts``, that returns its value and its Laplacian from
+shared factors (e.g. one exp(x1 + x2), sin(pi x1) and sin(pi x2) for both),
+the Laplacian computed only when asked for: calling the field returns the
+value alone, and ``with_laplacian`` both.  The problem of
 ``make_problem`` has one formula for f, y_d and u, its ``sample`` of all
 five fields from one evaluation of (y, dy) and one of (phi, dphi)
 (``ControlProblem.sample``); its callables ``f``, ``y_d`` and ``exact`` read
@@ -35,23 +36,19 @@ class PresetError(ValueError):
 class SmoothFunction:
     """Closed-form scalar field with its Laplacian.
 
-    ``with_laplacian(points)`` returns ``(value, laplacian)`` at an (n, 2)
-    point array, from shared factors; calling the field returns its value.
+    ``parts(x1, x2)`` returns the value and a function that computes the
+    Laplacian from the same factors.  At an (n, 2) point array, calling the
+    field gives the value alone and ``with_laplacian`` both.
     """
 
-    with_laplacian: callable
+    parts: callable
+
+    def with_laplacian(self, points):
+        value, laplacian = self.parts(*np.atleast_2d(points).T)
+        return value, laplacian()
 
     def __call__(self, points):
-        return self.with_laplacian(points)[0]
-
-
-def _field(both):
-    """Field of ``both(x1, x2) = (value, Laplacian)``."""
-    def with_laplacian(p):
-        p = np.atleast_2d(p)
-        return both(p[:, 0], p[:, 1])
-
-    return SmoothFunction(with_laplacian)
+        return self.parts(*np.atleast_2d(points).T)[0]
 
 
 _PI = np.pi
@@ -59,29 +56,29 @@ _PI = np.pi
 
 def _exp_sin_sin(scale):
     # scale * exp(x1+x2) sin(pi x1) sin(pi x2) and its Laplacian
-    def both(x, y):
+    def parts(x, y):
         e, s1, s2 = scale * np.exp(x + y), np.sin(_PI * x), np.sin(_PI * y)
-        c1, c2 = np.cos(_PI * x), np.cos(_PI * y)
-        return e * s1 * s2, e * ((2.0 - 2.0 * _PI ** 2) * s1 * s2
-                                 + 2.0 * _PI * (c1 * s2 + s1 * c2))
+        return e * s1 * s2, lambda: e * (
+            (2.0 - 2.0 * _PI ** 2) * s1 * s2
+            + 2.0 * _PI * (np.cos(_PI * x) * s2 + s1 * np.cos(_PI * y)))
 
-    return _field(both)
+    return SmoothFunction(parts)
 
 
 def _sin2pi_sin2pi(scale):
-    def both(x, y):
+    def parts(x, y):
         v = scale * np.sin(2 * _PI * x) * np.sin(2 * _PI * y)
-        return v, -8.0 * _PI ** 2 * v
+        return v, lambda: -8.0 * _PI ** 2 * v
 
-    return _field(both)
+    return SmoothFunction(parts)
 
 
 def _exp_sum(scale):
-    def both(x, y):
+    def parts(x, y):
         e = np.exp(x + y)
-        return scale * e, 2.0 * scale * e
+        return scale * e, lambda: 2.0 * scale * e
 
-    return _field(both)
+    return SmoothFunction(parts)
 
 
 @dataclass(frozen=True)
@@ -190,11 +187,15 @@ def parse_expression(text):
         if node is sympy.pi or isinstance(node, allowed_types):
             continue
         raise PresetError(f"disallowed term {node!r} in expression {text!r}")
-    lap = sympy.diff(expr, x1, 2) + sympy.diff(expr, x2, 2)
-    both = sympy.lambdify((x1, x2), (expr, lap), "numpy")
+    value, lap = (sympy.lambdify((x1, x2), e, "numpy") for e in (
+        expr, sympy.diff(expr, x1, 2) + sympy.diff(expr, x2, 2)))
+
     # a constant evaluates to a scalar: broadcast it to the points
-    return _field(lambda x, y: tuple(
-        np.broadcast_to(v, np.shape(x)).astype(float) for v in both(x, y)))
+    def at(fn, x, y):
+        return np.broadcast_to(fn(x, y), np.shape(x)).astype(float)
+
+    return SmoothFunction(lambda x, y: (at(value, x, y),
+                                        lambda: at(lap, x, y)))
 
 
 def make_problem(y, phi, lam, bounds=None):

@@ -115,16 +115,27 @@ def test_inline_fields_evaluate_value_and_laplacian_together():
             assert part.shape == (2,) and part.dtype == float
 
 
-def _counted_field(field, name, log, nodes):
-    """``field`` whose calls on ``nodes`` log the quantities they evaluate."""
-    def wrap(fn, quantities):
-        def call(p):
-            if np.shape(p) == nodes.shape and np.array_equal(p, nodes):
-                log.update(quantities)
-            return fn(p)
-        return call
+def _counted_field(field, name, log, nodes=None):
+    """``field`` whose evaluations log the quantities they compute.
 
-    return SmoothFunction(wrap(field.with_laplacian, [name, "d" + name]))
+    The value logs ``name`` and the Laplacian ``"d" + name``, on ``nodes``
+    only or, when ``nodes`` is None, at any points.
+    """
+    def parts(x, y):
+        value, laplacian = field.parts(x, y)
+        if nodes is not None and not (
+                np.shape(x) == nodes[:, 0].shape
+                and np.array_equal(x, nodes[:, 0])
+                and np.array_equal(y, nodes[:, 1])):
+            return value, laplacian
+        log[name] += 1
+
+        def counted():
+            log["d" + name] += 1
+            return laplacian()
+        return value, counted
+
+    return SmoothFunction(parts)
 
 
 @pytest.mark.parametrize("scheme, degree, preset", [
@@ -142,6 +153,29 @@ def test_each_field_is_evaluated_once_on_the_node_table(scheme, degree,
     record = cli.run_level(cfg, prob, 8)
     assert record == cli.run_level(cfg, cfg.problem, 8)
     assert log == {"y": 1, "phi": 1, "dy": 1, "dphi": 1}
+
+
+def test_value_calls_evaluate_no_laplacian():
+    # a wc2 level calls y and u = P(-phi / lambda) for their values alone
+    # (the boundary trace, the refined rule of the kinked cells): only the
+    # sample on the node table evaluates a Laplacian
+    cfg = cli.ExperimentConfig(scheme="wc2", degree=1, preset="wc-default",
+                               levels=[8])
+    log = Counter()
+    p = get_preset("wc-default")
+    prob = make_problem(_counted_field(p.y, "y", log),
+                        _counted_field(p.phi, "phi", log), p.lam,
+                        bounds=p.bounds)
+    log.clear()
+    assert cli.run_level(cfg, prob, 8) == cli.run_level(cfg, cfg.problem, 8)
+    assert log["dy"] == log["dphi"] == 1
+    assert log["y"] > 1 and log["phi"] > 1
+    pts = np.array([[0.25, 0.5], [0.5, 0.75]])
+    log.clear()
+    exact = prob.exact
+    for fn in (exact.y, exact.phi, exact.u, prob.state_boundary):
+        fn(pts)
+    assert log == {"y": 2, "phi": 2}
 
 
 def _public_record(cfg, prob, level):

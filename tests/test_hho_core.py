@@ -8,7 +8,7 @@ from hho_control.hho_core import (NonFiniteError, OptimalitySystem, _build,
                                   _grad_grams, _views, cell_load_vector,
                                   h1h_seminorm_sq, reconstruct_all,
                                   reduce_function, scatter_blocks)
-from hho_control.poly import monomial_grads, space_dimension
+from hho_control.poly import monomial_table, space_dimension
 from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
                      cell_face_ids, cell_normals, dense_face_schur,
                      dense_stiffness, face_gauss, global_monomials, recon_basis,
@@ -575,7 +575,10 @@ def test_batched_gradient_products_match_the_einsum_oracle(k, mixed):
     Gl = rng.standard_normal((B, n, dim_l, 2))
     Gr = rng.standard_normal((B, n, dim_r, 2))
     w = rng.uniform(0.1, 1.0, (B, n))
-    got = _grad_grams(Gl, Gr, w)
+    # the layout of the kernel build: function by function, each node's x
+    # and y adjacent
+    got = _grad_grams(*(np.swapaxes(G, 1, 2).reshape(B, G.shape[2], 2 * n)
+                        for G in (Gl, Gr)), w)
     want = _einsum_grad_grams(Gl, Gr, w)
     bounds = _einsum_grad_grams(np.abs(Gl), np.abs(Gr), w)
     for g, e, b in zip(got, want, bounds):
@@ -583,7 +586,7 @@ def test_batched_gradient_products_match_the_einsum_oracle(k, mixed):
         assert (np.abs(g - e) <= 1e-14 * b).all()
 
 
-@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("k", range(7))
 @pytest.mark.parametrize("mixed", [False, True])
 def test_kernel_gradient_gram_matches_the_einsum_oracle(k, mixed):
     # K_cell of every Voronoi kernel against the einsum of the transformed
@@ -592,8 +595,8 @@ def test_kernel_gradient_gram_matches_the_einsum_oracle(k, mixed):
     for g in space.kernel_groups():
         kern = g.kernels
         h, T = kern["h"], kern["Ql"]
-        G = monomial_grads(kern["qp"] / h[:, None, None],
-                           kern["cell_degree"], h)
+        G = np.moveaxis(monomial_table(kern["qp"] / h[:, None, None],
+                                       kern["cell_degree"])[1](h), 1, 2)
         if T is not None:
             G = np.einsum("bij,bnjd->bnid", T, G)
         want = np.einsum("bnid,bn,bnjd->bij", G, kern["qw"], G)

@@ -5,9 +5,9 @@ from hho_control import HhoSpace, make_cartesian
 from hho_control.hho_core import _face_projections
 from hho_control.mesh import loop_groups
 from hho_control.poly import (CellBasis, _gauss_legendre, _power_tables,
-                              face_rule, monomial_exponents, monomial_grads,
+                              face_rule, monomial_exponents, monomial_table,
                               polygon_rules, reference_face_table,
-                              segment_rule)
+                              segment_rule, space_dimension)
 from helpers import (cached_voronoi, cell_polygon, cell_quadrature,
                      make_cell_basis, polygon_centroid,
                      polygon_monomial_integral, polygon_quadrature,
@@ -223,11 +223,41 @@ def test_monomial_grads_table_has_the_bits_of_the_stacked_formula(
         degree, shape, scale):
     loc = np.random.default_rng(degree).uniform(-1.5, 1.5, shape)
     loc.reshape(-1)[:4] = [0.0, -0.0, 1e-300, -3.7]
-    g = monomial_grads(loc, degree, scale)
+    g = monomial_table(loc, degree)[1](scale)
     want = stacked_grads(loc, degree, scale)
-    assert g.shape == shape[:-1] + (len(monomial_exponents(degree)), 2)
+    # function by function, each node's x and y adjacent
+    dim = len(monomial_exponents(degree))
+    assert g.shape == shape[:-2] + (dim,) + shape[-2:]
     assert g.flags.c_contiguous
-    assert g.tobytes() == want.tobytes()
+    node_major = np.ascontiguousarray(np.moveaxis(g, -3, -2))
+    assert node_major.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("degree", range(9))
+def test_lower_degree_tables_are_the_leading_columns(degree):
+    # per-cell scales; signed zeros, an underflowing and a negative
+    # coordinate among ordinary ones
+    loc = np.random.default_rng(degree).uniform(-1.5, 1.5, (4, 9, 2))
+    loc.reshape(-1)[:4] = [0.0, -0.0, 1e-300, -3.7]
+    scale = np.array([0.37, 1.0, 2e-3, 5.5])
+    values, grads = monomial_table(loc, degree)
+    grads = grads(scale)
+    dim = space_dimension(degree)
+    assert values.shape == (4, 9, dim) and grads.shape == (4, dim, 9, 2)
+    assert values.flags.c_contiguous and grads.flags.c_contiguous
+    # the bits of the gathered power tables and of the stacked gradient
+    # formula, which the separate value and gradient functions computed
+    e = np.asarray(monomial_exponents(degree))
+    px, py = _power_tables(loc, degree)
+    assert values.tobytes() == (px[..., e[:, 0]] * py[..., e[:, 1]]).tobytes()
+    node_major = np.ascontiguousarray(np.moveaxis(grads, 1, 2))
+    assert node_major.tobytes() == stacked_grads(loc, degree, scale).tobytes()
+    for low in range(degree + 1):
+        v, g = monomial_table(loc, low)
+        g = g(scale)
+        d = space_dimension(low)
+        assert np.ascontiguousarray(values[..., :d]).tobytes() == v.tobytes()
+        assert np.ascontiguousarray(grads[:, :d]).tobytes() == g.tobytes()
 
 
 def test_monomial_exponent_order():

@@ -80,6 +80,17 @@ def test_expression_symbolic_laplacian_trig():
     assert abs(field.with_laplacian(pts)[1][0] - expected) < 1e-12
 
 
+def test_field_value_evaluates_no_laplacian():
+    # the Laplacian of sqrt(x1) is singular at x1 = 0, its value is not:
+    # a value call there must not divide by zero
+    field = parse_expression("x1**0.5 + x2")
+    pts = np.array([[0.0, 0.5], [0.25, 0.5]])
+    with np.errstate(all="raise"):
+        assert np.array_equal(field(pts), [0.5, 1.0])
+        with pytest.raises(FloatingPointError):
+            field.with_laplacian(pts)
+
+
 def test_expression_rejects_disallowed_terms():
     for text in ["log(x1)", "__import__('os')", "x3", "sin", "sin(x1, x2)",
                  "sin(x=x1)", "x1^2", "x1 % 2", "1j*x1", "True*x1", "'x1'",
