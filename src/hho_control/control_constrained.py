@@ -8,9 +8,10 @@ the node weights and the load Q^T W u is the cell moments of u
 (``NodeTable.moments``), both applied class by class.  The discrete
 optimality condition is the fixed point u = P(-Q phi / lambda), P the clamp
 onto the box and phi the adjoint of the state of u.  Both schemes return
-that clamp as a ``ClampedAdjointControl``.  On the k = 0 space of wc1 the
-adjoint cell unknown is constant per cell, so every node of a cell carries
-the same value, the clamp is wc1's P(-mean phi_T / lambda) and no cell is
+P(-phi_T / lambda), the clamp of uc1's and uc2's control, as a
+``CellPolyControl`` with the box.  On the k = 0 space of wc1 the adjoint
+cell unknown is constant per cell, so every node of a cell carries the
+same value, the clamp is wc1's P(-mean phi_T / lambda) and no cell is
 kinked.
 
 The loop is the primal-dual active-set method (Hintermueller, Ito &
@@ -31,7 +32,7 @@ from the carried vectors, and the loop stops when the fixed-point residual
 ||P(z) - u||_W is at most ``PgdConfig.tol`` and has stopped shrinking (or
 the last step allowed is taken), or is below eps ||u||_W.  Iterating to
 that round-off floor makes the result independent of the LU ordering.  The
-control returned is the clamp P(z).  The floor grows like
+control is P(z) at the nodes, up to round-off.  The floor grows like
 eps ||u|| ||S*S|| / lambda: one above tol (inactive bounds, lambda 1e-5)
 raises PgdIterationError once the residual stops shrinking, and an active
 set that cycles (much smaller lambda) after ``max_iters`` steps.
@@ -39,38 +40,22 @@ set that cycles (much smaller lambda) after ``max_iters`` steps.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .control_unconstrained import ExactTriple, check_scheme, load_vectors
+from .control_unconstrained import (AdmissibleBox, CellPolyControl,
+                                    ExactTriple, check_scheme, load_vectors,
+                                    project_box)
 from .hho_core import (OptimalitySystem, SolverError, linear_response,
-                       node_load_vector, reduced_hessian_cg)
+                       node_load_vector, reduced_hessian_cg, sorted_sum)
 from .mesh import is_count, is_real
 
 # residual reduction of each CG solve; a wc2 Cartesian 32 level took 38 LU
 # solves with 1e-2 (more Newton steps), 40 with 1e-4 (more CG steps), 34 here
 CG_REDUCTION = 1e-3
 _EPS = np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class AdmissibleBox:
-    """Pointwise control bounds u_a <= u <= u_b."""
-
-    u_a: float
-    u_b: float
-
-    def __post_init__(self):
-        if not (is_real(self.u_a) and is_real(self.u_b)):
-            raise ValueError(f"bounds must be real, got {self.u_a!r}, {self.u_b!r}")
-        if not self.u_a < self.u_b:
-            raise ValueError("admissible box requires u_a < u_b")
-
-
-def project_box(w, box):
-    """Clamp onto [u_a, u_b]; exact comparisons, identity inside the box."""
-    return np.minimum(box.u_b, np.maximum(box.u_a, w))
 
 
 @dataclass(frozen=True)
@@ -104,52 +89,6 @@ class PgdIterationError(Exception):
         super().__init__(message)
 
 
-class ClampedAdjointControl:
-    """Control u(x) = P_box(-phi_T(x) / lambda) of wc1 and wc2.
-
-    Carries ``unclamped``, the values -phi_T / lambda at the space's
-    ``NodeTable`` nodes (one flat array in node order, the Newton loop's
-    last z), whose clamp is the control there (``at_nodes``); evaluation at
-    other points (``at_basis``, given the cell basis there) uses the clamp
-    formula on the adjoint cell polynomial.  The clamp kinks along the
-    active-set boundary (``has_kinks``), which the control error integrates
-    with a refined rule.
-    """
-
-    has_kinks = True
-
-    def __init__(self, space, phi, lam, box, unclamped):
-        self.space = space
-        self.phi = phi
-        self.lam = lam
-        self.box = box
-        self.unclamped = unclamped
-
-    def at_basis(self, cells, basis):
-        """Values of ``cells`` ``(C, s)`` where each row's cell basis is ``basis``.
-
-        ``basis`` ``(C, q, dim)`` holds one basis table per row of ``cells``,
-        shared by the row's cells (a kernel class); the values are
-        ``(C, s, q)``.
-        """
-        coeffs = self.space.cell_blocks(self.phi)[cells][..., None]
-        phi = (basis[:, None] @ coeffs)[..., 0]
-        return project_box(-phi / self.lam, self.box)
-
-    def at_nodes(self):
-        """Values at the nodes of the space's ``NodeTable``."""
-        return project_box(self.unclamped, self.box)
-
-    def kinked_cells(self):
-        """Cells whose nodes straddle a bound: the active-set boundary crosses them."""
-        w, nodes = self.unclamped, self.space.nodes()
-        lo, hi = (nodes.reduce_cells(f, w) for f in (np.minimum, np.maximum))
-        crosses = np.zeros(len(lo), dtype=bool)
-        for bound in (self.box.u_a, self.box.u_b):
-            crosses |= (lo < bound) & (bound < hi)
-        return np.nonzero(crosses)[0]
-
-
 @dataclass
 class ConstrainedSolution:
     """State and adjoint (DOF vectors) and control of a constrained scheme.
@@ -175,17 +114,16 @@ class ConstrainedSolution:
 
 def _w_norm(v, nodes):
     """W-weighted L2 norm of a node array, cell sums added smallest first."""
-    return float(np.sqrt(np.sum(np.sort(
-        nodes.reduce_cells(np.add, nodes.weights * v * v)))))
+    sums = nodes.reduce_cells(np.add, nodes.weights * v * v)
+    return math.sqrt(sorted_sum(sums))
 
 
 def _active_set_newton(space, prob, cfg, keep_history, scheme):
     """Primal-dual active-set Newton loop over the control's node values.
 
     Returns the ``ConstrainedSolution`` of ``scheme``: the state and adjoint
-    of the last iterate and the control P(z), the clamp of its unclamped
-    z = -Q phi / lambda at the nodes of ``space.nodes()``
-    (``ClampedAdjointControl``).
+    of the last iterate and the control P(-phi_T / lambda), the
+    ``CellPolyControl`` of the cell polynomial -phi_T / lambda with the box.
     """
     check_scheme(scheme, space.face_degree, prob.bounds, space)
     cfg = cfg or PgdConfig()
@@ -263,7 +201,7 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
         raise PgdIterationError(
             f"{scheme} did not converge in {cfg.max_iters} Newton steps "
             f"(last residual {residual:.3e})", residual)
-    control = ClampedAdjointControl(space, phi, lam, box, z)
+    control = CellPolyControl(space, -space.cell_blocks(phi) / lam, "Vl", box)
     return ConstrainedSolution(scheme, y, phi, control, it, residual,
                                cg_steps, history, exact)
 
@@ -281,7 +219,7 @@ def solve_wc2(space, prob, cfg=None, keep_history=False):
     """Variational discretization on the mixed-order space V^{1+}.
 
     The control is never discretized: it is the pointwise clamp of the adjoint
-    cell polynomial, carried by its unclamped values at the cell quadrature
-    nodes, which is exact for every load the scheme needs.
+    cell polynomial -phi_T / lambda, whose values at the cell quadrature
+    nodes are exact for every load the scheme needs.
     """
     return _active_set_newton(space, prob, cfg, keep_history, "wc2")

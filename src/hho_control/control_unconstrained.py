@@ -1,4 +1,4 @@
-"""Discrete optimality systems for the unconstrained control schemes.
+"""Control problem, box and control type; the unconstrained schemes.
 
 All four schemes minimize a strictly convex quadratic, so the unique
 minimizer is the solution of the coupled optimality system.  The control is
@@ -58,6 +58,25 @@ class FieldSample(NamedTuple):
 
 
 @dataclass(frozen=True)
+class AdmissibleBox:
+    """Pointwise control bounds u_a <= u <= u_b."""
+
+    u_a: float
+    u_b: float
+
+    def __post_init__(self):
+        if not (is_real(self.u_a) and is_real(self.u_b)):
+            raise ValueError(f"bounds must be real, got {self.u_a!r}, {self.u_b!r}")
+        if not self.u_a < self.u_b:
+            raise ValueError("admissible box requires u_a < u_b")
+
+
+def project_box(w, box):
+    """Clamp onto [u_a, u_b], exactly; identity inside it or for box None."""
+    return w if box is None else np.minimum(box.u_b, np.maximum(box.u_a, w))
+
+
+@dataclass(frozen=True)
 class ControlProblem:
     """Data of the tracking problem: source, target, weight, optional bounds.
 
@@ -75,7 +94,6 @@ class ControlProblem:
     sampler: callable | None = None
 
     def __post_init__(self):
-        from .control_constrained import AdmissibleBox  # it imports this module
         if not (is_real(self.lam) and np.isfinite(self.lam) and self.lam > 0):
             raise ValueError("regularization weight lambda must be a finite, "
                              f"positive real number, got {self.lam!r}")
@@ -142,22 +160,46 @@ def check_scheme(name, k, bounds, space=None):
 
 
 class CellPolyControl:
-    """Piecewise polynomial control in the cell or reconstruction basis.
+    """Piecewise polynomial control of every scheme, clamped onto ``box``.
 
-    ``basis`` names its ``NodeTable`` table: "Vl" (cell) or "Vr"
-    (reconstruction).
+    ``coeffs`` ``(n_cells, dim)`` are in the basis that ``basis`` names in
+    the ``NodeTable``: "Vl" (cell) or "Vr" (reconstruction).  Without a box
+    (the uc schemes) the control is that polynomial; with one (wc1 and wc2,
+    -phi_T / lambda in the cell basis) its clamp, kinked in ``kinked_cells``.
     """
 
-    has_kinks = False
-
-    def __init__(self, space, coeffs, basis):
+    def __init__(self, space, coeffs, basis, box=None):
         self.space = space
         self.coeffs = np.asarray(coeffs)
         self.basis = basis
+        self.box = box
+
+    def at_basis(self, cells, basis):
+        """Values of ``cells`` ``(C, s)`` where each row's basis is ``basis``.
+
+        ``basis`` ``(C, q, dim)`` holds one table of the control's basis
+        per row of ``cells``, shared by the row's cells (a kernel class);
+        the values are ``(C, s, q)``.
+        """
+        coeffs = self.coeffs[cells][..., None]
+        return project_box((basis[:, None] @ coeffs)[..., 0], self.box)
 
     def at_nodes(self):
         """Values at the nodes of the space's ``NodeTable``."""
-        return self.space.nodes().values(self.basis, self.coeffs)
+        nodes = self.space.nodes()
+        return project_box(nodes.values(self.basis, self.coeffs), self.box)
+
+    def kinked_cells(self):
+        """Cells whose nodes straddle a bound; none without a box."""
+        if self.box is None:
+            return np.zeros(0, dtype=np.intp)
+        nodes = self.space.nodes()
+        v = nodes.values(self.basis, self.coeffs)
+        lo, hi = (nodes.reduce_cells(f, v) for f in (np.minimum, np.maximum))
+        crosses = np.zeros(len(lo), dtype=bool)
+        for bound in (self.box.u_a, self.box.u_b):
+            crosses |= (lo < bound) & (bound < hi)
+        return np.nonzero(crosses)[0]
 
 
 @dataclass

@@ -41,9 +41,9 @@ def l2_error_reconstruction(space, vec, v_exact, at_nodes=None):
 def l2_error_control(solution, u_exact, at_nodes=None):
     """L2 error of the scheme's control against the exact control.
 
-    ``at_nodes`` is u_exact at the nodes of the control's space.  For a
-    control whose ``has_kinks`` is set (the clamp of wc1 and wc2; wc1's has
-    no kinked cell) the cells crossed by the active-set boundary are
+    ``at_nodes`` is u_exact at the nodes of the control's space.  The cells
+    where the control kinks (``CellPolyControl.kinked_cells``: the cells
+    crossed by a bound of a boxed control, none without a box) are
     integrated with a rule of four times the standard exactness to limit
     the quadrature crime near the free boundary.  The rule and the cell
     basis at its points are built once per kernel class among those cells
@@ -57,14 +57,13 @@ def l2_error_control(solution, u_exact, at_nodes=None):
     t = space.nodes()
     exact = u_exact(t.points) if at_nodes is None else at_nodes
     contribs = t.cell_integrals((exact - control.at_nodes()) ** 2)
-    if control.has_kinks:
-        centroids = space.mesh.cell_centroids
-        for cells, pts, w, basis in t.class_rules(
-                space.mesh, control.kinked_cells(), 8 * (space.face_degree + 2)):
-            at = pts[:, None] + centroids[cells][:, :, None, :]
-            u = u_exact(at.reshape(-1, 2)).reshape(at.shape[:-1])
-            d = u - control.at_basis(cells, basis)
-            contribs[cells] = (w[:, None, None, :] @ (d ** 2)[..., None])[..., 0, 0]
+    centroids = space.mesh.cell_centroids
+    for cells, pts, w, basis in t.class_rules(
+            space.mesh, control.kinked_cells(), 8 * (space.face_degree + 2)):
+        at = pts[:, None] + centroids[cells][:, :, None, :]
+        u = u_exact(at.reshape(-1, 2)).reshape(at.shape[:-1])
+        d = u - control.at_basis(cells, basis)
+        contribs[cells] = (w[:, None, None, :] @ (d ** 2)[..., None])[..., 0, 0]
     return math.sqrt(sorted_sum(contribs))
 
 
@@ -123,7 +122,7 @@ class ConvergenceReport:
     """Per-level errors plus experimental convergence orders."""
 
     records: list
-    rates: dict = field(default_factory=dict)
+    rates: dict = field(init=False)
 
     def __post_init__(self):
         hs = [r.h for r in self.records]

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control_constrained import AdmissibleBox, project_box
-from .control_unconstrained import ControlProblem, ExactTriple, FieldSample
+from .control_unconstrained import (AdmissibleBox, ControlProblem, ExactTriple,
+                                    FieldSample, project_box)
 
 
 class PresetError(ValueError):
@@ -207,8 +207,7 @@ def make_problem(y, phi, lam, bounds=None):
     """
 
     def control(phi_values):
-        raw = -phi_values / lam
-        return raw if box is None else project_box(raw, box)
+        return project_box(-phi_values / lam, box)
 
     def sample(p):
         y_p, lap_y = y.with_laplacian(p)

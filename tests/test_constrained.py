@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from hho_control import (AdmissibleBox, HhoSpace, PgdConfig,
-                         PgdIterationError, project_box, solve_uc1, solve_wc1,
-                         solve_wc2)
-from hho_control.control_unconstrained import ControlProblem, _solve_two_field
+                         PgdIterationError, project_box, solve_uc1, solve_uc2,
+                         solve_uc31, solve_uc32, solve_wc1, solve_wc2)
+from hho_control.control_unconstrained import (CellPolyControl, ControlProblem,
+                                               _solve_two_field)
 from hho_control.errors import eoc, l2_error_control
 from hho_control.hho_core import cell_load_vector
 from hho_control.presets import problem_from_preset
@@ -297,6 +298,34 @@ def test_wc2_inactive_bounds_match_variational_mixed():
         # the uc1/uc2 complex state-adjoint system on the mixed-order space
         b = _solve_two_field(space, free, "vd-mixed")
         assert np.abs(a.y - b.y).max() < 1e-8
+
+
+@pytest.mark.parametrize("solve, k, preset", [
+    (solve_uc1, 1, "uc1-default"), (solve_uc2, 1, "uc2-default"),
+    (solve_uc31, 1, "uc31-default"), (solve_uc32, 2, "uc32-default"),
+    (solve_wc1, 0, "wc-default"), (solve_wc2, 1, "wc-default")])
+def test_every_scheme_returns_a_cell_poly_control(solve, k, preset):
+    prob = problem_from_preset(preset)
+    mixed = solve in (solve_uc32, solve_wc2)
+    space = HhoSpace(cached_cartesian(4), k, cell_degree=k + mixed,
+                     dirichlet=True)
+    control = solve(space, prob).control
+    assert type(control) is CellPolyControl
+    if prob.bounds is None:
+        assert control.box is None
+        assert control.kinked_cells().tolist() == []
+    else:
+        assert control.box == AdmissibleBox(*prob.bounds)
+
+
+def test_wc2_control_inside_unreached_bounds_is_the_unclamped_polynomial():
+    prob = problem_from_preset("wc-default", bounds=(-1e9, 1e9))
+    for mesh in meshes():
+        space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
+        control = solve_wc2(space, prob).control
+        free = CellPolyControl(space, control.coeffs, "Vl")
+        assert np.array_equal(control.at_nodes(), free.at_nodes())
+        assert control.kinked_cells().tolist() == []
 
 
 def test_wc2_single_cell_matches_pointwise_clamp_oracle():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from hho_control import HhoSpace, solve_wc2
-from hho_control.errors import (NonFiniteError, energy_error, eoc,
-                                l2_error_control, l2_error_reconstruction)
+from hho_control.errors import (ConvergenceReport, NonFiniteError,
+                                energy_error, eoc, l2_error_control,
+                                l2_error_reconstruction)
 from hho_control.hho_core import reduce_function
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
@@ -121,12 +122,13 @@ def test_error_bitwise_reproducible():
     assert results[0] == results[1]
 
 
-def _wc2_control_error_cell_by_cell(solution, u_exact):
+def _wc2_control_error_cell_by_cell(solution, prob):
     """wc2 control error with each kinked cell's own ``single_polygon_rule``.
 
     The rule is built on the cell's own polygon and the basis is the cell's
     ``CellBasis``, one cell at a time: nothing is shared within a kernel
-    class, as ``l2_error_control`` shares it.
+    class, as ``l2_error_control`` shares it.  The control is the clamp of
+    -phi_T / lambda, lambda from the problem.
     """
     control = solution.control
     space = control.space
@@ -139,8 +141,8 @@ def _wc2_control_error_cell_by_cell(solution, u_exact):
                                          op.centroid, 8 * (space.face_degree + 2))
         phi = cell_basis(op).eval(pts) @ space.cell_blocks(solution.phi)[op.cell_id]
         u = np.minimum(control.box.u_b,
-                       np.maximum(control.box.u_a, -phi / control.lam))
-        contribs.append(w @ (u_exact(pts) - u) ** 2)
+                       np.maximum(control.box.u_a, -phi / prob.lam))
+        contribs.append(w @ (prob.exact.u(pts) - u) ** 2)
     return math.sqrt(sum(sorted(contribs)))
 
 
@@ -152,7 +154,7 @@ def test_wc2_control_error_matches_cell_by_cell_refinement(family, n):
     sol = solve_wc2(space, prob)
     assert len(sol.control.kinked_cells()) > 0
     got = l2_error_control(sol, prob.exact.u)
-    ref = _wc2_control_error_cell_by_cell(sol, prob.exact.u)
+    ref = _wc2_control_error_cell_by_cell(sol, prob)
     assert abs(got - ref) <= 1e-13 * ref
 
 
@@ -160,9 +162,10 @@ def test_wc2_control_error_matches_cell_by_cell_refinement(family, n):
 def test_wc2_kinked_cells_are_the_cells_whose_nodes_straddle_a_bound(family, n):
     mesh = cached_cartesian(n) if family == "cartesian" else cached_voronoi(n)
     space = HhoSpace(mesh, 1, cell_degree=2, dirichlet=True)
-    sol = solve_wc2(space, problem_from_preset("wc-default"))
+    prob = problem_from_preset("wc-default")
+    sol = solve_wc2(space, prob)
     control, nodes = sol.control, space.nodes()
-    z = -nodes.values("Vl", space.cell_blocks(sol.phi)) / control.lam
+    z = -nodes.values("Vl", space.cell_blocks(sol.phi)) / prob.lam
     want = [c for c in range(mesh.n_cells)
             if any(z[nodes.starts[c]:nodes.starts[c] + nodes.counts[c]].min()
                    < bound <
@@ -170,6 +173,12 @@ def test_wc2_kinked_cells_are_the_cells_whose_nodes_straddle_a_bound(family, n):
                    for bound in (control.box.u_a, control.box.u_b))]
     assert len(want) > 0
     assert control.kinked_cells().tolist() == want
+
+
+def test_convergence_report_rates_are_not_a_setting():
+    # the rates are computed from the records, never taken from the caller
+    with pytest.raises(TypeError):
+        ConvergenceReport([], rates={"err_u_l2": [1.0]})
 
 
 def test_eoc_simple_ratios():

@@ -6,7 +6,8 @@ used when some ``ast.Name`` or ``ast.Attribute`` in the package (outside
 ``__init__.py``, which only re-exports) or in ``bench/`` spells it.  The
 match is by spelling, so it can miss dead code that shares a name with
 something live, but it never flags code that runs.  The definitions that
-only ``bench/`` calls are named in ``BENCH_ONLY``.
+only ``bench/`` calls are named in ``BENCH_ONLY``.  No function imports
+from the package: a lazy import is how a cycle between its modules hides.
 """
 
 import ast
@@ -69,6 +70,19 @@ def test_every_library_definition_has_a_caller():
 def test_allowlist_names_existing_definitions():
     defined = {qualified for qualified, _ in _definitions()}
     assert set(ALLOWED) <= defined
+
+
+def test_no_function_imports_from_the_package():
+    # the lazy third-party imports (sympy, scipy.spatial) stay allowed
+    lazy = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                lazy += [f"{path.name}:{imp.lineno}" for imp in ast.walk(node)
+                         if isinstance(imp, ast.ImportFrom) and (
+                             imp.level > 0
+                             or (imp.module or "").startswith("hho_control"))]
+    assert lazy == [], f"function-level imports from the package: {lazy}"
 
 
 def test_bench_only_definitions_are_named():
