@@ -2,9 +2,9 @@
 
 wc1 (piecewise constant controls) and wc2 (variational discretization,
 Hinze, Comput. Optim. Appl. 30 (2005) 45-61) share the loop.  The control
-is carried by its values u at every cell quadrature node; Q maps a DOF
-vector to its cell polynomials at the nodes (``NodeTable.values``), W holds
-the node weights and the load Q^T W u is the cell moments of u
+u is known by its values at every cell quadrature node; Q maps cell
+coefficients to their polynomials at the nodes (``NodeTable.values``), W
+holds the node weights and the load Q^T W u is the cell moments of u
 (``NodeTable.moments``), both applied class by class.  The discrete
 optimality condition is the fixed point u = P(-Q phi / lambda), P the clamp
 onto the box and phi the adjoint of the state of u.  Both schemes return
@@ -16,14 +16,18 @@ kinked.
 
 The loop is the primal-dual active-set method (Hintermueller, Ito &
 Kunisch, SIAM J. Optim. 13 (2002) 865-888), a semismooth Newton method for
-that fixed point, run at the nodes.  A step takes z = -Q phi / lambda,
-sets u to the bound on the active nodes, where z lies outside [u_a, u_b],
-and solves u + Q phi(u) / lambda = 0 on the free nodes by
-``reduced_hessian_cg`` in the W inner product, to a residual reduction of
-``CG_REDUCTION``: two unrefined solves with the one stiffness factorization
-per CG step, with a spectrum in [1, 1 + ||S*S|| / lambda], S the
-control-to-state map (||S*S|| = (2 pi^2)^{-2}, about 2.6e-3, on the unit
-square).
+that fixed point.  A step takes z = -Q phi / lambda, sets u to the bound
+on the active nodes, where z lies outside [u_a, u_b], and to Q c on the
+free ones, and solves c + phi_T / lambda = 0 there by ``reduced_hessian_cg``
+in <a, M_F b>, the W inner product on the free nodes (Hinze & Vierling,
+Optim. Methods Softw. 27 (2012) 933-950).  M_F = Q^T W chi_F Q is the cell
+mass over the free nodes (``NodeTable.free_mass``) and the load of u is
+m_b + M_F c, m_b the moments of the bounds: a CG step makes two unrefined
+solves with the one stiffness factorization and no node product.  Its
+spectrum lies in [1, 1 + ||S*S|| / lambda], S the control-to-state map
+(||S*S|| = (2 pi^2)^{-2}, about 2.6e-3, on the unit square), and it stops
+at a residual reduction of ``CG_REDUCTION``.  Only z, u and, when the
+active set changes, m_b are node arrays.
 
 The first step starts from the empty active set, so it solves the problem
 without bounds.  Once the predicted active set repeats, every step first
@@ -49,11 +53,11 @@ from .control_unconstrained import (AdmissibleBox, CellPolyControl,
                                     ExactTriple, check_scheme, load_vectors,
                                     project_box)
 from .hho_core import (OptimalitySystem, SolverError, linear_response,
-                       node_load_vector, reduced_hessian_cg, sorted_sum)
+                       reduced_hessian_cg, sorted_sum)
 from .mesh import is_count, is_real
 
 # residual reduction of each CG solve; a wc2 Cartesian 32 level took 38 LU
-# solves with 1e-2 (more Newton steps), 40 with 1e-4 (more CG steps), 34 here
+# solves with 1e-2 (more Newton steps), 42 with 1e-4 (more CG steps), 34 here
 CG_REDUCTION = 1e-3
 _EPS = np.finfo(float).eps
 
@@ -93,11 +97,13 @@ class PgdIterationError(Exception):
 class ConstrainedSolution:
     """State and adjoint (DOF vectors) and control of a constrained scheme.
 
-    ``iterations`` counts the Newton steps, ``cg_steps`` the CG steps of
-    all of them and ``final_increment`` is the last fixed-point residual.
-    With ``keep_history``, ``history`` holds the control at the nodes of
-    ``space.nodes()`` at the start and the clamp P(-Q phi / lambda) after
-    each Newton step, each inside the box.  ``exact_at_nodes`` is the
+    ``iterations`` counts the Newton steps, ``cg_steps`` the CG steps (on
+    the cell coefficients) of all of them and ``final_increment`` is the
+    last fixed-point residual ||P(z) - u||_W at the nodes.  With
+    ``keep_history``, ``history`` holds the control at the nodes of
+    ``space.nodes()``: P(0) at the start, whose cell L2 projection the loop
+    starts from, and the clamp P(-Q phi / lambda) after each Newton step,
+    each inside the box.  ``exact_at_nodes`` is the
     exact triple at those nodes, sampled with the loads (``load_vectors``).
     """
 
@@ -119,7 +125,7 @@ def _w_norm(v, nodes):
 
 
 def _active_set_newton(space, prob, cfg, keep_history, scheme):
-    """Primal-dual active-set Newton loop over the control's node values.
+    """Primal-dual active-set Newton loop over the control's cell coefficients.
 
     Returns the ``ConstrainedSolution`` of ``scheme``: the state and adjoint
     of the last iterate and the control P(-phi_T / lambda), the
@@ -135,52 +141,54 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
     g = space.boundary_values(prob.state_boundary)
     M = space.cell_mass_matrix()
     nodes = space.nodes()
-    w = nodes.weights
+    nt = space.n_cell_dofs
 
-    def load(u):  # Q^T W u
-        return node_load_vector(space, u)
+    def cell_load(cells):  # the DOF vector with cell entries ``cells``
+        return np.append(cells, np.zeros(space.n_dofs - nt))
 
-    def Q(phi):
-        return nodes.values("Vl", space.cell_blocks(phi))
+    def Q(cells):  # node values of flat cell coefficients
+        return nodes.values("Vl", cells.reshape(-1, space.cell_dim))
 
-    def solve_pde(u, y, phi):
+    def solve_pde(load, y, phi):
         # one refinement step from the carried state and adjoint
-        y = system.solve(F_f + load(u), g, start=y)
+        y = system.solve(F_f + cell_load(load), g, start=y)
         phi = system.solve(M @ y - F_yd, start=phi)
         return y, phi
 
-    u = project_box(np.zeros(len(w)), box)
-    y, phi = solve_pde(u, np.zeros(space.n_dofs), np.zeros(space.n_dofs))
+    def bounds_or(free_values):  # the bounds on the active nodes lo, hi
+        return np.where(lo, box.u_a, np.where(hi, box.u_b, free_values))
+
+    # start from c, the cell L2 projection of P(0), with every node free
+    u = project_box(np.zeros(len(nodes.weights)), box)
+    m_u, M_F = nodes.moments("Vl", u), nodes.free_mass(np.ones(len(u), bool))
+    c = np.linalg.solve(M_F.data, m_u[..., None]).ravel()
+    y, phi = solve_pde(m_u.ravel(), np.zeros(space.n_dofs),
+                       np.zeros(space.n_dofs))
     history = [u] if keep_history else None
     # the first step starts from the empty active set: it solves the
     # problem without bounds, from which the active set is predicted
-    lo = hi = np.zeros(len(w), dtype=bool)
-    last, cg_steps = np.inf, 0
+    lo = hi = np.zeros(len(u), dtype=bool)
+    m_b, last, cg_steps = 0.0, np.inf, 0
     for it in range(1, cfg.max_iters + 1):
-        # Newton step: the bounds on the active nodes, CG on the free ones
-        jump = np.where(lo, box.u_a, np.where(hi, box.u_b, u)) - u
-        if jump.any():
-            y_p, phi_p = linear_response(system, M, load(jump))
-            u, y, phi = u + jump, y + y_p, phi + phi_p
         # on the free nodes the residual -(u + Q phi / lambda) is P(z) - u
         try:
-            u, y, phi, steps = reduced_hessian_cg(
-                system, M, load, lambda phi: Q(phi) / lam,
-                lambda a, b: np.einsum("i,i,i->", w, a, b), u, y, phi,
-                CG_REDUCTION, cfg.max_iters, free=~(lo | hi))
+            c, y, phi, steps = reduced_hessian_cg(
+                system, M, lambda p: cell_load(M_F @ p),
+                lambda phi: phi[:nt] / lam,
+                lambda a, b: np.einsum("i,i->", a, M_F @ b), c, y, phi,
+                CG_REDUCTION, cfg.max_iters)
         except SolverError as exc:
             raise PgdIterationError(f"{scheme}: {exc}", exc.residual) from None
         cg_steps += steps
 
-        z = -Q(phi) / lam
-        settled = (np.array_equal(lo, z < box.u_a)
-                   and np.array_equal(hi, z > box.u_b))
+        z = -Q(phi[:nt]) / lam
+        settled = np.array_equal((lo, hi), (z < box.u_a, z > box.u_b))
         if settled:
             # the active set stopped changing: restore the accuracy the
             # carried vectors lost to the unrefined solves
-            y, phi = solve_pde(u, y, phi)
-            z = -Q(phi) / lam
-        lo, hi = z < box.u_a, z > box.u_b
+            y, phi = solve_pde(m_b + M_F @ c, y, phi)
+            z = -Q(phi[:nt]) / lam
+        u = bounds_or(Q(c))
         clamp = project_box(z, box)
         residual = _w_norm(clamp - u, nodes)
         if keep_history:
@@ -197,6 +205,14 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
                 f"{last:.3e}, above tol {cfg.tol:.0e}, after {it} Newton "
                 "steps", last)
         last = residual if settled else np.inf
+        # Newton step: the bounds where z leaves the box, and their response
+        if not np.array_equal((lo, hi), (z < box.u_a, z > box.u_b)):
+            before, lo, hi = m_b + M_F @ c, z < box.u_a, z > box.u_b
+            m_b = nodes.moments("Vl", bounds_or(0.0)).ravel()
+            M_F = nodes.free_mass(~(lo | hi))
+            y_p, phi_p = linear_response(system, M,
+                                         cell_load(m_b + M_F @ c - before))
+            y, phi = y + y_p, phi + phi_p
     else:
         raise PgdIterationError(
             f"{scheme} did not converge in {cfg.max_iters} Newton steps "

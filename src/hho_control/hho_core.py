@@ -502,6 +502,27 @@ class NodeTable:
                           @ wv[at].reshape(cells.shape + (-1, 1)))[..., 0]
         return out
 
+    def free_mass(self, free):
+        """Block-diagonal BSR matrix of the cell masses over the nodes ``free``.
+
+        A cell's block sums w Vl Vl^T over its free nodes: it is ``M_cell``
+        if all are free and zero if none is.
+        """
+        n_free = self.reduce_cells(np.add, free.astype(np.intp))
+        wf = self.weights * free
+        dim = self.groups[0].kernels["Vl"].shape[-1]
+        blocks = np.zeros((len(self.counts), dim, dim))
+        for g in self.groups:
+            n = n_free[g.cells]
+            full = n == g.n_nodes
+            blocks[g.cells[full]] = g.kernels["M_cell"][g.rows[full]]
+            mixed = (n > 0) & ~full
+            cells, V = g.cells[mixed], g.kernels["Vl"][g.rows[mixed]]
+            at = self.starts[cells][:, None] + np.arange(g.n_nodes)
+            blocks[cells] = _mT(V) @ (wf[at][..., None] * V)
+        ids = np.arange(len(blocks) + 1)
+        return sp.bsr_matrix((blocks, ids[:-1], ids))
+
     def cell_integrals(self, values):
         """Quadrature of node values over each cell."""
         out = np.empty(len(self.counts))
@@ -914,17 +935,19 @@ def linear_response(system, M, load):
 
 
 def reduced_hessian_cg(system, M, load, G, inner, u, y, phi, reduction,
-                       max_steps, free=True):
-    """CG for u + G(phi) = 0 on the entries ``free`` of u (a mask, or all).
+                       max_steps):
+    """CG for u + G(phi) = 0 in the inner product ``inner``.
 
     y and phi, the state and adjoint of u, are carried along: a change p adds
     the ``linear_response`` of ``load(p)``, so the reduced Hessian
     H p = p + G(phi_p) (Hinze, Pinnau, Ulbrich & Ulbrich, Optimization with
-    PDE Constraints, Springer 2009) must be SPD in the inner product
-    ``inner``.  Returns ``(u, y, phi, steps)`` once the residual's norm has
-    fallen by ``reduction``; SolverError with that norm after ``max_steps``.
+    PDE Constraints, Springer 2009) must be self-adjoint and positive in
+    ``inner``, which may be semi-definite where ``load`` ignores its kernel
+    (wc's cell mass over the free nodes).  Returns ``(u, y, phi, steps)``
+    once the residual's norm has fallen by ``reduction``; SolverError with
+    that norm after ``max_steps``.
     """
-    r = np.where(free, -(u + G(phi)), 0.0)
+    r = -(u + G(phi))
     p, rr = r, inner(r, r)
     stop, steps = reduction ** 2 * rr, 0
     while not rr <= stop:  # not reduced enough, or not finite
@@ -933,7 +956,7 @@ def reduced_hessian_cg(system, M, load, G, inner, u, y, phi, reduction,
             raise SolverError(f"conjugate gradients did not converge in "
                               f"{max_steps} steps (residual {res:.3e})", res)
         y_p, phi_p = linear_response(system, M, load(p))
-        Hp = np.where(free, p + G(phi_p), 0.0)
+        Hp = p + G(phi_p)
         alpha = rr / inner(p, Hp)
         u, y, phi = u + alpha * p, y + alpha * y_p, phi + alpha * phi_p
         r = r - alpha * Hp

@@ -10,7 +10,7 @@ from hho_control import (AdmissibleBox, HhoSpace, PgdConfig,
 from hho_control.control_unconstrained import (CellPolyControl, ControlProblem,
                                                _solve_two_field)
 from hho_control.errors import eoc, l2_error_control
-from hho_control.hho_core import cell_load_vector
+from hho_control.hho_core import NodeTable, cell_load_vector
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, cell_dofs,
                      dense_cell_mass, dense_stiffness, reduced_cost,
@@ -89,6 +89,29 @@ def test_newton_and_cg_step_caps():
     sol = solve_wc1(space, prob, cfg)
     assert sol.iterations == 4 and sol.final_increment <= cfg.tol
     assert solve_wc1(space, prob).iterations > 4
+
+
+@pytest.mark.parametrize("solve, k", [(solve_wc1, 0), (solve_wc2, 1)])
+@pytest.mark.parametrize("mesh", [cached_cartesian(16), cached_voronoi(64)],
+                         ids=["cartesian-16", "voronoi-64"])
+def test_newton_loop_touches_the_nodes_a_few_times_per_step(solve, k, mesh,
+                                                          monkeypatch):
+    # the CG runs on the cell coefficients: node products come only with
+    # the loads, the start, and z, u and the bounds of each Newton step
+    calls = []
+    for name in ("values", "moments"):
+        product = getattr(NodeTable, name)
+
+        def counted(self, *args, _product=product):
+            calls.append(1)
+            return _product(self, *args)
+
+        monkeypatch.setattr(NodeTable, name, counted)
+    space = HhoSpace(mesh, k, cell_degree=k + (solve is solve_wc2),
+                     dirichlet=True)
+    sol = solve(space, problem_from_preset("wc-default"))
+    assert sol.cg_steps > sol.iterations
+    assert len(calls) <= 4 * sol.iterations + 2
 
 
 def test_wc1_feasible_at_every_iterate_and_cost_monotone():

@@ -76,6 +76,34 @@ def test_products_have_the_bits_of_each_cells_own_kernel_row(family, k, mixed):
 
 
 @pytest.mark.parametrize("family", ["cartesian", "voronoi"])
+@pytest.mark.parametrize("k, cell_degree", [(0, 0), (1, 2)])
+def test_free_mass_sums_each_cells_free_nodes(family, k, cell_degree):
+    mesh = cached_cartesian(4) if family == "cartesian" else cached_voronoi(16)
+    space = HhoSpace(mesh, k, cell_degree=cell_degree, dirichlet=True)
+    t = space.nodes()
+    n, dim = mesh.n_cells, space.cell_dim
+    rng = np.random.default_rng(7 + k)
+    free = rng.random(len(t.weights)) < 0.5
+    # a cell with every node free and one with none beside the mixed ones
+    free[_cell_nodes(t, 0)], free[_cell_nodes(t, 1)] = True, False
+    blocks = t.free_mass(free).toarray().reshape(n, dim, n, dim)
+    for c, kernels, r in _own_rows(space):
+        at = _cell_nodes(t, c)
+        want = np.zeros((dim, dim))
+        for w, v, f in zip(t.weights[at], kernels["Vl"][r], free[at]):
+            if f:
+                want += w * np.outer(v, v)
+        scale = np.abs(kernels["M_cell"][r]).max()
+        assert np.abs(blocks[c, :, c] - want).max() <= 1e-14 * scale
+        blocks[c, :, c] = 0.0
+    assert not blocks.any()  # block diagonal
+    every, none = (t.free_mass(np.full(len(t.weights), f)) for f in (True, False))
+    assert every.nnz == n * dim * dim and none.count_nonzero() == 0
+    for c, kernels, r in _own_rows(space):
+        assert np.array_equal(every.data[c], kernels["M_cell"][r])
+
+
+@pytest.mark.parametrize("family", ["cartesian", "voronoi"])
 def test_cell_reductions_match_each_cells_own_nodes(family):
     space = _space(family, 1, 1)
     t = space.nodes()
