@@ -203,11 +203,15 @@ def _grad_grams(Fl, Fr, w):
     by function with each node's x and y adjacent.  Returns the Gram
     matrices ``(grad l_i, grad l_j)`` and ``(grad r_i, grad r_j)`` and the
     cross products ``(grad r_i, grad l_j)``, ``(B, dim_r, dim_l)``.  With
-    the weights repeated per direction, every product is one batched matmul.
+    the weights repeated per direction, every product is one batched matmul;
+    if ``Fr`` is ``Fl`` (one basis) the three are one product.
     """
     w2 = np.repeat(w, 2, axis=1)[:, :, None]
     wFl = w2 * _mT(Fl)
-    return Fl @ wFl, Fr @ (w2 * _mT(Fr)), Fr @ wFl
+    K_l = Fl @ wFl
+    if Fr is Fl:  # one basis: the three products are one
+        return K_l, K_l, K_l
+    return K_l, Fr @ (w2 * _mT(Fr)), Fr @ wFl
 
 
 class KernelGroup:
@@ -244,7 +248,9 @@ def _build_kernels(space, pts, w, centroids, h, face_ends, lengths, normals):
     cell's area is ``mesh.cell_areas`` and its basis integrals ``qw @ Vl``.
     The bases come from one degree-(k + 1) ``poly.monomial_table`` at the
     cell nodes and one at the face nodes (the cell basis is its first dim_l
-    columns), ``Ql`` and ``Qr`` from the raw cell-node table.  Every product
+    columns), ``Ql`` and ``Qr`` from the raw cell-node table.  In a mixed
+    space (l = r) the two bases are one, and each of their products is
+    built once: ``Vl`` is ``Vr``, ``M_cell`` is ``M_recon``.  Every product
     and solve is batched: a transform is one product per cell, of the values
     ``(n, dim)`` and of the gradients ``(dim, 2n)``, the layout that
     ``_grad_grams`` multiplies.  No cell of a Voronoi mesh shares its kernel,
@@ -270,21 +276,23 @@ def _build_kernels(space, pts, w, centroids, h, face_ends, lengths, normals):
         return F if T is None else T @ F
 
     # the cell and reconstruction bases are orthonormalized from degree 2,
-    # both from the raw table at the cell nodes: one transform if l = r
+    # both from the raw table at the cell nodes; if l = r they are one basis,
+    # and every product of the two is built once
+    same = l == r
     V, F = table(pts)
     Qr = poly.orthonormal_transform(V, w) if r >= 2 else None
-    Ql = (Qr if l == r else
+    Ql = (Qr if same else
           poly.orthonormal_transform(V[..., :dim_l], w) if l >= 2 else None)
-    Vl, Vr = values(V, Ql, dim_l), values(V, Qr, dim_r)
+    Vr, Fr = values(V, Qr, dim_r), grads(F, Qr, dim_r)
+    Vl, Fl = (Vr, Fr) if same else (values(V, Ql, dim_l), grads(F, Ql, dim_l))
 
     wc = w[:, :, None]
-    M_cell = _mT(Vl) @ (wc * Vl)
     M_recon = _mT(Vr) @ (wc * Vr)
-    N_lr = _mT(Vl) @ (wc * Vr)
-    K_cell, K_recon, K_rl = _grad_grams(grads(F, Ql, dim_l),
-                                        grads(F, Qr, dim_r), w)
-    int_cell = (w[:, None, :] @ Vl)[:, 0]
+    M_cell = M_recon if same else _mT(Vl) @ (wc * Vl)
+    N_lr = M_recon if same else _mT(Vl) @ (wc * Vr)
+    K_cell, K_recon, K_rl = _grad_grams(Fl, Fr, w)
     int_recon = (w[:, None, :] @ Vr)[:, 0]
+    int_cell = int_recon if same else (w[:, None, :] @ Vl)[:, 0]
 
     # Faces, stacked (B, m, ...): quadrature, cell and reconstruction
     # traces, and the normal derivative of the recon basis.  Every face's
@@ -293,8 +301,8 @@ def _build_kernels(space, pts, w, centroids, h, face_ends, lengths, normals):
     fpts, fw = poly.face_rule(face_ends, k)
     nf = fw.shape[-1]
     V, F = table(fpts.reshape(B, m * nf, 2))
-    Vl_f = values(V, Ql, dim_l).reshape(B, m, nf, dim_l)
     Vr_f = values(V, Qr, dim_r).reshape(B, m, nf, dim_r)
+    Vl_f = Vr_f if same else values(V, Ql, dim_l).reshape(B, m, nf, dim_l)
     dn = (np.moveaxis(grads(F, Qr, dim_r).reshape(B, dim_r, m, nf, 2), 1, 3)
           @ normals[:, :, None, :, None])[..., 0]
     fwc = fw[..., None]
@@ -730,7 +738,6 @@ def nested_dissection(space):
 
 
 _EPS = np.finfo(float).eps
-_SQRT_EPS = np.sqrt(_EPS)
 
 
 class OptimalitySystem:
@@ -765,19 +772,27 @@ class OptimalitySystem:
     cell block that cannot be inverted fails with an infinite residual.
 
     Refinement (Demmel et al., ACM TOMS 32 (2006) 325-351).  Every solve is
-    refined against the assembled matrix: the residual b - K x is summed in
+    refined against the assembled matrix, each correction d_k solved with
+    the same LU.  A residual b - K x that the loop solves with is summed in
     ``np.longdouble`` (``np.clongdouble`` for a complex K) from a cached
-    extended copy of K and the correction solved with the same LU.
-    Refinement stops when the correction stops shrinking, falls below the
-    resolution of x (eps ||x||) or reaches ``MAX_REFINEMENT_STEPS``.  The
-    result is the solution of the assembled system to about double
-    precision, whatever the ordering of the factorization.  Given a
-    ``start`` (an approximate solution carried by a loop) a solve is one
-    refinement step from it, so the loop's own iterations do the refining.
-    ``lu_solve`` is the plain solve, for inner iterations.  Where
-    ``np.longdouble`` is no wider than double (aarch64 macOS, Windows)
-    refinement improves only the backward error, and the results keep the
-    round-off of the factorization.
+    extended copy of K; the last one, which only checks x, is summed in
+    double.  Refinement stops when the correction stops shrinking, when it
+    reaches ``MAX_REFINEMENT_STEPS``, or when the next correction is
+    predicted below the resolution of x: the corrections shrink by a steady
+    ratio (Demmel et al. judge convergence by it), so the next is about
+    ||d_k||^2 / ||d_{k-1}||, and the loop stops once that is at most
+    eps ||x_k||, with d_0 = x_0 (the unrefined solve) for a cold solve.  A
+    cold solve whose first correction is below about sqrt(eps) ||x|| thus
+    makes two LU solves, one extended and one double residual.  The result
+    is the solution of the assembled system to about double precision,
+    whatever the ordering of the factorization.  Given a ``start`` (an
+    approximate solution carried by a loop) a solve is one refinement step
+    from it: the start's residual is extended (a zero start's is b, with no
+    product) and the new iterate's only checks it, so the loop's own
+    iterations do the refining.  ``lu_solve`` is the plain solve, for inner
+    iterations.  Where ``np.longdouble`` is no wider than double (aarch64
+    macOS, Windows) refinement improves only the backward error, and the
+    results keep the round-off of the factorization.
 
     Every solve is checked against ``||b - K x|| <= 1e-10 ||b||``; a
     non-finite solution fails with an infinite residual.  ``residual`` holds
@@ -865,33 +880,38 @@ class OptimalitySystem:
         ``load`` is a full-length load vector (ValueError on a length
         mismatch) and ``fixed`` the values of the fixed DOFs (None for
         zero).  ``start`` is an approximate solution to take one refinement
-        step from.  Sets ``residual`` and ``refinement``; raises SolverError
+        step from; without it the solve refines until the next correction
+        is predicted below eps ||x||.  The residual that only checks the
+        result is summed in double, the ones solved with in extended
+        precision.  Sets ``residual`` and ``refinement``; raises SolverError
         above the tolerance or on a non-finite solution.
         """
         space = self.space
         b = space.dof_vector(load)[space.active_dofs]
         if fixed is not None:
             b = b - self._lift @ fixed
-        if start is None:
-            x, cap = self.lu_solve(b), self.MAX_REFINEMENT_STEPS
+        if start is None:  # the first correction d_0 is x_0 itself
+            x = self.lu_solve(b)
+            cap, last = self.MAX_REFINEMENT_STEPS, _norm(x)
         else:
-            x, cap = space.dof_vector(start)[space.active_dofs], 1
+            x, cap, last = space.dof_vector(start)[space.active_dofs], 1, np.inf
         # K 0 sums to +0, so the residual of a zero start is b, bit for bit
         r = self._residual(b, x) if x.any() else b.astype(self._matrix.dtype)
-        steps, last = 0, np.inf
-        while steps < cap:
+        steps = 0
+        while True:
             d = self.lu_solve(r)
             size = _norm(d)
             if not size < last:  # stopped shrinking (or not finite)
                 break
-            x, steps, last = x + d, steps + 1, size
-            size_x = _norm(x)
-            # a warm step above sqrt(eps) ||x|| started far from the
-            # solution, and the loop's later steps correct what double misses
-            r = self._residual(b, x, extended=start is None
-                               or size <= _SQRT_EPS * size_x)
-            if size <= _EPS * size_x:  # below the resolution of x
+            x, steps = x + d, steps + 1
+            # the next correction is predicted at size^2 / last: below the
+            # resolution of x (eps ||x||) the loop stops, and the residual
+            # that only checks x is summed in double
+            done = steps == cap or size * size <= _EPS * _norm(x) * last
+            r = self._residual(b, x, extended=not done)
+            if done:
                 break
+            last = size
 
         scale = _norm(b)
         unit = scale if scale > 0 else 1.0  # with b = 0 only x = 0 passes

@@ -22,9 +22,12 @@ basis from its endpoints alone.  ``l2_error_cells``, ``vi_residual_wc1`` and
 cell polynomials, the wc1 variational inequality and the reduced cost of a
 control load with the library's kernels and solve.  ``wc1_cell_control``
 reads the per-cell value of a wc1 control off its node values.
+``count_calls`` records the calls of a library function for the tests that
+count work.
 """
 
 import functools
+import inspect
 import math
 
 import numpy as np
@@ -37,6 +40,29 @@ from hho_control.mesh import _clipped_voronoi, next_vertices
 from hho_control.poly import (CellBasis, monomial_exponents,
                               orthonormal_transform, polygon_rules,
                               polygon_triangles, triangle_quadrature)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Record every call of ``owner.name`` (a module or class attribute).
+
+    ``monkeypatch`` replaces the attribute by a wrapper that calls the
+    original, for the rest of the test.  Returns the list of the calls, one
+    dict per call mapping each parameter name (``self`` of a method too) to
+    its argument, defaults filled in.
+    """
+    func = getattr(owner, name)
+    signature = inspect.signature(func)
+    calls = []
+
+    @functools.wraps(func)
+    def counted(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return func(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 @functools.lru_cache(maxsize=None)

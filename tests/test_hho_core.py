@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hho_control import HhoSpace, make_cartesian, solve_poisson
+from hho_control import (HhoSpace, make_cartesian, solve_poisson, solve_uc1,
+                         solve_wc2)
 from hho_control.errors import energy_error, eoc, l2_error_reconstruction
 from hho_control.hho_core import (NonFiniteError, OptimalitySystem, _build,
-                                  _grad_grams, _views, cell_load_vector,
+                                  _grad_grams, _norm, _views, cell_load_vector,
                                   h1h_seminorm_sq, reconstruct_all,
                                   reduce_function, scatter_blocks)
 from hho_control.poly import monomial_table, space_dimension
+from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
-                     cell_face_ids, cell_normals, dense_face_schur,
-                     dense_stiffness, face_gauss, global_monomials, recon_basis,
+                     cell_face_ids, cell_normals, count_calls,
+                     dense_face_schur, dense_stiffness, face_gauss,
+                     global_monomials, recon_basis,
                      reduce_reconstruct_stabilize, segment_monomial_integral,
                      stabilization, voronoi_with_l_cell)
 
@@ -411,6 +414,69 @@ def test_two_field_solver_failure_reports_residual(case):
     with pytest.raises(SolverError) as err:
         OptimalitySystem(space, matrix).solve(scale * load)
     assert err.value.residual > OptimalitySystem.RESIDUAL_TOL
+
+
+EXP = lambda p: np.exp(p[:, 0] + p[:, 1])
+
+
+def _solve_cold(case, mesh, k=1, lam=None):
+    """A cold refined solve: uc1 (``uc1-default``) or the Poisson problem."""
+    space = HhoSpace(mesh, k, dirichlet=True)
+    if case == "uc1":
+        solve_uc1(space, problem_from_preset("uc1-default", lam=lam))
+    else:
+        solve_poisson(space, EXP, EXP)
+
+
+@pytest.mark.parametrize("case, n", [("uc1", 16), ("poisson", 8)])
+def test_a_cold_solve_makes_two_lu_solves_and_one_extended_product(
+        case, n, monkeypatch):
+    # the second correction predicts the third below eps ||x||, so the loop
+    # stops, and the residual that only checks x is summed in double
+    lu = count_calls(monkeypatch, OptimalitySystem, "lu_solve")
+    residuals = count_calls(monkeypatch, OptimalitySystem, "_residual")
+    _solve_cold(case, cached_cartesian(n))
+    assert len(lu) == 2
+    assert [c["extended"] for c in residuals] == [True, False]
+
+
+def test_a_warm_solve_sums_only_the_residual_it_solves_with_in_extended(
+        monkeypatch):
+    # every solve of the wc2 loop is one refinement step from its start: a
+    # nonzero start's residual is solved with (extended), a zero start's is
+    # b itself (no product), and the new iterate's only checks (double)
+    solves = count_calls(monkeypatch, OptimalitySystem, "solve")
+    residuals = count_calls(monkeypatch, OptimalitySystem, "_residual")
+    space = HhoSpace(cached_cartesian(16), 1, cell_degree=2, dirichlet=True)
+    solve_wc2(space, problem_from_preset("wc-default"))
+    assert all(c["start"] is not None for c in solves)
+    extended = [c["extended"] for c in residuals]
+    assert extended.count(True) == sum(c["start"].any() for c in solves)
+    assert extended.count(False) == len(solves)
+
+
+@pytest.mark.parametrize("case, k, mesh, lam", [
+    ("uc1", 1, cached_cartesian(16), None),
+    ("uc1", 1, cached_voronoi(64), None),
+    ("uc1", 3, cached_cartesian(8), None),
+    ("uc1", 1, cached_cartesian(16), 1e-6),
+    ("poisson", 1, cached_cartesian(16), None),
+], ids=["uc1-cartesian-16", "uc1-voronoi-64", "uc1-k3-cartesian-8",
+        "uc1-lam-1e-6", "poisson-cartesian-16"])
+def test_the_skipped_correction_is_below_the_resolution_of_x(
+        case, k, mesh, lam, monkeypatch):
+    # one more extended residual and LU solve from the returned x would not
+    # change it; the check residual, summed in double, stays near eps
+    solves = count_calls(monkeypatch, OptimalitySystem, "solve")
+    _solve_cold(case, mesh, k, lam)
+    call, = solves
+    system, fixed = call["self"], call["fixed"]
+    act = system.space.active_dofs
+    x = system.solve(call["load"], fixed)[act]
+    b = call["load"][act] - system._lift @ fixed
+    correction = system.lu_solve(system._residual(b, x))
+    assert _norm(correction) <= np.finfo(float).eps * _norm(x)
+    assert system.refinement["residual"] <= 1e-13
 
 
 @pytest.mark.parametrize("length", ["short", "long", "one"])
