@@ -53,7 +53,7 @@ from .control_unconstrained import (AdmissibleBox, CellPolyControl,
                                     ExactTriple, check_scheme, load_vectors,
                                     project_box)
 from .hho_core import (OptimalitySystem, SolverError, linear_response,
-                       reduced_hessian_cg, sorted_sum)
+                       local_stiffness, reduced_hessian_cg, sorted_sum)
 from .mesh import is_count, is_real
 
 # residual reduction of each CG solve; a wc2 Cartesian 32 level took 38 LU
@@ -137,7 +137,7 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
     lam = prob.lam
     F_f, F_yd, exact = load_vectors(space, prob)
     # the state carries the boundary data, the adjoint is zero on it
-    system = OptimalitySystem(space, space.stiffness_matrix())
+    system = OptimalitySystem(space, local_stiffness)
     g = space.boundary_values(prob.state_boundary)
     M = space.cell_mass_matrix()
     nodes = space.nodes()

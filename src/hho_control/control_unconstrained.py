@@ -18,11 +18,10 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .hho_core import (HhoSpace, OptimalitySystem, SolverError,
-                       node_load_vector, recon_load_vector, reconstruct_all,
-                       reduced_hessian_cg, scatter_blocks)
+                       local_stiffness, node_load_vector, recon_load_vector,
+                       reconstruct_all, reduced_hessian_cg, scatter_blocks)
 from .mesh import is_real
 
 UC32_REDUCTION = 1e-13  # of the uc32 CG residual, in the C-norm
@@ -241,11 +240,18 @@ def _solve_two_field(space, prob, scheme, recon=False):
     """
     lam = prob.lam
     s = np.sqrt(lam)
-    if recon:
-        C, load = space.recon_mass_matrix(), recon_load_vector
-    else:
-        C, load = space.cell_mass_matrix(), node_load_vector
-    system = OptimalitySystem(space, space.stiffness_matrix() - 1j / s * C)
+    dl = space.cell_dim
+
+    def local(g):  # A - i C / s on each kernel row
+        blocks = g.kernels["A"] - 0j
+        if recon:
+            blocks -= 1j / s * _recon_mass(g)
+        else:
+            blocks[:, :dl, :dl] -= 1j / s * g.kernels["M_cell"]
+        return blocks, g.rows
+
+    system = OptimalitySystem(space, local)
+    load = recon_load_vector if recon else node_load_vector
     F_f, F_yd, exact = load_vectors(space, prob, load)
     z = system.solve(F_f - 1j / s * F_yd,
                      space.boundary_values(prob.state_boundary))
@@ -290,6 +296,39 @@ def solve_uc31(space, prob):
     return _solve_two_field(space, prob, "uc31", recon=True)
 
 
+def _recon_mass(group):
+    """The blocks G^T M_recon G of (R v, R w), one per kernel row."""
+    G = group.kernels["G"]
+    return np.swapaxes(G, 1, 2) @ group.kernels["M_recon"] @ G
+
+
+def _pinned_mass(space, lam):
+    """Local blocks of C = lam B + eps I over ``space``, one per cell.
+
+    B = G^T M_recon G is the reconstruction mass, singular on the kernel of
+    the global reconstruction, and eps = 1e-12 lam max diag(B) pins it.
+    Each cell's block carries eps on its cell DOFs and eps / (the number of
+    cells of the face) on each face DOF, so the assembled C carries eps
+    once on every DOF.  Returns ``local`` for ``OptimalitySystem``.
+    """
+    groups = space.kernel_groups()
+    B = [_recon_mass(g) for g in groups]
+    diag = np.zeros(space.n_dofs)
+    for g, b in zip(groups, B):  # at most two cells share a DOF: exact sums
+        np.add.at(diag, g.dofs, np.diagonal(b, axis1=1, axis2=2)[g.rows])
+    eps = 1e-12 * lam * diag.max()
+    pin = np.ones(space.n_dofs)  # each cell's share of eps, per DOF
+    pin[space.n_cell_dofs:] = np.repeat(
+        1.0 / np.count_nonzero(space.mesh.face_cells >= 0, axis=1),
+        space.face_dim)
+    pinned = {}
+    for g, b in zip(groups, B):
+        blocks, i = lam * b[g.rows], np.arange(b.shape[-1])
+        blocks[:, i, i] += eps * pin[g.dofs]
+        pinned[g] = blocks
+    return lambda g: (pinned[g], np.arange(len(g.cells)))
+
+
 def _cross_coupling(space, control_space):
     """Matrix of (R_c u, w_T): state cell tests against control reconstructions.
 
@@ -328,12 +367,10 @@ def solve_uc32(space, prob):
     A = space.stiffness_matrix()
     M = space.cell_mass_matrix()
     K = _cross_coupling(space, control_space)
-    B = control_space.recon_mass_matrix()
     n_u = control_space.n_dofs
-    eps = 1e-12 * prob.lam * B.diagonal().max()
-    C = (prob.lam * B + eps * sp.identity(n_u, format="csr")).tocsr()
-    pde = OptimalitySystem(space, A)
-    mass = OptimalitySystem(control_space, C)
+    pde = OptimalitySystem(space, local_stiffness)
+    mass = OptimalitySystem(control_space, _pinned_mass(control_space, prob.lam))
+    C = mass.matrix  # every control DOF is active
 
     F_f, F_yd, exact = load_vectors(space, prob)
     g = space.boundary_values(prob.state_boundary)

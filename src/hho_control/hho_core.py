@@ -20,14 +20,16 @@ applies each congruence class's basis and weight tables to all of the
 class's cells in one broadcast product.
 Per-cell matrices are scattered into global sparse matrices by one triplet
 helper.  ``OptimalitySystem`` is the one solve path of the package: one
-space and one real or complex matrix whose cell unknowns are eliminated
-cell by cell (static condensation), leaving the face Schur complement
-K_FF - K_FT K_TT^{-1} K_TF, formed by sparse products of the blocks of the
-active matrix, to factor once without pivoting in a nested-dissection
-order, whose parts come from the Morton key of the cell centroids; every
-solve is refined against the assembled matrix and checked.  It solves the
-Poisson problem and the complex uc1, uc2 and uc31 systems, and its plain
-``lu_solve`` runs the ``reduced_hessian_cg`` of uc32, wc1 and wc2.
+space and the local matrices, real or complex, of one system, given kernel
+group by kernel group (``local_stiffness`` for the stiffness).  It
+eliminates the cell unknowns once per distinct local block (static
+condensation) and scatters the blocks K_FF - K_FT K_TT^{-1} K_TF straight
+into the face Schur complement, which it factors once without pivoting in
+a nested-dissection order, whose parts come from the Morton key of the
+cell centroids; every solve is refined against the matrix assembled from
+the same blocks and checked.  It solves the Poisson problem and the
+complex uc1, uc2 and uc31 systems, and its plain ``lu_solve`` runs the
+``reduced_hessian_cg`` of uc32, wc1 and wc2.
 """
 
 from __future__ import annotations
@@ -95,7 +97,6 @@ class HhoSpace:
         self._nodes = None
         self._stiffness = None
         self._cell_mass = None
-        self._recon_mass = None
 
         fd = self.face_dim
         self.cell_dof_start = np.arange(mesh.n_cells) * self.cell_dim
@@ -151,15 +152,6 @@ class HhoSpace:
                 lambda g: (g.dofs[:, :dl], g.dofs[:, :dl],
                            g.kernels["M_cell"][g.rows]))
         return self._cell_mass
-
-    def recon_mass_matrix(self):
-        """Matrix of (R v, R w) over all DOFs."""
-        if self._recon_mass is None:
-            def blocks(g):
-                G = g.kernels["G"]
-                return g.dofs, g.dofs, (_mT(G) @ g.kernels["M_recon"] @ G)[g.rows]
-            self._recon_mass = self._assemble((self.n_dofs, self.n_dofs), blocks)
-        return self._recon_mass
 
     def boundary_values(self, g):
         """Fixed-DOF values for Dirichlet data g (zeros when g is None).
@@ -679,19 +671,69 @@ def scatter_blocks(shape, triplets):
 
     A triplet is one block with 1D index arrays, or a stack of blocks
     ``(..., nr, nc)`` with index arrays ``(..., nr)`` and ``(..., nc)``.
-    The indices are int32 where ``shape`` allows.
+    Entries with a negative row or column index are left out.  The indices
+    are int32 where ``shape`` allows.
     """
     triplets = [(np.asarray(r)[..., :, None], np.asarray(c)[..., None, :],
                  block) for r, c, block in triplets]
     shapes = [np.broadcast_shapes(r.shape, c.shape) for r, c, _ in triplets]
     ends = np.cumsum([0] + [np.prod(s, dtype=int) for s in shapes])
-    index = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.intp
+    index = np.int32 if max(shape) < np.iinfo(np.int32).max else np.intp
     rows, cols = np.empty(ends[-1], dtype=index), np.empty(ends[-1], dtype=index)
-    for (r, c, _), s, start, end in zip(triplets, shapes, ends, ends[1:]):
+    vals = np.empty(ends[-1], np.result_type(*(b for _, _, b in triplets)))
+    for (r, c, block), s, start, end in zip(triplets, shapes, ends, ends[1:]):
         rows[start:end].reshape(s)[...] = r
         cols[start:end].reshape(s)[...] = c
-    vals = np.concatenate([block.ravel() for _, _, block in triplets])
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+        vals[start:end].reshape(s)[...] = block
+    # the entries left out go to a spare last row, which the CSR arrays
+    # then cut off: cheaper than compressing every array
+    out = (rows < 0) | (cols < 0)
+    rows[out], cols[out] = shape[0], 0
+    csr = sp.coo_matrix((vals, (rows, cols)),
+                        shape=(shape[0] + 1, max(shape[1], 1))).tocsr()
+    end = csr.indptr[-2]
+    return sp.csr_matrix((csr.data[:end], csr.indices[:end], csr.indptr[:-1]),
+                         shape=shape)
+
+
+def local_stiffness(group):
+    """The stiffness of a kernel group as ``OptimalitySystem`` local blocks."""
+    return group.kernels["A"], group.rows
+
+
+def _local_stack(group, blocks, index):
+    """``(blocks, index)`` of ``group`` as arrays, checked against its DOFs."""
+    blocks, index = np.asarray(blocks), np.asarray(index)
+    n = group.dofs.shape[1]
+    if blocks.ndim != 3 or blocks.shape[1:] != (n, n):
+        raise ValueError(f"local blocks of shape {blocks.shape} do not match "
+                         f"the group's {n} local DOFs: expected (rows, {n}, {n})")
+    if (index.shape != group.cells.shape or index.dtype.kind not in "iu"
+            or (index.size and not 0 <= index.min() <= index.max() < len(blocks))):
+        raise ValueError(f"index of shape {index.shape} must hold one row of "
+                         f"the {len(blocks)} local blocks per cell: expected "
+                         f"shape {group.cells.shape}")
+    return blocks, index
+
+
+def _real_if_real(a):
+    """``a``, or its real part if it is complex with no imaginary part."""
+    return a.real if np.iscomplexobj(a) and not a.imag.any() else a
+
+
+def _stack_matmul(a, b):
+    """``a @ b`` for stacks of small matrices, one of them possibly complex.
+
+    numpy multiplies small complex matrices about ten times slower than
+    real ones, so a real factor multiplies the real and imaginary parts of
+    the other in one real product.
+    """
+    if np.iscomplexobj(a) == np.iscomplexobj(b):
+        return a @ b
+    if np.iscomplexobj(a):  # (a b)^T = b^T a^T
+        return _mT(_stack_matmul(_mT(b), _mT(a)))
+    b = np.ascontiguousarray(b)
+    return (a @ b.view(b.real.dtype)).view(b.dtype)
 
 
 def nested_dissection(space):
@@ -743,28 +785,34 @@ _EPS = np.finfo(float).eps
 class OptimalitySystem:
     """Sparse system over one HHO space, factored once and solved many times.
 
-    ``matrix`` is a full-size sparse matrix over the DOFs of ``space``, real
-    or complex.  The rows and columns of fixed (Dirichlet) DOFs are sliced
-    off before the single factorization; at each solve the fixed columns
-    times the given fixed values move into the right-hand side (the lift).
+    The system is given by its local matrices, real or complex:
+    ``local(group)`` returns ``(blocks, index)`` for each kernel group of
+    ``space``, a stack ``(rows, n, n)`` over the group's local DOFs
+    ``group.dofs`` (cell DOFs first) and each cell's row in that stack.
+    The stiffness is ``local_stiffness``: one block per kernel row, shared
+    by the congruent cells.  ValueError if a stack does not match the
+    group's local DOF count or an index falls outside it.  ``matrix`` is
+    the assembly of the blocks over the active DOFs; at each solve the
+    columns of the fixed (Dirichlet) DOFs times the given fixed values move
+    into the right-hand side (the lift).
 
-    Factorization.  The matrix is an assembly of cell blocks, so a cell's
-    unknowns couple only with its own faces; the cell DOFs come first and
-    are never fixed.  They are eliminated cell by cell (static
-    condensation; Di Pietro & Droniou, The Hybrid High-Order Method for
-    Polytopal Meshes, Springer 2020).  The active matrix is permuted once,
-    its faces into the ``nested_dissection`` order of the active faces
-    (George, SIAM J. Numer. Anal. 10 (1973) 345-363: the cells are cut at
-    the middle lines of each part, read off the Morton key of their
-    centroids), and split into the blocks K_TT, K_TF, K_FT and K_FF by
-    slicing.  The cell blocks K_TT are
-    inverted as one batch into the block-diagonal D = K_TT^{-1}, and only
-    the face Schur complement S = K_FF - K_FT (D K_TF), formed by two
-    sparse products, is factored, with SuperLU told to keep its order
-    (``permc_spec="NATURAL"``, ``SymmetricMode``) and to pivot on the
-    diagonal (``diag_pivot_thresh=0``).  A solve takes y = D b_T, the
-    faces x_F = S^{-1}(b_F - K_FT y) and the cells x_T = y - D K_TF x_F.
-    Every matrix factored here has a positive definite Hermitian part: the
+    Factorization.  A cell's unknowns couple only with its own faces, and
+    the cell DOFs are never fixed.  They are eliminated before any global
+    assembly, once per stack row (static condensation; Di Pietro &
+    Droniou, The Hybrid High-Order Method for Polytopal Meshes, Springer
+    2020): each cell block K_TT of a row is inverted, in one batch per
+    group, to D = K_TT^{-1}, and the row gives its couplings X = D K_TF and
+    E = K_FT D and its face Schur block K_FF - K_FT X.  These are scattered
+    by ``index`` to the cells: the Schur blocks straight into the face
+    Schur complement S over the active faces, in their
+    ``nested_dissection`` order (George, SIAM J. Numer. Anal. 10 (1973)
+    345-363: the cells are cut at the middle lines of each part, read off
+    the Morton key of their centroids), and X and E into two sparse
+    coupling matrices.  Only S is factored, with SuperLU told to keep its
+    order (``permc_spec="NATURAL"``, ``SymmetricMode``) and to pivot on the
+    diagonal (``diag_pivot_thresh=0``).  A solve takes the faces
+    x_F = S^{-1}(b_F - E b_T) and the cells x_T = D b_T - X x_F.  Every
+    matrix factored here has a positive definite Hermitian part: the
     stiffness, the pinned uc32 control mass, and the complex uc matrix
     A - i C / sqrt(lam), whose Hermitian part is A.  The cell blocks and S
     inherit that property, so their LU without pivoting exists and is
@@ -804,42 +852,67 @@ class OptimalitySystem:
     RESIDUAL_TOL = 1e-10
     MAX_REFINEMENT_STEPS = 10
 
-    def __init__(self, space, matrix):
+    def __init__(self, space, local):
         self.space = space
-        act = space.active_dofs
-        # one gather of the active rows gives the lift and the system; it is
-        # dropped before the factorization, whose fill sets the peak memory
-        rows = sp.csr_matrix(matrix)[act]
-        self._lift, self._matrix = rows[:, space.fixed_dofs], rows[:, act]
-        del rows
+        nt, dl = space.n_cell_dofs, space.cell_dim
+        act, fixed = space.active_dofs, space.fixed_dofs
+        n_act = len(act)
+        self._order = nested_dissection(space)
+        # each DOF's place in the active vector, among the fixed DOFs and
+        # among the active faces in their order; -1 (left out) elsewhere
+        active_at, fixed_at, face_at = (np.full(space.n_dofs, -1)
+                                        for _ in range(3))
+        active_at[act], fixed_at[fixed] = np.arange(n_act), np.arange(len(fixed))
+        face_at[act[nt + self._order]] = np.arange(n_act - nt)
+
+        groups = space.kernel_groups()
+        stacks = [_local_stack(g, *local(g)) for g in groups]
+        D = np.empty((space.mesh.n_cells, dl, dl),
+                     np.result_type(*(blocks for blocks, _ in stacks)))
+        K, lift, S, X, E = [], [], [], [], []
+        for g, (blocks, index) in zip(groups, stacks):
+            try:
+                D_g = np.linalg.inv(blocks[:, :dl, :dl])
+            except np.linalg.LinAlgError:
+                raise SolverError("a cell block is singular",
+                                  residual=np.inf) from None
+            # the couplings are often real where the cell blocks are not
+            # (the uc matrices carry C on the cell block only)
+            K_TF, K_FT, K_FF = (_real_if_real(blocks[:, r, c]) for r, c in (
+                (slice(dl), slice(dl, None)), (slice(dl, None), slice(dl)),
+                (slice(dl, None), slice(dl, None))))
+            X_g = _stack_matmul(D_g, K_TF)
+            cells, faces = g.dofs[:, :dl], face_at[g.dofs[:, dl:]]
+            D[g.cells] = D_g[index]
+            dofs = active_at[g.dofs]
+            K.append((dofs, dofs, blocks[index]))
+            fix = fixed_at[g.dofs]
+            edge = (fix >= 0).any(axis=1)  # the cells with a fixed DOF
+            lift.append((dofs[edge], fix[edge], blocks[index[edge]]))
+            # S^T scattered as CSR is S in CSC, the format SuperLU takes
+            S.append((faces, faces, _mT(K_FF - _stack_matmul(K_FT, X_g))[index]))
+            X.append((cells, faces, X_g[index]))
+            E.append((faces, cells, _stack_matmul(K_FT, D_g)[index]))
+        self.matrix = scatter_blocks((n_act, n_act), K)
+        self._lift = scatter_blocks((n_act, len(fixed)), lift)
         # the assembled matrix in double and, over the same indices, in
         # extended precision for the residuals of iterates near the solution
         self._matrix_ld = sp.csr_matrix(
-            (self._matrix.data.astype(
-                np.promote_types(self._matrix.dtype, np.longdouble)),
-             self._matrix.indices, self._matrix.indptr),
-            shape=self._matrix.shape)
+            (self.matrix.data.astype(
+                np.promote_types(self.matrix.dtype, np.longdouble)),
+             self.matrix.indices, self.matrix.indptr),
+            shape=self.matrix.shape)
         self.residual = None
         self.refinement = None
-        nt, dl = space.n_cell_dofs, space.cell_dim
-        self._order = nested_dissection(space)
-        # the active matrix, cells first and faces in the face order
-        perm = np.concatenate((np.arange(nt), nt + self._order))
-        K = self._matrix[perm][:, perm]
-        # the cell blocks K_TT, zero where the matrix has no entry
-        K_TT = K[:nt, :nt].tocoo()
-        blocks = np.zeros((nt // dl, dl, dl), K.dtype)
-        blocks[K_TT.row // dl, K_TT.row % dl, K_TT.col % dl] = K_TT.data
-        try:
-            D = np.linalg.inv(blocks)
-        except np.linalg.LinAlgError:
-            raise SolverError("a cell block is singular",
-                              residual=np.inf) from None
+        nf = n_act - nt
         self._D = sp.bsr_matrix((D, np.arange(len(D)), np.arange(len(D) + 1)),
                                 shape=(nt, nt))
-        self._K_TF, self._K_FT = K[:nt, nt:], K[nt:, :nt]
-        schur = (K[nt:, nt:] - self._K_FT @ (self._D @ self._K_TF)).tocsc()
-        del K
+        self._X = scatter_blocks((nt, nf), X)
+        self._E = scatter_blocks((nf, nt), E)
+        schur = scatter_blocks((nf, nf), S).T
+        # the stacks are dropped before the factorization, whose fill sets
+        # the peak memory
+        del stacks, K, lift, S, X, E
         try:
             self._lu = spla.splu(schur, permc_spec="NATURAL",
                                  diag_pivot_thresh=0.0,
@@ -851,27 +924,27 @@ class OptimalitySystem:
     def _residual(self, b, x, extended=True):
         """b - K x for the assembled K, summed in extended precision if asked."""
         if not extended:
-            return b - self._matrix @ x
+            return b - self.matrix @ x
         r = self._matrix_ld @ x
         np.subtract(b, r, out=r)
-        return r.astype(self._matrix.dtype)
+        return r.astype(self.matrix.dtype)
 
     def lu_solve(self, b):
         """K^{-1} b through the condensed factorization, unrefined.
 
         ``b`` and the result are vectors over the active DOFs: no lift, no
         refinement and no residual check.  The faces solve S x_F = b_F -
-        K_FT D b_T, then the cells take x_T = D (b_T - K_TF x_F).  This is
+        E b_T, then the cells take x_T = D b_T - X x_F.  This is
         the one plain solve, for inner iterations (``reduced_hessian_cg``)
         that apply K^{-1} many times and are corrected by a refined
         ``solve``.
         """
         nt = self.space.n_cell_dofs
-        y = self._D @ b[:nt]
-        x_F = self._lu.solve(b[nt + self._order] - self._K_FT @ y)
+        b_T = b[:nt]
+        x_F = self._lu.solve(b[nt + self._order] - self._E @ b_T)
         x = np.empty(len(b), dtype=x_F.dtype)
         x[nt + self._order] = x_F
-        x[:nt] = y - self._D @ (self._K_TF @ x_F)
+        x[:nt] = self._D @ b_T - self._X @ x_F
         return x
 
     def solve(self, load, fixed=None, start=None):
@@ -896,7 +969,7 @@ class OptimalitySystem:
         else:
             x, cap, last = space.dof_vector(start)[space.active_dofs], 1, np.inf
         # K 0 sums to +0, so the residual of a zero start is b, bit for bit
-        r = self._residual(b, x) if x.any() else b.astype(self._matrix.dtype)
+        r = self._residual(b, x) if x.any() else b.astype(self.matrix.dtype)
         steps = 0
         while True:
             d = self.lu_solve(r)
@@ -990,6 +1063,6 @@ def solve_poisson(space, f, boundary_data=None):
     """Solve a_h(y, w) = (f, w_T) on a Dirichlet space."""
     if not space.dirichlet:
         raise ValueError("solve_poisson requires a Dirichlet space")
-    system = OptimalitySystem(space, space.stiffness_matrix())
+    system = OptimalitySystem(space, local_stiffness)
     return system.solve(cell_load_vector(space, f),
                         space.boundary_values(boundary_data))

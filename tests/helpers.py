@@ -33,9 +33,10 @@ import math
 import numpy as np
 
 from hho_control import make_cartesian, make_voronoi
+from hho_control.control_unconstrained import _pinned_mass
 from hho_control.hho_core import (OptimalitySystem, cell_load_vector,
-                                  reconstruct_all, reduce_function,
-                                  sorted_sum)
+                                  local_stiffness, reconstruct_all,
+                                  reduce_function, sorted_sum)
 from hho_control.mesh import _clipped_voronoi, next_vertices
 from hho_control.poly import (CellBasis, monomial_exponents,
                               orthonormal_transform, polygon_rules,
@@ -225,6 +226,12 @@ def dense_recon_mass(space):
         d = op.dofs
         B[np.ix_(d, d)] += op.G.T @ op.M_recon @ op.G
     return B
+
+
+def pinned_control_mass(control_space, lam):
+    """uc32's C = lam B + eps I as assembled by its ``OptimalitySystem``."""
+    return OptimalitySystem(control_space,
+                            _pinned_mass(control_space, lam)).matrix
 
 
 def dense_cross_coupling(space, control_space):
@@ -420,7 +427,7 @@ def vi_residual_wc1(space, solution, prob):
 
 def reduced_cost(space, prob, control_load, control_norm_sq):
     """j_h(u) = 0.5 ||y_T(u) - y_d||^2 + (lam/2) ||u||^2 for a given load."""
-    system = OptimalitySystem(space, space.stiffness_matrix())
+    system = OptimalitySystem(space, local_stiffness)
     y = system.solve(cell_load_vector(space, prob.f) + control_load,
                      space.boundary_values(prob.state_boundary))
     t = space.nodes()

@@ -4,17 +4,19 @@ import scipy.sparse as sp
 
 from hho_control import (HhoSpace, make_cartesian, solve_poisson, solve_uc1,
                          solve_wc2)
+from hho_control.control_unconstrained import _pinned_mass
 from hho_control.errors import energy_error, eoc, l2_error_reconstruction
 from hho_control.hho_core import (NonFiniteError, OptimalitySystem, _build,
                                   _grad_grams, _norm, _views, cell_load_vector,
-                                  h1h_seminorm_sq, reconstruct_all,
-                                  reduce_function, scatter_blocks)
+                                  h1h_seminorm_sq, local_stiffness,
+                                  reconstruct_all, reduce_function,
+                                  scatter_blocks)
 from hho_control.poly import monomial_table, space_dimension
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
                      cell_face_ids, cell_normals, count_calls,
-                     dense_face_schur, dense_stiffness, face_gauss,
-                     global_monomials, recon_basis,
+                     dense_face_schur, dense_recon_mass, dense_stiffness,
+                     face_gauss, global_monomials, recon_basis,
                      reduce_reconstruct_stabilize, segment_monomial_integral,
                      stabilization, voronoi_with_l_cell)
 
@@ -306,6 +308,40 @@ def test_condensed_schur_spd():
     np.linalg.cholesky(dense_face_schur(space, space.stiffness_matrix()))
 
 
+def _local_and_matrix(space, case, rng=None):
+    """``OptimalitySystem`` local blocks of a test matrix, and its assembly.
+
+    ``stiffness`` is A; ``complex`` the uc1 matrix A - i M / sqrt(1e-2) and
+    ``free`` A + M, with M the cell mass on the cell block; ``pinned`` uc32's
+    control mass lam B + eps I (lam = 1e-2), one block per cell; and
+    ``nonsymmetric`` A plus a random skew-symmetric block per cell (its
+    Hermitian part stays A).
+    """
+    dl = space.cell_dim
+    if case == "pinned":
+        B = dense_recon_mass(space)
+        eps = 1e-12 * 1e-2 * B.diagonal().max()
+        return (_pinned_mass(space, 1e-2),
+                sp.csr_matrix(1e-2 * B + eps * np.eye(space.n_dofs)))
+    if case == "nonsymmetric":
+        skew = {g: rng.standard_normal(g.dofs.shape + g.dofs.shape[-1:])
+                for g in space.kernel_groups()}
+        skew = {g: r - np.swapaxes(r, 1, 2) for g, r in skew.items()}
+        local = lambda g: (g.kernels["A"][g.rows] + skew[g],
+                           np.arange(len(g.cells)))
+        return local, space.stiffness_matrix() + scatter_blocks(
+            (space.n_dofs,) * 2, [(g.dofs, g.dofs, r) for g, r in skew.items()])
+    scale = {"stiffness": 0.0, "complex": -1j / np.sqrt(1e-2), "free": 1.0}[case]
+
+    def local(g):
+        blocks = g.kernels["A"] + 0 * scale  # complex for a complex scale
+        if scale:
+            blocks[:, :dl, :dl] += scale * g.kernels["M_cell"]
+        return blocks, g.rows
+
+    return local, space.stiffness_matrix() + scale * space.cell_mass_matrix()
+
+
 @pytest.mark.parametrize("k, cell_degree, case", [
     pytest.param(0, 0, "stiffness", id="0-0"),
     pytest.param(1, 1, "stiffness", id="1-1"),
@@ -313,14 +349,16 @@ def test_condensed_schur_spd():
     pytest.param(0, 0, "complex", id="0-0-complex"),
     pytest.param(1, 1, "complex", id="1-1-complex"),
     pytest.param(1, 1, "free", id="1-1-free"),
-    pytest.param(1, 2, "free", id="1-2-free")])
+    pytest.param(1, 2, "free", id="1-2-free"),
+    pytest.param(1, 1, "pinned", id="1-1-pinned")])
 @pytest.mark.parametrize("mesh_name", ["cartesian", "voronoi"])
 def test_factored_matrix_is_the_dense_face_schur_complement(
         k, cell_degree, case, mesh_name, monkeypatch):
     # the one matrix handed to SuperLU is the face Schur complement of the
     # active matrix, eliminated densely, taken in the face order: for the
-    # Dirichlet stiffness, the complex uc1 matrix A - iC/sqrt(lam) and the
-    # non-Dirichlet A + M
+    # Dirichlet stiffness, the complex uc1 matrix A - iC/sqrt(lam), the
+    # non-Dirichlet A + M and uc32's pinned control mass, whose local
+    # blocks are one per cell (on Voronoi 16 every cell is its own class)
     from hho_control import hho_core
 
     factored, splu = [], hho_core.spla.splu
@@ -330,10 +368,8 @@ def test_factored_matrix_is_the_dense_face_schur_complement(
             "voronoi": cached_voronoi(16)}[mesh_name]
     space = HhoSpace(mesh, k, cell_degree=cell_degree,
                      dirichlet=case != "free")
-    A, M = space.stiffness_matrix(), space.cell_mass_matrix()
-    K = {"stiffness": A, "complex": A - 1j / np.sqrt(1e-2) * M,
-         "free": A + M}[case]
-    OptimalitySystem(space, K)
+    local, K = _local_and_matrix(space, case)
+    OptimalitySystem(space, local)
     order = hho_core.nested_dissection(space)
     want = dense_face_schur(space, K)[np.ix_(order, order)]
     got, = factored
@@ -348,23 +384,60 @@ def test_lu_solve_matches_the_dense_solve(case):
     # active DOFs, for a real, a complex, a non-Dirichlet and a
     # nonsymmetric matrix (whose S differs from S^T)
     space = HhoSpace(cached_voronoi(16), 1, dirichlet=case != "free")
-    A, M = space.stiffness_matrix(), space.cell_mass_matrix()
     rng = np.random.default_rng(3)
-    # a skew-symmetric cell assembly: the Hermitian part stays A
-    R = [(g.dofs, rng.standard_normal(g.dofs.shape + g.dofs.shape[-1:]))
-         for g in space.kernel_groups()]
-    skew = scatter_blocks(A.shape, [(d, d, r - np.swapaxes(r, 1, 2))
-                                    for d, r in R])
-    K = {"dirichlet-stiffness": A, "complex": A - 1j / np.sqrt(1e-2) * M,
-         "free": A + M, "nonsymmetric": A + skew}[case]
+    local, K = _local_and_matrix(
+        space, "stiffness" if case == "dirichlet-stiffness" else case, rng)
     act = space.active_dofs
     dense = K.toarray()[np.ix_(act, act)]
     b = rng.standard_normal(len(act))
     if case == "complex":
         b = b + 1j * rng.standard_normal(len(act))
     want = np.linalg.solve(dense, b)
-    got = OptimalitySystem(space, K).lu_solve(b)
+    got = OptimalitySystem(space, local).lu_solve(b)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_set_up_condenses_once_per_kernel_row(monkeypatch):
+    # congruent cells share one local block: the set-up inverts one batch
+    # per kernel group, as long as the group's kernel rows (not its cells),
+    # and builds its matrices from the local blocks, with no row or column
+    # permutation of an assembled matrix
+    space = HhoSpace(cached_cartesian(16), 1, dirichlet=True)
+    groups = space.kernel_groups()
+    inverses = count_calls(monkeypatch, np.linalg, "inv")
+    gathers = [count_calls(monkeypatch, cls, "__getitem__")
+               for cls in (sp.csr_matrix, sp.csc_matrix)]
+    solve_uc1(space, problem_from_preset("uc1-default"))
+    assert [len(c["a"]) for c in inverses] == [len(g.kernels["A"])
+                                               for g in groups]
+    assert all(len(g.kernels["A"]) < len(g.cells) for g in groups)
+    keys = [c["key"] if isinstance(c["key"], tuple) else (c["key"],)
+            for calls in gathers for c in calls]
+    assert not [key for key in keys
+                if any(isinstance(k, np.ndarray) for k in key)]
+
+
+@pytest.mark.parametrize("case", ["shape", "rows", "index-length",
+                                  "index-range", "negative-index"])
+def test_local_blocks_of_the_wrong_shape_rejected(case):
+    # a stack that does not match the group's local DOFs, or an index that
+    # is not one stack row per cell, fails before any scipy call with the
+    # shape it expected
+    space = HhoSpace(cached_cartesian(2), 1, dirichlet=True)
+
+    def local(g):
+        A, rows = g.kernels["A"], g.rows
+        return {"shape": (A[:, 1:, 1:], rows),
+                "rows": (A[0], rows),
+                "index-length": (A, rows[1:]),
+                "index-range": (A, rows + len(A)),
+                "negative-index": (A, rows - len(A))}[case]
+
+    n = space.kernel_groups()[0].dofs.shape[1]
+    expected = (rf"expected \(rows, {n}, {n}\)" if case in ("shape", "rows")
+                else r"expected shape \(4,\)")
+    with pytest.raises(ValueError, match=expected):
+        OptimalitySystem(space, local)
 
 
 def test_singular_cell_block_raises_solver_error():
@@ -373,10 +446,15 @@ def test_singular_cell_block_raises_solver_error():
     from hho_control import SolverError
 
     space = HhoSpace(cached_cartesian(2), 1, dirichlet=True)
-    A = space.stiffness_matrix()
-    cells = sp.diags((np.arange(space.n_dofs) < space.n_cell_dofs) * 1.0)
+    dl = space.cell_dim
+
+    def local(g):
+        blocks = g.kernels["A"].copy()
+        blocks[:, :dl, :dl] = 0.0
+        return blocks, g.rows
+
     with pytest.raises(SolverError) as err:
-        OptimalitySystem(space, A - cells @ A @ cells)
+        OptimalitySystem(space, local)
     assert err.value.residual == np.inf
 
 
@@ -389,7 +467,7 @@ def test_solver_failure_reports_residual():
     space = HhoSpace(mesh, 0, dirichlet=False)
     load = cell_load_vector(space, lambda p: np.ones(len(p)))
     with pytest.raises(SolverError) as err:
-        OptimalitySystem(space, space.stiffness_matrix()).solve(load)
+        OptimalitySystem(space, local_stiffness).solve(load)
     assert err.value.residual > OptimalitySystem.RESIDUAL_TOL
 
 
@@ -405,14 +483,20 @@ def test_two_field_solver_failure_reports_residual(case):
     # face rows; without Dirichlet DOFs constants span the kernel of A.
     mesh = cached_cartesian(2)
     space = HhoSpace(mesh, 1, dirichlet=case != "singular-blocks")
-    A, C = space.stiffness_matrix(), space.cell_mass_matrix()
-    matrix = {"exactly-singular": -1j * C,
-              "singular-blocks": (1 + 1j) * A,
-              "overflow": 1e-300 * (A - 1j * C)}[case]
+    dl = space.cell_dim
+
+    def local(g):
+        A, C = g.kernels["A"], np.zeros_like(g.kernels["A"])
+        C[:, :dl, :dl] = g.kernels["M_cell"]
+        blocks = {"exactly-singular": -1j * C,
+                  "singular-blocks": (1 + 1j) * A,
+                  "overflow": 1e-300 * (A - 1j * C)}[case]
+        return blocks, g.rows
+
     load = cell_load_vector(space, lambda p: np.ones(len(p))) * (1 - 1j)
     scale = 1e10 if case == "overflow" else 1.0  # the solution overflows
     with pytest.raises(SolverError) as err:
-        OptimalitySystem(space, matrix).solve(scale * load)
+        OptimalitySystem(space, local).solve(scale * load)
     assert err.value.residual > OptimalitySystem.RESIDUAL_TOL
 
 
@@ -488,11 +572,10 @@ def test_vector_of_another_length_rejected(length):
     space = HhoSpace(mesh, 1, dirichlet=True)
     n = {"short": space.n_dofs - 1, "long": space.n_dofs + 1, "one": 1}[length]
     vec, v = np.ones(n), lambda p: p[:, 0]
-    A = space.stiffness_matrix()
-    system = OptimalitySystem(space, A)
+    system = OptimalitySystem(space, local_stiffness)
     load = cell_load_vector(space, v)
     # a complex load must fail on its length, not lose its imaginary part
-    complex_system = OptimalitySystem(space, A - 1j * space.cell_mass_matrix())
+    complex_system = OptimalitySystem(space, _local_and_matrix(space, "complex")[0])
     for call in (lambda: energy_error(space, vec, v),
                  lambda: l2_error_reconstruction(space, vec, v),
                  lambda: reconstruct_all(space, vec),
@@ -512,9 +595,8 @@ def test_solve_results_do_not_alias_the_restart_cache(dirichlet):
     # view of the system's own copy; the cell mass makes A + M invertible.
     mesh = cached_cartesian(4)
     space = HhoSpace(mesh, 1, dirichlet=dirichlet)
-    K = space.stiffness_matrix()
-    system = OptimalitySystem(space, K if dirichlet
-                              else K + space.cell_mass_matrix())
+    system = OptimalitySystem(space, _local_and_matrix(
+        space, "stiffness" if dirichlet else "free")[0])
     f = lambda p: np.sin(np.pi * p[:, 0]) * (1.0 + p[:, 1])
     load = cell_load_vector(space, f)
     y = system.solve(load)

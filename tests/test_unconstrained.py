@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hho_control import (HhoSpace, OptimalitySystem, UnsupportedDegreeError,
                          solve_uc1, solve_uc2, solve_uc31, solve_uc32)
 from hho_control.control_unconstrained import ControlProblem
 from hho_control.errors import (energy_error, eoc, l2_error_control,
                                 l2_error_reconstruction)
-from hho_control.hho_core import cell_load_vector, reconstruct_all
+from hho_control.hho_core import (cell_load_vector, reconstruct_all,
+                                  scatter_blocks)
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, cell_dofs,
                      dense_cell_mass, dense_cross_coupling, dense_recon_mass,
-                     dense_stiffness, voronoi_with_l_cell)
+                     dense_stiffness, pinned_control_mass,
+                     voronoi_with_l_cell)
 
 ZERO = lambda p: np.zeros(len(np.atleast_2d(p)))
 
@@ -142,6 +145,26 @@ def test_uc31_matches_dense_kkt_oracle():
     assert np.abs(got - dense).max() < 1e-10 * scale
 
 
+@pytest.mark.parametrize("mesh_name", ["cartesian-8", "voronoi-32"])
+def test_uc32_pinned_mass_is_lam_b_plus_eps_identity(mesh_name):
+    # the pin is spread over the cells: eps on each cell DOF and eps / (the
+    # face's cell count) on each face DOF, where boundary faces have one
+    # cell and interior faces two; the assembled C is lam B + eps I of the
+    # assembled B, eps = 1e-12 lam max diag(B), to 2 ulp of max diag(C)
+    mesh = {"cartesian-8": cached_cartesian(8),
+            "voronoi-32": cached_voronoi(32)}[mesh_name]
+    space = HhoSpace(mesh, 2, dirichlet=False)
+    lam = problem_from_preset("uc32-default").lam
+    B = scatter_blocks((space.n_dofs,) * 2, [
+        (g.dofs, g.dofs,
+         (np.swapaxes(g.kernels["G"], 1, 2) @ g.kernels["M_recon"]
+          @ g.kernels["G"])[g.rows]) for g in space.kernel_groups()])
+    eps = 1e-12 * lam * B.diagonal().max()
+    want = (lam * B + eps * sp.identity(space.n_dofs)).tocsr()
+    got = pinned_control_mass(space, lam)
+    assert abs(got - want).max() <= 2 * np.spacing(want.diagonal().max())
+
+
 def test_uc32_matches_dense_kkt_oracle():
     mesh = cached_cartesian(2)
     space = HhoSpace(mesh, 2, cell_degree=3, dirichlet=True)
@@ -160,15 +183,17 @@ def test_uc32_matches_dense_kkt_oracle():
     F_yd = cell_load_vector(space, prob.y_d)[act]
     n, nu = len(act), control_space.n_dofs
 
-    # dense reference assembly matches the sparse blocks entrywise
-    sparse_B = control_space.recon_mass_matrix().toarray()
-    assert np.abs(sparse_B - B).max() <= 1e-12 * max(1.0, np.abs(B).max())
+    # dense reference assembly matches the sparse blocks entrywise, the
+    # pinned control mass lam B + eps I too
+    eps = 1e-12 * prob.lam * B.diagonal().max()
+    sparse_C = pinned_control_mass(control_space, prob.lam).toarray()
+    assert (np.abs(sparse_C - (prob.lam * B + eps * np.eye(nu))).max()
+            <= 1e-12 * prob.lam * max(1.0, np.abs(B).max()))
     sparse_A = space.stiffness_matrix().toarray()[np.ix_(act, act)]
     assert np.abs(sparse_A - A).max() <= 1e-12 * np.abs(A).max()
 
     # identical pinned system solved densely; only the pinning regularizes
     # the kernel of the global reconstruction, so the paths must agree
-    eps = 1e-12 * prob.lam * B.diagonal().max()
     big = np.zeros((2 * n + nu, 2 * n + nu))
     big[:n, :n] = A
     big[:n, 2 * n:] = -Kc
