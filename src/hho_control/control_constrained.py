@@ -27,7 +27,9 @@ solves with the one stiffness factorization and no node product.  Its
 spectrum lies in [1, 1 + ||S*S|| / lambda], S the control-to-state map
 (||S*S|| = (2 pi^2)^{-2}, about 2.6e-3, on the unit square), and it stops
 at a residual reduction of ``CG_REDUCTION``.  Only z, u and, when the
-active set changes, m_b are node arrays.
+active set changes, m_b are node arrays.  The loop assembles no matrix:
+the stiffness is its ``OptimalitySystem``'s, and the cell mass M of the
+adjoint load M y_T is ``free_mass`` with every node free.
 
 The first step starts from the empty active set, so it solves the problem
 without bounds.  Once the predicted active set repeats, every step first
@@ -139,29 +141,27 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
     # the state carries the boundary data, the adjoint is zero on it
     system = OptimalitySystem(space, local_stiffness)
     g = space.boundary_values(prob.state_boundary)
-    M = space.cell_mass_matrix()
     nodes = space.nodes()
     nt = space.n_cell_dofs
-
-    def cell_load(cells):  # the DOF vector with cell entries ``cells``
-        return np.append(cells, np.zeros(space.n_dofs - nt))
 
     def Q(cells):  # node values of flat cell coefficients
         return nodes.values("Vl", cells.reshape(-1, space.cell_dim))
 
     def solve_pde(load, y, phi):
         # one refinement step from the carried state and adjoint
-        y = system.solve(F_f + cell_load(load), g, start=y)
-        phi = system.solve(M @ y - F_yd, start=phi)
+        y = system.solve(F_f + space.cell_vector(load), g, start=y)
+        phi = system.solve(space.cell_vector(M @ y[:nt]) - F_yd, start=phi)
         return y, phi
 
     def bounds_or(free_values):  # the bounds on the active nodes lo, hi
         return np.where(lo, box.u_a, np.where(hi, box.u_b, free_values))
 
-    # start from c, the cell L2 projection of P(0), with every node free
+    # start from c, the cell L2 projection of P(0), with every node free:
+    # M_F is then the cell mass M, which the adjoint load M y_T keeps
     u = project_box(np.zeros(len(nodes.weights)), box)
-    m_u, M_F = nodes.moments("Vl", u), nodes.free_mass(np.ones(len(u), bool))
-    c = np.linalg.solve(M_F.data, m_u[..., None]).ravel()
+    m_u = nodes.moments("Vl", u)
+    M = M_F = nodes.free_mass(np.ones(len(u), bool))
+    c = np.linalg.solve(M.data, m_u[..., None]).ravel()
     y, phi = solve_pde(m_u.ravel(), np.zeros(space.n_dofs),
                        np.zeros(space.n_dofs))
     history = [u] if keep_history else None
@@ -173,8 +173,7 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
         # on the free nodes the residual -(u + Q phi / lambda) is P(z) - u
         try:
             c, y, phi, steps = reduced_hessian_cg(
-                system, M, lambda p: cell_load(M_F @ p),
-                lambda phi: phi[:nt] / lam,
+                system, M, M_F.dot, lambda phi: phi[:nt] / lam,
                 lambda a, b: np.einsum("i,i->", a, M_F @ b), c, y, phi,
                 CG_REDUCTION, cfg.max_iters)
         except SolverError as exc:
@@ -210,8 +209,7 @@ def _active_set_newton(space, prob, cfg, keep_history, scheme):
             before, lo, hi = m_b + M_F @ c, z < box.u_a, z > box.u_b
             m_b = nodes.moments("Vl", bounds_or(0.0)).ravel()
             M_F = nodes.free_mass(~(lo | hi))
-            y_p, phi_p = linear_response(system, M,
-                                         cell_load(m_b + M_F @ c - before))
+            y_p, phi_p = linear_response(system, M, m_b + M_F @ c - before)
             y, phi = y + y_p, phi + phi_p
     else:
         raise PgdIterationError(

@@ -357,16 +357,19 @@ def solve_uc32(space, prob):
     the global reconstruction, and only R u_hat is determined.
     ``reduced_hessian_cg`` solves u + C^{-1} K^T phi(u) = 0 from u = 0 in the
     C inner product (spectrum in [1, 1 + ||S||^2 / lambda]); the state and
-    adjoint are then refined once.  ``residuals`` are relative to the whole
-    right-hand side; ``refinement`` is the adjoint solve's plus ``cg_steps``.
+    adjoint are then refined once.  M is ``NodeTable.free_mass`` with every
+    node free, so the CG runs on cell loads, and the residual check reads A
+    as ``pde.matrix`` and ``pde.lift``.  ``residuals`` are relative to the
+    whole right-hand side; ``refinement`` is the adjoint solve's plus
+    ``cg_steps``.
     """
     k = space.face_degree
     check_scheme("uc32", k, prob.bounds, space)
     control_space = HhoSpace(space.mesh, k, dirichlet=False)
 
-    A = space.stiffness_matrix()
-    M = space.cell_mass_matrix()
-    K = _cross_coupling(space, control_space)
+    nodes, nt = space.nodes(), space.n_cell_dofs
+    M = nodes.free_mass(np.ones(len(nodes.weights), bool))
+    K = _cross_coupling(space, control_space)  # zero on the face rows
     n_u = control_space.n_dofs
     pde = OptimalitySystem(space, local_stiffness)
     mass = OptimalitySystem(control_space, _pinned_mass(control_space, prob.lam))
@@ -375,18 +378,20 @@ def solve_uc32(space, prob):
     F_f, F_yd, exact = load_vectors(space, prob)
     g = space.boundary_values(prob.state_boundary)
     y = pde.solve(F_f, g)
-    phi = pde.solve(M @ y - F_yd)
+    phi = pde.solve(space.cell_vector(M @ y[:nt]) - F_yd)
     u_hat, y, phi, steps = reduced_hessian_cg(  # exact CG ends in n_u steps
-        pde, M, K.dot, lambda phi: mass.lu_solve(K.T @ phi),
+        pde, M, lambda p: (K @ p)[:nt], lambda phi: mass.lu_solve(K.T @ phi),
         lambda a, b: np.einsum("i,i->", a, C @ b), np.zeros(n_u), y, phi,
         UC32_REDUCTION, n_u)
-    y = pde.solve(F_f + K @ u_hat, g, start=y)
-    phi = pde.solve(M @ y - F_yd, start=phi)
+    state_load = F_f + K @ u_hat
+    y = pde.solve(state_load, g, start=y)
+    adjoint_load = space.cell_vector(M @ y[:nt]) - F_yd
+    phi = pde.solve(adjoint_load, start=phi)
 
-    act, fix = space.active_dofs, space.fixed_dofs
-    rhs = np.linalg.norm(np.append((F_f - A[:, fix] @ g)[act], F_yd[act]))
-    parts = ((F_f + K @ u_hat - A @ y)[act], (M @ y - F_yd - A @ phi)[act],
-             K.T @ phi + C @ u_hat)
+    act, A, lifted = space.active_dofs, pde.matrix, pde.lift @ g
+    rhs = np.linalg.norm(np.append(F_f[act] - lifted, F_yd[act]))
+    parts = (state_load[act] - lifted - A @ y[act],
+             adjoint_load[act] - A @ phi[act], K.T @ phi + C @ u_hat)
     residuals = {name: float(np.linalg.norm(r) / (rhs or 1.0)) for name, r
                  in zip(("state", "adjoint", "control"), parts)}
     if not np.linalg.norm(parts[2]) <= OptimalitySystem.RESIDUAL_TOL * rhs:

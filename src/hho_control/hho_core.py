@@ -19,7 +19,10 @@ nodes are laid out class-major (kernel group, kernel row, cell), and it
 applies each congruence class's basis and weight tables to all of the
 class's cells in one broadcast product.
 Per-cell matrices are scattered into global sparse matrices by one triplet
-helper.  ``OptimalitySystem`` is the one solve path of the package: one
+helper, ``scatter_blocks``: the solvers apply only those of their
+``OptimalitySystem`` (the matrix, its lift, the couplings X and E, the face
+Schur complement) and uc32's cross coupling, and take the cell mass from
+``NodeTable.free_mass``.  ``OptimalitySystem`` is the one solve path: one
 space and the local matrices, real or complex, of one system, given kernel
 group by kernel group (``local_stiffness`` for the stiffness).  It
 eliminates the cell unknowns once per distinct local block (static
@@ -181,6 +184,10 @@ class HhoSpace:
     def cell_blocks(self, vec):
         """Cell coefficients of every cell, a (n_cells, cell_dim) view of ``vec``."""
         return self.dof_vector(vec)[:self.n_cell_dofs].reshape(-1, self.cell_dim)
+
+    def cell_vector(self, cells):
+        """The DOF vector with the flat cell entries ``cells``, zero on the faces."""
+        return np.append(cells, np.zeros(self.n_dofs - self.n_cell_dofs))
 
 
 def _mT(a):
@@ -792,9 +799,10 @@ class OptimalitySystem:
     The stiffness is ``local_stiffness``: one block per kernel row, shared
     by the congruent cells.  ValueError if a stack does not match the
     group's local DOF count or an index falls outside it.  ``matrix`` is
-    the assembly of the blocks over the active DOFs; at each solve the
-    columns of the fixed (Dirichlet) DOFs times the given fixed values move
-    into the right-hand side (the lift).
+    the assembly of the blocks over the active DOFs and ``lift`` their
+    columns of the fixed (Dirichlet) DOFs over the active rows; at each
+    solve ``lift`` times the given fixed values moves into the right-hand
+    side.
 
     Factorization.  A cell's unknowns couple only with its own faces, and
     the cell DOFs are never fixed.  They are eliminated before any global
@@ -894,7 +902,7 @@ class OptimalitySystem:
             X.append((cells, faces, X_g[index]))
             E.append((faces, cells, _stack_matmul(K_FT, D_g)[index]))
         self.matrix = scatter_blocks((n_act, n_act), K)
-        self._lift = scatter_blocks((n_act, len(fixed)), lift)
+        self.lift = scatter_blocks((n_act, len(fixed)), lift)
         # the assembled matrix in double and, over the same indices, in
         # extended precision for the residuals of iterates near the solution
         self._matrix_ld = sp.csr_matrix(
@@ -962,7 +970,7 @@ class OptimalitySystem:
         space = self.space
         b = space.dof_vector(load)[space.active_dofs]
         if fixed is not None:
-            b = b - self._lift @ fixed
+            b = b - self.lift @ fixed
         if start is None:  # the first correction d_0 is x_0 itself
             x = self.lu_solve(b)
             cap, last = self.MAX_REFINEMENT_STEPS, _norm(x)
@@ -1019,11 +1027,20 @@ def _finite_or_inf(value):
 
 
 def linear_response(system, M, load):
-    """Plain-solve state A^{-1} load and adjoint A^{-1} M y, zero if fixed."""
-    act = system.space.active_dofs
-    y, phi = np.zeros(len(load)), np.zeros(len(load))
-    y[act] = system.lu_solve(load[act])
-    phi[act] = system.lu_solve((M @ y)[act])
+    """Plain-solve state A^{-1} load and adjoint A^{-1} M y_T, zero if fixed.
+
+    ``load`` holds cell loads and M is the cell mass, a block-diagonal
+    matrix over the cell DOFs (``NodeTable.free_mass`` with every node
+    free): both right-hand sides are zero on the faces.
+    """
+    space = system.space
+    nt, act = space.n_cell_dofs, space.active_dofs
+    y, phi = np.zeros(space.n_dofs), np.zeros(space.n_dofs)
+    b = np.zeros(len(act))  # the cells lead the active DOFs
+    b[:nt] = load
+    y[act] = system.lu_solve(b)
+    b[:nt] = M @ y[:nt]
+    phi[act] = system.lu_solve(b)
     return y, phi
 
 
@@ -1032,7 +1049,8 @@ def reduced_hessian_cg(system, M, load, G, inner, u, y, phi, reduction,
     """CG for u + G(phi) = 0 in the inner product ``inner``.
 
     y and phi, the state and adjoint of u, are carried along: a change p adds
-    the ``linear_response`` of ``load(p)``, so the reduced Hessian
+    the ``linear_response`` of the cell loads ``load(p)`` with the cell mass
+    M, so the reduced Hessian
     H p = p + G(phi_p) (Hinze, Pinnau, Ulbrich & Ulbrich, Optimization with
     PDE Constraints, Springer 2009) must be self-adjoint and positive in
     ``inner``, which may be semi-definite where ``load`` ignores its kernel

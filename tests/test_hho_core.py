@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hho_control import (HhoSpace, make_cartesian, solve_poisson, solve_uc1,
-                         solve_wc2)
+from hho_control import (HhoSpace, control_unconstrained, hho_core,
+                         make_cartesian, solve_poisson, solve_uc1, solve_uc32,
+                         solve_wc1, solve_wc2)
 from hho_control.control_unconstrained import _pinned_mass
 from hho_control.errors import energy_error, eoc, l2_error_reconstruction
 from hho_control.hho_core import (NonFiniteError, OptimalitySystem, _build,
@@ -417,6 +418,27 @@ def test_set_up_condenses_once_per_kernel_row(monkeypatch):
                 if any(isinstance(k, np.ndarray) for k in key)]
 
 
+@pytest.mark.parametrize("solve, k, cell_degree, preset, scatters", [
+    (solve_wc1, 0, 0, "wc-default", 5), (solve_wc2, 1, 2, "wc-default", 5),
+    (solve_uc32, 2, 3, "uc32-default", 11)], ids=["wc1", "wc2", "uc32"])
+def test_a_solve_assembles_only_through_its_systems(
+        solve, k, cell_degree, preset, scatters, monkeypatch):
+    # an OptimalitySystem scatters its matrix, lift, X, E and S, and uc32
+    # adds the cross coupling of its two spaces; the cell mass a solver
+    # applies is NodeTable.free_mass, and no solver assembles a matrix of
+    # its space
+    def assemble(*args):
+        raise AssertionError("a solver assembled a matrix of its space")
+
+    monkeypatch.setattr(HhoSpace, "_assemble", assemble)
+    calls = [count_calls(monkeypatch, module, "scatter_blocks")
+             for module in (hho_core, control_unconstrained)]
+    space = HhoSpace(cached_cartesian(4), k, cell_degree=cell_degree,
+                     dirichlet=True)
+    solve(space, problem_from_preset(preset))
+    assert sum(map(len, calls)) == scatters
+
+
 @pytest.mark.parametrize("case", ["shape", "rows", "index-length",
                                   "index-range", "negative-index"])
 def test_local_blocks_of_the_wrong_shape_rejected(case):
@@ -557,7 +579,7 @@ def test_the_skipped_correction_is_below_the_resolution_of_x(
     system, fixed = call["self"], call["fixed"]
     act = system.space.active_dofs
     x = system.solve(call["load"], fixed)[act]
-    b = call["load"][act] - system._lift @ fixed
+    b = call["load"][act] - system.lift @ fixed
     correction = system.lu_solve(system._residual(b, x))
     assert _norm(correction) <= np.finfo(float).eps * _norm(x)
     assert system.refinement["residual"] <= 1e-13

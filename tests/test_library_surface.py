@@ -26,10 +26,14 @@ ALLOWED = {
 
 # called from bench/ and from no library code; ``run_experiment`` solves a
 # level on the mesh it has checked, so only the benchmark asks ``run_level``
-# to build the mesh too.  Once the benchmark reads the library's own records
-# (ROADMAP item 2), ROADMAP item 6 can delete the other three.
+# to build the mesh too.  The solvers apply the matrices of their
+# ``OptimalitySystem`` and the cell mass of ``NodeTable.free_mass``, so the
+# assembled stiffness and cell mass of a space serve only the benchmark's
+# assembly timing.  Once the benchmark reads the library's own records
+# (ROADMAP item 2), ROADMAP item 6 can delete the other five.
 BENCH_ONLY = {"HhoSpace.local_ops", "ExperimentConfig.build_problem",
-              "ConvergenceReport.final_rate", "run_level"}
+              "ConvergenceReport.final_rate", "run_level",
+              "HhoSpace.stiffness_matrix", "HhoSpace.cell_mass_matrix"}
 
 LIBRARY = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
 BENCH = list((ROOT / "bench").glob("*.py"))

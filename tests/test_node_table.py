@@ -101,6 +101,11 @@ def test_free_mass_sums_each_cells_free_nodes(family, k, cell_degree):
     assert every.nnz == n * dim * dim and none.count_nonzero() == 0
     for c, kernels, r in _own_rows(space):
         assert np.array_equal(every.data[c], kernels["M_cell"][r])
+    # the solvers apply it as the cell mass: the same bits as the assembled
+    # matrix, whose rows sum each block row in the same order
+    nt = space.n_cell_dofs
+    y = rng.standard_normal(space.n_dofs)
+    assert np.array_equal(every @ y[:nt], (space.cell_mass_matrix() @ y)[:nt])
 
 
 @pytest.mark.parametrize("family", ["cartesian", "voronoi"])
