@@ -172,6 +172,7 @@ class CellPolyControl:
         self.coeffs = np.asarray(coeffs)
         self.basis = basis
         self.box = box
+        self._polynomial_at_nodes = None
 
     def at_basis(self, cells, basis):
         """Values of ``cells`` ``(C, s)`` where each row's basis is ``basis``.
@@ -183,18 +184,28 @@ class CellPolyControl:
         coeffs = self.coeffs[cells][..., None]
         return project_box((basis[:, None] @ coeffs)[..., 0], self.box)
 
+    def _polynomial(self):
+        """The polynomial before the clamp at the nodes, evaluated once.
+
+        Read-only: ``at_nodes`` returns it as it is where there is no box.
+        """
+        if self._polynomial_at_nodes is None:
+            v = self.space.nodes().values(self.basis, self.coeffs)
+            v.flags.writeable = False
+            self._polynomial_at_nodes = v
+        return self._polynomial_at_nodes
+
     def at_nodes(self):
         """Values at the nodes of the space's ``NodeTable``."""
-        nodes = self.space.nodes()
-        return project_box(nodes.values(self.basis, self.coeffs), self.box)
+        return project_box(self._polynomial(), self.box)
 
     def kinked_cells(self):
         """Cells whose nodes straddle a bound; none without a box."""
         if self.box is None:
             return np.zeros(0, dtype=np.intp)
-        nodes = self.space.nodes()
-        v = nodes.values(self.basis, self.coeffs)
-        lo, hi = (nodes.reduce_cells(f, v) for f in (np.minimum, np.maximum))
+        v = self._polynomial()
+        lo, hi = (self.space.nodes().reduce_cells(f, v)
+                  for f in (np.minimum, np.maximum))
         crosses = np.zeros(len(lo), dtype=bool)
         for bound in (self.box.u_a, self.box.u_b):
             crosses |= (lo < bound) & (bound < hi)
@@ -358,10 +369,11 @@ def solve_uc32(space, prob):
     ``reduced_hessian_cg`` solves u + C^{-1} K^T phi(u) = 0 from u = 0 in the
     C inner product (spectrum in [1, 1 + ||S||^2 / lambda]); the state and
     adjoint are then refined once.  M is ``NodeTable.free_mass`` with every
-    node free, so the CG runs on cell loads, and the residual check reads A
-    as ``pde.matrix`` and ``pde.lift``.  ``residuals`` are relative to the
-    whole right-hand side; ``refinement`` is the adjoint solve's plus
-    ``cg_steps``.
+    node free, so the CG runs on cell loads.  A and C are applied only by
+    their systems, from the local blocks: the CG's inner product is
+    ``mass.apply``, and the residual check takes A y, the lift included,
+    from ``pde.apply``.  ``residuals`` are relative to the whole right-hand
+    side; ``refinement`` is the adjoint solve's plus ``cg_steps``.
     """
     k = space.face_degree
     check_scheme("uc32", k, prob.bounds, space)
@@ -373,7 +385,6 @@ def solve_uc32(space, prob):
     n_u = control_space.n_dofs
     pde = OptimalitySystem(space, local_stiffness)
     mass = OptimalitySystem(control_space, _pinned_mass(control_space, prob.lam))
-    C = mass.matrix  # every control DOF is active
 
     F_f, F_yd, exact = load_vectors(space, prob)
     g = space.boundary_values(prob.state_boundary)
@@ -381,17 +392,18 @@ def solve_uc32(space, prob):
     phi = pde.solve(space.cell_vector(M @ y[:nt]) - F_yd)
     u_hat, y, phi, steps = reduced_hessian_cg(  # exact CG ends in n_u steps
         pde, M, lambda p: (K @ p)[:nt], lambda phi: mass.lu_solve(K.T @ phi),
-        lambda a, b: np.einsum("i,i->", a, C @ b), np.zeros(n_u), y, phi,
-        UC32_REDUCTION, n_u)
+        lambda a, b: np.einsum("i,i->", a, mass.apply(b)), np.zeros(n_u), y,
+        phi, UC32_REDUCTION, n_u)
     state_load = F_f + K @ u_hat
     y = pde.solve(state_load, g, start=y)
     adjoint_load = space.cell_vector(M @ y[:nt]) - F_yd
     phi = pde.solve(adjoint_load, start=phi)
 
-    act, A, lifted = space.active_dofs, pde.matrix, pde.lift @ g
-    rhs = np.linalg.norm(np.append(F_f[act] - lifted, F_yd[act]))
-    parts = (state_load[act] - lifted - A @ y[act],
-             adjoint_load[act] - A @ phi[act], K.T @ phi + C @ u_hat)
+    act, boundary = space.active_dofs, np.zeros(space.n_dofs)
+    boundary[space.fixed_dofs] = g
+    rhs = np.linalg.norm(np.append(F_f[act] - pde.apply(boundary), F_yd[act]))
+    parts = (state_load[act] - pde.apply(y),
+             adjoint_load[act] - pde.apply(phi), K.T @ phi + mass.apply(u_hat))
     residuals = {name: float(np.linalg.norm(r) / (rhs or 1.0)) for name, r
                  in zip(("state", "adjoint", "control"), parts)}
     if not np.linalg.norm(parts[2]) <= OptimalitySystem.RESIDUAL_TOL * rhs:

@@ -19,20 +19,21 @@ nodes are laid out class-major (kernel group, kernel row, cell), and it
 applies each congruence class's basis and weight tables to all of the
 class's cells in one broadcast product.
 Per-cell matrices are scattered into global sparse matrices by one triplet
-helper, ``scatter_blocks``: the solvers apply only those of their
-``OptimalitySystem`` (the matrix, its lift, the couplings X and E, the face
-Schur complement) and uc32's cross coupling, and take the cell mass from
-``NodeTable.free_mass``.  ``OptimalitySystem`` is the one solve path: one
-space and the local matrices, real or complex, of one system, given kernel
-group by kernel group (``local_stiffness`` for the stiffness).  It
-eliminates the cell unknowns once per distinct local block (static
-condensation) and scatters the blocks K_FF - K_FT K_TT^{-1} K_TF straight
-into the face Schur complement, which it factors once without pivoting in
-a nested-dissection order, whose parts come from the Morton key of the
-cell centroids; every solve is refined against the matrix assembled from
-the same blocks and checked.  It solves the Poisson problem and the
-complex uc1, uc2 and uc31 systems, and its plain ``lu_solve`` runs the
-``reduced_hessian_cg`` of uc32, wc1 and wc2.
+helper, ``scatter_blocks``: an ``OptimalitySystem`` scatters only the face
+Schur complement and the couplings X and E, uc32 adds its cross coupling,
+and the solvers take the cell mass from ``NodeTable.free_mass``.
+``OptimalitySystem`` is the one solve path: one space and the local
+matrices, real or complex, of one system, given kernel group by kernel
+group (``local_stiffness`` for the stiffness).  It eliminates the cell
+unknowns once per distinct local block (static condensation) and scatters
+the blocks K_FF - K_FT K_TT^{-1} K_TF straight into the face Schur
+complement, which it factors once without pivoting in a nested-dissection
+order, whose parts come from the Morton key of the cell centroids.  No
+global K is assembled: the products K x of its refinement residuals, its
+Dirichlet lift and ``apply`` are summed cell by cell from the same local
+blocks.  It solves the Poisson problem and the complex uc1, uc2 and uc31
+systems, and its plain ``lu_solve`` runs the ``reduced_hessian_cg`` of
+uc32, wc1 and wc2.
 """
 
 from __future__ import annotations
@@ -786,6 +787,68 @@ def nested_dissection(space):
     return np.argsort(key[faces], kind="stable")
 
 
+def _kernel_row_runs(group, blocks, index, cells):
+    """``(dofs, blocks)`` of the cells ``cells`` of ``group``, run by run.
+
+    ``cells`` are positions in the group; they are taken kernel row by
+    kernel row (``_runs_of`` their ``index``), and a run of r rows of s
+    cells each gives its cells' DOFs ``(r, s, n)`` and its rows' blocks
+    ``(r, n, n)``.
+    """
+    return [(group.dofs[members], blocks[rows])
+            for rows, members in _runs_of(index[cells], cells)]
+
+
+class _LocalProduct:
+    """K x over the active DOFs of ``space``, summed from local blocks.
+
+    ``runs`` is a list of ``_kernel_row_runs`` and ``dtype`` their blocks'
+    result type.  Each run's products are one ``einsum`` into a flat array
+    of local products, and each active DOF adds its at most two entries: a
+    cell DOF has one, a face DOF one per cell of the face among the runs'
+    cells.  One stable argsort of the flattened DOFs finds both; a missing
+    entry reads a zero slot past the end.  A two-term sum does not depend
+    on its order, so no cell order enters the result.  The extended product
+    (``np.longdouble``, or ``np.clongdouble`` for complex values) casts x
+    and the blocks, whose extended copy is made on first use, and sums the
+    same way.
+    """
+
+    def __init__(self, runs, space, dtype):
+        self._dofs = [dofs for dofs, _ in runs]
+        self._blocks = [blocks for _, blocks in runs]
+        self._blocks_ld = None
+        self._dtype = dtype
+        flat = np.concatenate([dofs.ravel() for dofs in self._dofs]
+                              + [np.zeros(0, np.intp)])
+        self._size = len(flat)
+        order = np.argsort(flat, kind="stable")
+        at = flat[order]
+        second = np.r_[False, at[1:] == at[:-1]]  # a DOF's second entry
+        slots = np.full((space.n_dofs, 2), len(flat))
+        slots[at, second.astype(np.intp)] = order
+        self._first, self._second = slots[space.active_dofs].T.copy()
+
+    def __call__(self, x, extended=False):
+        """K x for a full-length ``x``, summed in extended precision if asked."""
+        dtype, blocks = np.result_type(self._dtype, x), self._blocks
+        if extended:
+            if self._blocks_ld is None:
+                self._blocks_ld = [b.astype(np.promote_types(b.dtype,
+                                                             np.longdouble))
+                                   for b in blocks]
+            dtype = np.promote_types(dtype, np.longdouble)
+            x, blocks = x.astype(dtype), self._blocks_ld
+        products = np.empty(self._size + 1, dtype)
+        products[-1] = 0
+        start = 0
+        for dofs, b in zip(self._dofs, blocks):
+            np.einsum("rij,rsj->rsi", b, x[dofs],
+                      out=products[start:start + dofs.size].reshape(dofs.shape))
+            start += dofs.size
+        return products[self._first] + products[self._second]
+
+
 _EPS = np.finfo(float).eps
 
 
@@ -798,11 +861,12 @@ class OptimalitySystem:
     ``group.dofs`` (cell DOFs first) and each cell's row in that stack.
     The stiffness is ``local_stiffness``: one block per kernel row, shared
     by the congruent cells.  ValueError if a stack does not match the
-    group's local DOF count or an index falls outside it.  ``matrix`` is
-    the assembly of the blocks over the active DOFs and ``lift`` their
-    columns of the fixed (Dirichlet) DOFs over the active rows; at each
-    solve ``lift`` times the given fixed values moves into the right-hand
-    side.
+    group's local DOF count or an index falls outside it.  K, the assembly
+    of the blocks, is never formed.  ``apply`` gives K x over the active
+    rows, summed from the blocks kernel-row run by run (``_LocalProduct``),
+    and each solve moves the fixed (Dirichlet) values g into the
+    right-hand side as K_{active,fixed} g, the same product over the runs
+    of the cells that hold a fixed DOF.
 
     Factorization.  A cell's unknowns couple only with its own faces, and
     the cell DOFs are never fixed.  They are eliminated before any global
@@ -828,10 +892,11 @@ class OptimalitySystem:
     cell block that cannot be inverted fails with an infinite residual.
 
     Refinement (Demmel et al., ACM TOMS 32 (2006) 325-351).  Every solve is
-    refined against the assembled matrix, each correction d_k solved with
-    the same LU.  A residual b - K x that the loop solves with is summed in
-    ``np.longdouble`` (``np.clongdouble`` for a complex K) from a cached
-    extended copy of K; the last one, which only checks x, is summed in
+    refined against K, each correction d_k solved with the same LU.  A
+    residual b - K x that the loop solves with is summed in
+    ``np.longdouble`` (``np.clongdouble`` for a complex K) from an extended
+    copy of the local blocks, rows x n x n entries made on the first such
+    residual, not nnz(K); the last one, which only checks x, is summed in
     double.  Refinement stops when the correction stops shrinking, when it
     reaches ``MAX_REFINEMENT_STEPS``, or when the next correction is
     predicted below the resolution of x: the corrections shrink by a steady
@@ -840,8 +905,8 @@ class OptimalitySystem:
     eps ||x_k||, with d_0 = x_0 (the unrefined solve) for a cold solve.  A
     cold solve whose first correction is below about sqrt(eps) ||x|| thus
     makes two LU solves, one extended and one double residual.  The result
-    is the solution of the assembled system to about double precision,
-    whatever the ordering of the factorization.  Given a ``start`` (an
+    is the solution of the system to about double precision, whatever the
+    ordering of the factorization.  Given a ``start`` (an
     approximate solution carried by a loop) a solve is one refinement step
     from it: the start's residual is extended (a zero start's is b, with no
     product) and the new iterate's only checks it, so the loop's own
@@ -863,21 +928,20 @@ class OptimalitySystem:
     def __init__(self, space, local):
         self.space = space
         nt, dl = space.n_cell_dofs, space.cell_dim
-        act, fixed = space.active_dofs, space.fixed_dofs
-        n_act = len(act)
+        act, n_act = space.active_dofs, len(space.active_dofs)
         self._order = nested_dissection(space)
-        # each DOF's place in the active vector, among the fixed DOFs and
-        # among the active faces in their order; -1 (left out) elsewhere
-        active_at, fixed_at, face_at = (np.full(space.n_dofs, -1)
-                                        for _ in range(3))
-        active_at[act], fixed_at[fixed] = np.arange(n_act), np.arange(len(fixed))
+        # each active face DOF's place among the active faces in their
+        # order; -1 (left out) elsewhere
+        face_at = np.full(space.n_dofs, -1)
         face_at[act[nt + self._order]] = np.arange(n_act - nt)
+        fixed = np.zeros(space.n_dofs, bool)
+        fixed[space.fixed_dofs] = True
 
         groups = space.kernel_groups()
         stacks = [_local_stack(g, *local(g)) for g in groups]
         D = np.empty((space.mesh.n_cells, dl, dl),
                      np.result_type(*(blocks for blocks, _ in stacks)))
-        K, lift, S, X, E = [], [], [], [], []
+        runs, edge_runs, S, X, E = [], [], [], [], []
         for g, (blocks, index) in zip(groups, stacks):
             try:
                 D_g = np.linalg.inv(blocks[:, :dl, :dl])
@@ -892,24 +956,18 @@ class OptimalitySystem:
             X_g = _stack_matmul(D_g, K_TF)
             cells, faces = g.dofs[:, :dl], face_at[g.dofs[:, dl:]]
             D[g.cells] = D_g[index]
-            dofs = active_at[g.dofs]
-            K.append((dofs, dofs, blocks[index]))
-            fix = fixed_at[g.dofs]
-            edge = (fix >= 0).any(axis=1)  # the cells with a fixed DOF
-            lift.append((dofs[edge], fix[edge], blocks[index[edge]]))
+            every = np.arange(len(g.cells))
+            runs += _kernel_row_runs(g, blocks, index, every)
+            # the cells with a fixed DOF carry the lift
+            edge_runs += _kernel_row_runs(g, blocks, index,
+                                          every[fixed[g.dofs].any(axis=1)])
             # S^T scattered as CSR is S in CSC, the format SuperLU takes
             S.append((faces, faces, _mT(K_FF - _stack_matmul(K_FT, X_g))[index]))
             X.append((cells, faces, X_g[index]))
             E.append((faces, cells, _stack_matmul(K_FT, D_g)[index]))
-        self.matrix = scatter_blocks((n_act, n_act), K)
-        self.lift = scatter_blocks((n_act, len(fixed)), lift)
-        # the assembled matrix in double and, over the same indices, in
-        # extended precision for the residuals of iterates near the solution
-        self._matrix_ld = sp.csr_matrix(
-            (self.matrix.data.astype(
-                np.promote_types(self.matrix.dtype, np.longdouble)),
-             self.matrix.indices, self.matrix.indptr),
-            shape=self.matrix.shape)
+        self._dtype = D.dtype
+        self._product = _LocalProduct(runs, space, D.dtype)
+        self._lift = _LocalProduct(edge_runs, space, D.dtype)
         self.residual = None
         self.refinement = None
         nf = n_act - nt
@@ -920,7 +978,7 @@ class OptimalitySystem:
         schur = scatter_blocks((nf, nf), S).T
         # the stacks are dropped before the factorization, whose fill sets
         # the peak memory
-        del stacks, K, lift, S, X, E
+        del stacks, S, X, E
         try:
             self._lu = spla.splu(schur, permc_spec="NATURAL",
                                  diag_pivot_thresh=0.0,
@@ -929,13 +987,24 @@ class OptimalitySystem:
             raise SolverError(f"factorization failed: {exc}",
                               residual=np.inf) from None
 
+    def apply(self, x):
+        """K x over the active DOFs, for a full-length ``x``.
+
+        The fixed entries of ``x`` enter the product (a solution returned
+        by ``solve`` carries its fixed values).  ValueError on a length
+        mismatch.
+        """
+        return self._product(self.space.dof_vector(x))
+
     def _residual(self, b, x, extended=True):
-        """b - K x for the assembled K, summed in extended precision if asked."""
+        """b - K x over the active DOFs, summed in extended precision if asked."""
+        full = np.zeros(self.space.n_dofs, x.dtype)
+        full[self.space.active_dofs] = x
         if not extended:
-            return b - self.matrix @ x
-        r = self._matrix_ld @ x
+            return b - self._product(full)
+        r = self._product(full, extended=True)
         np.subtract(b, r, out=r)
-        return r.astype(self.matrix.dtype)
+        return r.astype(np.result_type(self._dtype, b, x))
 
     def lu_solve(self, b):
         """K^{-1} b through the condensed factorization, unrefined.
@@ -958,9 +1027,10 @@ class OptimalitySystem:
     def solve(self, load, fixed=None, start=None):
         """Full-length solution vector, a new array.
 
-        ``load`` is a full-length load vector (ValueError on a length
-        mismatch) and ``fixed`` the values of the fixed DOFs (None for
-        zero).  ``start`` is an approximate solution to take one refinement
+        ``load`` is a full-length load vector and ``fixed`` the values of
+        the fixed DOFs (None for zero), ValueError on a length mismatch of
+        either; b = load - K_{active,fixed} fixed over the active DOFs is
+        summed from the local blocks of the cells that hold a fixed DOF.  ``start`` is an approximate solution to take one refinement
         step from; without it the solve refines until the next correction
         is predicted below eps ||x||.  The residual that only checks the
         result is summed in double, the ones solved with in extended
@@ -970,14 +1040,21 @@ class OptimalitySystem:
         space = self.space
         b = space.dof_vector(load)[space.active_dofs]
         if fixed is not None:
-            b = b - self.lift @ fixed
+            fixed = np.asarray(fixed)
+            if fixed.shape != space.fixed_dofs.shape:
+                raise ValueError(f"fixed-value shape {fixed.shape} does not "
+                                 f"match the space's {len(space.fixed_dofs)} "
+                                 "fixed DOFs")
+            lifted = np.zeros(space.n_dofs, np.result_type(fixed, float))
+            lifted[space.fixed_dofs] = fixed
+            b = b - self._lift(lifted)
         if start is None:  # the first correction d_0 is x_0 itself
             x = self.lu_solve(b)
             cap, last = self.MAX_REFINEMENT_STEPS, _norm(x)
         else:
             x, cap, last = space.dof_vector(start)[space.active_dofs], 1, np.inf
         # K 0 sums to +0, so the residual of a zero start is b, bit for bit
-        r = self._residual(b, x) if x.any() else b.astype(self.matrix.dtype)
+        r = self._residual(b, x) if x.any() else b.astype(self._dtype)
         steps = 0
         while True:
             d = self.lu_solve(r)

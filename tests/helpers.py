@@ -36,7 +36,7 @@ from hho_control import make_cartesian, make_voronoi
 from hho_control.control_unconstrained import _pinned_mass
 from hho_control.hho_core import (OptimalitySystem, cell_load_vector,
                                   local_stiffness, reconstruct_all,
-                                  reduce_function, sorted_sum)
+                                  reduce_function, scatter_blocks, sorted_sum)
 from hho_control.mesh import _clipped_voronoi, next_vertices
 from hho_control.poly import (CellBasis, monomial_exponents,
                               orthonormal_transform, polygon_rules,
@@ -229,9 +229,13 @@ def dense_recon_mass(space):
 
 
 def pinned_control_mass(control_space, lam):
-    """uc32's C = lam B + eps I as assembled by its ``OptimalitySystem``."""
-    return OptimalitySystem(control_space,
-                            _pinned_mass(control_space, lam)).matrix
+    """uc32's C = lam B + eps I, assembled from its local blocks."""
+    local = _pinned_mass(control_space, lam)
+    triplets = []
+    for g in control_space.kernel_groups():
+        blocks, index = local(g)
+        triplets.append((g.dofs, g.dofs, blocks[index]))
+    return scatter_blocks((control_space.n_dofs,) * 2, triplets)
 
 
 def dense_cross_coupling(space, control_space):

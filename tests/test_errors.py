@@ -7,10 +7,10 @@ from hho_control import HhoSpace, solve_wc2
 from hho_control.errors import (ConvergenceReport, NonFiniteError,
                                 energy_error, eoc, l2_error_control,
                                 l2_error_reconstruction)
-from hho_control.hho_core import reduce_function
+from hho_control.hho_core import NodeTable, reduce_function
 from hho_control.presets import problem_from_preset
 from helpers import (cached_cartesian, cached_voronoi, cell_basis, cell_dofs,
-                     cell_face_ids, cell_polygon, l2_error_cells,
+                     cell_face_ids, cell_polygon, count_calls, l2_error_cells,
                      polygon_monomial_integral, segment_monomial_integral,
                      single_polygon_rule)
 
@@ -156,6 +156,19 @@ def test_wc2_control_error_matches_cell_by_cell_refinement(family, n):
     got = l2_error_control(sol, prob.exact.u)
     ref = _wc2_control_error_cell_by_cell(sol, prob)
     assert abs(got - ref) <= 1e-13 * ref
+
+
+def test_a_control_error_evaluates_the_control_at_the_nodes_once(monkeypatch):
+    # the clamped values and the kinked cells come from one evaluation of
+    # the control's polynomial at every node
+    space = HhoSpace(cached_cartesian(16), 1, cell_degree=2, dirichlet=True)
+    prob = problem_from_preset("wc-default")
+    sol = solve_wc2(space, prob)
+    values = count_calls(monkeypatch, NodeTable, "values")
+    l2_error_control(sol, prob.exact.u, sol.exact_at_nodes.u)
+    assert len(values) == 1
+    assert len(sol.control.kinked_cells()) > 0
+    assert len(values) == 1
 
 
 @pytest.mark.parametrize("family, n", [("cartesian", 16), ("voronoi", 64)])

@@ -398,6 +398,55 @@ def test_lu_solve_matches_the_dense_solve(case):
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("case", ["stiffness", "complex", "free",
+                                  "nonsymmetric"])
+@pytest.mark.parametrize("mesh_name", ["cartesian", "voronoi"])
+def test_local_product_matches_the_dense_assembly(case, mesh_name):
+    # K x summed cell by cell from the local blocks is the dense product of
+    # the assembled matrix over the active rows: in double, in extended
+    # precision (the residual a refinement step solves with), and over the
+    # fixed columns alone (the lift of the Dirichlet values)
+    mesh = {"cartesian": cached_cartesian(4),
+            "voronoi": cached_voronoi(16)}[mesh_name]
+    space = HhoSpace(mesh, 1, dirichlet=case != "free")
+    rng = np.random.default_rng(11)
+    local, K = _local_and_matrix(space, case, rng)
+    system = OptimalitySystem(space, local)
+    act, fix = space.active_dofs, space.fixed_dofs
+    dense = K.toarray()[act]
+    x = rng.standard_normal(space.n_dofs)
+    if case == "complex":
+        x = x + 1j * rng.standard_normal(space.n_dofs)
+    want = dense @ x
+    assert np.abs(system.apply(x) - want).max() <= 1e-14 * np.abs(want).max()
+
+    # near the solution b - K x cancels: summed in double it would lose
+    # about eps |K| |x|, in extended precision its own eps; the oracle sums
+    # the local blocks into a dense matrix in extended precision, since K
+    # rounded to double already differs by eps |K|
+    ld = np.promote_types(dense.dtype, np.longdouble)
+    dense_ld = np.zeros((space.n_dofs,) * 2, ld)
+    for g in space.kernel_groups():
+        blocks, index = local(g)
+        np.add.at(dense_ld, (g.dofs[:, :, None], g.dofs[:, None, :]),
+                  blocks[index].astype(ld))
+    dense_ld = dense_ld[np.ix_(act, act)]
+    scale = np.abs(dense).sum(axis=1).max() * np.abs(x).max()
+    x_act = x[act]
+    b = dense[:, act] @ x_act + 1e-10 * scale * rng.standard_normal(len(act))
+    exact = (b - dense_ld @ x_act.astype(ld)).astype(b.dtype)
+    got = system._residual(b, x_act)
+    bound = (32 * np.finfo(np.longdouble).eps * scale
+             + 2 * np.finfo(float).eps * np.abs(exact))
+    assert (np.abs(got - exact) <= bound).all()
+
+    lifted = np.zeros_like(x)
+    lifted[fix] = x[fix]
+    want = dense[:, fix] @ x[fix]
+    assert np.abs(system._lift(lifted) - want).max() <= (
+        1e-14 * np.abs(want).max())
+
+
 def test_set_up_condenses_once_per_kernel_row(monkeypatch):
     # congruent cells share one local block: the set-up inverts one batch
     # per kernel group, as long as the group's kernel rows (not its cells),
@@ -419,14 +468,15 @@ def test_set_up_condenses_once_per_kernel_row(monkeypatch):
 
 
 @pytest.mark.parametrize("solve, k, cell_degree, preset, scatters", [
-    (solve_wc1, 0, 0, "wc-default", 5), (solve_wc2, 1, 2, "wc-default", 5),
-    (solve_uc32, 2, 3, "uc32-default", 11)], ids=["wc1", "wc2", "uc32"])
+    (solve_uc1, 1, 1, "uc1-default", 3),
+    (solve_wc1, 0, 0, "wc-default", 3), (solve_wc2, 1, 2, "wc-default", 3),
+    (solve_uc32, 2, 3, "uc32-default", 7)], ids=["uc1", "wc1", "wc2", "uc32"])
 def test_a_solve_assembles_only_through_its_systems(
         solve, k, cell_degree, preset, scatters, monkeypatch):
-    # an OptimalitySystem scatters its matrix, lift, X, E and S, and uc32
-    # adds the cross coupling of its two spaces; the cell mass a solver
-    # applies is NodeTable.free_mass, and no solver assembles a matrix of
-    # its space
+    # an OptimalitySystem scatters only X, E and S (its products, residuals
+    # and lift are summed from the local blocks), and uc32 adds the cross
+    # coupling of its two spaces; the cell mass a solver applies is
+    # NodeTable.free_mass, and no solver assembles a matrix of its space
     def assemble(*args):
         raise AssertionError("a solver assembled a matrix of its space")
 
@@ -579,7 +629,9 @@ def test_the_skipped_correction_is_below_the_resolution_of_x(
     system, fixed = call["self"], call["fixed"]
     act = system.space.active_dofs
     x = system.solve(call["load"], fixed)[act]
-    b = call["load"][act] - system.lift @ fixed
+    lifted = np.zeros(system.space.n_dofs)
+    lifted[system.space.fixed_dofs] = fixed
+    b = call["load"][act] - system._lift(lifted)
     correction = system.lu_solve(system._residual(b, x))
     assert _norm(correction) <= np.finfo(float).eps * _norm(x)
     assert system.refinement["residual"] <= 1e-13
@@ -587,13 +639,15 @@ def test_the_skipped_correction_is_below_the_resolution_of_x(
 
 @pytest.mark.parametrize("length", ["short", "long", "one"])
 def test_vector_of_another_length_rejected(length):
-    # numpy alone would broadcast a length-1 vector in vec - ref, and
-    # indexing by the cells' or active DOFs would ignore extra entries (a
-    # load one entry too long solved as if the entry were not there)
+    # numpy alone would broadcast a length-1 vector in vec - ref or in a
+    # write of the fixed values, and indexing by the cells' or active DOFs
+    # would ignore extra entries (a load one entry too long solved as if the
+    # entry were not there)
     mesh = cached_cartesian(2)
     space = HhoSpace(mesh, 1, dirichlet=True)
-    n = {"short": space.n_dofs - 1, "long": space.n_dofs + 1, "one": 1}[length]
-    vec, v = np.ones(n), lambda p: p[:, 0]
+    size = lambda n: {"short": n - 1, "long": n + 1, "one": 1}[length]
+    vec, v = np.ones(size(space.n_dofs)), lambda p: p[:, 0]
+    fixed = np.ones(size(len(space.fixed_dofs)))
     system = OptimalitySystem(space, local_stiffness)
     load = cell_load_vector(space, v)
     # a complex load must fail on its length, not lose its imaginary part
@@ -604,7 +658,9 @@ def test_vector_of_another_length_rejected(length):
                  lambda: space.cell_blocks(vec),
                  lambda: system.solve(load, start=vec),
                  lambda: system.solve(vec),
-                 lambda: complex_system.solve(1j * vec)):
+                 lambda: complex_system.solve(1j * vec),
+                 lambda: system.solve(load, fixed=fixed),
+                 lambda: system.apply(vec)):
         with pytest.raises(ValueError, match="does not match"):
             call()
 
